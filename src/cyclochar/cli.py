@@ -55,8 +55,6 @@ class RunConfig:
     bruteforce_cap: int = DEFAULT_BRUTE_CAP
     output_format: str = "text"
     primitive_table_path: str | None = None
-    worker_count: str = "auto"
-    seed: int = 0
 
     @classmethod
     def from_args(cls, args) -> "RunConfig":
@@ -68,8 +66,6 @@ class RunConfig:
             bruteforce_cap=args.bruteforce_cap,
             output_format=args.format,
             primitive_table_path=args.primitive_table,
-            worker_count=args.workers,
-            seed=args.seed,
         )
         if cfg.field_cap <= 0 or cfg.bruteforce_cap <= 0:
             raise InvalidArgumentError("caps must be positive")
@@ -332,10 +328,6 @@ def _add_common(parser) -> None:
                         help="max codewords for exhaustive enumeration")
     parser.add_argument("--primitive-table", default=None,
                         help="file of primitive-polynomial overrides: 'p degree c0 c1 ... cd'")
-    parser.add_argument("--workers", default="auto",
-                        help="worker count hint (kernels are vectorized; accepted for compatibility)")
-    parser.add_argument("--seed", type=int, default=0,
-                        help="seed for any randomized sampling")
 
 
 def _build_parser() -> _Parser:

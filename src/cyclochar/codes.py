@@ -25,7 +25,7 @@ from . import polyring
 from .errors import ConsistencyError, InvalidArgumentError, ResourceLimitError
 from .expsum import char_sum
 from .gf import ZERO, FieldCtx
-from .numth import BezoutPair, bezout_pair, rem
+from .numth import BezoutPair, bezout_pair, ext_gcd, rem
 
 DEFAULT_BRUTE_CAP = 1 << 22
 
@@ -59,8 +59,8 @@ class CodeSpec:
 
 def code_spec(q: int, k: int, e1: int, e2: int) -> CodeSpec:
     """Build a CodeSpec, solving the Bezout congruence for (alpha, beta)."""
-    if k < 1:
-        raise InvalidArgumentError(f"k must be positive, got {k}")
+    if k < 2:
+        raise InvalidArgumentError(f"requires k >= 2, got {k}")
     delta = (q**k - 1) // (q - 1)
     return CodeSpec(q=q, k=k, delta=delta, e1=e1, e2=e2, bezout=bezout_pair(e2, q, k))
 
@@ -176,36 +176,63 @@ def zero_count(ctx: FieldCtx, spec: CodeSpec, a: int, b: int) -> int:
     return z
 
 
+def _orbit_columns(ctx: FieldCtx, e1: int, e2: int) -> tuple[int, np.ndarray]:
+    """(g, W) with g = gcd(e2 mod q^k - 1, Delta) and W the weights of the
+    orbit representatives: W[tau, 0] for b = 0 and W[tau, 1 + b0] for
+    b = gamma^b0, b0 < g.
+
+    Position i of the class (tau, b) reads tau*omega^(e1*i) + Tr(b*gamma^(e2*i))
+    with omega = gamma^Delta.  As omega^(e1*i) != 0, the b = 0 column is
+    zero only at tau = 0, and for b != 0 exactly one tau vanishes at i:
+    tau = -Tr(b*gamma^(e2*i)) * omega^(-e1*i).  So the zero counts of a
+    whole column are one bincount over its n positions.
+    """
+    m, q = ctx.m, ctx.q
+    e2r = rem(e2, m)
+    g = gcd(e2r, ctx.delta)
+    idx = np.arange(m, dtype=np.int64)
+    _, sym_mul = ctx.symbol_tables()
+    # symbol of -omega^(-e1*i); symbol s >= 1 stands for omega^(s-1)
+    neg_inv = sym_mul[ctx.sym_neg(1), 1 + rem(-e1, q - 1) * idx % (q - 1)]
+    trq = ctx.trace_q_symbols()
+    weights = np.empty((q, 1 + g), dtype=np.int64)
+    weights[:, 0] = m
+    weights[0, 0] = 0
+    block = max(1, _BLOCK_ENTRIES // m)
+    for start in range(0, g, block):
+        b0 = np.arange(start, min(start + block, g), dtype=np.int64)
+        killer = sym_mul[trq[(b0[:, None] + e2r * idx[None, :]) % m], neg_inv[None, :]]
+        killer += q * (b0 - start)[:, None]
+        zeros = np.bincount(killer.ravel(), minlength=q * len(b0))
+        weights[:, 1 + b0] = m - zeros.reshape(len(b0), q).T
+    return g, weights
+
+
 def trace_weight_grid(ctx: FieldCtx, e1: int, e2: int) -> np.ndarray:
     """Hamming weights of all trace codewords, as a (q, q^k) array.
 
     Row index is the F_q symbol of the trace class tau = Tr(a); column 0
     is b = 0 and column 1 + e is b = gamma^e.  Works for any integer
     pair (e1, e2), including pairs violating the gcd conditions.
+
+    A cyclic shift by s and a scaling by omega^j in F_q^* keep every
+    weight, and together map the class (tau, gamma^e) to
+    (omega^(e1*s + j)*tau, gamma^(e + e2*s + Delta*j)).  With
+    g = gcd(e2, Delta) and (e2/g)*u + (Delta/g)*v = 1, column
+    e = e0 + g*r is therefore column e0 < g with row tau read from row
+    omega^(-r*(e1*u + v))*tau: only the g representative columns are
+    evaluated, and every other column is a table lookup.
     """
-    m = ctx.m
-    q = ctx.q
-    delta = ctx.delta
-    trq = ctx.trace_q_symbols()
-    sym_add, sym_mul = ctx.symbol_tables()
-    idx = np.arange(m, dtype=np.int64)
-    sym1 = 1 + (rem(delta * e1, m) * idx % m) // delta
-    e2r = rem(e2, m)
-    weights = np.zeros((q, q**ctx.k), dtype=np.int64)
-    block = max(1, _BLOCK_ENTRIES // max(m, 1))
-    for start in range(0, m, block):
-        stop = min(start + block, m)
-        exps = (np.arange(start, stop, dtype=np.int64)[:, None] + e2r * idx[None, :]) % m
-        tb = trq[exps]
-        for tau in range(q):
-            if tau == 0:
-                rows = tb
-            else:
-                rows = sym_add[sym_mul[tau, sym1][None, :], tb]
-            weights[tau, 1 + start : 1 + stop] = np.count_nonzero(rows, axis=1)
-    for tau in range(q):
-        base = sym_mul[tau, sym1] if tau else np.zeros(m, dtype=np.int64)
-        weights[tau, 0] = int(np.count_nonzero(base))
+    m, q = ctx.m, ctx.q
+    g, reps = _orbit_columns(ctx, e1, e2)
+    _, u, v = ext_gcd(rem(e2, m), ctx.delta)
+    r, e0 = np.divmod(np.arange(m, dtype=np.int64), g)
+    mu = r * rem(e1 * u + v, q - 1) % (q - 1)
+    sym = np.arange(1, q, dtype=np.int64)[:, None]
+    weights = np.empty((q, q**ctx.k), dtype=np.int64)
+    weights[:, 0] = reps[:, 0]
+    weights[0, 1:] = reps[0, 1 + e0]
+    weights[1:, 1:] = reps[1 + (sym - 1 - mu) % (q - 1), 1 + e0]
     return weights
 
 
@@ -229,12 +256,19 @@ def weight_distribution_trace_exponents(
 ) -> WeightDistribution:
     """Exact distribution of the code via the trace representation.
 
-    The (tau, b) grid maps onto the code a constant number of times;
-    that multiplicity is the zero-weight count of the grid and divides
-    every frequency exactly.
+    By the shift and scaling symmetry of trace_weight_grid, each of the
+    n/g columns in the orbit of a representative column b0 < g is a row
+    permutation of it, so the grid histogram is the b = 0 column's plus
+    n/g times the representatives'; the (q, q^k) grid is never formed.
+    The grid maps onto the code a constant number of times; that
+    multiplicity is the zero-weight count and divides every frequency
+    exactly.
     """
-    wt = trace_weight_grid(ctx, e1, e2)
-    counts = np.bincount(wt.ravel(), minlength=ctx.m + 1)
+    m = ctx.m
+    g, reps = _orbit_columns(ctx, e1, e2)
+    counts = np.bincount(reps[:, 0], minlength=m + 1) + (m // g) * np.bincount(
+        reps[:, 1:].ravel(), minlength=m + 1
+    )
     fiber = int(counts[0])
     entries: dict[int, int] = {}
     for w in np.nonzero(counts)[0]:

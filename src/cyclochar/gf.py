@@ -386,7 +386,7 @@ def load_primitive_table(path: str) -> dict[tuple[int, int], tuple[int, ...]]:
 
 
 @lru_cache(maxsize=None)
-def _build_field_cached(p, t, k, cap, override_items):
+def _build_field_cached(p, t, k, override_items):
     override = dict(override_items) if override_items else {}
     mod = override.get((p, t * k))
     if mod is not None:
@@ -421,7 +421,7 @@ def build_field(
             f"field order {p}^{t * k} exceeds the cap {cap}; raise the cap to proceed"
         )
     items = tuple(sorted(primitive_table.items())) if primitive_table else None
-    return _build_field_cached(p, t, k, cap, items)
+    return _build_field_cached(p, t, k, items)
 
 
 def field_for(

@@ -2,6 +2,8 @@
 
 import json
 
+import pytest
+
 from cyclochar import cli, verify
 from cyclochar.characterize import build_code
 from cyclochar.cli import report_json
@@ -199,6 +201,22 @@ class TestVerify:
         assert code == 3
         assert "FAIL" in out
         assert "counterexample" in err
+
+
+class TestDegreeOne:
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("build", "--e1", "0", "--e2", "1"),
+            ("verify",),
+            ("enumerate",),
+            ("charsum", "--e1", "0", "--e2", "1", "--a", "0", "--b", "0"),
+        ],
+    )
+    def test_k1_is_a_precondition_failure(self, capsys, argv):
+        code, _, err = run(capsys, argv[0], "--q", "2", "--k", "1", *argv[1:])
+        assert code == 2
+        assert "requires k >= 2" in err
 
 
 class TestUsage:

@@ -1,5 +1,7 @@
 """Code objects: both weight-distribution routes, duality, bounds, moments."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -11,6 +13,8 @@ from cyclochar.errors import (
     ResourceLimitError,
 )
 from cyclochar.gf import ZERO
+from cyclochar.numth import rem
+from cyclochar.verify import default_pairs
 
 
 def first_nonzero_trace(ctx):
@@ -119,6 +123,57 @@ class TestTraceDistribution:
         wd = codes.weight_distribution_trace_exponents(ctx, 0, 2)
         code = codes.code_from_exponents(ctx, 0, 2)
         assert wd == codes.weight_distribution_bruteforce(ctx, code)
+
+
+def direct_weight_grid(ctx, e1, e2):
+    """Test oracle: every trace codeword evaluated position by position,
+    in O(q * n^2), using no symmetry of the grid."""
+    m = ctx.m
+    q = ctx.q
+    delta = ctx.delta
+    trq = ctx.trace_q_symbols()
+    sym_add, sym_mul = ctx.symbol_tables()
+    idx = np.arange(m, dtype=np.int64)
+    sym1 = 1 + (rem(delta * e1, m) * idx % m) // delta
+    e2r = rem(e2, m)
+    weights = np.zeros((q, q**ctx.k), dtype=np.int64)
+    exps = (idx[:, None] + e2r * idx[None, :]) % m
+    tb = trq[exps]
+    for tau in range(q):
+        rows = tb if tau == 0 else sym_add[sym_mul[tau, sym1][None, :], tb]
+        weights[tau, 1:] = np.count_nonzero(rows, axis=1)
+        weights[tau, 0] = int(np.count_nonzero(sym_mul[tau, sym1])) if tau else 0
+    return weights
+
+
+class TestOrbitReducedGrid:
+    @pytest.mark.parametrize("q,k", default_pairs(63))
+    def test_matches_direct_grid_for_every_exponent_pair(self, q, k):
+        # every e1, e2 including out-of-range, negative, non-qualifying
+        # and gcd(e2, Delta) > 1 pairs
+        ctx = gf.field_for(q, k)
+        n = ctx.m
+        for e1 in list(range(q - 1)) + [q - 1, q, -1]:
+            for e2 in list(range(n)) + [-3, n + 5]:
+                want = direct_weight_grid(ctx, e1, e2)
+                assert np.array_equal(codes.trace_weight_grid(ctx, e1, e2), want), (e1, e2)
+                counts = np.bincount(want.ravel(), minlength=n + 1)
+                expected = {int(w): int(counts[w] // counts[0]) for w in np.nonzero(counts)[0]}
+                wd = codes.weight_distribution_trace_exponents(ctx, e1, e2)
+                assert wd.entries == expected, (e1, e2)
+
+    def test_distribution_never_forms_the_grid(self):
+        ctx = gf.field_for(16, 3)
+        codes.weight_distribution_trace_exponents(ctx, 1, 1)  # warm the field tables
+        grid_bytes = ctx.q * ctx.order * np.dtype(np.int64).itemsize
+        tracemalloc.start()
+        try:
+            wd = codes.weight_distribution_trace_exponents(ctx, 1, 1)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert wd == codes.three_weight_distribution(16, 3)
+        assert peak < grid_bytes
 
 
 class TestBruteForce:

@@ -40,6 +40,9 @@ class TestBuildField:
         with pytest.raises(ResourceLimitError):
             gf.build_field(2, 1, 25, cap=1 << 20)
 
+    def test_cache_shared_across_caps(self):
+        assert gf.field_for(4, 3, cap=1 << 10) is gf.field_for(4, 3, cap=1 << 20)
+
     @pytest.mark.parametrize("p,t,k", [(2, 1, 4), (3, 1, 2), (2, 2, 2), (5, 1, 2)])
     def test_gamma_has_full_order(self, p, t, k):
         ctx = gf.build_field(p, t, k)

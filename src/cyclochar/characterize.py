@@ -296,6 +296,7 @@ def _full_weight_words(ctx: FieldCtx, code: CyclicCode, cap: int) -> list[list[i
         raise ResourceLimitError(f"{q}^{dim} codewords exceed the cap {cap}")
     gen = list(code.generator) + [0] * (code.n - len(code.generator))
     rows = [gen[-i:] + gen[:-i] for i in range(dim)]
+    add, mul, _, _ = ctx.symbol_table_lists()
     out = []
     word = [0] * code.n
     digits = [0] * dim
@@ -313,7 +314,8 @@ def _full_weight_words(ctx: FieldCtx, code: CyclicCode, cap: int) -> list[list[i
         for r in range(dim):
             c = digits[r]
             if c:
-                word = [ctx.sym_add(w, ctx.sym_mul(c, g)) for w, g in zip(word, rows[r])]
+                row = mul[c]
+                word = [add[w][row[g]] for w, g in zip(word, rows[r])]
     return out
 
 

@@ -30,7 +30,6 @@ from .codes import (
 )
 from .errors import (
     ConditionFailedError,
-    CyclocharError,
     InvalidArgumentError,
     ResourceLimitError,
     TheoremViolationError,
@@ -390,17 +389,19 @@ def main(argv=None) -> int:
         cfg = RunConfig.from_args(args)
         return args.func(args, cfg)
     except TheoremViolationError as exc:
-        print(f"identity violated: {exc}", file=sys.stderr)
+        print(f"identity violated: {_describe(exc)}", file=sys.stderr)
         return EXIT_VIOLATION
     except (InvalidArgumentError, ResourceLimitError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
+        print(f"error: {_describe(exc)}", file=sys.stderr)
         return EXIT_PRECONDITION
-    except CyclocharError as exc:
-        print(f"internal error: {exc}", file=sys.stderr)
-        return EXIT_INTERNAL
     except Exception as exc:  # noqa: BLE001
-        print(f"internal error: {exc}", file=sys.stderr)
+        print(f"internal error: {_describe(exc)}", file=sys.stderr)
         return EXIT_INTERNAL
+
+
+def _describe(exc: Exception) -> str:
+    """The exception's message, or its type name when the message is empty."""
+    return str(exc) or type(exc).__name__
 
 
 if __name__ == "__main__":

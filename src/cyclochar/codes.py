@@ -16,8 +16,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import lru_cache
 from itertools import product
-from math import comb, gcd
+from math import comb, gcd, log2
 
 import numpy as np
 
@@ -28,6 +29,13 @@ from .gf import ZERO, FieldCtx
 from .numth import BezoutPair, bezout_pair, ext_gcd, rem
 
 DEFAULT_BRUTE_CAP = 1 << 22
+
+# Largest MacWilliams transform attempted, by macwilliams_size_bytes: every
+# length up to 65535 over F_2 and F_4 passes (0.5 GiB at (2,16)), while
+# (2,20) would need 128 GiB.  Only transforms of at most _MEMO_MAX_BYTES
+# (n up to 2896 over F_2) are memoized, so the memo pins at most 64 MiB.
+MACWILLIAMS_BUDGET_BYTES = 1 << 30
+_MEMO_MAX_BYTES = 1 << 20
 
 _BLOCK = 1 << 12
 _BLOCK_ENTRIES = 1 << 20
@@ -191,9 +199,9 @@ def _orbit_columns(ctx: FieldCtx, e1: int, e2: int) -> tuple[int, np.ndarray]:
     e2r = rem(e2, m)
     g = gcd(e2r, ctx.delta)
     idx = np.arange(m, dtype=np.int64)
-    _, sym_mul = ctx.symbol_tables()
+    _, sym_mul, sym_neg, _ = ctx.symbol_tables()
     # symbol of -omega^(-e1*i); symbol s >= 1 stands for omega^(s-1)
-    neg_inv = sym_mul[ctx.sym_neg(1), 1 + rem(-e1, q - 1) * idx % (q - 1)]
+    neg_inv = sym_neg[1 + rem(-e1, q - 1) * idx % (q - 1)]
     trq = ctx.trace_q_symbols()
     weights = np.empty((q, 1 + g), dtype=np.int64)
     weights[:, 0] = m
@@ -301,7 +309,7 @@ def weight_distribution_bruteforce(
         )
     if dim == 0:
         return WeightDistribution(n=n, entries={0: 1})
-    sym_add, sym_mul = ctx.symbol_tables()
+    sym_add, sym_mul, _, _ = ctx.symbol_tables()
     gen = np.zeros(n, dtype=np.int64)
     gen[: len(code.generator)] = code.generator
     rows = np.stack([np.roll(gen, i) for i in range(dim)])
@@ -390,21 +398,53 @@ def krawtchouk_direct(n: int, q: int, j: int, w: int) -> int:
     )
 
 
+def macwilliams_size_bytes(n: int, q: int) -> float:
+    """Estimated size of one exact transform: n + 1 entries of about n*log2(q) bits.
+
+    Every Krawtchouk row and the dual distribution itself hold n + 1
+    integers as large as q^n in magnitude.
+    """
+    return (n + 1) * n * log2(q) / 8
+
+
 def macwilliams_dual(
     wd: WeightDistribution, n: int, q: int, dim: int
 ) -> WeightDistribution:
-    """Exact dual distribution B_j = q^-dim * sum_w A_w K_j(w)."""
+    """Exact dual distribution B_j = q^-dim * sum_w A_w K_j(w).
+
+    Transforms larger than MACWILLIAMS_BUDGET_BYTES are refused before
+    any row is computed.  Results are memoized on (n, q, dim, entries):
+    a sweep over the codes of one (q, k) block transforms the same
+    distribution once per code.  Only transforms of at most
+    _MEMO_MAX_BYTES are kept, and every call returns a fresh object.
+    """
     if wd.total() != q**dim:
         raise InvalidArgumentError(
             f"distribution sums to {wd.total()}, expected q^dim = {q**dim}"
         )
+    size = macwilliams_size_bytes(n, q)
+    if size > MACWILLIAMS_BUDGET_BYTES:
+        raise ResourceLimitError(
+            f"the MacWilliams transform at n = {n}, q = {q} needs about "
+            f"{size / 2**30:,.1f} GiB, over the {MACWILLIAMS_BUDGET_BYTES / 2**30:g} GiB budget"
+        )
+    transform = _dual_entries if size <= _MEMO_MAX_BYTES else _dual_entries.__wrapped__
+    entries = transform(n, q, dim, tuple(sorted(wd.entries.items())))
+    return WeightDistribution(n=n, entries=dict(entries))
+
+
+@lru_cache(maxsize=64)
+def _dual_entries(
+    n: int, q: int, dim: int, entries: tuple[tuple[int, int], ...]
+) -> tuple[tuple[int, int], ...]:
+    """(j, B_j) pairs of the dual, each checked integral and non-negative."""
     size = q**dim
     sums = [0] * (n + 1)
-    for w, freq in wd.entries.items():
+    for w, freq in entries:
         row = krawtchouk_row(n, q, w)
         for j in range(n + 1):
             sums[j] += freq * row[j]
-    entries: dict[int, int] = {}
+    dual = []
     for j, s in enumerate(sums):
         bj, r = divmod(s, size)
         if r != 0 or bj < 0:
@@ -412,11 +452,10 @@ def macwilliams_dual(
                 f"dual frequency B_{j} = {s}/{size} is not a non-negative integer"
             )
         if bj:
-            entries[j] = bj
-    dual = WeightDistribution(n=n, entries=entries)
-    if dual.total() != q ** (n - dim):
+            dual.append((j, bj))
+    if sum(bj for _, bj in dual) != q ** (n - dim):
         raise ConsistencyError("dual frequencies do not sum to q^(n-dim)")
-    return dual
+    return tuple(dual)
 
 
 def dual_b3(q: int, k: int) -> int:

@@ -16,6 +16,7 @@ symbol 0 -> 0, symbol 1+j -> gamma^(j*delta).
 from __future__ import annotations
 
 from functools import lru_cache
+from typing import Any, NamedTuple
 
 import numpy as np
 
@@ -151,6 +152,20 @@ def _pack_columns(digits, p):
     return packed
 
 
+class SymbolTables(NamedTuple):
+    """F_q arithmetic on symbol indices: add[s1][s2], mul[s1][s2], neg[s], inv[s].
+
+    The rows are numpy arrays from FieldCtx.symbol_tables() and nested
+    lists from FieldCtx.symbol_table_lists().  inv[0] is 0: zero has no
+    inverse, so a caller must never divide by the zero symbol.
+    """
+
+    add: Any
+    mul: Any
+    neg: Any
+    inv: Any
+
+
 class FieldCtx:
     """Immutable arithmetic context for F_{q^k} = F_{p^(t*k)}.
 
@@ -188,8 +203,8 @@ class FieldCtx:
         self._digits = digits
         self._trq_sym: np.ndarray | None = None
         self._trp_char: np.ndarray | None = None
-        self._sym_add: np.ndarray | None = None
-        self._sym_mul: np.ndarray | None = None
+        self._sym_tables: SymbolTables | None = None
+        self._sym_table_lists: SymbolTables | None = None
         self._trq_sym_list: list[int] | None = None
         self._trp_char_list: list[int] | None = None
 
@@ -287,18 +302,6 @@ class FieldCtx:
             raise InvalidArgumentError(f"symbol {s} out of range for F_{self.q}")
         return ZERO if s == 0 else (s - 1) * self.delta
 
-    def sym_add(self, s1: int, s2: int) -> int:
-        return self.symbol_of(self.add(self.element_of_symbol(s1), self.element_of_symbol(s2)))
-
-    def sym_mul(self, s1: int, s2: int) -> int:
-        return self.symbol_of(self.mul(self.element_of_symbol(s1), self.element_of_symbol(s2)))
-
-    def sym_neg(self, s: int) -> int:
-        return self.symbol_of(self.neg(self.element_of_symbol(s)))
-
-    def sym_inv(self, s: int) -> int:
-        return self.symbol_of(self.inv(self.element_of_symbol(s)))
-
     # -- vectorized tables for the enumeration kernels -----------------------
 
     def _digitwise_trace(self, step: int, reps: int) -> np.ndarray:
@@ -346,20 +349,44 @@ class FieldCtx:
             self._trp_char_list = self.char_exponents().tolist()
         return self._trp_char_list
 
-    def symbol_tables(self) -> tuple[np.ndarray, np.ndarray]:
-        """(add, mul) tables over F_q symbol indices, each q x q."""
-        if self._sym_add is None:
-            q = self.q
-            elems = [self.element_of_symbol(s) for s in range(q)]
-            add = np.zeros((q, q), dtype=np.int64)
+    def symbol_tables(self) -> SymbolTables:
+        """F_q arithmetic on symbol indices: the single symbol-arithmetic path.
+
+        Symbol s >= 1 stands for omega^(s-1) with omega = gamma^delta, so a
+        product adds exponents mod q-1, and a sum gamma^x + gamma^y is
+        gamma^(y + Z(x-y)) with the Zech logarithm Z; for subfield elements
+        x - y is a multiple of delta, and only q-1 Zech values are read.
+        """
+        if self._sym_tables is None:
+            q, delta = self.q, self.delta
+            s = np.arange(q, dtype=np.int64)
+            j = s[1:] - 1  # omega-exponent of each nonzero symbol
+            zech = self.zech[j * delta]  # 1 + omega^j as an element
+            if np.any((zech != ZERO) & (zech % delta != 0)):
+                raise ConsistencyError(f"1 + omega^j escaped the embedded F_{q}")
+            add = np.empty((q, q), dtype=np.int64)
+            add[0, :] = s
+            add[:, 0] = s
+            diff = (j[:, None] - j[None, :]) % (q - 1)
+            add[1:, 1:] = np.where(
+                zech[diff] == ZERO, 0, 1 + (j[None, :] + zech[diff] // delta) % (q - 1)
+            )
             mul = np.zeros((q, q), dtype=np.int64)
-            for s1 in range(q):
-                for s2 in range(q):
-                    add[s1, s2] = self.symbol_of(self.add(elems[s1], elems[s2]))
-                    mul[s1, s2] = self.symbol_of(self.mul(elems[s1], elems[s2]))
-            self._sym_add = add
-            self._sym_mul = mul
-        return self._sym_add, self._sym_mul
+            mul[1:, 1:] = 1 + (j[:, None] + j[None, :]) % (q - 1)
+            # -1 = omega^((q-1)/2) for odd q, and 1 in characteristic 2
+            half = 0 if self.p == 2 else (q - 1) // 2
+            neg = np.zeros(q, dtype=np.int64)
+            neg[1:] = 1 + (j + half) % (q - 1)
+            inv = np.zeros(q, dtype=np.int64)
+            inv[1:] = 1 + (-j) % (q - 1)
+            self._sym_tables = SymbolTables(add, mul, neg, inv)
+        return self._sym_tables
+
+    def symbol_table_lists(self) -> SymbolTables:
+        """symbol_tables() as nested plain lists, for scalar-indexed hot loops."""
+        if self._sym_table_lists is None:
+            self._sym_table_lists = SymbolTables(*(t.tolist() for t in self.symbol_tables()))
+        return self._sym_table_lists
 
     def __repr__(self) -> str:
         return f"FieldCtx(p={self.p}, t={self.t}, k={self.k}, order={self.order})"

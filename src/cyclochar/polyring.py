@@ -1,9 +1,11 @@
 """Dense polynomials over the embedded subfield F_q.
 
 A polynomial is a tuple of F_q symbol indices, low-degree first, with no
-trailing zeros; the zero polynomial is the empty tuple.  All arithmetic
-routes through a FieldCtx, whose symbol enumeration fixes the meaning of
-each coefficient.
+trailing zeros; the zero polynomial is the empty tuple.  A FieldCtx's
+symbol enumeration fixes the meaning of each coefficient, and all
+coefficient arithmetic reads its F_q symbol tables (FieldCtx.symbol_tables,
+as plain lists for the scalar loops here); only minimal_polynomial and
+poly_eval work on elements of F_{q^k}, where the roots live.
 
 The CLI's textual format is the same sequence, comma separated:
 "1,1,0,1" is x^3 + x + 1 over F_2.
@@ -38,16 +40,18 @@ def is_monic(a: Poly) -> bool:
 
 
 def poly_add(ctx: FieldCtx, a: Poly, b: Poly) -> Poly:
+    add = ctx.symbol_table_lists().add
     if len(a) < len(b):
         a, b = b, a
     out = list(a)
     for i, c in enumerate(b):
-        out[i] = ctx.sym_add(out[i], c)
+        out[i] = add[out[i]][c]
     return normalize(out)
 
 
 def poly_neg(ctx: FieldCtx, a: Poly) -> Poly:
-    return tuple(ctx.sym_neg(c) for c in a)
+    neg = ctx.symbol_table_lists().neg
+    return tuple(neg[c] for c in a)
 
 
 def poly_sub(ctx: FieldCtx, a: Poly, b: Poly) -> Poly:
@@ -57,40 +61,51 @@ def poly_sub(ctx: FieldCtx, a: Poly, b: Poly) -> Poly:
 def poly_mul(ctx: FieldCtx, a: Poly, b: Poly) -> Poly:
     if not a or not b:
         return ZERO_POLY
+    add, mul, _, _ = ctx.symbol_table_lists()
     out = [0] * (len(a) + len(b) - 1)
     for i, ai in enumerate(a):
         if ai == 0:
             continue
+        row = mul[ai]
         for j, bj in enumerate(b):
             if bj:
-                out[i + j] = ctx.sym_add(out[i + j], ctx.sym_mul(ai, bj))
+                out[i + j] = add[out[i + j]][row[bj]]
     return normalize(out)
 
 
 def poly_scale(ctx: FieldCtx, a: Poly, s: int) -> Poly:
     if s == 0:
         return ZERO_POLY
-    return normalize([ctx.sym_mul(c, s) for c in a])
+    row = ctx.symbol_table_lists().mul[s]
+    return normalize([row[c] for c in a])
 
 
 def poly_divmod(ctx: FieldCtx, a: Poly, b: Poly) -> tuple[Poly, Poly]:
-    """Quotient and remainder with deg r < deg b; b must be nonzero."""
+    """Quotient and remainder with deg r < deg b; b must be nonzero.
+
+    Schoolbook division from the top coefficient down: each step cancels
+    r's coefficient at x^(shift + deg b) by subtracting c*x^shift*b.
+    """
     if not b:
         raise InvalidArgumentError("division by the zero polynomial")
+    if b[-1] == 0:
+        raise InvalidArgumentError("divisor has trailing zero coefficients")
+    add, mul, neg, inv = ctx.symbol_table_lists()
+    db = len(b) - 1
+    low = b[:-1]
     r = list(a)
-    q = [0] * max(len(a) - len(b) + 1, 0)
-    inv_lead = ctx.sym_inv(b[-1])
-    while len(r) >= len(b) and any(r):
-        while r and r[-1] == 0:
-            r.pop()
-        if len(r) < len(b):
-            break
-        shift = len(r) - len(b)
-        c = ctx.sym_mul(r[-1], inv_lead)
-        q[shift] = c
-        for i, bc in enumerate(b):
-            r[shift + i] = ctx.sym_add(r[shift + i], ctx.sym_neg(ctx.sym_mul(bc, c)))
-    return normalize(q), normalize(r)
+    quot = [0] * max(len(r) - db, 0)
+    inv_lead = inv[b[-1]]
+    for shift in range(len(quot) - 1, -1, -1):
+        top = r[shift + db]
+        if top:
+            c = mul[top][inv_lead]
+            quot[shift] = c
+            minus_c = mul[neg[c]]
+            for i, bc in enumerate(low):
+                if bc:
+                    r[shift + i] = add[r[shift + i]][minus_c[bc]]
+    return normalize(quot), normalize(r[:db])
 
 
 def poly_mod(ctx: FieldCtx, a: Poly, b: Poly) -> Poly:
@@ -103,7 +118,7 @@ def poly_gcd(ctx: FieldCtx, a: Poly, b: Poly) -> Poly:
         a, b = b, poly_mod(ctx, a, b)
     if not a:
         return ZERO_POLY
-    return poly_scale(ctx, a, ctx.sym_inv(a[-1]))
+    return poly_scale(ctx, a, ctx.symbol_table_lists().inv[a[-1]])
 
 
 def poly_eval(ctx: FieldCtx, a: Poly, x: int) -> int:
@@ -116,7 +131,7 @@ def poly_eval(ctx: FieldCtx, a: Poly, x: int) -> int:
 
 def x_pow_n_minus_1(ctx: FieldCtx, n: int) -> Poly:
     coeffs = [0] * (n + 1)
-    coeffs[0] = ctx.sym_neg(1)
+    coeffs[0] = ctx.symbol_table_lists().neg[1]
     coeffs[n] = 1
     return tuple(coeffs)
 

@@ -25,9 +25,10 @@ from .codes import (
     DEFAULT_BRUTE_CAP,
     CodeSpec,
     char_sum_grid,
-    code_from_exponents,
     code_spec,
+    cyclic_code,
     macwilliams_dual,
+    parity_check_from_exponents,
     pless_moment_check,
     dual_b3,
     three_weight_distribution,
@@ -268,11 +269,12 @@ def verify_three_weight_iff(
     checked = 0
     for e1 in range(q - 1):
         for e2 in range(n):
-            code = code_from_exponents(ctx, e1, e2)
-            match = cache.get(code.parity_check)
+            h = parity_check_from_exponents(ctx, e1, e2)
+            match = cache.get(h)
             if match is None:
+                code = cyclic_code(ctx, h)
                 match = weight_distribution_bruteforce(ctx, code, brute_cap) == table
-                cache[code.parity_check] = match
+                cache[h] = match
             conds = all(check_conditions(q, k, e1, e2))
             if match != conds:
                 return PropertyResult(
@@ -292,18 +294,20 @@ def verify_oracle_equivalence(
 ) -> PropertyResult:
     """Trace-path distribution equals brute force for every spec.
 
-    The brute-force run is shared between specs that define the same
-    code (same parity check); the trace path runs per spec.
+    The generator division and the brute-force run are shared between
+    specs that define the same code (same parity check); the trace path
+    runs per spec.
     """
     cache: dict[polyring.Poly, dict[int, int]] = {}
     checked = 0
     for spec in all_specs(q, k):
         wd = weight_distribution_trace(ctx, spec)
-        code = code_from_exponents(ctx, spec.e1, spec.e2)
-        brute = cache.get(code.parity_check)
+        h = parity_check_from_exponents(ctx, spec.e1, spec.e2)
+        brute = cache.get(h)
         if brute is None:
+            code = cyclic_code(ctx, h)
             brute = weight_distribution_bruteforce(ctx, code, brute_cap).entries
-            cache[code.parity_check] = brute
+            cache[h] = brute
         if wd.entries != brute:
             return PropertyResult(
                 "oracle_equivalence",

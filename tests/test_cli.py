@@ -4,7 +4,7 @@ import json
 
 import pytest
 
-from cyclochar import cli, verify
+from cyclochar import cli, codes, verify
 from cyclochar.characterize import build_code
 from cyclochar.cli import report_json
 from cyclochar.gf import field_for
@@ -217,6 +217,24 @@ class TestDegreeOne:
         code, _, err = run(capsys, argv[0], "--q", "2", "--k", "1", *argv[1:])
         assert code == 2
         assert "requires k >= 2" in err
+
+
+class TestInternalErrors:
+    def test_empty_message_names_the_exception_type(self, capsys, monkeypatch):
+        def fail(args, cfg):
+            raise MemoryError()
+
+        monkeypatch.setattr(cli, "cmd_build", fail)
+        code, _, err = run(capsys, "build", "--q", "4", "--k", "3", "--e1", "2", "--e2", "5")
+        assert code == 1
+        assert err.strip() == "internal error: MemoryError"
+
+    def test_oversized_dual_exits_2(self, capsys, monkeypatch):
+        # the real case, build --q 2 --k 20, needs a 128 GiB transform
+        monkeypatch.setattr(codes, "MACWILLIAMS_BUDGET_BYTES", 1 << 9)
+        code, _, err = run(capsys, "build", "--q", "4", "--k", "3", "--e1", "2", "--e2", "5")
+        assert code == 2
+        assert "MacWilliams transform" in err and "budget" in err
 
 
 class TestUsage:

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from cyclochar import codes, gf, polyring as pr
+from cyclochar import codes, gf, polyring as pr, verify
 from cyclochar.errors import (
     ConsistencyError,
     InvalidArgumentError,
@@ -132,7 +132,7 @@ def direct_weight_grid(ctx, e1, e2):
     q = ctx.q
     delta = ctx.delta
     trq = ctx.trace_q_symbols()
-    sym_add, sym_mul = ctx.symbol_tables()
+    sym_add, sym_mul, _, _ = ctx.symbol_tables()
     idx = np.arange(m, dtype=np.int64)
     sym1 = 1 + (rem(delta * e1, m) * idx % m) // delta
     e2r = rem(e2, m)
@@ -291,7 +291,8 @@ class TestMacWilliams:
         # dual of a cyclic code: generated by the reciprocal of the parity check
         h = code.parity_check
         recip = pr.normalize(tuple(reversed(h)))
-        recip = pr.poly_scale(ctx, recip, ctx.sym_inv(recip[-1]))
+        lead_inv = ctx.symbol_of(ctx.inv(ctx.element_of_symbol(recip[-1])))
+        recip = pr.poly_scale(ctx, recip, lead_inv)
         dual_code = codes.cyclic_code(ctx, pr.generator_from_parity_check(ctx, recip, 15))
         direct = codes.weight_distribution_bruteforce(ctx, dual_code)
         assert codes.macwilliams_dual(wd, 15, 2, code.dimension) == direct
@@ -305,6 +306,62 @@ class TestMacWilliams:
         wd = codes.WeightDistribution(n=7, entries={0: 1, 1: 15})
         with pytest.raises(ConsistencyError):
             codes.macwilliams_dual(wd, 7, 2, 4)
+
+
+class TestMacWilliamsMemo:
+    def test_equal_inputs_give_equal_fresh_results(self):
+        wd = codes.three_weight_distribution(4, 3)
+        first = codes.macwilliams_dual(wd, 63, 4, 4)
+        again = codes.macwilliams_dual(codes.three_weight_distribution(4, 3), 63, 4, 4)
+        assert again == first
+        assert again is not first and again.entries is not first.entries
+
+    def test_mutating_a_result_does_not_leak(self):
+        wd = codes.WeightDistribution(n=7, entries={0: 1, 3: 7, 4: 7, 7: 1})
+        first = codes.macwilliams_dual(wd, 7, 2, 4)
+        first.entries[4] = 0
+        first.entries[5] = 99
+        assert codes.macwilliams_dual(wd, 7, 2, 4).entries == {0: 1, 4: 7}
+
+    def test_entry_order_does_not_matter(self):
+        a = codes.WeightDistribution(n=7, entries={0: 1, 3: 7, 4: 7, 7: 1})
+        b = codes.WeightDistribution(n=7, entries={7: 1, 4: 7, 3: 7, 0: 1})
+        assert codes.macwilliams_dual(a, 7, 2, 4) == codes.macwilliams_dual(b, 7, 2, 4)
+
+    def test_failures_are_not_cached(self):
+        # total 2^4 passes the input check; the transform is non-integral
+        wd = codes.WeightDistribution(n=7, entries={0: 1, 1: 15})
+        for _ in range(2):
+            with pytest.raises(ConsistencyError):
+                codes.macwilliams_dual(wd, 7, 2, 4)
+        # the input-total check runs on every call, cached key or not
+        codes.macwilliams_dual(codes.three_weight_distribution(2, 3), 7, 2, 4)
+        with pytest.raises(InvalidArgumentError):
+            codes.macwilliams_dual(codes.three_weight_distribution(2, 3), 7, 2, 3)
+
+    def test_duality_sweep_count_unchanged(self):
+        codes._dual_entries.cache_clear()
+        result = verify.verify_duality(4, 3, gf.field_for(4, 3))
+        assert result.ok
+        # one per qualifying code: phi(63) * (q - 1) / k
+        assert result.checked == 36
+        # every code has the same distribution: one transform each way
+        info = codes._dual_entries.cache_info()
+        assert (info.misses, info.hits) == (2, 2 * 36 - 2)
+
+
+class TestMacWilliamsBudget:
+    def test_oversized_transform_refused_before_any_row(self):
+        wd = codes.three_weight_distribution(2, 20)
+        with pytest.raises(ResourceLimitError, match="GiB"):
+            codes.macwilliams_dual(wd, 2**20 - 1, 2, 21)
+
+    def test_budget_admits_every_length_to_4095(self):
+        for q, k in [(2, 12), (4, 6), (8, 4), (16, 3), (64, 2)]:
+            n = q**k - 1
+            assert codes.macwilliams_size_bytes(n, q) <= codes.MACWILLIAMS_BUDGET_BYTES
+        assert codes.macwilliams_size_bytes(2**20 - 1, 2) > codes.MACWILLIAMS_BUDGET_BYTES
+        assert codes.macwilliams_size_bytes(2**20 - 1, 1024) > codes.MACWILLIAMS_BUDGET_BYTES
 
 
 class TestDualB3:

@@ -9,6 +9,8 @@ from cyclochar.errors import InvalidArgumentError, ResourceLimitError
 from cyclochar.gf import ZERO
 from cyclochar.numth import factorize
 
+PRIME_POWERS_TO_64 = [q for q in range(2, 65) if len(factorize(q)) == 1]
+
 
 def elements(ctx):
     return [ZERO] + list(range(ctx.m))
@@ -149,12 +151,24 @@ class TestSubfield:
             ctx.element_of_symbol(ctx.q)
 
     def test_symbol_tables_match_scalar_ops(self):
-        ctx = gf.build_field(3, 1, 2)
-        add, mul = ctx.symbol_tables()
-        for s1 in range(ctx.q):
-            for s2 in range(ctx.q):
-                assert add[s1, s2] == ctx.sym_add(s1, s2)
-                assert mul[s1, s2] == ctx.sym_mul(s1, s2)
+        # every entry of every table against the element-level operations,
+        # for every prime power q <= 64, in both the array and list forms
+        for q in PRIME_POWERS_TO_64:
+            ctx = gf.field_for(q, 2)
+            elem = [ctx.element_of_symbol(s) for s in range(q)]
+            sym = ctx.symbol_of
+            add, mul, neg, inv = ctx.symbol_tables()
+            assert ctx.symbol_table_lists() == (
+                add.tolist(), mul.tolist(), neg.tolist(), inv.tolist()
+            )
+            for s1 in range(q):
+                assert neg[s1] == sym(ctx.neg(elem[s1])), (q, s1)
+                if s1:
+                    assert inv[s1] == sym(ctx.inv(elem[s1])), (q, s1)
+                for s2 in range(q):
+                    assert add[s1, s2] == sym(ctx.add(elem[s1], elem[s2])), (q, s1, s2)
+                    assert mul[s1, s2] == sym(ctx.mul(elem[s1], elem[s2])), (q, s1, s2)
+            assert inv[0] == 0
 
 
 class TestTrace:

@@ -1,14 +1,15 @@
 """Polynomials over the embedded F_q and minimal-polynomial construction."""
 
-from itertools import product
+from itertools import product, zip_longest
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from cyclochar import gf, polyring as pr
+from cyclochar import codes, gf, polyring as pr
 from cyclochar.errors import InvalidArgumentError
 from cyclochar.gf import ZERO
 from cyclochar.numth import coset_representatives, cyclotomic_coset
+from cyclochar.verify import default_pairs
 
 
 def brute_minimal_polynomials(ctx, root):
@@ -39,7 +40,7 @@ class TestMinimalPolynomial:
         for q, k in [(2, 3), (3, 2), (4, 2)]:
             ctx = gf.field_for(q, k)
             got = pr.minimal_polynomial(ctx, 0)
-            assert got == (ctx.sym_neg(1), 1)
+            assert got == (ctx.symbol_of(ctx.neg(0)), 1)  # x - 1
             assert pr.poly_eval(ctx, got, 0) == ZERO  # vanishes at gamma^0 = 1
 
     def test_degree_one_at_subfield_orbit(self):
@@ -89,7 +90,7 @@ class TestMinimalPolynomial:
 class TestArithmetic:
     def test_difference_of_squares_f3(self):
         ctx = gf.field_for(3, 2)
-        minus1 = ctx.sym_neg(1)
+        minus1 = ctx.symbol_of(ctx.neg(0))
         got = pr.poly_mul(ctx, (minus1, 1), (1, 1))
         assert got == (minus1, 0, 1)  # x^2 - 1
 
@@ -132,6 +133,80 @@ class TestArithmetic:
         ctx = gf.field_for(3, 2)
         a, b = pr.normalize(a), pr.normalize(b)
         assert pr.poly_mul(ctx, a, b) == pr.poly_mul(ctx, b, a)
+
+
+def direct_poly_divmod(ctx, a, b):
+    """Test oracle: schoolbook division on F_{q^k} elements through
+    ctx.add/mul/neg/inv, reading no symbol table."""
+    elem, sym = ctx.element_of_symbol, ctx.symbol_of
+    r = [elem(c) for c in a]
+    bb = [elem(c) for c in b]
+    inv_lead = ctx.inv(bb[-1])
+    quot = [ZERO] * max(len(r) - len(bb) + 1, 0)
+    for shift in range(len(quot) - 1, -1, -1):
+        c = ctx.mul(r[shift + len(bb) - 1], inv_lead)
+        quot[shift] = c
+        for i, bc in enumerate(bb):
+            r[shift + i] = ctx.add(r[shift + i], ctx.neg(ctx.mul(c, bc)))
+    return (
+        pr.normalize(sym(c) for c in quot),
+        pr.normalize(sym(c) for c in r[: len(bb) - 1]),
+    )
+
+
+def direct_poly_mul(ctx, a, b):
+    """Test oracle: product on F_{q^k} elements, reading no symbol table."""
+    elem, sym = ctx.element_of_symbol, ctx.symbol_of
+    if not a or not b:
+        return pr.ZERO_POLY
+    out = [ZERO] * (len(a) + len(b) - 1)
+    for i, ai in enumerate(a):
+        for j, bj in enumerate(b):
+            out[i + j] = ctx.add(out[i + j], ctx.mul(elem(ai), elem(bj)))
+    return pr.normalize(sym(c) for c in out)
+
+
+def direct_poly_add(ctx, a, b):
+    elem, sym = ctx.element_of_symbol, ctx.symbol_of
+    pairs = zip_longest(a, b, fillvalue=0)
+    return pr.normalize(sym(ctx.add(elem(x), elem(y))) for x, y in pairs)
+
+
+class TestTableDrivenDivision:
+    @pytest.mark.parametrize("q,k", default_pairs(63))
+    def test_parity_check_and_generator_match_element_division(self, q, k):
+        ctx = gf.field_for(q, k)
+        n = ctx.m
+        xn1 = (ctx.symbol_of(ctx.neg(0)),) + (0,) * (n - 1) + (1,)
+        assert pr.x_pow_n_minus_1(ctx, n) == xn1
+        for e1 in range(q - 1):
+            for e2 in range(n):
+                h1 = pr.minimal_polynomial(ctx, ctx.delta * e1 % n)
+                h2 = pr.minimal_polynomial(ctx, e2)
+                h = h1 if h1 == h2 else direct_poly_mul(ctx, h1, h2)
+                g, r = direct_poly_divmod(ctx, xn1, h)
+                assert r == pr.ZERO_POLY
+                code = codes.code_from_exponents(ctx, e1, e2)
+                assert (code.parity_check, code.generator) == (h, g), (e1, e2)
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.sampled_from([2, 3, 4, 5, 7, 9]), st.data())
+    def test_divmod_identity(self, q, data):
+        ctx = gf.field_for(q, 2)
+        coeffs = st.integers(min_value=0, max_value=q - 1)
+        a = pr.normalize(data.draw(st.lists(coeffs, max_size=10)))
+        b = pr.normalize(data.draw(st.lists(coeffs, min_size=1, max_size=6)))
+        if not b:
+            return
+        quot, rem = pr.poly_divmod(ctx, a, b)
+        assert pr.degree(rem) < pr.degree(b)
+        assert direct_poly_add(ctx, direct_poly_mul(ctx, quot, b), rem) == a
+        assert (quot, rem) == direct_poly_divmod(ctx, a, b)
+
+    def test_trailing_zero_divisor_rejected(self):
+        ctx = gf.field_for(3, 2)
+        with pytest.raises(InvalidArgumentError):
+            pr.poly_divmod(ctx, (1, 1), (1, 0))
 
 
 class TestGeneratorFromParityCheck:

@@ -19,6 +19,8 @@ from . import polyring
 from .codes import (
     CodeSpec,
     CyclicCode,
+    ENUMERATE_BUDGET_BYTES,
+    ENUMERATE_BYTES_PER_CODE,
     WeightDistribution,
     code_spec,
     cyclic_code,
@@ -39,10 +41,12 @@ from .errors import (
 )
 from .gf import ZERO, FieldCtx
 from .numth import (
+    bezout_pair,
     code_count,
     coset_representatives,
     cyclotomic_coset,
     multiplicative_order,
+    prime_power_split,
     rem,
     schmidt_white_theta,
 )
@@ -344,8 +348,7 @@ def two_weight_gap_scan(
     """
     _check_ctx(ctx, q, k)
     out = []
-    for e in coset_representatives(q, ctx.m):
-        kprime = len(cyclotomic_coset(e, q, ctx.m))
+    for e, kprime in coset_representatives(q, ctx.m).items():
         wd = weight_distribution_bruteforce(
             ctx, cyclic_code(ctx, polyring.minimal_polynomial(ctx, e)), cap
         )
@@ -424,32 +427,41 @@ def _solve_two_weight_system(
     return None
 
 
-def enumerate_codes(ctx: FieldCtx, q: int, k: int) -> list[CodeSpec]:
+def enumerate_codes(q: int, k: int) -> list[CodeSpec]:
     """All distinct qualifying codes for (q, k), one spec per code.
 
     Codes are deduplicated by parity-check content: e1 runs over
     [0, q-1) (one value per degree-one factor) and e2 over minimal
-    cyclotomic coset representatives coprime to Delta.  The cardinality
-    must match the closed-form count.
+    cyclotomic coset representatives coprime to Delta.  Only integer
+    work: no field is built.  Each e2 class gets one Bezout pair, shared
+    by every e1.  A listing over ENUMERATE_BUDGET_BYTES is refused
+    before the coset walk, and the cardinality must match the
+    closed-form count.
     """
-    _check_ctx(ctx, q, k)
-    delta = ctx.delta
-    e2_reps = [
-        rep
-        for rep in coset_representatives(q, ctx.m)
-        if gcd(delta, rep) == 1
-    ]
-    for rep in e2_reps:
-        if len(cyclotomic_coset(rep, q, ctx.m)) != k:
+    prime_power_split(q)  # rejects q that is not a prime power
+    expected = code_count(q, k)  # rejects k < 2
+    needed = expected * ENUMERATE_BYTES_PER_CODE
+    if needed > ENUMERATE_BUDGET_BYTES:
+        raise ResourceLimitError(
+            f"listing the {expected:,} codes for q = {q}, k = {k} needs about "
+            f"{needed / 2**30:,.1f} GiB, over the {ENUMERATE_BUDGET_BYTES / 2**30:g} GiB budget"
+        )
+    n = q**k - 1
+    delta = n // (q - 1)
+    pairs = {}
+    for rep, size in coset_representatives(q, n).items():
+        if gcd(delta, rep) != 1:
+            continue
+        if size != k:
             raise TheoremViolationError(
                 f"gcd(Delta, {rep}) = 1 but deg h_{rep} != {k}"
             )
+        pairs[rep] = bezout_pair(rep, q, k)
     out = []
     for e1 in range(q - 1):
-        for rep in e2_reps:
-            if gcd(q - 1, rem(k * e1 - rep, q - 1)) == 1:
-                out.append(code_spec(q, k, e1, rep))
-    expected = code_count(q, k)
+        for rep, pair in pairs.items():
+            if gcd(q - 1, (k * e1 - rep) % (q - 1)) == 1:
+                out.append(CodeSpec(q=q, k=k, delta=delta, e1=e1, e2=rep, bezout=pair))
     if len(out) != expected:
         raise TheoremViolationError(
             f"enumerated {len(out)} codes but the count formula gives {expected}"

@@ -23,6 +23,7 @@ from .characterize import (
 )
 from .codes import (
     DEFAULT_BRUTE_CAP,
+    check_macwilliams_budget,
     code_from_exponents,
     code_spec,
     macwilliams_dual,
@@ -35,7 +36,14 @@ from .errors import (
     TheoremViolationError,
 )
 from .expsum import char_sum
-from .gf import DEFAULT_FIELD_CAP, ZERO, FieldCtx, field_for, load_primitive_table
+from .gf import (
+    DEFAULT_FIELD_CAP,
+    ZERO,
+    FieldCtx,
+    check_field,
+    field_for,
+    load_primitive_table,
+)
 from .numth import code_count
 from .verify import PROPERTIES, default_pairs, run_block
 
@@ -62,9 +70,9 @@ class RunConfig:
             cap = int(os.environ.get(ENV_FIELD_CAP, DEFAULT_FIELD_CAP))
         cfg = cls(
             field_cap=cap,
-            bruteforce_cap=args.bruteforce_cap,
+            bruteforce_cap=getattr(args, "bruteforce_cap", DEFAULT_BRUTE_CAP),
             output_format=args.format,
-            primitive_table_path=args.primitive_table,
+            primitive_table_path=getattr(args, "primitive_table", None),
         )
         if cfg.field_cap <= 0 or cfg.bruteforce_cap <= 0:
             raise InvalidArgumentError("caps must be positive")
@@ -132,7 +140,15 @@ def report_text(report: CodeReport, ctx: FieldCtx) -> str:
     return "\n".join(lines)
 
 
+def _check_budget(args, cfg: RunConfig) -> None:
+    """Refuse a job whose field or exact MacWilliams transform is oversized,
+    before any table is built."""
+    check_field(args.q, args.k, cfg.field_cap)
+    check_macwilliams_budget(args.q**args.k - 1, args.q)
+
+
 def cmd_build(args, cfg: RunConfig) -> int:
+    _check_budget(args, cfg)
     ctx = _field(cfg, args.q, args.k)
     try:
         report = build_code(ctx, args.q, args.k, args.e1, args.e2)
@@ -150,9 +166,10 @@ def cmd_build(args, cfg: RunConfig) -> int:
 
 
 def cmd_enumerate(args, cfg: RunConfig) -> int:
-    ctx = _field(cfg, args.q, args.k)
-    specs = enumerate_codes(ctx, args.q, args.k)  # count mismatch raises
+    check_field(args.q, args.k, cfg.field_cap)
+    specs = enumerate_codes(args.q, args.k)  # count mismatch raises
     formula = code_count(args.q, args.k)
+    n = args.q**args.k - 1
     if cfg.output_format == "json":
         print(
             json.dumps(
@@ -162,7 +179,7 @@ def cmd_enumerate(args, cfg: RunConfig) -> int:
                     "count": len(specs),
                     "formula": formula,
                     "codes": [
-                        {"e1": s.e1, "delta_e1": s.delta * s.e1 % s.n, "e2": s.e2}
+                        {"e1": s.e1, "delta_e1": s.delta * s.e1 % n, "e2": s.e2}
                         for s in specs
                     ],
                 }
@@ -172,7 +189,7 @@ def cmd_enumerate(args, cfg: RunConfig) -> int:
         print(f"qualifying codes for q={args.q}, k={args.k}: {len(specs)}"
               f" (formula: {formula})")
         for s in specs:
-            print(f"  C_({s.delta * s.e1 % s.n},{s.e2})   e1={s.e1} e2={s.e2}")
+            print(f"  C_({s.delta * s.e1 % n},{s.e2})   e1={s.e1} e2={s.e2}")
     return EXIT_OK
 
 
@@ -276,6 +293,7 @@ def cmd_charsum(args, cfg: RunConfig) -> int:
 
 
 def cmd_dual(args, cfg: RunConfig) -> int:
+    _check_budget(args, cfg)
     ctx = _field(cfg, args.q, args.k)
     wd = weight_distribution_trace_exponents(ctx, args.e1, args.e2)
     code = code_from_exponents(ctx, args.e1, args.e2)
@@ -319,10 +337,14 @@ def cmd_minpoly(args, cfg: RunConfig) -> int:
     return EXIT_OK
 
 
-def _add_common(parser) -> None:
+def _add_output(parser) -> None:
     parser.add_argument("--format", choices=("text", "json"), default="text")
     parser.add_argument("--field-cap", type=int, default=None,
                         help=f"max field order (default 2^20, env {ENV_FIELD_CAP})")
+
+
+def _add_common(parser) -> None:
+    _add_output(parser)
     parser.add_argument("--bruteforce-cap", type=int, default=DEFAULT_BRUTE_CAP,
                         help="max codewords for exhaustive enumeration")
     parser.add_argument("--primitive-table", default=None,
@@ -342,7 +364,7 @@ def _build_parser() -> _Parser:
     p = sub.add_parser("enumerate", help="list all qualifying codes for (q, k)")
     p.add_argument("--q", type=int, required=True)
     p.add_argument("--k", type=int, required=True)
-    _add_common(p)
+    _add_output(p)  # the listing depends on neither the modulus nor a brute-force cap
     p.set_defaults(func=cmd_enumerate)
 
     p = sub.add_parser("verify", help="run the identity sweeps over (q, k) ranges")

@@ -37,6 +37,14 @@ DEFAULT_BRUTE_CAP = 1 << 22
 MACWILLIAMS_BUDGET_BYTES = 1 << 30
 _MEMO_MAX_BYTES = 1 << 20
 
+# Largest listing characterize.enumerate_codes attempts, at an estimated
+# ENUMERATE_BYTES_PER_CODE for each spec and its JSON record (the peak RSS of
+# `enumerate --format json` grows by 490-560 bytes a code from (4,10) to
+# (16,5)).  Every block up to 1.79 million codes passes; (1024, 2) would need
+# 137 GiB.
+ENUMERATE_BUDGET_BYTES = 1 << 30
+ENUMERATE_BYTES_PER_CODE = 600
+
 _BLOCK = 1 << 12
 _BLOCK_ENTRIES = 1 << 20
 
@@ -407,6 +415,21 @@ def macwilliams_size_bytes(n: int, q: int) -> float:
     return (n + 1) * n * log2(q) / 8
 
 
+def check_macwilliams_budget(n: int, q: int) -> float:
+    """The size of one exact transform, or ResourceLimitError over the budget.
+
+    Needs only n and q, so callers can refuse an oversized job before
+    they build a field or a code.
+    """
+    size = macwilliams_size_bytes(n, q)
+    if size > MACWILLIAMS_BUDGET_BYTES:
+        raise ResourceLimitError(
+            f"the MacWilliams transform at n = {n}, q = {q} needs about "
+            f"{size / 2**30:,.1f} GiB, over the {MACWILLIAMS_BUDGET_BYTES / 2**30:g} GiB budget"
+        )
+    return size
+
+
 def macwilliams_dual(
     wd: WeightDistribution, n: int, q: int, dim: int
 ) -> WeightDistribution:
@@ -422,12 +445,7 @@ def macwilliams_dual(
         raise InvalidArgumentError(
             f"distribution sums to {wd.total()}, expected q^dim = {q**dim}"
         )
-    size = macwilliams_size_bytes(n, q)
-    if size > MACWILLIAMS_BUDGET_BYTES:
-        raise ResourceLimitError(
-            f"the MacWilliams transform at n = {n}, q = {q} needs about "
-            f"{size / 2**30:,.1f} GiB, over the {MACWILLIAMS_BUDGET_BYTES / 2**30:g} GiB budget"
-        )
+    size = check_macwilliams_budget(n, q)
     transform = _dual_entries if size <= _MEMO_MAX_BYTES else _dual_entries.__wrapped__
     entries = transform(n, q, dim, tuple(sorted(wd.entries.items())))
     return WeightDistribution(n=n, entries=dict(entries))

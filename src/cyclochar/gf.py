@@ -443,12 +443,29 @@ def build_field(
         raise InvalidArgumentError(f"{p} is not prime")
     if t < 1 or k < 1:
         raise InvalidArgumentError("t and k must be positive")
-    if p ** (t * k) > cap:
-        raise ResourceLimitError(
-            f"field order {p}^{t * k} exceeds the cap {cap}; raise the cap to proceed"
-        )
+    _check_order(p, t * k, cap)
     items = tuple(sorted(primitive_table.items())) if primitive_table else None
     return _build_field_cached(p, t, k, items)
+
+
+def _check_order(p: int, d: int, cap: int) -> None:
+    if p**d > cap:
+        raise ResourceLimitError(
+            f"field order {p}^{d} exceeds the cap {cap}; raise the cap to proceed"
+        )
+
+
+def check_field(q: int, k: int, cap: int = DEFAULT_FIELD_CAP) -> tuple[int, int]:
+    """Validate F_q <= F_{q^k} without building any table; returns q as (p, t).
+
+    q must be a prime power, k >= 2 (the codes need a proper extension)
+    and q^k at most cap.
+    """
+    p, t = prime_power_split(q)
+    if k < 2:
+        raise InvalidArgumentError(f"requires k >= 2, got {k}")
+    _check_order(p, t * k, cap)
+    return p, t
 
 
 def field_for(
@@ -457,6 +474,6 @@ def field_for(
     cap: int = DEFAULT_FIELD_CAP,
     primitive_table: dict[tuple[int, int], tuple[int, ...]] | None = None,
 ) -> FieldCtx:
-    """Context for F_q <= F_{q^k}, splitting q into its prime power form."""
-    p, t = prime_power_split(q)
+    """Context for F_q <= F_{q^k}, after check_field accepts (q, k, cap)."""
+    p, t = check_field(q, k, cap)
     return build_field(p, t, k, cap=cap, primitive_table=primitive_table)

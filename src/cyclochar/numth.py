@@ -57,15 +57,21 @@ def bezout_pair(e2: int, q: int, k: int) -> BezoutPair:
 
     Delta = (q^k - 1) // (q - 1).  Requires gcd(Delta, e2) == 1; solves
     e2*S + Delta*T == 1 over the integers and reduces S mod q^k - 1 and
-    T mod q - 1.
+    T mod q - 1.  (S, T) is the pair ext_gcd(e2, Delta) returns: extended
+    Euclid gives |S| <= Delta/2, and for Delta > 2 only the centred
+    inverse of e2 mod Delta lies there, which pow computes in C.
     """
     n = q**k - 1
     delta = n // (q - 1)
-    g, s, t = ext_gcd(e2, delta)
+    g = gcd(e2, delta)
     if g != 1:
         raise InvalidArgumentError(
             f"gcd(Delta, e2) = gcd({delta}, {e2}) = {g} != 1; no Bezout pair exists"
         )
+    s = pow(e2, -1, delta)
+    if 2 * s > delta:
+        s -= delta
+    t = (1 - e2 * s) // delta
     pair = BezoutPair(alpha=rem(s, n), beta=rem(t, q - 1) if q > 2 else 0)
     if rem(e2 * pair.alpha + delta * pair.beta, n) != 1:
         raise ConsistencyError("Bezout pair failed its defining congruence")
@@ -166,18 +172,28 @@ def cyclotomic_coset(a: int, q: int, n: int) -> CyclotomicCoset:
     return CyclotomicCoset(representative=ms[0], members=ms)
 
 
-def coset_representatives(q: int, n: int) -> list[int]:
-    """Minimal representatives of all q-cyclotomic cosets mod n, ascending."""
-    seen = [False] * n
-    reps = []
+def coset_representatives(q: int, n: int) -> dict[int, int]:
+    """Minimal representative -> size of every q-cyclotomic coset mod n.
+
+    Keys ascend, so iterating the mapping yields the representatives in
+    order.  One walk over Z/n finds every orbit; requires gcd(q, n) == 1.
+    """
+    if n <= 0:
+        raise InvalidArgumentError(f"modulus must be positive, got {n}")
+    if gcd(q, n) != 1:
+        raise InvalidArgumentError(f"gcd(q, n) = gcd({q}, {n}) != 1")
+    seen = bytearray(n)
+    reps = {}
     for a in range(n):
         if seen[a]:
             continue
-        reps.append(a)
+        size = 0
         x = a
         while not seen[x]:
-            seen[x] = True
+            seen[x] = 1
             x = x * q % n
+            size += 1
+        reps[a] = size
     return reps
 
 

@@ -329,7 +329,7 @@ def verify_duality(q: int, k: int, ctx: FieldCtx) -> PropertyResult:
     """
     checked = 0
     b3 = dual_b3(q, k)
-    for spec in enumerate_codes(ctx, q, k):
+    for spec in enumerate_codes(q, k):
         n = spec.n
         dim = k + 1
         wd = weight_distribution_trace(ctx, spec)
@@ -362,7 +362,7 @@ def verify_duality(q: int, k: int, ctx: FieldCtx) -> PropertyResult:
 def verify_enumeration(q: int, k: int, ctx: FieldCtx) -> PropertyResult:
     """Enumeration agrees with the closed-form count and every entry verifies."""
     try:
-        specs = enumerate_codes(ctx, q, k)
+        specs = enumerate_codes(q, k)
         for spec in specs:
             build_code(ctx, q, k, spec.e1, spec.e2)
     except CyclocharError as exc:

@@ -1,10 +1,46 @@
 """Theorem-level procedures: build, characterize, scans, enumeration."""
 
+from math import gcd
+
 import pytest
 
 from cyclochar import characterize as ch, codes, gf, polyring as pr
-from cyclochar.errors import ConditionFailedError, InvalidArgumentError
-from cyclochar.numth import rem
+from cyclochar.errors import ConditionFailedError, InvalidArgumentError, ResourceLimitError
+from cyclochar.numth import (
+    BezoutPair,
+    coset_representatives,
+    cyclotomic_coset,
+    ext_gcd,
+    factorize,
+    rem,
+)
+
+# Every (q, k) with k >= 2 and q^k - 1 <= 4095, q a prime power.
+SMALL_PAIRS = [
+    (q, k)
+    for q in range(2, 65)
+    if len(factorize(q)) == 1
+    for k in range(2, 13)
+    if q**k - 1 <= 4095
+]
+
+
+def reference_enumeration(q, k):
+    """The listing as it was first computed: one coset and one extended-Euclid
+    Bezout pair per (e1, representative), in e1-major order."""
+    n = q**k - 1
+    delta = n // (q - 1)
+    e2_reps = [rep for rep in coset_representatives(q, n) if gcd(delta, rep) == 1]
+    for rep in e2_reps:
+        assert len(cyclotomic_coset(rep, q, n)) == k
+    out = []
+    for e1 in range(q - 1):
+        for rep in e2_reps:
+            if gcd(q - 1, rem(k * e1 - rep, q - 1)) == 1:
+                _, s, t = ext_gcd(rep, delta)
+                pair = BezoutPair(alpha=rem(s, n), beta=rem(t, q - 1) if q > 2 else 0)
+                out.append(codes.CodeSpec(q=q, k=k, delta=delta, e1=e1, e2=rep, bezout=pair))
+    return out
 
 
 class TestCheckConditions:
@@ -106,7 +142,7 @@ class TestCharacterizeCode:
     @pytest.mark.parametrize("q,k", [(2, 3), (3, 2), (4, 2), (2, 4), (3, 3)])
     def test_roundtrip_every_qualifying_code(self, q, k):
         ctx = gf.field_for(q, k)
-        for spec in ch.enumerate_codes(ctx, q, k):
+        for spec in ch.enumerate_codes(q, k):
             h = codes.parity_check_from_exponents(ctx, spec.e1, spec.e2)
             got = ch.characterize_code(ctx, h, q, k)
             assert got is not None
@@ -218,8 +254,7 @@ class TestTwoWeightGapScan:
 
 class TestEnumerateCodes:
     def test_example2_full_listing(self):
-        ctx = gf.field_for(3, 4)
-        specs = ch.enumerate_codes(ctx, 3, 4)
+        specs = ch.enumerate_codes(3, 4)
         assert len(specs) == 16
         listing = {(spec.delta * spec.e1 % spec.n, spec.e2) for spec in specs}
         assert listing == {
@@ -229,13 +264,37 @@ class TestEnumerateCodes:
         }
 
     def test_q2_k3_reps(self):
-        ctx = gf.field_for(2, 3)
-        specs = ch.enumerate_codes(ctx, 2, 3)
+        specs = ch.enumerate_codes(2, 3)
         assert [(s.e1, s.e2) for s in specs] == [(0, 1), (0, 3)]
 
     @pytest.mark.parametrize("q,k", [(2, 4), (3, 3), (4, 2), (5, 2)])
     def test_every_enumerated_code_builds(self, q, k):
         ctx = gf.field_for(q, k)
-        for spec in ch.enumerate_codes(ctx, q, k):
+        for spec in ch.enumerate_codes(q, k):
             rep = ch.build_code(ctx, q, k, spec.e1, spec.e2)
             assert rep.three_weight_match
+
+    @pytest.mark.parametrize("q,k", SMALL_PAIRS)
+    def test_matches_per_pair_reference(self, q, k):
+        assert ch.enumerate_codes(q, k) == reference_enumeration(q, k)
+
+    @pytest.mark.parametrize("q,k", [(6, 2), (2, 1), (1, 3)])
+    def test_invalid_inputs(self, q, k):
+        with pytest.raises(InvalidArgumentError):
+            ch.enumerate_codes(q, k)
+
+    def test_budget_refuses_before_the_walk(self, monkeypatch):
+        def no_walk(q, n):
+            raise AssertionError("the coset walk started")
+
+        monkeypatch.setattr(ch, "coset_representatives", no_walk)
+        monkeypatch.setattr(ch, "ENUMERATE_BUDGET_BYTES", 16 * ch.ENUMERATE_BYTES_PER_CODE - 1)
+        with pytest.raises(ResourceLimitError, match="16 codes for q = 3, k = 4"):
+            ch.enumerate_codes(3, 4)
+
+    def test_largest_benchmark_block_far_inside_the_budget(self):
+        from cyclochar.numth import code_count
+
+        biggest = max(code_count(q, k) for q, k in [(2, 16), (4, 8), (2, 18), (16, 4),
+                                                    (2, 19), (8, 6), (2, 20), (4, 10)])
+        assert 8 * biggest * ch.ENUMERATE_BYTES_PER_CODE < ch.ENUMERATE_BUDGET_BYTES

@@ -1,13 +1,30 @@
 """Command-line surface: exit codes, formats, round-trips, fault injection."""
 
+import io
 import json
+from contextlib import redirect_stderr, redirect_stdout
+from unittest import mock
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from cyclochar import cli, codes, verify
+from cyclochar import characterize, cli, codes, gf, verify
 from cyclochar.characterize import build_code
 from cyclochar.cli import report_json
 from cyclochar.gf import field_for
+from cyclochar.numth import code_count
+
+# `enumerate --q 3 --k 4 --format json` as printed when the listing still
+# built F_81 first; the field-free listing must keep every byte.
+ENUMERATE_3_4_JSON = (
+    '{"q": 3, "k": 4, "count": 16, "formula": 16, "codes": ['
+    + ", ".join(
+        f'{{"e1": {e1}, "delta_e1": {40 * e1}, "e2": {e2}}}'
+        for e1 in (0, 1)
+        for e2 in (1, 7, 11, 13, 17, 23, 41, 53)
+    )
+    + "]}\n"
+)
 
 
 def run(capsys, *argv):
@@ -73,13 +90,63 @@ class TestEnumerate:
     def test_count_mismatch_exit_3(self, capsys, monkeypatch):
         from cyclochar.errors import TheoremViolationError
 
-        def broken(ctx, q, k):
+        def broken(q, k):
             raise TheoremViolationError("enumerated 15 codes but the count formula gives 16")
 
         monkeypatch.setattr(cli, "enumerate_codes", broken)
         code, _, err = run(capsys, "enumerate", "--q", "3", "--k", "4")
         assert code == 3
         assert "identity violated" in err
+
+    def test_builds_no_field_and_keeps_its_bytes(self, capsys, monkeypatch):
+        def no_field(*args, **kwargs):
+            raise AssertionError("enumerate built a field")
+
+        monkeypatch.setattr(gf.FieldCtx, "__init__", no_field)
+        monkeypatch.setattr(gf, "field_for", no_field)
+        monkeypatch.setattr(cli, "field_for", no_field)
+        code, out, _ = run(capsys, "enumerate", "--q", "3", "--k", "4", "--format", "json")
+        assert code == 0
+        assert out == ENUMERATE_3_4_JSON
+
+    @pytest.mark.parametrize("flag,value", [("--primitive-table", "p.txt"),
+                                            ("--bruteforce-cap", "64")])
+    def test_dead_flags_are_usage_errors(self, capsys, flag, value):
+        code, _, _ = run(capsys, "enumerate", "--q", "2", "--k", "3", flag, value)
+        assert code == 64
+
+    @pytest.mark.parametrize("q,k,message", [
+        (6, 2, "6 is not a prime power"),
+        (2, 21, "field order 2^21 exceeds the cap"),
+    ])
+    def test_validation_exit_2(self, capsys, q, k, message):
+        code, _, err = run(capsys, "enumerate", "--q", str(q), "--k", str(k))
+        assert code == 2
+        assert message in err
+
+    def test_oversized_listing_refused_before_the_coset_walk(self, capsys, monkeypatch):
+        def no_walk(q, n):
+            raise AssertionError("the coset walk started")
+
+        monkeypatch.setattr(characterize, "coset_representatives", no_walk)
+        code, _, err = run(capsys, "enumerate", "--q", "1024", "--k", "2")
+        assert code == 2
+        assert "245,520,000 codes" in err and "budget" in err
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.integers(min_value=0, max_value=20), st.integers(min_value=-1, max_value=5))
+    def test_exit_code_contract(self, q, k):
+        # a 16 MiB listing budget keeps every example small; larger
+        # listings take the budget's exit-2 path
+        stdout, stderr = io.StringIO(), io.StringIO()
+        with mock.patch.object(characterize, "ENUMERATE_BUDGET_BYTES", 1 << 24), \
+                redirect_stdout(stdout), redirect_stderr(stderr):
+            code = cli.main(["enumerate", "--q", str(q), "--k", str(k), "--format", "json"])
+        assert code in (0, 2), stderr.getvalue()
+        if code == 0:
+            parsed = json.loads(stdout.getvalue())
+            assert parsed["count"] == parsed["formula"] == code_count(q, k)
+            assert len(parsed["codes"]) == parsed["count"]
 
 
 class TestCharsum:
@@ -228,6 +295,17 @@ class TestInternalErrors:
         code, _, err = run(capsys, "build", "--q", "4", "--k", "3", "--e1", "2", "--e2", "5")
         assert code == 1
         assert err.strip() == "internal error: MemoryError"
+
+    def test_oversized_build_refused_before_any_field(self, capsys, monkeypatch):
+        def no_field(*args, **kwargs):
+            raise AssertionError("build built a field")
+
+        monkeypatch.setattr(gf.FieldCtx, "__init__", no_field)
+        monkeypatch.setattr(gf, "field_for", no_field)
+        monkeypatch.setattr(cli, "field_for", no_field)
+        code, _, err = run(capsys, "build", "--q", "2", "--k", "20", "--e1", "0", "--e2", "1")
+        assert code == 2
+        assert "needs about 128.0 GiB" in err
 
     def test_oversized_dual_exits_2(self, capsys, monkeypatch):
         # the real case, build --q 2 --k 20, needs a 128 GiB transform

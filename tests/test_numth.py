@@ -65,6 +65,19 @@ class TestBezout:
         assert 0 <= pair.beta < q - 1 or (q == 2 and pair.beta == 0)
         assert (e2 * pair.alpha + delta * pair.beta) % n == 1
 
+    @pytest.mark.parametrize("q,k", [(2, 3), (2, 8), (3, 2), (3, 5), (4, 3), (5, 3), (7, 2),
+                                     (8, 3), (9, 2), (16, 2), (64, 2)])
+    def test_equals_extended_euclid_reduction(self, q, k):
+        # the pair reduced from ext_gcd(e2, Delta), for every e2 in [-n, 2n)
+        n = q**k - 1
+        delta = n // (q - 1)
+        for e2 in range(-n, 2 * n):
+            g, s, t = numth.ext_gcd(e2, delta)
+            if g != 1:
+                continue
+            expected = numth.BezoutPair(numth.rem(s, n), numth.rem(t, q - 1) if q > 2 else 0)
+            assert numth.bezout_pair(e2, q, k) == expected
+
 
 class TestEulerPhi:
     @pytest.mark.parametrize("n,expected", [(80, 32), (1, 1), (63, 36)])
@@ -117,6 +130,27 @@ class TestCyclotomicCoset:
     def test_gcd_requirement(self):
         with pytest.raises(InvalidArgumentError):
             numth.cyclotomic_coset(1, 2, 8)
+
+
+class TestCosetRepresentatives:
+    @pytest.mark.parametrize("q,k", [(2, 3), (2, 6), (3, 3), (4, 3), (5, 2), (2, 12), (7, 3)])
+    def test_sizes_match_each_coset(self, q, k):
+        n = q**k - 1
+        expected = {}
+        for a in range(n):
+            coset = numth.cyclotomic_coset(a, q, n)
+            expected[coset.representative] = len(coset)
+        reps = numth.coset_representatives(q, n)
+        assert list(reps.items()) == sorted(expected.items())
+        assert sum(reps.values()) == n
+
+    def test_iterates_representatives_in_order(self):
+        assert list(numth.coset_representatives(2, 7)) == [0, 1, 3]
+
+    @pytest.mark.parametrize("q,n", [(2, 8), (3, 0)])
+    def test_invalid_modulus(self, q, n):
+        with pytest.raises(InvalidArgumentError):
+            numth.coset_representatives(q, n)
 
 
 class TestDigitSum:

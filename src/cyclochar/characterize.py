@@ -15,6 +15,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
 
+import numpy as np
+
 from . import polyring
 from .codes import (
     CodeSpec,
@@ -23,10 +25,12 @@ from .codes import (
     ENUMERATE_BYTES_PER_CODE,
     WeightDistribution,
     code_spec,
+    codeword_lines,
     cyclic_code,
     dual_b3,
     is_griesmer_optimal,
     macwilliams_dual,
+    symbol_values,
     three_weight_distribution,
     weight_distribution_bruteforce,
     weight_distribution_trace,
@@ -275,52 +279,29 @@ def full_weight_divisor(
 ) -> polyring.Poly:
     """Recover the unique degree-one divisor of the parity check.
 
-    Requires the code to have exactly q - 1 words of full weight n; any
-    such word is geometric, m_i = m_2^(i-1) after scaling, and the
+    Requires the code to have exactly q - 1 words of full weight n.  As
+    scaling keeps the weight, that is one F_q^* line of codeword_lines.
+    Any such word is geometric, m_i = m_2^(i-1) after scaling, and the
     divisor is x - m_2^(-1).
     """
-    words = _full_weight_words(ctx, code, cap)
-    if len(words) != ctx.q - 1:
+    n = code.n
+    lines = [
+        word
+        for words in codeword_lines(ctx, code, cap)
+        for word in words[np.count_nonzero(words, axis=1) == n]
+    ]
+    if len(lines) != 1:
         raise InvalidArgumentError(
-            f"expected exactly q-1 = {ctx.q - 1} full-weight words, found {len(words)}"
+            f"expected exactly q-1 = {ctx.q - 1} full-weight words,"
+            f" found {(ctx.q - 1) * len(lines)}"
         )
-    word = words[0]
-    scale = ctx.inv(ctx.element_of_symbol(word[0]))
-    m2 = ctx.mul(ctx.element_of_symbol(word[1 % code.n]), scale)
+    symbol = symbol_values(ctx).tolist()
+    first, second = (ctx.element_of_symbol(symbol.index(v)) for v in lines[0][:2].tolist())
+    m2 = ctx.mul(second, ctx.inv(first))
     divisor = (ctx.symbol_of(ctx.neg(ctx.inv(m2))), 1)
     if polyring.poly_mod(ctx, code.parity_check, divisor):
         raise ConsistencyError("recovered linear factor does not divide the parity check")
     return divisor
-
-
-def _full_weight_words(ctx: FieldCtx, code: CyclicCode, cap: int) -> list[list[int]]:
-    q = ctx.q
-    dim = code.dimension
-    if q**dim > cap:
-        raise ResourceLimitError(f"{q}^{dim} codewords exceed the cap {cap}")
-    gen = list(code.generator) + [0] * (code.n - len(code.generator))
-    rows = [gen[-i:] + gen[:-i] for i in range(dim)]
-    add, mul, _, _ = ctx.symbol_table_lists()
-    out = []
-    word = [0] * code.n
-    digits = [0] * dim
-    while True:
-        if all(word):
-            out.append(list(word))
-        pos = 0
-        while pos < dim and digits[pos] == q - 1:
-            digits[pos] = 0
-            pos += 1
-        if pos == dim:
-            break
-        digits[pos] += 1
-        word = [0] * code.n
-        for r in range(dim):
-            c = digits[r]
-            if c:
-                row = mul[c]
-                word = [add[w][row[g]] for w, g in zip(word, rows[r])]
-    return out
 
 
 @dataclass(frozen=True)

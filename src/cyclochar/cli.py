@@ -344,9 +344,8 @@ def _add_output(parser) -> None:
 
 
 def _add_common(parser) -> None:
+    """Flags of the subcommands that build one field from --q and --k."""
     _add_output(parser)
-    parser.add_argument("--bruteforce-cap", type=int, default=DEFAULT_BRUTE_CAP,
-                        help="max codewords for exhaustive enumeration")
     parser.add_argument("--primitive-table", default=None,
                         help="file of primitive-polynomial overrides: 'p degree c0 c1 ... cd'")
 
@@ -374,7 +373,9 @@ def _build_parser() -> _Parser:
                    help=f"comma-separated subset of: {','.join(PROPERTIES)}")
     p.add_argument("--max-length", type=int, default=127,
                    help="q^k-1 bound for the default pair set")
-    _add_common(p)
+    p.add_argument("--bruteforce-cap", type=int, default=DEFAULT_BRUTE_CAP,
+                   help="max codewords for exhaustive enumeration")
+    _add_output(p)  # the sweeps build their fields with the default modulus
     p.set_defaults(func=cmd_verify)
 
     p = sub.add_parser("charsum", help="evaluate one character sum exactly")

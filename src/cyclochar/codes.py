@@ -3,7 +3,8 @@
 Two independent routes to a weight distribution are kept side by side:
 the trace representation (codewords indexed by a trace class and a
 field element, weights read off zero counts) and plain brute force over
-all information words against the generator polynomial.  Their
+the information words against the generator polynomial, one word per
+F_q^* line, as linearity allows.  Their
 agreement is the library's core self-check, so neither may be removed
 or rerouted through the other.
 
@@ -298,59 +299,96 @@ def weight_distribution_trace_exponents(
 # -- brute-force oracle ------------------------------------------------------
 
 
-def weight_distribution_bruteforce(
-    ctx: FieldCtx, code: CyclicCode, cap: int = DEFAULT_BRUTE_CAP
-) -> WeightDistribution:
-    """Exact distribution by enumerating all q^dim codewords.
+def symbol_values(ctx: FieldCtx) -> np.ndarray:
+    """The additive value codeword_lines stores for each F_q symbol.
 
-    Completely independent of the trace representation: information
-    words run against the generator-polynomial matrix.
+    In characteristic 2 it is the packed coefficient vector of the
+    element, antilog[(s - 1)*Delta], so that addition is a bitwise xor;
+    otherwise it is the symbol itself.  Zero is 0 either way, in the
+    smallest unsigned dtype that holds every value.
     """
     q = ctx.q
-    dim = code.dimension
-    n = code.n
+    if ctx.p != 2:
+        return np.arange(q, dtype=np.min_scalar_type(q - 1))
+    values = np.zeros(q, dtype=np.min_scalar_type(ctx.order - 1))
+    values[1:] = ctx.antilog[np.arange(q - 1, dtype=np.int64) * ctx.delta]
+    return values
+
+
+def codeword_lines(ctx: FieldCtx, code: CyclicCode, cap: int = DEFAULT_BRUTE_CAP):
+    """Yield batches of codewords, one word on each F_q^* line of the code.
+
+    The word of a line is the one whose leading (highest-index nonzero)
+    information coefficient is 1, so (q^dim - 1)/(q - 1) words come out
+    as 2-D arrays of symbol_values.  Only linearity is used: information
+    words run against the shifted generator polynomial.  The lower rows
+    expand into one block within a fixed entry budget, ordered so that
+    its rows q^L .. 2q^L - 1 are row L plus every combination of the rows
+    below it; the remaining rows are walked combination by combination,
+    each added to the whole block.  The last row is never expanded.
+    """
+    q, n, dim = ctx.q, code.n, code.dimension
     if dim < 0:
         raise InvalidArgumentError("code has no parity check")
     if q**dim > cap:
         raise ResourceLimitError(
             f"{q}^{dim} codewords exceed the brute-force cap {cap}"
         )
-    if dim == 0:
-        return WeightDistribution(n=n, entries={0: 1})
+    if dim == 0:  # the zero code; its generator x^n - 1 has n + 1 coefficients
+        return
+    values = symbol_values(ctx)
     sym_add, sym_mul, _, _ = ctx.symbol_tables()
+    if ctx.p == 2:
+        add = np.bitwise_xor
+    else:
+        flat = sym_add.astype(values.dtype).ravel()
+        index = np.min_scalar_type(q * q - 1)
+
+        def add(x, y):
+            return flat[x.astype(index) * q + y]
+
     gen = np.zeros(n, dtype=np.int64)
     gen[: len(code.generator)] = code.generator
-    rows = np.stack([np.roll(gen, i) for i in range(dim)])
-    # scaled[r][c] = c * rows[r]
-    scaled = [[sym_mul[c, rows[r]] for c in range(q)] for r in range(dim)]
+    # scaled[c, r] = c * (generator shifted by r)
+    shifts = (np.arange(n) - np.arange(dim)[:, None]) % n
+    scaled = values[sym_mul[:, gen[shifts]]]
 
-    # lower rows expand into one block within a fixed entry budget; the
-    # remaining rows are enumerated combination by combination
     max_rows = min(_BLOCK, max(q, (4 * _BLOCK_ENTRIES) // max(n, 1)))
     low = 0
-    while low < dim and q ** (low + 1) <= max_rows:
+    while low < dim - 1 and q ** (low + 1) <= max_rows:
         low += 1
-    block = np.zeros((1, n), dtype=np.int64)
+    block = np.zeros((1, n), dtype=values.dtype)
     for r in range(low):
-        block = sym_add[block[:, None, :], np.stack(scaled[r])[None, :, :]].reshape(
-            -1, n
-        )
+        block = add(scaled[:, r, None, :], block[None, :, :]).reshape(-1, n)
+    for lead in range(low):
+        yield block[q**lead : 2 * q**lead]
+    for lead in range(low, dim):
+        for combo in product(range(q), repeat=lead - low):
+            prefix = scaled[1, lead]
+            for r, c in enumerate(combo):
+                if c:
+                    prefix = add(scaled[c, low + r], prefix)
+            yield add(prefix[None, :], block)
+
+
+def weight_distribution_bruteforce(
+    ctx: FieldCtx, code: CyclicCode, cap: int = DEFAULT_BRUTE_CAP
+) -> WeightDistribution:
+    """Exact distribution by enumerating the codewords against the generator.
+
+    Completely independent of the trace representation: scaling by
+    F_q^* keeps a weight, so each word of codeword_lines stands for q - 1
+    codewords, and the zero word is added once.  The total must come to
+    q^dim, the number of information words.
+    """
+    q, n = ctx.q, code.n
     hist = np.zeros(n + 1, dtype=np.int64)
-    upper = dim - low
-    for combo in product(range(q), repeat=upper):
-        prefix = None
-        for r, c in enumerate(combo):
-            if c:
-                row = scaled[low + r][c]
-                prefix = row if prefix is None else sym_add[prefix, row]
-        if prefix is None:
-            words = block
-        else:
-            words = sym_add[prefix[None, :], block]
+    for words in codeword_lines(ctx, code, cap):
         hist += np.bincount(np.count_nonzero(words, axis=1), minlength=n + 1)
-    entries = {int(w): int(hist[w]) for w in np.nonzero(hist)[0]}
-    total = q**dim
-    if sum(entries.values()) != total:
+    entries = {0: 1}
+    for w in np.nonzero(hist)[0]:
+        entries[int(w)] = entries.get(int(w), 0) + (q - 1) * int(hist[w])
+    if sum(entries.values()) != q**code.dimension:
         raise ConsistencyError("brute-force enumeration lost codewords")
     return WeightDistribution(n=n, entries=entries)
 

@@ -18,12 +18,17 @@ from dataclasses import dataclass
 from math import gcd
 from typing import TYPE_CHECKING
 
+import numpy as np
+
 from .errors import ConsistencyError, InvalidArgumentError
 from .gf import ZERO, FieldCtx
 from .numth import rem
 
 if TYPE_CHECKING:  # pragma: no cover
     from .codes import CodeSpec
+
+# Largest (positions x F_q^*) term array char_sum forms at once.
+_CHAR_SUM_ENTRIES = 1 << 20
 
 
 @dataclass(frozen=True)
@@ -127,28 +132,45 @@ def char_sum(ctx: FieldCtx, spec: CodeSpec, a: int, b: int) -> CyclotomicCount:
     """Exact count vector of T(a, b) over all (q^k-1)(q-1) terms.
 
     a and b are elements of F_{q^k} in exponent form (ZERO allowed).
+    At x = gamma^i the inner value s = a*x^(Delta*e1) + b*x^(e2) comes
+    from the Zech table, and its q - 1 multiples y*s = gamma^(s + Delta*j)
+    are counted by character exponent.  Positions are taken in chunks so
+    that no index array holds more than _CHAR_SUM_ENTRIES terms (one
+    position's q - 1 terms at the least).
     """
     m = ctx.m
     q = ctx.q
-    delta = ctx.delta
-    chars = ctx.char_exponent_list()
-    counts = [0] * ctx.p
+    chars = ctx.char_exponents()
     s1 = rem(spec.delta * spec.e1, m)
     s2 = rem(spec.e2, m)
-    ea = a
-    eb = b
-    for _ in range(m):
-        s = ctx.add(ea, eb)
-        if s == ZERO:
-            counts[0] += q - 1
-        else:
-            for j in range(q - 1):
-                counts[chars[(s + delta * j) % m]] += 1
-        if ea != ZERO:
-            ea = (ea + s1) % m
-        if eb != ZERO:
-            eb = (eb + s2) % m
-    return CyclotomicCount(p=ctx.p, counts=tuple(counts))
+    steps = ctx.delta * np.arange(q - 1, dtype=np.int64)
+    counts = np.zeros(ctx.p, dtype=np.int64)
+    zeros = 0
+    rows = max(1, _CHAR_SUM_ENTRIES // (q - 1))
+    for start in range(0, m, rows):
+        i = np.arange(start, min(start + rows, m), dtype=np.int64)
+        s = _inner_values(ctx, a, s1, b, s2, i)
+        s = s[s != ZERO]
+        zeros += len(i) - len(s)
+        terms = chars[(s[:, None] + steps[None, :]) % m]
+        counts += np.bincount(terms.ravel(), minlength=ctx.p)
+    counts[0] += (q - 1) * zeros
+    return CyclotomicCount(p=ctx.p, counts=tuple(int(c) for c in counts))
+
+
+def _inner_values(
+    ctx: FieldCtx, a: int, s1: int, b: int, s2: int, i: np.ndarray
+) -> np.ndarray:
+    """Exponent of a*gamma^(s1*i) + b*gamma^(s2*i) at each i, ZERO where it vanishes."""
+    m = ctx.m
+    x = np.full(len(i), ZERO, dtype=np.int64) if a == ZERO else (a + s1 * i) % m
+    if b == ZERO:
+        return x
+    y = (b + s2 * i) % m
+    if a == ZERO:
+        return y
+    z = ctx.zech[(x - y) % m]
+    return np.where(z == ZERO, ZERO, (y + z) % m)
 
 
 def predict_char_sum(

@@ -2,7 +2,11 @@
 
 import io
 import json
+import os
+import subprocess
+import sys
 from contextlib import redirect_stderr, redirect_stdout
+from pathlib import Path
 from unittest import mock
 
 import pytest
@@ -269,6 +273,49 @@ class TestVerify:
         assert "FAIL" in out
         assert "counterexample" in err
 
+    def test_run_block_calls_sweeps_by_name(self, monkeypatch):
+        # a rebound module global (a tracing wrapper, a stub) must be the
+        # function run_block calls
+        calls = []
+
+        def stub(q, k, ctx):
+            calls.append((q, k, ctx.q, ctx.k))
+            return verify.PropertyResult("enumeration_count", q, k, True, -1)
+
+        monkeypatch.setattr(verify, "verify_enumeration", stub)
+        results = verify.run_block(2, 3, 1 << 20, ("enumeration_count",))
+        assert calls == [(2, 3, 2, 3)]
+        assert [r.checked for r in results] == [-1]
+
+    def test_bruteforce_cap_is_read(self, capsys):
+        code, _, err = run(
+            capsys, "verify", "--q", "2", "--k", "3", "--props", "oracle_equivalence",
+            "--bruteforce-cap", "8",
+        )
+        assert code == 2
+        assert "exceed the brute-force cap 8" in err
+
+    def test_traced_run_records_every_layer(self, tmp_path):
+        # perfbench/traced_item.py wraps a fixed list of functions by name;
+        # a missing one fails the run, and a sweep run_block bound too early
+        # would record no span
+        root = Path(__file__).resolve().parents[1]
+        spans = tmp_path / "spans.json"
+        path = os.pathsep.join([str(root / "src"), os.environ.get("PYTHONPATH", "")])
+        proc = subprocess.run(
+            [sys.executable, str(root / "perfbench" / "traced_item.py"), str(spans), "0",
+             "verify", "--q", "2", "--k", "3", "--format", "json"],
+            env={**os.environ, "PYTHONPATH": path}, capture_output=True, text=True, timeout=300,
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert all(r["ok"] for r in json.loads(proc.stdout))
+        names = {span[0] for span in json.loads(spans.read_text())["spans"]}
+        sweeps = {"verify_substitution", "verify_char_sum_cases", "verify_char_sum_unit_iff",
+                  "verify_three_weight_iff", "verify_oracle_equivalence", "verify_duality",
+                  "verify_enumeration", "verify_two_weight_gaps"}
+        assert {f"verify.{fn}" for fn in sweeps} <= names
+        assert {"expsum.char_sum", "codes.weight_distribution_bruteforce"} <= names
+
 
 class TestDegreeOne:
     @pytest.mark.parametrize(
@@ -330,6 +377,20 @@ class TestUsage:
             "--format", "yaml",
         )
         assert code == 64
+
+    @pytest.mark.parametrize("argv", [
+        ("build", "--q", "2", "--k", "3", "--e1", "0", "--e2", "1", "--bruteforce-cap", "1"),
+        ("charsum", "--q", "2", "--k", "3", "--e1", "0", "--e2", "1", "--a", "0", "--b", "0",
+         "--bruteforce-cap", "1"),
+        ("dual", "--q", "2", "--k", "3", "--e1", "0", "--e2", "1", "--bruteforce-cap", "1"),
+        ("minpoly", "--q", "2", "--k", "3", "--a", "1", "--bruteforce-cap", "1"),
+        ("verify", "--q", "2", "--k", "2", "--props", "enumeration_count",
+         "--primitive-table", "/nonexistent/table.txt"),
+    ])
+    def test_unread_flag_exit_64(self, capsys, argv):
+        code, _, err = run(capsys, *argv)
+        assert code == 64
+        assert "unrecognized arguments" in err
 
 
 class TestConfig:

@@ -1,6 +1,7 @@
 """Code objects: both weight-distribution routes, duality, bounds, moments."""
 
 import tracemalloc
+from itertools import product
 
 import numpy as np
 import pytest
@@ -13,7 +14,7 @@ from cyclochar.errors import (
     ResourceLimitError,
 )
 from cyclochar.gf import ZERO
-from cyclochar.numth import rem
+from cyclochar.numth import coset_representatives, rem
 from cyclochar.verify import default_pairs
 
 
@@ -210,6 +211,103 @@ class TestBruteForce:
         monkeypatch.setattr(codes, "_BLOCK", 1)
         monkeypatch.setattr(codes, "_BLOCK_ENTRIES", 1)
         assert codes.weight_distribution_bruteforce(ctx, code) == full
+
+
+def direct_weight_distribution(ctx, code):
+    """Test oracle: all q^dim information words against the generator,
+    with no use of scaling; the lower rows expand into one block and the
+    upper rows are walked combination by combination."""
+    q, n, dim = ctx.q, code.n, code.dimension
+    if dim == 0:
+        return codes.WeightDistribution(n=n, entries={0: 1})
+    sym_add, sym_mul, _, _ = ctx.symbol_tables()
+    gen = np.zeros(n, dtype=np.int64)
+    gen[: len(code.generator)] = code.generator
+    rows = np.stack([np.roll(gen, i) for i in range(dim)])
+    scaled = [[sym_mul[c, rows[r]] for c in range(q)] for r in range(dim)]
+    low = 0
+    while low < dim and q ** (low + 1) <= 4096:
+        low += 1
+    block = np.zeros((1, n), dtype=np.int64)
+    for r in range(low):
+        block = sym_add[block[:, None, :], np.stack(scaled[r])[None, :, :]].reshape(-1, n)
+    hist = np.zeros(n + 1, dtype=np.int64)
+    for combo in product(range(q), repeat=dim - low):
+        prefix = None
+        for r, c in enumerate(combo):
+            if c:
+                row = scaled[low + r][c]
+                prefix = row if prefix is None else sym_add[prefix, row]
+        words = block if prefix is None else sym_add[prefix[None, :], block]
+        hist += np.bincount(np.count_nonzero(words, axis=1), minlength=n + 1)
+    return codes.WeightDistribution(
+        n=n, entries={int(w): int(hist[w]) for w in np.nonzero(hist)[0]}
+    )
+
+
+def distinct_codes(ctx):
+    """Every code of a (q, k) block: each (e1, e2) parity check, each minimal polynomial."""
+    checks = {
+        codes.parity_check_from_exponents(ctx, e1, e2)
+        for e1 in range(ctx.q - 1)
+        for e2 in range(ctx.m)
+    }
+    checks.update(pr.minimal_polynomial(ctx, rep) for rep in coset_representatives(ctx.q, ctx.m))
+    return [codes.cyclic_code(ctx, h) for h in sorted(checks)]
+
+
+class TestProjectiveOracle:
+    @pytest.mark.parametrize("q,k", default_pairs(127))
+    def test_matches_direct_enumeration_on_every_code(self, q, k):
+        ctx = gf.field_for(q, k)
+        for code in distinct_codes(ctx):
+            got = codes.weight_distribution_bruteforce(ctx, code)
+            assert got == direct_weight_distribution(ctx, code), code.parity_check
+            assert min(got.entries) == 0 and got.entries[0] == 1
+
+    @pytest.mark.parametrize("q,k", [(2, 4), (3, 3), (4, 2), (5, 2), (9, 2)])
+    def test_one_word_per_line(self, q, k):
+        # the q - 1 multiples of the (q^dim - 1)/(q - 1) words are every
+        # nonzero codeword exactly once
+        ctx = gf.field_for(q, k)
+        values = codes.symbol_values(ctx)
+        symbol = np.zeros(int(values.max()) + 1, dtype=np.int64)
+        symbol[values] = np.arange(q)
+        sym_mul = ctx.symbol_tables().mul
+        for code in distinct_codes(ctx):
+            batches = list(codes.codeword_lines(ctx, code))
+            words = symbol[np.concatenate(batches)] if batches else np.zeros((0, code.n), dtype=np.int64)
+            assert len(words) == (q**code.dimension - 1) // (q - 1)
+            multiples = {sym_mul[c, w].tobytes() for w in words for c in range(1, q)}
+            assert len(multiples) == q**code.dimension - 1
+            assert np.all(np.count_nonzero(words, axis=1) > 0)
+
+    def test_never_reads_the_trace_route(self, monkeypatch):
+        def trace_route(*args, **kwargs):
+            raise AssertionError("the oracle read the trace route")
+
+        for name in ("_orbit_columns", "trace_weight_grid", "char_sum", "trace_codeword"):
+            monkeypatch.setattr(codes, name, trace_route)
+        for attr in ("trace_q_symbols", "trace_q_symbol_list", "char_exponents", "trace_to"):
+            monkeypatch.setattr(gf.FieldCtx, attr, trace_route)
+        ctx = gf.field_for(4, 3)
+        code = codes.code_from_exponents(ctx, 2, 5)
+        assert codes.weight_distribution_bruteforce(ctx, code) == codes.three_weight_distribution(4, 3)
+
+    @pytest.mark.parametrize("q,k", [(2, 4), (3, 2)])
+    def test_lost_word_detected(self, q, k, monkeypatch):
+        lines = codes.codeword_lines
+
+        def one_short(ctx, code, cap):
+            batches = list(lines(ctx, code, cap))
+            batches[-1] = batches[-1][1:]
+            yield from batches
+
+        ctx = gf.field_for(q, k)
+        code = codes.code_from_exponents(ctx, 0, 1)
+        monkeypatch.setattr(codes, "codeword_lines", one_short)
+        with pytest.raises(ConsistencyError):
+            codes.weight_distribution_bruteforce(ctx, code)
 
 
 class TestCharSumGrid:

@@ -2,7 +2,7 @@
 
 import pytest
 
-from cyclochar import expsum, gf
+from cyclochar import expsum, gf, verify
 from cyclochar.codes import code_spec
 from cyclochar.errors import ConsistencyError, InvalidArgumentError
 from cyclochar.expsum import CyclotomicCount
@@ -28,6 +28,68 @@ def char_sum_reindexed(ctx, spec, a, b, use_delta_form=False):
             val = ctx.add(t1, t2)
             counts[0 if val == ZERO else ctx.additive_char_exponent(val)] += 1
     return CyclotomicCount(p=ctx.p, counts=tuple(counts))
+
+
+def direct_char_sum(ctx, spec, a, b):
+    """Test oracle: the sum term by term, one scalar Zech addition per
+    position and one character lookup per term."""
+    m, q = ctx.m, ctx.q
+    chars = ctx.char_exponent_list()
+    counts = [0] * ctx.p
+    s1 = spec.delta * spec.e1 % m
+    s2 = spec.e2 % m
+    ea, eb = a, b
+    for _ in range(m):
+        s = ctx.add(ea, eb)
+        if s == ZERO:
+            counts[0] += q - 1
+        else:
+            for j in range(q - 1):
+                counts[chars[(s + ctx.delta * j) % m]] += 1
+        if ea != ZERO:
+            ea = (ea + s1) % m
+        if eb != ZERO:
+            eb = (eb + s2) % m
+    return CyclotomicCount(p=ctx.p, counts=tuple(counts))
+
+
+def class_pairs(ctx):
+    """The (a, b) class representatives verify_char_sum_cases evaluates."""
+    reps = verify._class_elements(ctx)
+    a_nz, a_z = reps["trace_nonzero"], reps["trace_zero_nonzero_a"]
+    out = [(ZERO, ZERO), (ZERO, 0), (a_nz, ZERO), (a_nz, 0)]
+    if a_z is not None:
+        out += [(a_z, ZERO), (a_z, 0)]
+    return out
+
+
+class TestCharSumAgainstDirect:
+    @pytest.mark.parametrize("q,k", verify.default_pairs(15))
+    def test_every_pair_of_every_spec(self, q, k):
+        ctx = gf.field_for(q, k)
+        elems = [ZERO] + list(range(ctx.m))
+        for spec in verify.all_specs(q, k):
+            for a in elems:
+                for b in elems:
+                    got = expsum.char_sum(ctx, spec, a, b)
+                    assert got == direct_char_sum(ctx, spec, a, b), (spec.e1, spec.e2, a, b)
+                    assert all(type(c) is int for c in got.counts)
+
+    @pytest.mark.parametrize("q,k", verify.default_pairs(127))
+    def test_class_representatives_of_every_spec(self, q, k):
+        ctx = gf.field_for(q, k)
+        for spec in verify.all_specs(q, k):
+            for a, b in class_pairs(ctx):
+                assert expsum.char_sum(ctx, spec, a, b) == direct_char_sum(ctx, spec, a, b)
+
+    @pytest.mark.parametrize("budget", [1, 7, 100])
+    @pytest.mark.parametrize("q,k,e1,e2", [(2, 4, 0, 7), (3, 3, 1, 5), (4, 3, 2, 5), (9, 2, 3, 7)])
+    def test_walk_spanning_several_chunks(self, q, k, e1, e2, budget, monkeypatch):
+        ctx = gf.field_for(q, k)
+        spec = code_spec(q, k, e1, e2)
+        monkeypatch.setattr(expsum, "_CHAR_SUM_ENTRIES", budget)
+        for a, b in class_pairs(ctx) + [(3, 5), (5, 3), (1, ZERO)]:
+            assert expsum.char_sum(ctx, spec, a, b) == direct_char_sum(ctx, spec, a, b)
 
 
 class TestCyclotomicCount:

@@ -21,9 +21,9 @@ from . import polyring
 from .codes import (
     CodeSpec,
     CyclicCode,
-    ENUMERATE_BUDGET_BYTES,
     ENUMERATE_BYTES_PER_CODE,
     WeightDistribution,
+    check_budget,
     code_spec,
     codeword_lines,
     cyclic_code,
@@ -40,7 +40,6 @@ from .errors import (
     ConditionFailedError,
     ConsistencyError,
     InvalidArgumentError,
-    ResourceLimitError,
     TheoremViolationError,
 )
 from .gf import ZERO, FieldCtx
@@ -49,6 +48,7 @@ from .numth import (
     code_count,
     coset_representatives,
     cyclotomic_coset,
+    gcd_conditions,
     multiplicative_order,
     prime_power_split,
     rem,
@@ -57,25 +57,9 @@ from .numth import (
 
 
 def check_conditions(q: int, k: int, e1: int, e2: int) -> tuple[bool, bool]:
-    """(gcd(q-1, k*e1 - e2) == 1, gcd(Delta, e2) == 1), on canonical residues."""
-    if k < 2:
-        raise InvalidArgumentError(f"requires k >= 2, got {k}")
-    delta = (q**k - 1) // (q - 1)
-    cond1 = gcd(q - 1, rem(k * e1 - e2, q - 1)) == 1
-    cond2 = gcd(delta, rem(e2, delta)) == 1
-    return cond1, cond2
-
-
-def condition_failures(q: int, k: int, e1: int, e2: int) -> list[str]:
-    delta = (q**k - 1) // (q - 1)
-    out = []
-    g1 = gcd(q - 1, rem(k * e1 - e2, q - 1))
-    if g1 != 1:
-        out.append(f"gcd(q-1,k*e1-e2)={g1}")
-    g2 = gcd(delta, rem(e2, delta))
-    if g2 != 1:
-        out.append(f"gcd(Delta,e2)={g2}")
-    return out
+    """(gcd(q-1, k*e1 - e2) == 1, gcd(Delta, e2) == 1)."""
+    g1, g2 = gcd_conditions(q, k, e1, e2)
+    return g1 == 1, g2 == 1
 
 
 @dataclass(frozen=True)
@@ -105,11 +89,12 @@ def build_code(ctx: FieldCtx, q: int, k: int, e1: int, e2: int) -> CodeReport:
     Griesmer bound, and the closed-form B_3 of the dual.
     """
     _check_ctx(ctx, q, k)
-    failures = condition_failures(q, k, e1, e2)
+    g1, g2 = gcd_conditions(q, k, e1, e2)
+    failures = [
+        f"{name}={g}" for name, g in (("gcd(q-1,k*e1-e2)", g1), ("gcd(Delta,e2)", g2)) if g != 1
+    ]
     if failures:
-        raise ConditionFailedError(
-            "; ".join(failures), failed=failures
-        )
+        raise ConditionFailedError("; ".join(failures), failed=failures)
     spec = code_spec(q, k, e1, e2)
     h1 = polyring.minimal_polynomial(ctx, rem(ctx.delta * e1, ctx.m))
     h2 = polyring.minimal_polynomial(ctx, rem(e2, ctx.m))
@@ -415,18 +400,15 @@ def enumerate_codes(q: int, k: int) -> list[CodeSpec]:
     [0, q-1) (one value per degree-one factor) and e2 over minimal
     cyclotomic coset representatives coprime to Delta.  Only integer
     work: no field is built.  Each e2 class gets one Bezout pair, shared
-    by every e1.  A listing over ENUMERATE_BUDGET_BYTES is refused
-    before the coset walk, and the cardinality must match the
-    closed-form count.
+    by every e1.  A listing over the job budget is refused before the
+    coset walk, and the cardinality must match the closed-form count.
     """
     prime_power_split(q)  # rejects q that is not a prime power
     expected = code_count(q, k)  # rejects k < 2
-    needed = expected * ENUMERATE_BYTES_PER_CODE
-    if needed > ENUMERATE_BUDGET_BYTES:
-        raise ResourceLimitError(
-            f"listing the {expected:,} codes for q = {q}, k = {k} needs about "
-            f"{needed / 2**30:,.1f} GiB, over the {ENUMERATE_BUDGET_BYTES / 2**30:g} GiB budget"
-        )
+    check_budget(
+        f"listing the {expected:,} codes for q = {q}, k = {k}",
+        expected * ENUMERATE_BYTES_PER_CODE,
+    )
     n = q**k - 1
     delta = n // (q - 1)
     pairs = {}

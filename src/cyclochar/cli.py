@@ -12,15 +12,9 @@ import argparse
 import json
 import os
 import sys
-from dataclasses import dataclass
 
 from . import polyring
-from .characterize import (
-    CodeReport,
-    build_code,
-    check_conditions,
-    enumerate_codes,
-)
+from .characterize import CodeReport, build_code, enumerate_codes
 from .codes import (
     DEFAULT_BRUTE_CAP,
     check_macwilliams_budget,
@@ -56,29 +50,6 @@ EXIT_VIOLATION = 3
 EXIT_USAGE = 64
 
 
-@dataclass
-class RunConfig:
-    field_cap: int = DEFAULT_FIELD_CAP
-    bruteforce_cap: int = DEFAULT_BRUTE_CAP
-    output_format: str = "text"
-    primitive_table_path: str | None = None
-
-    @classmethod
-    def from_args(cls, args) -> "RunConfig":
-        cap = args.field_cap
-        if cap is None:
-            cap = int(os.environ.get(ENV_FIELD_CAP, DEFAULT_FIELD_CAP))
-        cfg = cls(
-            field_cap=cap,
-            bruteforce_cap=getattr(args, "bruteforce_cap", DEFAULT_BRUTE_CAP),
-            output_format=args.format,
-            primitive_table_path=getattr(args, "primitive_table", None),
-        )
-        if cfg.field_cap <= 0 or cfg.bruteforce_cap <= 0:
-            raise InvalidArgumentError("caps must be positive")
-        return cfg
-
-
 class _Parser(argparse.ArgumentParser):
     def error(self, message):
         self.print_usage(sys.stderr)
@@ -86,13 +57,9 @@ class _Parser(argparse.ArgumentParser):
         raise SystemExit(EXIT_USAGE)
 
 
-def _field(cfg: RunConfig, q: int, k: int) -> FieldCtx:
-    table = (
-        load_primitive_table(cfg.primitive_table_path)
-        if cfg.primitive_table_path
-        else None
-    )
-    return field_for(q, k, cap=cfg.field_cap, primitive_table=table)
+def _field(args) -> FieldCtx:
+    table = load_primitive_table(args.primitive_table) if args.primitive_table else None
+    return field_for(args.q, args.k, cap=args.field_cap, primitive_table=table)
 
 
 def report_json(report: CodeReport) -> dict:
@@ -140,37 +107,37 @@ def report_text(report: CodeReport, ctx: FieldCtx) -> str:
     return "\n".join(lines)
 
 
-def _check_budget(args, cfg: RunConfig) -> None:
+def _refuse_oversized(args) -> None:
     """Refuse a job whose field or exact MacWilliams transform is oversized,
     before any table is built."""
-    check_field(args.q, args.k, cfg.field_cap)
+    check_field(args.q, args.k, args.field_cap)
     check_macwilliams_budget(args.q**args.k - 1, args.q)
 
 
-def cmd_build(args, cfg: RunConfig) -> int:
-    _check_budget(args, cfg)
-    ctx = _field(cfg, args.q, args.k)
+def cmd_build(args) -> int:
+    _refuse_oversized(args)
+    ctx = _field(args)
     try:
         report = build_code(ctx, args.q, args.k, args.e1, args.e2)
     except ConditionFailedError as exc:
-        if cfg.output_format == "json":
+        if args.format == "json":
             print(json.dumps({"error": "conditions_failed", "failed": list(exc.failed)}))
         else:
             print(f"conditions failed: {'; '.join(exc.failed)}")
         return EXIT_PRECONDITION
-    if cfg.output_format == "json":
+    if args.format == "json":
         print(json.dumps(report_json(report)))
     else:
         print(report_text(report, ctx))
     return EXIT_OK
 
 
-def cmd_enumerate(args, cfg: RunConfig) -> int:
-    check_field(args.q, args.k, cfg.field_cap)
+def cmd_enumerate(args) -> int:
+    check_field(args.q, args.k, args.field_cap)
     specs = enumerate_codes(args.q, args.k)  # count mismatch raises
     formula = code_count(args.q, args.k)
     n = args.q**args.k - 1
-    if cfg.output_format == "json":
+    if args.format == "json":
         print(
             json.dumps(
                 {
@@ -193,33 +160,44 @@ def cmd_enumerate(args, cfg: RunConfig) -> int:
     return EXIT_OK
 
 
-def _parse_range(text: str) -> list[int]:
-    if ".." in text:
-        lo, hi = text.split("..", 1)
-        return list(range(int(lo), int(hi) + 1))
-    return [int(text)]
+def _parse_range(text: str) -> range:
+    """A --q/--k value: one integer or an inclusive range a..b."""
+    lo, dots, hi = text.partition("..")
+    try:
+        return range(int(lo), int(hi if dots else lo) + 1)
+    except ValueError:
+        raise argparse.ArgumentTypeError(
+            f"invalid value {text!r}: expected an integer or a range a..b"
+        ) from None
 
 
-def cmd_verify(args, cfg: RunConfig) -> int:
-    if args.q is None and args.k is None:
-        pairs = default_pairs(args.max_length)
-    else:
-        qs = _parse_range(args.q) if args.q else [q for q, _ in default_pairs(args.max_length)]
-        ks = _parse_range(args.k) if args.k else None
-        pairs = []
-        for q in sorted(set(qs)):
-            kr = ks if ks is not None else [k for qq, k in default_pairs(args.max_length) if qq == q]
-            for k in kr:
-                pairs.append((q, k))
+def cmd_verify(args) -> int:
+    defaults = default_pairs(args.max_length)
+    qs = args.q if args.q is not None else sorted({q for q, _ in defaults})
+    pairs = [
+        (q, k)
+        for q in qs
+        for k in (args.k if args.k is not None else [kk for qq, kk in defaults if qq == q])
+    ]
+    if not pairs:
+        raise InvalidArgumentError(
+            "no (q, k) block was selected: a block needs a prime power q, k >= 2"
+            " and, unless --k is given, q^k - 1 <= --max-length"
+        )
+    for q, k in pairs:  # refuse a bad block before any sweep runs
+        check_field(q, k, args.field_cap)
     props = args.props.split(",") if args.props else list(PROPERTIES)
     unknown = [p for p in props if p not in PROPERTIES]
     if unknown:
         raise InvalidArgumentError(f"unknown properties: {unknown}")
-    results = []
-    for q, k in pairs:
-        results.extend(run_block(q, k, cfg.field_cap, props, cfg.bruteforce_cap))
+    results, refused = [], None
+    try:
+        for q, k in pairs:
+            run_block(q, k, args.field_cap, props, args.bruteforce_cap, results)
+    except ResourceLimitError as exc:  # print what finished, then exit 2
+        refused = exc
     failures = [r for r in results if not r.ok]
-    if cfg.output_format == "json":
+    if args.format == "json":
         print(json.dumps([r.to_json() for r in results]))
     else:
         for r in results:
@@ -228,6 +206,8 @@ def cmd_verify(args, cfg: RunConfig) -> int:
             if not r.ok:
                 line += f" counterexample={json.dumps(r.counterexample)}"
             print(line)
+    if refused is not None:
+        raise refused
     if failures:
         first = failures[0]
         print(
@@ -238,27 +218,35 @@ def cmd_verify(args, cfg: RunConfig) -> int:
     return EXIT_OK
 
 
-def _parse_element(text: str) -> int:
-    """Element literal: "0" is the zero element, "g<e>" or a bare nonzero
-    integer is the exponent e of gamma^e."""
-    text = text.strip()
-    if text == "0":
+def _parse_element(text: str) -> tuple[str, int | None]:
+    """An element literal as (text as typed, e): "0" is the zero element,
+    with e None, and "g<e>" or a bare integer is gamma^e."""
+    body = text.strip()
+    if body == "0":
+        return text, None
+    try:
+        return text, int(body[1:] if body.startswith("g") else body)
+    except ValueError:
+        raise argparse.ArgumentTypeError(
+            f"invalid element {text!r}: expected 0, g<e> or <e>"
+        ) from None
+
+
+def _exponent(e: int | None, m: int) -> int:
+    """The exponent form of a parsed element of F_{q^k}, m = q^k - 1."""
+    if e is None:
         return ZERO
-    if text.startswith("g"):
-        return int(text[1:])
-    return int(text)
+    if not 0 <= e < m:
+        raise InvalidArgumentError(f"element exponent out of range: {e} is not in [0, {m})")
+    return e
 
 
-def cmd_charsum(args, cfg: RunConfig) -> int:
-    ctx = _field(cfg, args.q, args.k)
+def cmd_charsum(args) -> int:
+    ctx = _field(args)
     spec = code_spec(args.q, args.k, args.e1, args.e2)
-    a = _parse_element(args.a)
-    b = _parse_element(args.b)
-    if not (a == ZERO or 0 <= a < ctx.m) or not (b == ZERO or 0 <= b < ctx.m):
-        raise InvalidArgumentError("element exponent out of range")
+    a, b = (_exponent(e, ctx.m) for _, e in (args.a, args.b))
     value = char_sum(ctx, spec, a, b)
-    conds = check_conditions(args.q, args.k, args.e1, args.e2)
-    d = spec.d
+    d = spec.d  # code_spec has already required gcd(Delta, e2) = 1
     tr_zero = a == ZERO or ctx.trace_to(a, "Fq") == ZERO
     case = f"Tr(a){'=' if tr_zero else '!='}0, b{'=' if b == ZERO else '!='}0"
     integer = value.as_integer() if value.is_integral() else None
@@ -267,24 +255,24 @@ def cmd_charsum(args, cfg: RunConfig) -> int:
         "k": args.k,
         "e1": args.e1,
         "e2": args.e2,
-        "a": args.a,
-        "b": args.b,
+        "a": args.a[0],
+        "b": args.b[0],
         "counts": list(value.counts),
         "integer": integer,
         "case": case,
-        "closed_form_applies": all(conds),
+        "closed_form_applies": d == 1,
     }
-    if not all(conds):
+    if d != 1:
         out["d"] = d
         if integer is not None:
             out["d_divides"] = integer % d == 0
-    if cfg.output_format == "json":
+    if args.format == "json":
         print(json.dumps(out))
     else:
         print(f"counts per character exponent: {list(value.counts)}")
         print(f"value: {integer if integer is not None else 'not a rational integer'}")
         print(f"class: {case}")
-        if all(conds):
+        if d == 1:
             print("covered by the closed-form case table")
         else:
             print(f"not covered by the closed-form case table (d={d})"
@@ -292,9 +280,9 @@ def cmd_charsum(args, cfg: RunConfig) -> int:
     return EXIT_OK
 
 
-def cmd_dual(args, cfg: RunConfig) -> int:
-    _check_budget(args, cfg)
-    ctx = _field(cfg, args.q, args.k)
+def cmd_dual(args) -> int:
+    _refuse_oversized(args)
+    ctx = _field(args)
     wd = weight_distribution_trace_exponents(ctx, args.e1, args.e2)
     code = code_from_exponents(ctx, args.e1, args.e2)
     dual = macwilliams_dual(wd, code.n, args.q, code.dimension)
@@ -308,7 +296,7 @@ def cmd_dual(args, cfg: RunConfig) -> int:
         "dual_min_weight": dual.min_nonzero_weight(),
         "dual_weights": dual.pairs(),
     }
-    if cfg.output_format == "json":
+    if args.format == "json":
         print(json.dumps(out))
     else:
         print(f"dual of C_({args.e1},{args.e2}) over F_{args.q}:"
@@ -317,10 +305,10 @@ def cmd_dual(args, cfg: RunConfig) -> int:
     return EXIT_OK
 
 
-def cmd_minpoly(args, cfg: RunConfig) -> int:
-    ctx = _field(cfg, args.q, args.k)
+def cmd_minpoly(args) -> int:
+    ctx = _field(args)
     poly = polyring.minimal_polynomial(ctx, args.a)
-    if cfg.output_format == "json":
+    if args.format == "json":
         print(
             json.dumps(
                 {
@@ -339,7 +327,9 @@ def cmd_minpoly(args, cfg: RunConfig) -> int:
 
 def _add_output(parser) -> None:
     parser.add_argument("--format", choices=("text", "json"), default="text")
-    parser.add_argument("--field-cap", type=int, default=None,
+    # a string default from the environment goes through type=int as well
+    parser.add_argument("--field-cap", type=int,
+                        default=os.environ.get(ENV_FIELD_CAP, DEFAULT_FIELD_CAP),
                         help=f"max field order (default 2^20, env {ENV_FIELD_CAP})")
 
 
@@ -367,8 +357,8 @@ def _build_parser() -> _Parser:
     p.set_defaults(func=cmd_enumerate)
 
     p = sub.add_parser("verify", help="run the identity sweeps over (q, k) ranges")
-    p.add_argument("--q", default=None, help="single value or range a..b")
-    p.add_argument("--k", default=None, help="single value or range a..b")
+    p.add_argument("--q", type=_parse_range, default=None, help="single value or range a..b")
+    p.add_argument("--k", type=_parse_range, default=None, help="single value or range a..b")
     p.add_argument("--props", default=None,
                    help=f"comma-separated subset of: {','.join(PROPERTIES)}")
     p.add_argument("--max-length", type=int, default=127,
@@ -381,8 +371,9 @@ def _build_parser() -> _Parser:
     p = sub.add_parser("charsum", help="evaluate one character sum exactly")
     for flag in ("--q", "--k", "--e1", "--e2"):
         p.add_argument(flag, type=int, required=True)
-    p.add_argument("--a", required=True, help="'0' or gamma exponent (e.g. g5 or 5)")
-    p.add_argument("--b", required=True, help="'0' or gamma exponent")
+    p.add_argument("--a", type=_parse_element, required=True,
+                   help="'0' or gamma exponent (e.g. g5 or 5)")
+    p.add_argument("--b", type=_parse_element, required=True, help="'0' or gamma exponent")
     _add_common(p)
     p.set_defaults(func=cmd_charsum)
 
@@ -409,8 +400,9 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else EXIT_USAGE
     try:
-        cfg = RunConfig.from_args(args)
-        return args.func(args, cfg)
+        if args.field_cap <= 0 or getattr(args, "bruteforce_cap", DEFAULT_BRUTE_CAP) <= 0:
+            raise InvalidArgumentError("caps must be positive")
+        return args.func(args)
     except TheoremViolationError as exc:
         print(f"identity violated: {_describe(exc)}", file=sys.stderr)
         return EXIT_VIOLATION

@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
 from itertools import product
-from math import comb, gcd, log2
+from math import comb, factorial, gcd, log2
 
 import numpy as np
 
@@ -27,23 +27,24 @@ from . import polyring
 from .errors import ConsistencyError, InvalidArgumentError, ResourceLimitError
 from .expsum import char_sum
 from .gf import ZERO, FieldCtx
-from .numth import BezoutPair, bezout_pair, ext_gcd, rem
+from .numth import BezoutPair, bezout_pair, ext_gcd, gcd_conditions, rem
 
 DEFAULT_BRUTE_CAP = 1 << 22
 
-# Largest MacWilliams transform attempted, by macwilliams_size_bytes: every
-# length up to 65535 over F_2 and F_4 passes (0.5 GiB at (2,16)), while
-# (2,20) would need 128 GiB.  Only transforms of at most _MEMO_MAX_BYTES
-# (n up to 2896 over F_2) are memoized, so the memo pins at most 64 MiB.
-MACWILLIAMS_BUDGET_BYTES = 1 << 30
+# The most memory one job may claim, by the estimates behind check_budget's
+# two callers.  Every MacWilliams transform of length up to 65535 over F_2 and
+# F_4 passes (0.5 GiB at (2,16)), while (2,20) would need 128 GiB; every
+# listing of up to 1.79 million codes passes, while (1024, 2) would need
+# 137 GiB.
+JOB_BUDGET_BYTES = 1 << 30
+
+# Only transforms of at most _MEMO_MAX_BYTES (n up to 2896 over F_2) are
+# memoized, so the MacWilliams memo pins at most 64 MiB.
 _MEMO_MAX_BYTES = 1 << 20
 
-# Largest listing characterize.enumerate_codes attempts, at an estimated
-# ENUMERATE_BYTES_PER_CODE for each spec and its JSON record (the peak RSS of
-# `enumerate --format json` grows by 490-560 bytes a code from (4,10) to
-# (16,5)).  Every block up to 1.79 million codes passes; (1024, 2) would need
-# 137 GiB.
-ENUMERATE_BUDGET_BYTES = 1 << 30
+# Estimated bytes characterize.enumerate_codes holds for each spec and its
+# JSON record (the peak RSS of `enumerate --format json` grows by 490-560
+# bytes a code from (4,10) to (16,5)).
 ENUMERATE_BYTES_PER_CODE = 600
 
 _BLOCK = 1 << 12
@@ -71,7 +72,8 @@ class CodeSpec:
 
     @property
     def d(self) -> int:
-        return gcd(self.q - 1, self.k * self.e1 - self.e2)
+        """gcd(q - 1, k*e1 - e2), the obstruction to the sum collapsing to 1."""
+        return gcd_conditions(self.q, self.k, self.e1, self.e2)[0]
 
 
 def code_spec(q: int, k: int, e1: int, e2: int) -> CodeSpec:
@@ -453,18 +455,23 @@ def macwilliams_size_bytes(n: int, q: int) -> float:
     return (n + 1) * n * log2(q) / 8
 
 
+def check_budget(what: str, needed_bytes: float) -> None:
+    """Refuse a job whose estimate exceeds JOB_BUDGET_BYTES, before it allocates."""
+    if needed_bytes > JOB_BUDGET_BYTES:
+        raise ResourceLimitError(
+            f"{what} needs about {needed_bytes / 2**30:,.1f} GiB, over the "
+            f"{JOB_BUDGET_BYTES / 2**30:g} GiB budget"
+        )
+
+
 def check_macwilliams_budget(n: int, q: int) -> float:
-    """The size of one exact transform, or ResourceLimitError over the budget.
+    """The size of one exact transform, after check_budget accepts it.
 
     Needs only n and q, so callers can refuse an oversized job before
     they build a field or a code.
     """
     size = macwilliams_size_bytes(n, q)
-    if size > MACWILLIAMS_BUDGET_BYTES:
-        raise ResourceLimitError(
-            f"the MacWilliams transform at n = {n}, q = {q} needs about "
-            f"{size / 2**30:,.1f} GiB, over the {MACWILLIAMS_BUDGET_BYTES / 2**30:g} GiB budget"
-        )
+    check_budget(f"the MacWilliams transform at n = {n}, q = {q}", size)
     return size
 
 
@@ -473,8 +480,8 @@ def macwilliams_dual(
 ) -> WeightDistribution:
     """Exact dual distribution B_j = q^-dim * sum_w A_w K_j(w).
 
-    Transforms larger than MACWILLIAMS_BUDGET_BYTES are refused before
-    any row is computed.  Results are memoized on (n, q, dim, entries):
+    Transforms over the job budget are refused before any row is
+    computed.  Results are memoized on (n, q, dim, entries):
     a sweep over the codes of one (q, k) block transforms the same
     distribution once per code.  Only transforms of at most
     _MEMO_MAX_BYTES are kept, and every call returns a fresh object.
@@ -563,7 +570,7 @@ def pless_moments(
                     continue
                 inner += (
                     Fraction(1)
-                    * _factorial(i)
+                    * factorial(i)
                     * s2
                     * Fraction(q) ** (dim - i)
                     * (q - 1) ** (i - j)
@@ -571,13 +578,6 @@ def pless_moments(
                 )
             rhs += (-1) ** j * bj * inner
         out.append((lhs, rhs))
-    return out
-
-
-def _factorial(i: int) -> int:
-    out = 1
-    for x in range(2, i + 1):
-        out *= x
     return out
 
 

@@ -15,7 +15,6 @@ V, and the closed-form predictions for the sum in each (a, b) class.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import gcd
 from typing import TYPE_CHECKING
 
 import numpy as np
@@ -89,11 +88,6 @@ def _check_point(spec, first: int, second: int, m: int) -> None:
         raise InvalidArgumentError(f"second index {second} outside [0, {spec.q - 1})")
 
 
-def gap_gcd(spec: CodeSpec) -> int:
-    """d = gcd(q - 1, k*e1 - e2), the obstruction to the sum collapsing to 1."""
-    return gcd(spec.q - 1, spec.k * spec.e1 - spec.e2)
-
-
 def level_shift(spec: CodeSpec, d: int) -> int:
     """The exact quotient (Delta*(e1*alpha + beta) - 1) / d.
 
@@ -117,7 +111,7 @@ def partition_value(
     and shift predictably under v -> v + Delta, which forces every level
     count to be divisible by d.
     """
-    if d != gap_gcd(spec):
+    if d != spec.d:
         raise InvalidArgumentError(f"d = {d} is not gcd(q-1, k*e1 - e2)")
     level_shift(spec, d)  # integrality check
     m = ctx.m
@@ -200,7 +194,7 @@ def partition_counts(
     """
     if d <= 1:
         raise InvalidArgumentError(f"partition requires d > 1, got {d}")
-    if d != gap_gcd(spec):
+    if d != spec.d:
         raise InvalidArgumentError(f"d = {d} is not gcd(q-1, k*e1 - e2)")
     m = ctx.m
     counts: dict[int, int] = {}

@@ -394,21 +394,30 @@ class FieldCtx:
 
 def load_primitive_table(path: str) -> dict[tuple[int, int], tuple[int, ...]]:
     """Parse an override file of records "p degree c0 c1 ... c_d"."""
+    try:
+        with open(path, encoding="utf-8") as fh:
+            lines = fh.readlines()
+    except (OSError, UnicodeError) as exc:
+        raise InvalidArgumentError(f"{path}: cannot read the primitive table: {exc}") from None
     table: dict[tuple[int, int], tuple[int, ...]] = {}
-    with open(path, encoding="utf-8") as fh:
-        for line_no, line in enumerate(fh, 1):
-            line = line.strip()
-            if not line or line.startswith("#"):
-                continue
+    for line_no, line in enumerate(lines, 1):
+        line = line.strip()
+        if not line or line.startswith("#"):
+            continue
+        try:
             parts = [int(tok) for tok in line.split()]
-            if len(parts) < 4:
-                raise InvalidArgumentError(f"{path}:{line_no}: malformed record")
-            p, d, coeffs = parts[0], parts[1], tuple(parts[2:])
-            if len(coeffs) != d + 1:
-                raise InvalidArgumentError(
-                    f"{path}:{line_no}: degree {d} needs {d + 1} coefficients"
-                )
-            table[(p, d)] = coeffs
+        except ValueError:
+            raise InvalidArgumentError(
+                f"{path}:{line_no}: non-integer token in {line!r}"
+            ) from None
+        if len(parts) < 4:
+            raise InvalidArgumentError(f"{path}:{line_no}: malformed record")
+        p, d, coeffs = parts[0], parts[1], tuple(parts[2:])
+        if len(coeffs) != d + 1:
+            raise InvalidArgumentError(
+                f"{path}:{line_no}: degree {d} needs {d + 1} coefficients"
+            )
+        table[(p, d)] = coeffs
     return table
 
 

@@ -1,8 +1,9 @@
 """Integer-side machinery.
 
 Canonical remainders, Bezout pairs for the exponent congruence
-e2*alpha + Delta*beta == 1 (mod q^k - 1), Euler phi, cyclotomic cosets,
-base-p digit sums, and the closed-form count of qualifying codes.
+e2*alpha + Delta*beta == 1 (mod q^k - 1), the two gcd conditions, Euler
+phi, cyclotomic cosets, base-p digit sums, and the closed-form count of
+qualifying codes.
 
 Everything here is exact integer arithmetic on desk-scale inputs;
 factorization is plain trial division.
@@ -76,6 +77,18 @@ def bezout_pair(e2: int, q: int, k: int) -> BezoutPair:
     if rem(e2 * pair.alpha + delta * pair.beta, n) != 1:
         raise ConsistencyError("Bezout pair failed its defining congruence")
     return pair
+
+
+def gcd_conditions(q: int, k: int, e1: int, e2: int) -> tuple[int, int]:
+    """(gcd(q-1, k*e1 - e2), gcd(Delta, e2)) with Delta = (q^k - 1)/(q - 1).
+
+    The code for (e1, e2) is an optimal three-weight code exactly when
+    both are 1.  Requires k >= 2.
+    """
+    if k < 2:
+        raise InvalidArgumentError(f"requires k >= 2, got {k}")
+    delta = (q**k - 1) // (q - 1)
+    return gcd(q - 1, k * e1 - e2), gcd(delta, e2)
 
 
 def factorize(n: int) -> dict[int, int]:

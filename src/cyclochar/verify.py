@@ -2,9 +2,10 @@
 
 Each sweep checks one exact identity over a whole (q, k) block and
 reports a machine-readable result with the first counterexample, if
-any.  Failures never raise past the sweep boundary: a disproved
-identity comes back as a failing result so a runner can report every
-property it touched.
+any.  run_block is the one error boundary: a disproved identity or any
+other package error comes back as a failing result so a runner can
+report every property it touched, and a refused job (ResourceLimitError)
+stops the run with every finished result kept.
 """
 
 from __future__ import annotations
@@ -35,7 +36,7 @@ from .codes import (
     weight_distribution_bruteforce,
     weight_distribution_trace,
 )
-from .errors import CyclocharError
+from .errors import CyclocharError, ResourceLimitError
 from .expsum import char_sum, predict_char_sum, substitution, substitution_inverse
 from .gf import ZERO, FieldCtx, field_for
 from .numth import prime_power_split
@@ -349,14 +350,9 @@ def verify_duality(q: int, k: int, ctx: FieldCtx) -> PropertyResult:
 
 def verify_enumeration(q: int, k: int, ctx: FieldCtx) -> PropertyResult:
     """Enumeration agrees with the closed-form count and every entry verifies."""
-    try:
-        specs = enumerate_codes(q, k)
-        for spec in specs:
-            build_code(ctx, q, k, spec.e1, spec.e2)
-    except CyclocharError as exc:
-        return PropertyResult(
-            "enumeration_count", q, k, False, 0, {"error": str(exc)}
-        )
+    specs = enumerate_codes(q, k)
+    for spec in specs:
+        build_code(ctx, q, k, spec.e1, spec.e2)
     return PropertyResult("enumeration_count", q, k, True, len(specs))
 
 
@@ -364,10 +360,7 @@ def verify_two_weight_gaps(
     q: int, k: int, ctx: FieldCtx, brute_cap: int = DEFAULT_BRUTE_CAP
 ) -> PropertyResult:
     """No two-weight irreducible code has adjacent weights; systems solve."""
-    try:
-        entries = two_weight_gap_scan(ctx, q, k, brute_cap)
-    except CyclocharError as exc:
-        return PropertyResult("two_weight_gaps", q, k, False, 0, {"error": str(exc)})
+    entries = two_weight_gap_scan(ctx, q, k, brute_cap)
     return PropertyResult("two_weight_gaps", q, k, True, len(entries))
 
 
@@ -393,7 +386,23 @@ def run_block(
     field_cap: int,
     props=PROPERTIES,
     brute_cap: int = DEFAULT_BRUTE_CAP,
+    results: list[PropertyResult] | None = None,
 ) -> list[PropertyResult]:
-    """Run the selected sweeps for one (q, k) block."""
+    """Run the selected sweeps for one (q, k) block, appending to results.
+
+    This is the sweeps' one error boundary.  A package error inside a
+    sweep becomes a failing result {"error": message}, except a
+    ResourceLimitError: that stops the run, and every result finished
+    before it is already in results.
+    """
+    results = [] if results is None else results
     ctx = field_for(q, k, cap=field_cap)
-    return [_RUNNERS[prop](q, k, ctx, brute_cap) for prop in props]
+    for prop in props:
+        try:
+            result = _RUNNERS[prop](q, k, ctx, brute_cap)
+        except ResourceLimitError:
+            raise
+        except CyclocharError as exc:
+            result = PropertyResult(prop, q, k, False, 0, {"error": str(exc)})
+        results.append(result)
+    return results

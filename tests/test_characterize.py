@@ -288,7 +288,7 @@ class TestEnumerateCodes:
             raise AssertionError("the coset walk started")
 
         monkeypatch.setattr(ch, "coset_representatives", no_walk)
-        monkeypatch.setattr(ch, "ENUMERATE_BUDGET_BYTES", 16 * ch.ENUMERATE_BYTES_PER_CODE - 1)
+        monkeypatch.setattr(codes, "JOB_BUDGET_BYTES", 16 * ch.ENUMERATE_BYTES_PER_CODE - 1)
         with pytest.raises(ResourceLimitError, match="16 codes for q = 3, k = 4"):
             ch.enumerate_codes(3, 4)
 
@@ -297,4 +297,4 @@ class TestEnumerateCodes:
 
         biggest = max(code_count(q, k) for q, k in [(2, 16), (4, 8), (2, 18), (16, 4),
                                                     (2, 19), (8, 6), (2, 20), (4, 10)])
-        assert 8 * biggest * ch.ENUMERATE_BYTES_PER_CODE < ch.ENUMERATE_BUDGET_BYTES
+        assert 8 * biggest * ch.ENUMERATE_BYTES_PER_CODE < codes.JOB_BUDGET_BYTES

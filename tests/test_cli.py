@@ -137,21 +137,6 @@ class TestEnumerate:
         assert code == 2
         assert "245,520,000 codes" in err and "budget" in err
 
-    @settings(max_examples=40, deadline=None)
-    @given(st.integers(min_value=0, max_value=20), st.integers(min_value=-1, max_value=5))
-    def test_exit_code_contract(self, q, k):
-        # a 16 MiB listing budget keeps every example small; larger
-        # listings take the budget's exit-2 path
-        stdout, stderr = io.StringIO(), io.StringIO()
-        with mock.patch.object(characterize, "ENUMERATE_BUDGET_BYTES", 1 << 24), \
-                redirect_stdout(stdout), redirect_stderr(stderr):
-            code = cli.main(["enumerate", "--q", str(q), "--k", str(k), "--format", "json"])
-        assert code in (0, 2), stderr.getvalue()
-        if code == 0:
-            parsed = json.loads(stdout.getvalue())
-            assert parsed["count"] == parsed["formula"] == code_count(q, k)
-            assert len(parsed["codes"]) == parsed["count"]
-
 
 class TestCharsum:
     def test_all_zero_case(self, capsys):
@@ -198,6 +183,36 @@ class TestCharsum:
         )
         assert code == 2
 
+    @pytest.mark.parametrize("b,e", [("-1", -1), ("g-1", -1), ("g63", 63)])
+    def test_exponent_out_of_range_exit_2(self, capsys, b, e):
+        # -1 once collided with the zero element's sentinel and exited 0
+        code, out, err = run(
+            capsys, "charsum", "--q", "4", "--k", "3", "--e1", "2", "--e2", "5",
+            "--a", "g1", "--b", b,
+        )
+        assert code == 2
+        assert out == ""
+        assert f"element exponent out of range: {e} is not in [0, 63)" in err
+
+    def test_literals_echoed_as_typed(self, capsys):
+        code, out, _ = run(
+            capsys, "charsum", "--q", "4", "--k", "3", "--e1", "2", "--e2", "5",
+            "--a", "g1", "--b", "62", "--format", "json",
+        )
+        assert code == 0
+        parsed = json.loads(out)
+        assert (parsed["a"], parsed["b"], parsed["integer"]) == ("g1", "62", 1)
+
+    @pytest.mark.parametrize("flag", ["--a", "--b"])
+    def test_malformed_literal_exit_64(self, capsys, flag):
+        literals = {"--a": "g1", "--b": "0", flag: "xyz"}
+        code, _, err = run(
+            capsys, "charsum", "--q", "4", "--k", "3", "--e1", "2", "--e2", "5",
+            *(v for pair in literals.items() for v in pair),
+        )
+        assert code == 64
+        assert "invalid element 'xyz'" in err
+
 
 class TestDualAndMinpoly:
     def test_dual_simplex(self, capsys):
@@ -224,6 +239,23 @@ class TestDualAndMinpoly:
         )
         assert code == 0
         assert out.strip() == "1,1,0,1"  # reciprocal field: h_1 flips
+
+    def test_missing_primitive_table_exit_2(self, capsys, tmp_path):
+        path = tmp_path / "missing.txt"
+        code, _, err = run(
+            capsys, "minpoly", "--q", "2", "--k", "3", "--a", "1", "--primitive-table", str(path),
+        )
+        assert code == 2
+        assert f"error: {path}: cannot read the primitive table" in err
+
+    def test_non_integer_primitive_table_token_exit_2(self, capsys, tmp_path):
+        path = tmp_path / "prims.txt"
+        path.write_text("# p degree c0 .. cd\n2 3 1 0 x 1\n")
+        code, _, err = run(
+            capsys, "minpoly", "--q", "2", "--k", "3", "--a", "1", "--primitive-table", str(path),
+        )
+        assert code == 2
+        assert f"error: {path}:2: non-integer token" in err
 
 
 class TestVerify:
@@ -287,6 +319,68 @@ class TestVerify:
         assert calls == [(2, 3, 2, 3)]
         assert [r.checked for r in results] == [-1]
 
+    @pytest.mark.parametrize("argv", [("--q", "6"), ("--q", "128"), ("--max-length", "2")])
+    def test_empty_selection_exit_2(self, capsys, argv):
+        code, out, err = run(capsys, "verify", *argv)
+        assert code == 2
+        assert out == ""
+        assert "no (q, k) block was selected" in err
+
+    def test_bad_block_refused_before_any_sweep(self, capsys, monkeypatch):
+        def no_sweep(*args):
+            raise AssertionError("a sweep ran")
+
+        monkeypatch.setattr(cli, "run_block", no_sweep)
+        code, out, err = run(capsys, "verify", "--q", "2..6", "--k", "2")
+        assert code == 2
+        assert out == ""
+        assert "6 is not a prime power" in err
+
+    @pytest.mark.parametrize("flag,value", [("--q", "abc"), ("--q", "3.."), ("--k", "2..x")])
+    def test_malformed_range_exit_64(self, capsys, flag, value):
+        code, _, err = run(capsys, "verify", flag, value)
+        assert code == 64
+        assert f"invalid value {value!r}" in err
+
+    def test_refusal_prints_the_finished_results(self, capsys):
+        code, out, err = run(
+            capsys, "verify", "--q", "2", "--k", "3", "--bruteforce-cap", "8", "--format", "json",
+        )
+        assert code == 2
+        results = json.loads(out)
+        assert [r["property"] for r in results] == [
+            "substitution_bijection", "char_sum_cases", "char_sum_unit_iff",
+        ]
+        assert all(r["ok"] for r in results)
+        assert "exceed the brute-force cap 8" in err
+
+    def test_gap_scan_refusal_is_not_a_violation(self, capsys):
+        code, out, err = run(
+            capsys, "verify", "--q", "2", "--k", "3", "--props", "two_weight_gaps",
+            "--bruteforce-cap", "4",
+        )
+        assert code == 2
+        assert out == ""
+        assert "exceed the brute-force cap 4" in err
+
+    def test_sweep_error_becomes_a_failing_result(self, capsys, monkeypatch):
+        from cyclochar.errors import ConsistencyError
+
+        def broken(q, k):
+            raise ConsistencyError("listing broke")
+
+        monkeypatch.setattr(verify, "enumerate_codes", broken)
+        code, out, err = run(
+            capsys, "verify", "--q", "2", "--k", "3",
+            "--props", "enumeration_count,two_weight_gaps", "--format", "json",
+        )
+        assert code == 3
+        failed, passed = json.loads(out)
+        assert failed == {"property": "enumeration_count", "q": 2, "k": 3, "ok": False,
+                          "checked": 0, "counterexample": {"error": "listing broke"}}
+        assert passed["property"] == "two_weight_gaps" and passed["ok"]
+        assert "counterexample" in err
+
     def test_bruteforce_cap_is_read(self, capsys):
         code, _, err = run(
             capsys, "verify", "--q", "2", "--k", "3", "--props", "oracle_equivalence",
@@ -335,7 +429,7 @@ class TestDegreeOne:
 
 class TestInternalErrors:
     def test_empty_message_names_the_exception_type(self, capsys, monkeypatch):
-        def fail(args, cfg):
+        def fail(args):
             raise MemoryError()
 
         monkeypatch.setattr(cli, "cmd_build", fail)
@@ -356,7 +450,7 @@ class TestInternalErrors:
 
     def test_oversized_dual_exits_2(self, capsys, monkeypatch):
         # the real case, build --q 2 --k 20, needs a 128 GiB transform
-        monkeypatch.setattr(codes, "MACWILLIAMS_BUDGET_BYTES", 1 << 9)
+        monkeypatch.setattr(codes, "JOB_BUDGET_BYTES", 1 << 9)
         code, _, err = run(capsys, "build", "--q", "4", "--k", "3", "--e1", "2", "--e2", "5")
         assert code == 2
         assert "MacWilliams transform" in err and "budget" in err
@@ -408,9 +502,71 @@ class TestConfig:
         )
         assert code == 0
 
+    def test_malformed_env_field_cap_exit_64(self, capsys, monkeypatch):
+        monkeypatch.setenv(cli.ENV_FIELD_CAP, "abc")
+        code, _, err = run(capsys, "enumerate", "--q", "2", "--k", "3")
+        assert code == 64
+        assert "argument --field-cap: invalid int value: 'abc'" in err
+
     def test_nonpositive_cap_rejected(self, capsys):
         code, _, _ = run(
             capsys, "build", "--q", "2", "--k", "3", "--e1", "0", "--e2", "1",
             "--field-cap", "0",
         )
         assert code == 2
+
+
+# Literals for the --a/--b elements and the verify --q/--k ranges: valid,
+# out of range and malformed.
+ELEMENTS = ["0", "g0", "g1", "7", "-1", "g-1", "g999", "xyz", "g", ""]
+RANGES = ["2", "3", "4", "6", "2..3", "3..2", "1", "-1", "abc", "3..", "..3"]
+CAPS = ["0", "64", "x"]
+
+
+@st.composite
+def command_lines(draw):
+    """One subcommand with small arguments: q^k <= 2^8 where both are drawn."""
+    command = draw(st.sampled_from(["build", "enumerate", "verify", "charsum", "dual", "minpoly"]))
+    argv = [command, "--format", "json"]
+    field_cap = draw(st.none() | st.sampled_from(CAPS))
+    if field_cap is not None:
+        argv += ["--field-cap", field_cap]
+    if command == "verify":
+        for flag in ("--q", "--k"):
+            value = draw(st.none() | st.sampled_from(RANGES))
+            if value is not None:
+                argv += [flag, value]
+        props = draw(st.sampled_from([*verify.PROPERTIES, "nope", ""]))
+        brute_cap = draw(st.sampled_from(["8", "64", str(1 << 22), "0"]))
+        return argv + ["--max-length", draw(st.sampled_from(["2", "7", "15"])),
+                       "--props", props, "--bruteforce-cap", brute_cap]
+    q = draw(st.integers(min_value=0, max_value=16))
+    k = draw(st.integers(min_value=-1, max_value=8).filter(lambda k: q ** max(k, 0) <= 1 << 8))
+    argv += ["--q", str(q), "--k", str(k)]
+    exponent = st.integers(min_value=-300, max_value=300).map(str)
+    if command in ("build", "charsum", "dual"):
+        argv += ["--e1", draw(exponent), "--e2", draw(exponent)]
+    if command == "charsum":
+        argv += ["--a", draw(st.sampled_from(ELEMENTS)), "--b", draw(st.sampled_from(ELEMENTS))]
+    if command == "minpoly":
+        argv += ["--a", draw(exponent)]
+    return argv
+
+
+class TestExitCodeContract:
+    @settings(max_examples=150, deadline=None, derandomize=True)
+    @given(command_lines())
+    def test_exit_code_contract(self, argv):
+        # a 16 MiB job budget keeps every example small; larger jobs take
+        # the budget's exit-2 path
+        stdout, stderr = io.StringIO(), io.StringIO()
+        with mock.patch.object(codes, "JOB_BUDGET_BYTES", 1 << 24), \
+                redirect_stdout(stdout), redirect_stderr(stderr):
+            code = cli.main(argv)
+        assert code in (0, 2, 3, 64), (argv, stderr.getvalue())
+        if code == 0:
+            parsed = json.loads(stdout.getvalue())
+            if argv[0] == "enumerate":
+                q, k = int(argv[argv.index("--q") + 1]), int(argv[argv.index("--k") + 1])
+                assert parsed["count"] == parsed["formula"] == code_count(q, k)
+                assert len(parsed["codes"]) == parsed["count"]

@@ -449,6 +449,11 @@ class TestMacWilliamsMemo:
 
 
 class TestMacWilliamsBudget:
+    def test_one_budget_for_every_job(self):
+        codes.check_budget("a job", codes.JOB_BUDGET_BYTES)
+        with pytest.raises(ResourceLimitError, match="^a job needs about 1.0 GiB, over the 1 GiB budget$"):
+            codes.check_budget("a job", codes.JOB_BUDGET_BYTES + 1)
+
     def test_oversized_transform_refused_before_any_row(self):
         wd = codes.three_weight_distribution(2, 20)
         with pytest.raises(ResourceLimitError, match="GiB"):
@@ -457,9 +462,9 @@ class TestMacWilliamsBudget:
     def test_budget_admits_every_length_to_4095(self):
         for q, k in [(2, 12), (4, 6), (8, 4), (16, 3), (64, 2)]:
             n = q**k - 1
-            assert codes.macwilliams_size_bytes(n, q) <= codes.MACWILLIAMS_BUDGET_BYTES
-        assert codes.macwilliams_size_bytes(2**20 - 1, 2) > codes.MACWILLIAMS_BUDGET_BYTES
-        assert codes.macwilliams_size_bytes(2**20 - 1, 1024) > codes.MACWILLIAMS_BUDGET_BYTES
+            assert codes.macwilliams_size_bytes(n, q) <= codes.JOB_BUDGET_BYTES
+        assert codes.macwilliams_size_bytes(2**20 - 1, 2) > codes.JOB_BUDGET_BYTES
+        assert codes.macwilliams_size_bytes(2**20 - 1, 1024) > codes.JOB_BUDGET_BYTES
 
 
 class TestDualB3:

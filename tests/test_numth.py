@@ -79,6 +79,29 @@ class TestBezout:
             assert numth.bezout_pair(e2, q, k) == expected
 
 
+class TestGcdConditions:
+    def test_example1(self):
+        # q = 4, k = 3, Delta = 21: gcd(3, 6 - 5) = 1 and gcd(21, 5) = 1
+        assert numth.gcd_conditions(4, 3, 2, 5) == (1, 1)
+
+    def test_each_gcd(self):
+        # q = 4, k = 2, Delta = 5: gcd(3, 2*2 - 1) = 3 and gcd(5, 10) = 5
+        assert numth.gcd_conditions(4, 2, 2, 1) == (3, 1)
+        assert numth.gcd_conditions(4, 2, 0, 10) == (1, 5)
+
+    @given(st.integers(-10**6, 10**6), st.integers(-10**6, 10**6))
+    def test_matches_canonical_residues(self, e1, e2):
+        q, k, delta = 5, 3, 31
+        assert numth.gcd_conditions(q, k, e1, e2) == (
+            math.gcd(q - 1, (k * e1 - e2) % (q - 1)), math.gcd(delta, e2 % delta)
+        )
+
+    @pytest.mark.parametrize("k", [1, 0, -1])
+    def test_k_below_2_rejected(self, k):
+        with pytest.raises(InvalidArgumentError, match="requires k >= 2"):
+            numth.gcd_conditions(3, k, 0, 1)
+
+
 class TestEulerPhi:
     @pytest.mark.parametrize("n,expected", [(80, 32), (1, 1), (63, 36)])
     def test_examples(self, n, expected):

@@ -5,12 +5,13 @@ characterize_code inverts that: given an arbitrary parity-check
 polynomial it decides whether the code is one of ours and recovers the
 exponents.  Also here: the one-weight criterion for irreducible codes,
 recovery of the degree-one parity factor from a full-weight codeword,
-the two-weight gap scan with its exponent-system solve, and exhaustive
-enumeration of all qualifying codes for a given (q, k).
+the two-weight gap scan with its exponent-system solve, and the
+qualifying codes for a given (q, k) as specs.
 """
 
 from __future__ import annotations
 
+from collections.abc import Iterator
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
@@ -21,9 +22,7 @@ from . import polyring
 from .codes import (
     CodeSpec,
     CyclicCode,
-    ENUMERATE_BYTES_PER_CODE,
     WeightDistribution,
-    check_budget,
     code_spec,
     codeword_lines,
     cyclic_code,
@@ -44,13 +43,11 @@ from .errors import (
 )
 from .gf import ZERO, FieldCtx
 from .numth import (
-    bezout_pair,
-    code_count,
     coset_representatives,
     cyclotomic_coset,
     gcd_conditions,
     multiplicative_order,
-    prime_power_split,
+    qualifying_codes,
     rem,
     schmidt_white_theta,
 )
@@ -393,40 +390,16 @@ def _solve_two_weight_system(
     return None
 
 
-def enumerate_codes(q: int, k: int) -> list[CodeSpec]:
+def enumerate_codes(q: int, k: int) -> Iterator[CodeSpec]:
     """All distinct qualifying codes for (q, k), one spec per code.
 
-    Codes are deduplicated by parity-check content: e1 runs over
-    [0, q-1) (one value per degree-one factor) and e2 over minimal
-    cyclotomic coset representatives coprime to Delta.  Only integer
-    work: no field is built.  Each e2 class gets one Bezout pair, shared
-    by every e1.  A listing over the job budget is refused before the
-    coset walk, and the cardinality must match the closed-form count.
+    A lazy view of numth.qualifying_codes under the default field cap:
+    every check of the listing, the closed-form count included, has run
+    when this returns.
     """
-    prime_power_split(q)  # rejects q that is not a prime power
-    expected = code_count(q, k)  # rejects k < 2
-    check_budget(
-        f"listing the {expected:,} codes for q = {q}, k = {k}",
-        expected * ENUMERATE_BYTES_PER_CODE,
+    _, records = qualifying_codes(q, k)
+    delta = (q**k - 1) // (q - 1)
+    return (
+        CodeSpec(q=q, k=k, delta=delta, e1=e1, e2=e2, bezout=pair)
+        for e1, e2, pair in records
     )
-    n = q**k - 1
-    delta = n // (q - 1)
-    pairs = {}
-    for rep, size in coset_representatives(q, n).items():
-        if gcd(delta, rep) != 1:
-            continue
-        if size != k:
-            raise TheoremViolationError(
-                f"gcd(Delta, {rep}) = 1 but deg h_{rep} != {k}"
-            )
-        pairs[rep] = bezout_pair(rep, q, k)
-    out = []
-    for e1 in range(q - 1):
-        for rep, pair in pairs.items():
-            if gcd(q - 1, (k * e1 - rep) % (q - 1)) == 1:
-                out.append(CodeSpec(q=q, k=k, delta=delta, e1=e1, e2=rep, bezout=pair))
-    if len(out) != expected:
-        raise TheoremViolationError(
-            f"enumerated {len(out)} codes but the count formula gives {expected}"
-        )
-    return out

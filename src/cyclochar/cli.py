@@ -12,34 +12,23 @@ import argparse
 import json
 import os
 import sys
+from itertools import groupby
+from operator import itemgetter
+from typing import TYPE_CHECKING
 
-from . import polyring
-from .characterize import CodeReport, build_code, enumerate_codes
-from .codes import (
-    DEFAULT_BRUTE_CAP,
-    check_macwilliams_budget,
-    code_from_exponents,
-    code_spec,
-    macwilliams_dual,
-    weight_distribution_trace_exponents,
-)
 from .errors import (
     ConditionFailedError,
     InvalidArgumentError,
     ResourceLimitError,
     TheoremViolationError,
 )
-from .expsum import char_sum
-from .gf import (
-    DEFAULT_FIELD_CAP,
-    ZERO,
-    FieldCtx,
-    check_field,
-    field_for,
-    load_primitive_table,
-)
-from .numth import code_count
-from .verify import PROPERTIES, default_pairs, run_block
+from .numth import DEFAULT_BRUTE_CAP, DEFAULT_FIELD_CAP, check_field, qualifying_codes
+
+# The numpy-bound modules are imported by the subcommands that use them, so
+# parsing and `enumerate` start without numpy.
+if TYPE_CHECKING:
+    from .characterize import CodeReport
+    from .gf import FieldCtx
 
 ENV_FIELD_CAP = "CYCLOCHAR_FIELD_CAP"
 
@@ -58,6 +47,8 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _field(args) -> FieldCtx:
+    from .gf import field_for, load_primitive_table
+
     table = load_primitive_table(args.primitive_table) if args.primitive_table else None
     return field_for(args.q, args.k, cap=args.field_cap, primitive_table=table)
 
@@ -110,11 +101,15 @@ def report_text(report: CodeReport, ctx: FieldCtx) -> str:
 def _refuse_oversized(args) -> None:
     """Refuse a job whose field or exact MacWilliams transform is oversized,
     before any table is built."""
+    from .codes import check_macwilliams_budget
+
     check_field(args.q, args.k, args.field_cap)
     check_macwilliams_budget(args.q**args.k - 1, args.q)
 
 
 def cmd_build(args) -> int:
+    from .characterize import build_code
+
     _refuse_oversized(args)
     ctx = _field(args)
     try:
@@ -133,30 +128,30 @@ def cmd_build(args) -> int:
 
 
 def cmd_enumerate(args) -> int:
-    check_field(args.q, args.k, args.field_cap)
-    specs = enumerate_codes(args.q, args.k)  # count mismatch raises
-    formula = code_count(args.q, args.k)
-    n = args.q**args.k - 1
+    q, k = args.q, args.k
+    # every check of the listing, the closed-form count included, runs here,
+    # before the first byte is written
+    count, records = qualifying_codes(q, k, args.field_cap)
+    n = q**k - 1
+    delta = n // (q - 1)
+    write = sys.stdout.write
+    rows = groupby(records, key=itemgetter(0))  # e1-major: one row per e1
     if args.format == "json":
-        print(
-            json.dumps(
-                {
-                    "q": args.q,
-                    "k": args.k,
-                    "count": len(specs),
-                    "formula": formula,
-                    "codes": [
-                        {"e1": s.e1, "delta_e1": s.delta * s.e1 % n, "e2": s.e2}
-                        for s in specs
-                    ],
-                }
-            )
-        )
+        # json.dumps of {"q", "k", "count", "formula", "codes": [...]}, a record at a time
+        write(f'{{"q": {q}, "k": {k}, "count": {count}, "formula": {count}, "codes": [')
+        sep = ""
+        for e1, row in rows:
+            head = f'{{"e1": {e1}, "delta_e1": {delta * e1 % n}, "e2": '
+            for _, e2, _ in row:
+                write(f"{sep}{head}{e2}}}")
+                sep = ", "
+        write("]}\n")
     else:
-        print(f"qualifying codes for q={args.q}, k={args.k}: {len(specs)}"
-              f" (formula: {formula})")
-        for s in specs:
-            print(f"  C_({s.delta * s.e1 % n},{s.e2})   e1={s.e1} e2={s.e2}")
+        write(f"qualifying codes for q={q}, k={k}: {count} (formula: {count})\n")
+        for e1, row in rows:
+            head, mid = f"  C_({delta * e1 % n},", f")   e1={e1} e2="
+            for _, e2, _ in row:
+                write(f"{head}{e2}{mid}{e2}\n")
     return EXIT_OK
 
 
@@ -172,24 +167,30 @@ def _parse_range(text: str) -> range:
 
 
 def cmd_verify(args) -> int:
-    defaults = default_pairs(args.max_length)
-    qs = args.q if args.q is not None else sorted({q for q, _ in defaults})
-    pairs = [
-        (q, k)
-        for q in qs
-        for k in (args.k if args.k is not None else [kk for qq, kk in defaults if qq == q])
-    ]
+    from .verify import PROPERTIES, default_pairs, run_block
+
+    if args.k is None:  # each q takes its k values from the default pair set
+        blocks = (
+            (q, k) for q, k in default_pairs(args.max_length) if args.q is None or q in args.q
+        )
+    else:
+        qs = args.q if args.q is not None else sorted({q for q, _ in default_pairs(args.max_length)})
+        blocks = ((q, k) for q in qs for k in args.k)
+    pairs = []
+    for q, k in blocks:  # refuse a bad block as it comes, before any sweep runs
+        check_field(q, k, args.field_cap)
+        pairs.append((q, k))
     if not pairs:
         raise InvalidArgumentError(
             "no (q, k) block was selected: a block needs a prime power q, k >= 2"
             " and, unless --k is given, q^k - 1 <= --max-length"
         )
-    for q, k in pairs:  # refuse a bad block before any sweep runs
-        check_field(q, k, args.field_cap)
     props = args.props.split(",") if args.props else list(PROPERTIES)
     unknown = [p for p in props if p not in PROPERTIES]
     if unknown:
-        raise InvalidArgumentError(f"unknown properties: {unknown}")
+        raise InvalidArgumentError(
+            f"unknown properties: {unknown}; valid: {','.join(PROPERTIES)}"
+        )
     results, refused = [], None
     try:
         for q, k in pairs:
@@ -234,6 +235,8 @@ def _parse_element(text: str) -> tuple[str, int | None]:
 
 def _exponent(e: int | None, m: int) -> int:
     """The exponent form of a parsed element of F_{q^k}, m = q^k - 1."""
+    from .gf import ZERO
+
     if e is None:
         return ZERO
     if not 0 <= e < m:
@@ -242,6 +245,10 @@ def _exponent(e: int | None, m: int) -> int:
 
 
 def cmd_charsum(args) -> int:
+    from .codes import code_spec
+    from .expsum import char_sum
+    from .gf import ZERO
+
     ctx = _field(args)
     spec = code_spec(args.q, args.k, args.e1, args.e2)
     a, b = (_exponent(e, ctx.m) for _, e in (args.a, args.b))
@@ -281,6 +288,8 @@ def cmd_charsum(args) -> int:
 
 
 def cmd_dual(args) -> int:
+    from .codes import code_from_exponents, macwilliams_dual, weight_distribution_trace_exponents
+
     _refuse_oversized(args)
     ctx = _field(args)
     wd = weight_distribution_trace_exponents(ctx, args.e1, args.e2)
@@ -306,6 +315,8 @@ def cmd_dual(args) -> int:
 
 
 def cmd_minpoly(args) -> int:
+    from . import polyring
+
     ctx = _field(args)
     poly = polyring.minimal_polynomial(ctx, args.a)
     if args.format == "json":
@@ -360,7 +371,7 @@ def _build_parser() -> _Parser:
     p.add_argument("--q", type=_parse_range, default=None, help="single value or range a..b")
     p.add_argument("--k", type=_parse_range, default=None, help="single value or range a..b")
     p.add_argument("--props", default=None,
-                   help=f"comma-separated subset of: {','.join(PROPERTIES)}")
+                   help="comma-separated property names (default: every property)")
     p.add_argument("--max-length", type=int, default=127,
                    help="q^k-1 bound for the default pair set")
     p.add_argument("--bruteforce-cap", type=int, default=DEFAULT_BRUTE_CAP,

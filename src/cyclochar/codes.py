@@ -27,25 +27,20 @@ from . import polyring
 from .errors import ConsistencyError, InvalidArgumentError, ResourceLimitError
 from .expsum import char_sum
 from .gf import ZERO, FieldCtx
-from .numth import BezoutPair, bezout_pair, ext_gcd, gcd_conditions, rem
-
-DEFAULT_BRUTE_CAP = 1 << 22
-
-# The most memory one job may claim, by the estimates behind check_budget's
-# two callers.  Every MacWilliams transform of length up to 65535 over F_2 and
-# F_4 passes (0.5 GiB at (2,16)), while (2,20) would need 128 GiB; every
-# listing of up to 1.79 million codes passes, while (1024, 2) would need
-# 137 GiB.
-JOB_BUDGET_BYTES = 1 << 30
+from .numth import (
+    DEFAULT_BRUTE_CAP,
+    JOB_BUDGET_BYTES,  # re-exported beside check_budget
+    BezoutPair,
+    bezout_pair,
+    check_budget,
+    ext_gcd,
+    gcd_conditions,
+    rem,
+)
 
 # Only transforms of at most _MEMO_MAX_BYTES (n up to 2896 over F_2) are
 # memoized, so the MacWilliams memo pins at most 64 MiB.
 _MEMO_MAX_BYTES = 1 << 20
-
-# Estimated bytes characterize.enumerate_codes holds for each spec and its
-# JSON record (the peak RSS of `enumerate --format json` grows by 490-560
-# bytes a code from (4,10) to (16,5)).
-ENUMERATE_BYTES_PER_CODE = 600
 
 _BLOCK = 1 << 12
 _BLOCK_ENTRIES = 1 << 20
@@ -453,15 +448,6 @@ def macwilliams_size_bytes(n: int, q: int) -> float:
     integers as large as q^n in magnitude.
     """
     return (n + 1) * n * log2(q) / 8
-
-
-def check_budget(what: str, needed_bytes: float) -> None:
-    """Refuse a job whose estimate exceeds JOB_BUDGET_BYTES, before it allocates."""
-    if needed_bytes > JOB_BUDGET_BYTES:
-        raise ResourceLimitError(
-            f"{what} needs about {needed_bytes / 2**30:,.1f} GiB, over the "
-            f"{JOB_BUDGET_BYTES / 2**30:g} GiB budget"
-        )
 
 
 def check_macwilliams_budget(n: int, q: int) -> float:

@@ -15,17 +15,21 @@ symbol 0 -> 0, symbol 1+j -> gamma^(j*delta).
 
 from __future__ import annotations
 
-from functools import lru_cache
+from collections import OrderedDict
 from typing import Any, NamedTuple
 
 import numpy as np
 
-from .errors import ConsistencyError, InvalidArgumentError, ResourceLimitError
-from .numth import factorize, is_prime, prime_power_split
+from .errors import ConsistencyError, InvalidArgumentError
+from .numth import (
+    DEFAULT_FIELD_CAP,
+    _check_order,
+    check_field,
+    factorize,
+    is_prime,
+)
 
 ZERO = -1
-
-DEFAULT_FIELD_CAP = 1 << 20
 
 
 def _poly_mulmod(a, b, f, p):
@@ -421,8 +425,26 @@ def load_primitive_table(path: str) -> dict[tuple[int, int], tuple[int, ...]]:
     return table
 
 
-@lru_cache(maxsize=None)
+# Built fields, least recently used first.  Their orders sum to at most
+# _FIELD_CACHE_ORDERS, so the cache pins about one field at the default cap
+# (some 60 MiB of tables) yet keeps every small field a test session reuses.
+# The field just requested is always kept.
+_FIELD_CACHE_ORDERS = DEFAULT_FIELD_CAP
+_fields: OrderedDict[tuple, FieldCtx] = OrderedDict()
+
+
 def _build_field_cached(p, t, k, override_items):
+    key = (p, t, k, override_items)
+    ctx = _fields.pop(key, None)
+    if ctx is None:
+        ctx = _build_field(p, t, k, override_items)
+    _fields[key] = ctx
+    while len(_fields) > 1 and sum(c.order for c in _fields.values()) > _FIELD_CACHE_ORDERS:
+        _fields.popitem(last=False)
+    return ctx
+
+
+def _build_field(p, t, k, override_items):
     override = dict(override_items) if override_items else {}
     mod = override.get((p, t * k))
     if mod is not None:
@@ -455,26 +477,6 @@ def build_field(
     _check_order(p, t * k, cap)
     items = tuple(sorted(primitive_table.items())) if primitive_table else None
     return _build_field_cached(p, t, k, items)
-
-
-def _check_order(p: int, d: int, cap: int) -> None:
-    if p**d > cap:
-        raise ResourceLimitError(
-            f"field order {p}^{d} exceeds the cap {cap}; raise the cap to proceed"
-        )
-
-
-def check_field(q: int, k: int, cap: int = DEFAULT_FIELD_CAP) -> tuple[int, int]:
-    """Validate F_q <= F_{q^k} without building any table; returns q as (p, t).
-
-    q must be a prime power, k >= 2 (the codes need a proper extension)
-    and q^k at most cap.
-    """
-    p, t = prime_power_split(q)
-    if k < 2:
-        raise InvalidArgumentError(f"requires k >= 2, got {k}")
-    _check_order(p, t * k, cap)
-    return p, t
 
 
 def field_for(

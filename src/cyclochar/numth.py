@@ -2,20 +2,49 @@
 
 Canonical remainders, Bezout pairs for the exponent congruence
 e2*alpha + Delta*beta == 1 (mod q^k - 1), the two gcd conditions, Euler
-phi, cyclotomic cosets, base-p digit sums, and the closed-form count of
-qualifying codes.
+phi, cyclotomic cosets, base-p digit sums, the closed-form count of
+qualifying codes and the checked listing of those codes.  Also the size
+gates every job passes before it allocates: the field cap, the
+brute-force cap default and the job budget.
 
 Everything here is exact integer arithmetic on desk-scale inputs;
-factorization is plain trial division.
+factorization is plain trial division.  Nothing here imports numpy, so
+the command line can start and list codes without it.
 """
 
 from __future__ import annotations
 
+from collections.abc import Iterator
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, isqrt
 
-from .errors import ConsistencyError, InvalidArgumentError
+from .errors import (
+    ConsistencyError,
+    InvalidArgumentError,
+    ResourceLimitError,
+    TheoremViolationError,
+)
+
+DEFAULT_FIELD_CAP = 1 << 20
+
+DEFAULT_BRUTE_CAP = 1 << 22
+
+# The most memory (or, for a listing, output) one job may claim, by the
+# estimates behind check_budget's two callers.  Every MacWilliams transform of
+# length up to 65535 over F_2 and F_4 passes (0.5 GiB at (2,16)), while (2,20)
+# would need 128 GiB; a listing passes up to about 18 million records at
+# q^k <= 2^20, while (1024, 2) would write 13.7 GiB.
+JOB_BUDGET_BYTES = 1 << 30
+
+
+def check_budget(what: str, needed_bytes: float) -> None:
+    """Refuse a job whose estimate exceeds JOB_BUDGET_BYTES, before it allocates."""
+    if needed_bytes > JOB_BUDGET_BYTES:
+        raise ResourceLimitError(
+            f"{what} needs about {needed_bytes / 2**30:,.1f} GiB, over the "
+            f"{JOB_BUDGET_BYTES / 2**30:g} GiB budget"
+        )
 
 
 def rem(a: int, b: int) -> int:
@@ -131,6 +160,27 @@ def prime_power_split(q: int) -> tuple[int, int]:
     return p, t
 
 
+def _check_order(p: int, d: int, cap: int) -> None:
+    # p^d >= 2^d > cap once d reaches cap's bit length: no need to build p^d
+    if d >= cap.bit_length() or p**d > cap:
+        raise ResourceLimitError(
+            f"field order {p}^{d} exceeds the cap {cap}; raise the cap to proceed"
+        )
+
+
+def check_field(q: int, k: int, cap: int = DEFAULT_FIELD_CAP) -> tuple[int, int]:
+    """Validate F_q <= F_{q^k} without building any table; returns q as (p, t).
+
+    q must be a prime power, k >= 2 (the codes need a proper extension)
+    and q^k at most cap.
+    """
+    p, t = prime_power_split(q)
+    if k < 2:
+        raise InvalidArgumentError(f"requires k >= 2, got {k}")
+    _check_order(p, t * k, cap)
+    return p, t
+
+
 def euler_phi(n: int) -> int:
     """Euler's totient via trial-division factorization."""
     if n < 1:
@@ -185,21 +235,26 @@ def cyclotomic_coset(a: int, q: int, n: int) -> CyclotomicCoset:
     return CyclotomicCoset(representative=ms[0], members=ms)
 
 
-def coset_representatives(q: int, n: int) -> dict[int, int]:
-    """Minimal representative -> size of every q-cyclotomic coset mod n.
+def coset_representatives(q: int, n: int, coprime_to: int = 1) -> dict[int, int]:
+    """Minimal representative -> size of every q-cyclotomic coset mod n
+    whose members are coprime to coprime_to, a divisor of n (1: every coset).
 
     Keys ascend, so iterating the mapping yields the representatives in
-    order.  One walk over Z/n finds every orbit; requires gcd(q, n) == 1.
+    order.  One walk over Z/n finds every orbit; requires gcd(q, n) == 1,
+    so multiplying by q keeps the gcd with any divisor of n.
     """
     if n <= 0:
         raise InvalidArgumentError(f"modulus must be positive, got {n}")
     if gcd(q, n) != 1:
         raise InvalidArgumentError(f"gcd(q, n) = gcd({q}, {n}) != 1")
+    if coprime_to < 1 or n % coprime_to:
+        raise InvalidArgumentError(f"{coprime_to} is not a divisor of {n}")
     seen = bytearray(n)
+    for p in factorize(coprime_to):
+        seen[::p] = b"\x01" * len(range(0, n, p))  # a multiple of p is never walked
     reps = {}
-    for a in range(n):
-        if seen[a]:
-            continue
+    a = seen.find(0)
+    while a >= 0:
         size = 0
         x = a
         while not seen[x]:
@@ -207,7 +262,67 @@ def coset_representatives(q: int, n: int) -> dict[int, int]:
             x = x * q % n
             size += 1
         reps[a] = size
+        a = seen.find(0, a + 1)
     return reps
+
+
+def listing_record_bytes(n: int) -> int:
+    """Most bytes one written listing record takes, as JSON or as text.
+
+    A record is 32 bytes of fixed text (separator included) plus at most
+    four integers below n: e1, Delta*e1 and e2 (twice in text).
+    """
+    return 32 + 4 * len(str(n))
+
+
+def qualifying_codes(
+    q: int, k: int, cap: int = DEFAULT_FIELD_CAP
+) -> tuple[int, Iterator[tuple[int, int, BezoutPair]]]:
+    """Every distinct qualifying code for (q, k) as (count, records).
+
+    The records are (e1, e2, Bezout pair of e2), e1-major: e1 runs over
+    [0, q-1) (one value per degree-one factor) and e2 over the minimal
+    cyclotomic coset representatives coprime to Delta, ascending.  They
+    come lazily from one coset walk with one Bezout pair per e2 class, so
+    memory does not grow with the count.  Every check has run when this
+    returns, before the first record exists: the field gate, the job
+    budget on the written records (before the walk), deg h_e2 = k for
+    every class, the Bezout congruence per class, and the count, tallied
+    per (e1, e2 mod q-1), against the closed form.
+    """
+    check_field(q, k, cap)
+    count = code_count(q, k)
+    n = q**k - 1
+    check_budget(
+        f"writing the {count:,} codes for q = {q}, k = {k}",
+        count * listing_record_bytes(n),
+    )
+    delta = n // (q - 1)
+    classes = []
+    tally = [0] * (q - 1)  # e2 classes per residue mod q - 1
+    for rep, size in coset_representatives(q, n, delta).items():
+        if size != k:
+            raise TheoremViolationError(f"gcd(Delta, {rep}) = 1 but deg h_{rep} != {k}")
+        r = rep % (q - 1)
+        classes.append((rep, r, bezout_pair(rep, q, k)))
+        tally[r] += 1
+    # gcd(q-1, k*e1 - e2) depends on e2 only through e2 mod q-1
+    units = [
+        [gcd_conditions(q, k, e1, r)[0] == 1 for r in range(q - 1)] for e1 in range(q - 1)
+    ]
+    listed = sum(t for row in units for t, unit in zip(tally, row) if unit)
+    if listed != count:
+        raise TheoremViolationError(
+            f"enumerated {listed} codes but the count formula gives {count}"
+        )
+
+    def records() -> Iterator[tuple[int, int, BezoutPair]]:
+        for e1, row in enumerate(units):
+            for rep, r, pair in classes:
+                if row[r]:
+                    yield e1, rep, pair
+
+    return count, records()
 
 
 def digit_sum(x: int, p: int) -> int:

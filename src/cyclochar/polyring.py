@@ -49,15 +49,6 @@ def poly_add(ctx: FieldCtx, a: Poly, b: Poly) -> Poly:
     return normalize(out)
 
 
-def poly_neg(ctx: FieldCtx, a: Poly) -> Poly:
-    neg = ctx.symbol_table_lists().neg
-    return tuple(neg[c] for c in a)
-
-
-def poly_sub(ctx: FieldCtx, a: Poly, b: Poly) -> Poly:
-    return poly_add(ctx, a, poly_neg(ctx, b))
-
-
 def poly_mul(ctx: FieldCtx, a: Poly, b: Poly) -> Poly:
     if not a or not b:
         return ZERO_POLY

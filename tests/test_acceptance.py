@@ -38,7 +38,7 @@ def test_criterion_01_example1_reproduction():
 def test_criterion_02_example2_reproduction():
     start = time.perf_counter()
     ctx = gf.field_for(3, 4)
-    specs = ch.enumerate_codes(3, 4)
+    specs = list(ch.enumerate_codes(3, 4))
     assert len(specs) == 16
     listing = {(s.delta * s.e1 % s.n, s.e2) for s in specs}
     assert listing == {
@@ -150,7 +150,7 @@ def test_criterion_07_substitution_bijection():
 def test_criterion_08_enumeration_count():
     start = time.perf_counter()
     for q, k in PAIRS_255:
-        specs = ch.enumerate_codes(q, k)  # raises on formula mismatch
+        specs = list(ch.enumerate_codes(q, k))  # raises on formula mismatch
         assert len(specs) == code_count(q, k)
     elapsed = time.perf_counter() - start
     _report(8, f"enumeration cardinality = phi(q^k-1)(q-1)/k on {len(PAIRS_255)} blocks", elapsed)

@@ -4,7 +4,7 @@ from math import gcd
 
 import pytest
 
-from cyclochar import characterize as ch, codes, gf, polyring as pr
+from cyclochar import characterize as ch, codes, gf, numth, polyring as pr
 from cyclochar.errors import ConditionFailedError, InvalidArgumentError, ResourceLimitError
 from cyclochar.numth import (
     BezoutPair,
@@ -254,7 +254,7 @@ class TestTwoWeightGapScan:
 
 class TestEnumerateCodes:
     def test_example2_full_listing(self):
-        specs = ch.enumerate_codes(3, 4)
+        specs = list(ch.enumerate_codes(3, 4))
         assert len(specs) == 16
         listing = {(spec.delta * spec.e1 % spec.n, spec.e2) for spec in specs}
         assert listing == {
@@ -264,7 +264,7 @@ class TestEnumerateCodes:
         }
 
     def test_q2_k3_reps(self):
-        specs = ch.enumerate_codes(2, 3)
+        specs = list(ch.enumerate_codes(2, 3))
         assert [(s.e1, s.e2) for s in specs] == [(0, 1), (0, 3)]
 
     @pytest.mark.parametrize("q,k", [(2, 4), (3, 3), (4, 2), (5, 2)])
@@ -276,7 +276,7 @@ class TestEnumerateCodes:
 
     @pytest.mark.parametrize("q,k", SMALL_PAIRS)
     def test_matches_per_pair_reference(self, q, k):
-        assert ch.enumerate_codes(q, k) == reference_enumeration(q, k)
+        assert list(ch.enumerate_codes(q, k)) == reference_enumeration(q, k)
 
     @pytest.mark.parametrize("q,k", [(6, 2), (2, 1), (1, 3)])
     def test_invalid_inputs(self, q, k):
@@ -284,11 +284,11 @@ class TestEnumerateCodes:
             ch.enumerate_codes(q, k)
 
     def test_budget_refuses_before_the_walk(self, monkeypatch):
-        def no_walk(q, n):
+        def no_walk(*args):
             raise AssertionError("the coset walk started")
 
-        monkeypatch.setattr(ch, "coset_representatives", no_walk)
-        monkeypatch.setattr(codes, "JOB_BUDGET_BYTES", 16 * ch.ENUMERATE_BYTES_PER_CODE - 1)
+        monkeypatch.setattr(numth, "coset_representatives", no_walk)
+        monkeypatch.setattr(numth, "JOB_BUDGET_BYTES", 16 * numth.listing_record_bytes(80) - 1)
         with pytest.raises(ResourceLimitError, match="16 codes for q = 3, k = 4"):
             ch.enumerate_codes(3, 4)
 
@@ -297,4 +297,4 @@ class TestEnumerateCodes:
 
         biggest = max(code_count(q, k) for q, k in [(2, 16), (4, 8), (2, 18), (16, 4),
                                                     (2, 19), (8, 6), (2, 20), (4, 10)])
-        assert 8 * biggest * ch.ENUMERATE_BYTES_PER_CODE < codes.JOB_BUDGET_BYTES
+        assert 8 * biggest * numth.listing_record_bytes(2**20 - 1) < numth.JOB_BUDGET_BYTES

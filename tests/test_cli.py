@@ -5,6 +5,7 @@ import json
 import os
 import subprocess
 import sys
+import tracemalloc
 from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 from unittest import mock
@@ -12,11 +13,11 @@ from unittest import mock
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from cyclochar import characterize, cli, codes, gf, verify
+from cyclochar import characterize, cli, gf, numth, verify
 from cyclochar.characterize import build_code
 from cyclochar.cli import report_json
 from cyclochar.gf import field_for
-from cyclochar.numth import code_count
+from cyclochar.numth import code_count, factorize, listing_record_bytes
 
 # `enumerate --q 3 --k 4 --format json` as printed when the listing still
 # built F_81 first; the field-free listing must keep every byte.
@@ -29,6 +30,39 @@ ENUMERATE_3_4_JSON = (
     )
     + "]}\n"
 )
+
+
+# Every (q, k) with k >= 2 and q^k - 1 <= 4095, q a prime power.
+SMALL_PAIRS = [
+    (q, k)
+    for q in range(2, 65)
+    if len(factorize(q)) == 1
+    for k in range(2, 13)
+    if q**k - 1 <= 4095
+]
+
+
+def old_enumerate_output(q, k, fmt):
+    """`enumerate` as printed before it streamed: every spec in a list, then
+    one json.dumps of the whole report, or one print per line."""
+    specs = list(characterize.enumerate_codes(q, k))
+    formula = code_count(q, k)
+    n = q**k - 1
+    out = io.StringIO()
+    with redirect_stdout(out):
+        if fmt == "json":
+            print(json.dumps({
+                "q": q,
+                "k": k,
+                "count": len(specs),
+                "formula": formula,
+                "codes": [{"e1": s.e1, "delta_e1": s.delta * s.e1 % n, "e2": s.e2} for s in specs],
+            }))
+        else:
+            print(f"qualifying codes for q={q}, k={k}: {len(specs)} (formula: {formula})")
+            for s in specs:
+                print(f"  C_({s.delta * s.e1 % n},{s.e2})   e1={s.e1} e2={s.e2}")
+    return out.getvalue()
 
 
 def run(capsys, *argv):
@@ -94,10 +128,10 @@ class TestEnumerate:
     def test_count_mismatch_exit_3(self, capsys, monkeypatch):
         from cyclochar.errors import TheoremViolationError
 
-        def broken(q, k):
+        def broken(q, k, cap):
             raise TheoremViolationError("enumerated 15 codes but the count formula gives 16")
 
-        monkeypatch.setattr(cli, "enumerate_codes", broken)
+        monkeypatch.setattr(cli, "qualifying_codes", broken)
         code, _, err = run(capsys, "enumerate", "--q", "3", "--k", "4")
         assert code == 3
         assert "identity violated" in err
@@ -108,7 +142,6 @@ class TestEnumerate:
 
         monkeypatch.setattr(gf.FieldCtx, "__init__", no_field)
         monkeypatch.setattr(gf, "field_for", no_field)
-        monkeypatch.setattr(cli, "field_for", no_field)
         code, out, _ = run(capsys, "enumerate", "--q", "3", "--k", "4", "--format", "json")
         assert code == 0
         assert out == ENUMERATE_3_4_JSON
@@ -129,13 +162,72 @@ class TestEnumerate:
         assert message in err
 
     def test_oversized_listing_refused_before_the_coset_walk(self, capsys, monkeypatch):
-        def no_walk(q, n):
+        def no_walk(*args):
             raise AssertionError("the coset walk started")
 
-        monkeypatch.setattr(characterize, "coset_representatives", no_walk)
+        monkeypatch.setattr(numth, "coset_representatives", no_walk)
         code, _, err = run(capsys, "enumerate", "--q", "1024", "--k", "2")
         assert code == 2
         assert "245,520,000 codes" in err and "budget" in err
+
+    def test_starts_and_lists_without_numpy(self):
+        root = Path(__file__).resolve().parents[1]
+        path = os.pathsep.join([str(root / "src"), os.environ.get("PYTHONPATH", "")])
+        script = "\n".join([
+            "import contextlib, io, sys",
+            "import cyclochar.cli as cli",
+            "with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):",
+            "    codes = [cli.main(['enumerate', '--q', '3', '--k', '4', '--format', fmt])",
+            "             for fmt in ('json', 'text')]",
+            "    codes.append(cli.main(['enumerate', '--q', '6', '--k', '2']))",
+            "print(codes, sorted(m for m in sys.modules if m.split('.')[0] == 'numpy'))",
+        ])
+        proc = subprocess.run([sys.executable, "-c", script], env={**os.environ, "PYTHONPATH": path},
+                              capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == "[0, 0, 2] []"
+
+    @pytest.mark.parametrize("q,k", SMALL_PAIRS)
+    def test_streams_the_bytes_of_the_old_encoder(self, capsys, q, k):
+        bound = listing_record_bytes(q**k - 1)
+        for fmt in ("json", "text"):
+            code, out, _ = run(capsys, "enumerate", "--q", str(q), "--k", str(k), "--format", fmt)
+            assert code == 0
+            assert out == old_enumerate_output(q, k, fmt)
+            if fmt == "text":  # every record within the bound the job budget reads
+                assert max(len(line) + 1 for line in out.splitlines()[1:]) <= bound
+            else:
+                records = len(out) - out.index("[") - 1 - len("]}\n")
+                assert records <= code_count(q, k) * bound
+
+    def test_broken_class_tally_exits_3_before_any_record(self, capsys, monkeypatch):
+        real = numth.coset_representatives
+
+        def one_class_short(*args):
+            reps = real(*args)
+            reps.pop(max(reps))
+            return reps
+
+        monkeypatch.setattr(numth, "coset_representatives", one_class_short)
+        for fmt in ("json", "text"):
+            code, out, err = run(capsys, "enumerate", "--q", "3", "--k", "4", "--format", fmt)
+            assert code == 3
+            assert out == ""
+            assert "enumerated 14 codes but the count formula gives 16" in err
+
+    def test_listing_peak_does_not_grow_with_the_count(self):
+        # n = 4095 in both blocks, and the count grows 378-fold: 144 codes at
+        # (2,12), 54,432 at (64,2), which are over 2.5 MB of JSON
+        peaks = {}
+        for q, k in [(2, 12), (64, 2)]:
+            with open(os.devnull, "w") as sink, redirect_stdout(sink):
+                tracemalloc.start()
+                try:
+                    assert cli.main(["enumerate", "--q", str(q), "--k", str(k), "--format", "json"]) == 0
+                    peaks[q, k] = tracemalloc.get_traced_memory()[1]
+                finally:
+                    tracemalloc.stop()
+        assert peaks[64, 2] < peaks[2, 12] + (1 << 20), peaks
 
 
 class TestCharsum:
@@ -286,6 +378,12 @@ class TestVerify:
         code, _, err = run(capsys, "verify", "--q", "2", "--k", "2", "--props", "nope")
         assert code == 2
 
+    def test_unknown_prop_names_the_valid_ones(self, capsys):
+        code, _, err = run(capsys, "verify", "--q", "2", "--k", "2", "--props", "nope,char_sum_cases")
+        assert code == 2
+        assert "unknown properties: ['nope']" in err
+        assert all(prop in err for prop in verify.PROPERTIES)
+
     def test_injected_fault_exit_3(self, capsys, monkeypatch):
         # sabotage the condition test; the sweep must catch the lie
         import cyclochar.verify as vmod
@@ -330,11 +428,35 @@ class TestVerify:
         def no_sweep(*args):
             raise AssertionError("a sweep ran")
 
-        monkeypatch.setattr(cli, "run_block", no_sweep)
+        monkeypatch.setattr(verify, "run_block", no_sweep)
         code, out, err = run(capsys, "verify", "--q", "2..6", "--k", "2")
         assert code == 2
         assert out == ""
         assert "6 is not a prime power" in err
+
+    @pytest.mark.parametrize("argv,message,blocks", [
+        (("--q", f"2..{10**9}", "--k", "2"), "6 is not a prime power",
+         [(2, 2), (3, 2), (4, 2), (5, 2), (6, 2)]),
+        (("--q", "2", "--k", f"2..{10**9}"), "field order 2^21 exceeds the cap",
+         [(2, k) for k in range(2, 22)]),
+    ])
+    def test_huge_range_refused_as_its_blocks_come(self, capsys, monkeypatch, argv, message, blocks):
+        checked = []
+
+        def counting_check(q, k, cap):
+            checked.append((q, k))
+            return numth.check_field(q, k, cap)
+
+        def no_sweep(*args):
+            raise AssertionError("a sweep ran")
+
+        monkeypatch.setattr(cli, "check_field", counting_check)
+        monkeypatch.setattr(verify, "run_block", no_sweep)
+        code, out, err = run(capsys, "verify", *argv)
+        assert code == 2
+        assert out == ""
+        assert message in err
+        assert checked == blocks
 
     @pytest.mark.parametrize("flag,value", [("--q", "abc"), ("--q", "3.."), ("--k", "2..x")])
     def test_malformed_range_exit_64(self, capsys, flag, value):
@@ -443,14 +565,13 @@ class TestInternalErrors:
 
         monkeypatch.setattr(gf.FieldCtx, "__init__", no_field)
         monkeypatch.setattr(gf, "field_for", no_field)
-        monkeypatch.setattr(cli, "field_for", no_field)
         code, _, err = run(capsys, "build", "--q", "2", "--k", "20", "--e1", "0", "--e2", "1")
         assert code == 2
         assert "needs about 128.0 GiB" in err
 
     def test_oversized_dual_exits_2(self, capsys, monkeypatch):
         # the real case, build --q 2 --k 20, needs a 128 GiB transform
-        monkeypatch.setattr(codes, "JOB_BUDGET_BYTES", 1 << 9)
+        monkeypatch.setattr(numth, "JOB_BUDGET_BYTES", 1 << 9)
         code, _, err = run(capsys, "build", "--q", "4", "--k", "3", "--e1", "2", "--e2", "5")
         assert code == 2
         assert "MacWilliams transform" in err and "budget" in err
@@ -560,7 +681,7 @@ class TestExitCodeContract:
         # a 16 MiB job budget keeps every example small; larger jobs take
         # the budget's exit-2 path
         stdout, stderr = io.StringIO(), io.StringIO()
-        with mock.patch.object(codes, "JOB_BUDGET_BYTES", 1 << 24), \
+        with mock.patch.object(numth, "JOB_BUDGET_BYTES", 1 << 24), \
                 redirect_stdout(stdout), redirect_stderr(stderr):
             code = cli.main(argv)
         assert code in (0, 2, 3, 64), (argv, stderr.getvalue())

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from cyclochar import numth
-from cyclochar.errors import InvalidArgumentError
+from cyclochar.errors import InvalidArgumentError, ResourceLimitError, TheoremViolationError
 
 
 class TestRem:
@@ -174,6 +174,56 @@ class TestCosetRepresentatives:
     def test_invalid_modulus(self, q, n):
         with pytest.raises(InvalidArgumentError):
             numth.coset_representatives(q, n)
+
+    @pytest.mark.parametrize("q,k", [(2, 6), (3, 4), (4, 3), (5, 2), (2, 12), (16, 3)])
+    def test_coprime_walk_keeps_exactly_the_coprime_cosets(self, q, k):
+        n = q**k - 1
+        every = numth.coset_representatives(q, n)
+        for d in (x for x in range(1, n + 1) if n % x == 0):
+            coprime = {a: size for a, size in every.items() if math.gcd(a, d) == 1}
+            assert numth.coset_representatives(q, n, d) == coprime
+
+    def test_coprime_to_must_divide_n(self):
+        with pytest.raises(InvalidArgumentError, match="not a divisor"):
+            numth.coset_representatives(2, 63, 10)
+
+
+class TestQualifyingCodes:
+    @pytest.mark.parametrize("q,k", [(2, 3), (3, 4), (4, 3), (5, 2), (16, 3), (64, 2)])
+    def test_records_are_the_gcd_rule_in_e1_major_order(self, q, k):
+        n = q**k - 1
+        delta = n // (q - 1)
+        reps = [a for a in numth.coset_representatives(q, n) if math.gcd(a, delta) == 1]
+        expected = [
+            (e1, e2, numth.bezout_pair(e2, q, k))
+            for e1 in range(q - 1)
+            for e2 in reps
+            if numth.gcd_conditions(q, k, e1, e2) == (1, 1)
+        ]
+        count, records = numth.qualifying_codes(q, k)
+        assert list(records) == expected
+        assert count == len(expected) == numth.code_count(q, k)
+
+    @pytest.mark.parametrize("q,k,error", [
+        (6, 2, InvalidArgumentError), (2, 1, InvalidArgumentError), (2, 21, ResourceLimitError),
+        (3, 10**18, ResourceLimitError),
+    ])
+    def test_field_gate(self, q, k, error):
+        with pytest.raises(error):
+            numth.qualifying_codes(q, k)
+
+    def test_count_mismatch_raises_before_any_record(self, monkeypatch):
+        monkeypatch.setattr(numth, "code_count", lambda q, k: 17)
+        with pytest.raises(TheoremViolationError, match="enumerated 16 codes but the count formula gives 17"):
+            numth.qualifying_codes(3, 4)
+
+    def test_budget_bounds_the_written_bytes(self, monkeypatch):
+        needed = 16 * numth.listing_record_bytes(80)
+        monkeypatch.setattr(numth, "JOB_BUDGET_BYTES", needed)
+        numth.qualifying_codes(3, 4)
+        monkeypatch.setattr(numth, "JOB_BUDGET_BYTES", needed - 1)
+        with pytest.raises(ResourceLimitError, match="writing the 16 codes for q = 3, k = 4"):
+            numth.qualifying_codes(3, 4)
 
 
 class TestDigitSum:

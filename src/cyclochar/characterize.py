@@ -27,8 +27,8 @@ from .codes import (
     codeword_lines,
     cyclic_code,
     dual_b3,
+    dual_prefix,
     is_griesmer_optimal,
-    macwilliams_dual,
     symbol_values,
     three_weight_distribution,
     weight_distribution_bruteforce,
@@ -83,7 +83,9 @@ def build_code(ctx: FieldCtx, q: int, k: int, e1: int, e2: int) -> CodeReport:
     Requires both gcd conditions; raises ConditionFailedError naming the
     failing gcd otherwise.  The returned report is fully checked: degree
     split 1 + k, the three-weight distribution, length meeting the
-    Griesmer bound, and the closed-form B_3 of the dual.
+    Griesmer bound, and the dual up to its minimum distance (dual_prefix,
+    checked against the Pless moments 0-3) with B_1 = B_2 = 0 and the
+    closed-form B_3.
     """
     _check_ctx(ctx, q, k)
     g1, g2 = gcd_conditions(q, k, e1, e2)
@@ -112,7 +114,7 @@ def build_code(ctx: FieldCtx, q: int, k: int, e1: int, e2: int) -> CodeReport:
     optimal = is_griesmer_optimal(q, n, dim, d)
     if not optimal:
         raise TheoremViolationError(f"[{n},{dim},{d}] misses the Griesmer bound")
-    dual = macwilliams_dual(wd, n, q, dim)
+    dual = dual_prefix(wd, n, q, dim)
     b1 = dual.entries.get(1, 0)
     b2 = dual.entries.get(2, 0)
     b3 = dual.entries.get(3, 0)

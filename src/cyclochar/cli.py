@@ -100,7 +100,9 @@ def report_text(report: CodeReport, ctx: FieldCtx) -> str:
 
 def _refuse_oversized(args) -> None:
     """Refuse a job whose field or exact MacWilliams transform is oversized,
-    before any table is built."""
+    before any table is built.  Only `dual` runs the full transform and
+    needs the transform check; `build` reads the dual prefix only, so the
+    field cap in field_for is its one size limit."""
     from .codes import check_macwilliams_budget
 
     check_field(args.q, args.k, args.field_cap)
@@ -110,7 +112,6 @@ def _refuse_oversized(args) -> None:
 def cmd_build(args) -> int:
     from .characterize import build_code
 
-    _refuse_oversized(args)
     ctx = _field(args)
     try:
         report = build_code(ctx, args.q, args.k, args.e1, args.e2)

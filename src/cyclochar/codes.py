@@ -467,9 +467,10 @@ def macwilliams_dual(
     """Exact dual distribution B_j = q^-dim * sum_w A_w K_j(w).
 
     Transforms over the job budget are refused before any row is
-    computed.  Results are memoized on (n, q, dim, entries):
-    a sweep over the codes of one (q, k) block transforms the same
-    distribution once per code.  Only transforms of at most
+    computed.  Results are memoized on (n, q, dim, entries) for the
+    `dual` subcommand and verify_duality, whose sweep over the codes of
+    one (q, k) block transforms the same distribution once per code;
+    build_code reads only dual_prefix.  Only transforms of at most
     _MEMO_MAX_BYTES are kept, and every call returns a fresh object.
     """
     if wd.total() != q**dim:
@@ -505,6 +506,51 @@ def _dual_entries(
     if sum(bj for _, bj in dual) != q ** (n - dim):
         raise ConsistencyError("dual frequencies do not sum to q^(n-dim)")
     return tuple(dual)
+
+
+def dual_prefix(
+    wd: WeightDistribution, n: int, q: int, dim: int
+) -> WeightDistribution:
+    """The nonzero B_j of the dual for j <= max(d, 3), d its minimum distance.
+
+    B_j = q^-dim * sum_w A_w K_j(w) with K_j(w) from krawtchouk_direct,
+    for j = 0, 1, 2, ... up to the first nonzero B_j with j >= 1 (and at
+    least to j = 3), or up to j = n when the dual is the zero code: O(d)
+    big-int terms per weight of the code instead of the n^2 bits of
+    macwilliams_dual.  The entries equal the full transform's, so
+    min_nonzero_weight() is d.  B_0 must be 1, every B_j a non-negative
+    integer, and the Pless power moments 0-3, which read only B_0..B_3,
+    must hold.  Memoized on (n, q, dim, entries) like macwilliams_dual;
+    every call returns a fresh object.
+    """
+    entries = _dual_prefix_entries(n, q, dim, tuple(sorted(wd.entries.items())))
+    return WeightDistribution(n=n, entries=dict(entries))
+
+
+@lru_cache(maxsize=64)
+def _dual_prefix_entries(
+    n: int, q: int, dim: int, entries: tuple[tuple[int, int], ...]
+) -> tuple[tuple[int, int], ...]:
+    size = q**dim
+    total = sum(freq for _, freq in entries)
+    if total != size:  # K_0 = 1, so B_0 = total / q^dim
+        raise ConsistencyError(f"dual frequency B_0 = {total}/{size} is not 1")
+    prefix = [(0, 1)]
+    for j in range(1, n + 1):
+        s = sum(freq * krawtchouk_direct(n, q, j, w) for w, freq in entries)
+        bj, r = divmod(s, size)
+        if r != 0 or bj < 0:
+            raise ConsistencyError(
+                f"dual frequency B_{j} = {s}/{size} is not a non-negative integer"
+            )
+        if bj:
+            prefix.append((j, bj))
+        if j >= 3 and len(prefix) > 1:
+            break
+    wd = WeightDistribution(n=n, entries=dict(entries))
+    if not pless_moment_check(wd, WeightDistribution(n=n, entries=dict(prefix)), n, q, dim):
+        raise ConsistencyError("Pless power moments 0-3 fail on the dual prefix")
+    return tuple(prefix)
 
 
 def dual_b3(q: int, k: int) -> int:

@@ -11,7 +11,7 @@ stops the run with every finished result kept.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import gcd
+from math import gcd, isqrt
 
 import numpy as np
 
@@ -64,9 +64,12 @@ class PropertyResult:
 
 
 def default_pairs(length_limit: int = 127) -> list[tuple[int, int]]:
-    """All (q, k) with q a prime power, k >= 2 and q^k - 1 <= length_limit."""
+    """All (q, k) with q a prime power, k >= 2 and q^k - 1 <= length_limit.
+
+    As k >= 2, only q <= isqrt(length_limit + 1) can qualify.
+    """
     out = []
-    for q in range(2, length_limit + 2):
+    for q in range(2, isqrt(max(length_limit, 0) + 1) + 1):
         try:
             prime_power_split(q)
         except CyclocharError:

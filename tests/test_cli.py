@@ -1,10 +1,12 @@
 """Command-line surface: exit codes, formats, round-trips, fault injection."""
 
+import importlib.util
 import io
 import json
 import os
 import subprocess
 import sys
+import time
 import tracemalloc
 from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
@@ -96,6 +98,20 @@ class TestBuild:
         code, out, _ = run(capsys, "build", "--q", "3", "--k", "2", "--e1", "0", "--e2", "2")
         assert code == 2
         assert "gcd(Delta,e2)=2" in out
+
+    def test_at_the_field_cap(self, capsys):
+        # the dual prefix needs no transform budget: the field cap is build's
+        # only size limit
+        code, out, _ = run(
+            capsys, "build", "--q", "2", "--k", "20", "--e1", "0", "--e2", "1",
+            "--format", "json",
+        )
+        assert code == 0
+        path = Path(__file__).resolve().parents[1] / "perfbench" / "checks.py"
+        spec = importlib.util.spec_from_file_location("perfbench_checks", path)
+        checks = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(checks)
+        assert checks.CHECKS["build"](json.loads(out), checks.REFERENCES["build"](2, 20, 0, 1)) == []
 
     def test_internal_cap_exit_2(self, capsys):
         code, _, err = run(
@@ -424,6 +440,25 @@ class TestVerify:
         assert out == ""
         assert "no (q, k) block was selected" in err
 
+    def test_empty_selection_at_a_large_max_length_exits_at_once(self, capsys):
+        start = time.perf_counter()
+        code, _, err = run(capsys, "verify", "--q", "6", "--max-length", "3000000")
+        assert time.perf_counter() - start < 2
+        assert code == 2
+        assert "no (q, k) block was selected" in err
+
+    @pytest.mark.parametrize("limit", [127, 4095, 65535])
+    def test_default_pairs_scan_only_up_to_the_root(self, limit):
+        # the scan over every q <= limit + 1 it replaces
+        every_q = []
+        for q in range(2, limit + 2):
+            if len(factorize(q)) == 1:
+                k = 2
+                while q**k - 1 <= limit:
+                    every_q.append((q, k))
+                    k += 1
+        assert verify.default_pairs(limit) == sorted(every_q)
+
     def test_bad_block_refused_before_any_sweep(self, capsys, monkeypatch):
         def no_sweep(*args):
             raise AssertionError("a sweep ran")
@@ -559,20 +594,20 @@ class TestInternalErrors:
         assert code == 1
         assert err.strip() == "internal error: MemoryError"
 
-    def test_oversized_build_refused_before_any_field(self, capsys, monkeypatch):
+    def test_oversized_dual_refused_before_any_field(self, capsys, monkeypatch):
         def no_field(*args, **kwargs):
-            raise AssertionError("build built a field")
+            raise AssertionError("dual built a field")
 
         monkeypatch.setattr(gf.FieldCtx, "__init__", no_field)
         monkeypatch.setattr(gf, "field_for", no_field)
-        code, _, err = run(capsys, "build", "--q", "2", "--k", "20", "--e1", "0", "--e2", "1")
+        code, _, err = run(capsys, "dual", "--q", "2", "--k", "20", "--e1", "0", "--e2", "1")
         assert code == 2
         assert "needs about 128.0 GiB" in err
 
     def test_oversized_dual_exits_2(self, capsys, monkeypatch):
-        # the real case, build --q 2 --k 20, needs a 128 GiB transform
+        # the real case, dual --q 2 --k 20, needs a 128 GiB transform
         monkeypatch.setattr(numth, "JOB_BUDGET_BYTES", 1 << 9)
-        code, _, err = run(capsys, "build", "--q", "4", "--k", "3", "--e1", "2", "--e2", "5")
+        code, _, err = run(capsys, "dual", "--q", "4", "--k", "3", "--e1", "2", "--e2", "5")
         assert code == 2
         assert "MacWilliams transform" in err and "budget" in err
 

@@ -1,5 +1,6 @@
 """Code objects: both weight-distribution routes, duality, bounds, moments."""
 
+import time
 import tracemalloc
 from itertools import product
 
@@ -465,6 +466,89 @@ class TestMacWilliamsBudget:
             assert codes.macwilliams_size_bytes(n, q) <= codes.JOB_BUDGET_BYTES
         assert codes.macwilliams_size_bytes(2**20 - 1, 2) > codes.JOB_BUDGET_BYTES
         assert codes.macwilliams_size_bytes(2**20 - 1, 1024) > codes.JOB_BUDGET_BYTES
+
+
+# Every (q, k) with k >= 2 and q^k - 1 <= 4095, q a prime power.
+PAIRS_4095 = default_pairs(4095)
+
+
+class TestDualPrefix:
+    def test_equals_the_full_transform_to_4095(self):
+        # every qualifying code of a block has the block's three-weight distribution
+        assert len(PAIRS_4095) == 57
+        for q, k in PAIRS_4095:
+            n = q**k - 1
+            wd = codes.three_weight_distribution(q, k)
+            full = codes.macwilliams_dual(wd, n, q, k + 1)
+            prefix = codes.dual_prefix(wd, n, q, k + 1)
+            d = full.min_nonzero_weight()
+            assert prefix.min_nonzero_weight() == d, (q, k)
+            assert prefix.entries == {j: b for j, b in full.entries.items() if j <= max(d, 3)}, (q, k)
+
+    def test_zero_dual_of_2_2(self):
+        # C = F_2^3, so the dual is the zero code and the scan runs to j = n
+        prefix = codes.dual_prefix(codes.three_weight_distribution(2, 2), 3, 2, 3)
+        assert prefix.entries == {0: 1}
+        assert prefix.min_nonzero_weight() == 0
+
+    @pytest.mark.parametrize("q,k", [(2, 20), (1024, 2), (2, 16), (3, 12)])
+    def test_fast_and_field_free_at_large_lengths(self, q, k, monkeypatch):
+        def no_field(*args, **kwargs):
+            raise AssertionError("the prefix built a field")
+
+        monkeypatch.setattr(gf.FieldCtx, "__init__", no_field)
+        codes._dual_prefix_entries.cache_clear()
+        n = q**k - 1
+        start = time.perf_counter()
+        prefix = codes.dual_prefix(codes.three_weight_distribution(q, k), n, q, k + 1)
+        assert time.perf_counter() - start < 0.01
+        assert prefix.entries.get(1, 0) == prefix.entries.get(2, 0) == 0
+        assert prefix.entries.get(3, 0) == codes.dual_b3(q, k)
+        assert prefix.min_nonzero_weight() == (4 if q == 2 else 3)
+
+    def test_fresh_object_per_call(self):
+        wd = codes.three_weight_distribution(4, 3)
+        first = codes.dual_prefix(wd, 63, 4, 4)
+        first.entries[3] = 0
+        first.entries[5] = 99
+        again = codes.dual_prefix(codes.three_weight_distribution(4, 3), 63, 4, 4)
+        assert again.entries == {0: 1, 3: 3843}
+        assert again is not first and again.entries is not first.entries
+
+    def test_scan_reaches_b3_below_dual_distance_3(self):
+        # C = {000, 100}: its dual {0xx} has d = 1, and the Pless moments
+        # need B_2 and B_3 as well
+        wd = codes.WeightDistribution(n=3, entries={0: 1, 1: 1})
+        assert codes.dual_prefix(wd, 3, 2, 1).entries == {0: 1, 1: 2, 2: 1}
+        assert codes.macwilliams_dual(wd, 3, 2, 1).entries == {0: 1, 1: 2, 2: 1}
+
+    def test_pless_moments_check_the_prefix(self, monkeypatch):
+        # an integral but wrong B_3 (one too many) only the moments can see
+        direct = codes.krawtchouk_direct
+
+        def off_by_one(n, q, j, w):
+            return direct(n, q, j, w) + (q**4 if (j, w) == (3, 0) else 0)
+
+        monkeypatch.setattr(codes, "krawtchouk_direct", off_by_one)
+        codes._dual_prefix_entries.cache_clear()  # a failed call is not memoized
+        with pytest.raises(ConsistencyError, match="Pless"):
+            codes.dual_prefix(codes.three_weight_distribution(4, 3), 63, 4, 4)
+
+    @pytest.mark.parametrize("shift", [(47, 1), (48, -1), (63, 1)])
+    def test_perturbed_distribution_detected(self, shift):
+        w, delta = shift
+        wd = codes.three_weight_distribution(4, 3)
+        wd.entries[w] += delta
+        with pytest.raises(ConsistencyError):
+            codes.dual_prefix(wd, 63, 4, 4)
+
+    def test_total_preserving_perturbation_detected(self):
+        # one word moved from weight 47 to 48: B_0 stays 1, B_1 is not an integer
+        wd = codes.three_weight_distribution(4, 3)
+        wd.entries[47] -= 1
+        wd.entries[48] += 1
+        with pytest.raises(ConsistencyError, match="B_1"):
+            codes.dual_prefix(wd, 63, 4, 4)
 
 
 class TestDualB3:

@@ -98,17 +98,6 @@ def report_text(report: CodeReport, ctx: FieldCtx) -> str:
     return "\n".join(lines)
 
 
-def _refuse_oversized(args) -> None:
-    """Refuse a job whose field or exact MacWilliams transform is oversized,
-    before any table is built.  Only `dual` runs the full transform and
-    needs the transform check; `build` reads the dual prefix only, so the
-    field cap in field_for is its one size limit."""
-    from .codes import check_macwilliams_budget
-
-    check_field(args.q, args.k, args.field_cap)
-    check_macwilliams_budget(args.q**args.k - 1, args.q)
-
-
 def cmd_build(args) -> int:
     from .characterize import build_code
 
@@ -289,9 +278,12 @@ def cmd_charsum(args) -> int:
 
 
 def cmd_dual(args) -> int:
-    from .codes import code_from_exponents, macwilliams_dual, weight_distribution_trace_exponents
+    from .codes import check_macwilliams_budget, code_from_exponents, macwilliams_dual
+    from .codes import weight_distribution_trace_exponents
 
-    _refuse_oversized(args)
+    # refuse an oversized field or transform before any table is built
+    check_field(args.q, args.k, args.field_cap)
+    check_macwilliams_budget(args.q**args.k - 1, args.q)
     ctx = _field(args)
     wd = weight_distribution_trace_exponents(ctx, args.e1, args.e2)
     code = code_from_exponents(ctx, args.e1, args.e2)

@@ -416,23 +416,6 @@ def is_griesmer_optimal(q: int, n: int, dim: int, d: int) -> bool:
 # -- MacWilliams duality ------------------------------------------------------
 
 
-def krawtchouk_row(n: int, q: int, w: int) -> list[int]:
-    """K_j(w) for j = 0..n by the exact three-term recurrence."""
-    row = [0] * (n + 1)
-    row[0] = 1
-    if n >= 1:
-        row[1] = (q - 1) * n - q * w
-    for j in range(1, n):
-        num = ((q - 1) * (n - j) + j - q * w) * row[j] - (q - 1) * (n - j + 1) * row[
-            j - 1
-        ]
-        val, r = divmod(num, j + 1)
-        if r != 0:
-            raise ConsistencyError("Krawtchouk recurrence produced a non-integer")
-        row[j + 1] = val
-    return row
-
-
 def krawtchouk_direct(n: int, q: int, j: int, w: int) -> int:
     """Direct binomial-sum evaluation of K_j(w); the recurrence's oracle."""
     return sum(
@@ -441,11 +424,35 @@ def krawtchouk_direct(n: int, q: int, j: int, w: int) -> int:
     )
 
 
+def krawtchouk_sums(n: int, q: int, entries: tuple[tuple[int, int], ...]):
+    """Yield sum_w A_w K_j(w) for j = 0, 1, ..., n, with (w, A_w) in entries.
+
+    Every K_j(w) advances in lockstep by the exact three-term recurrence
+    (j + 1) K_(j+1) = ((q-1)(n-j) + j - q w) K_j - (q-1)(n-j+1) K_(j-1),
+    from K_(-1) = 0 and K_0 = 1, so two values per weight are held.
+    """
+    weights = [w for w, _ in entries]
+    freqs = [freq for _, freq in entries]
+    prev, cur = [0] * len(weights), [1] * len(weights)
+    for j in range(n + 1):
+        yield sum(freq * kj for freq, kj in zip(freqs, cur))
+        if j == n:
+            return
+        a, b = (q - 1) * (n - j) + j, (q - 1) * (n - j + 1)
+        nxt = []
+        for w, kj, kprev in zip(weights, cur, prev):
+            val, r = divmod((a - q * w) * kj - b * kprev, j + 1)
+            if r != 0:
+                raise ConsistencyError("Krawtchouk recurrence produced a non-integer")
+            nxt.append(val)
+        prev, cur = cur, nxt
+
+
 def macwilliams_size_bytes(n: int, q: int) -> float:
     """Estimated size of one exact transform: n + 1 entries of about n*log2(q) bits.
 
-    Every Krawtchouk row and the dual distribution itself hold n + 1
-    integers as large as q^n in magnitude.
+    The dual distribution holds n + 1 integers as large as q^n, and so
+    do the Krawtchouk values of a back transform.
     """
     return (n + 1) * n * log2(q) / 8
 
@@ -464,14 +471,14 @@ def check_macwilliams_budget(n: int, q: int) -> float:
 def macwilliams_dual(
     wd: WeightDistribution, n: int, q: int, dim: int
 ) -> WeightDistribution:
-    """Exact dual distribution B_j = q^-dim * sum_w A_w K_j(w).
+    """Exact dual distribution B_j = q^-dim * sum_w A_w K_j(w), j = 0..n.
 
-    Transforms over the job budget are refused before any row is
-    computed.  Results are memoized on (n, q, dim, entries) for the
-    `dual` subcommand and verify_duality, whose sweep over the codes of
-    one (q, k) block transforms the same distribution once per code;
-    build_code reads only dual_prefix.  Only transforms of at most
-    _MEMO_MAX_BYTES are kept, and every call returns a fresh object.
+    Transforms over the job budget are refused before any B_j is
+    computed.  Results are memoized like dual_prefix for the `dual`
+    subcommand and verify_duality, whose sweep over the codes of one
+    (q, k) block transforms the same distribution once per code; only
+    transforms of at most _MEMO_MAX_BYTES are kept, and every call
+    returns a fresh object.
     """
     if wd.total() != q**dim:
         raise InvalidArgumentError(
@@ -479,33 +486,8 @@ def macwilliams_dual(
         )
     size = check_macwilliams_budget(n, q)
     transform = _dual_entries if size <= _MEMO_MAX_BYTES else _dual_entries.__wrapped__
-    entries = transform(n, q, dim, tuple(sorted(wd.entries.items())))
+    entries = transform(n, q, dim, tuple(sorted(wd.entries.items())), True)
     return WeightDistribution(n=n, entries=dict(entries))
-
-
-@lru_cache(maxsize=64)
-def _dual_entries(
-    n: int, q: int, dim: int, entries: tuple[tuple[int, int], ...]
-) -> tuple[tuple[int, int], ...]:
-    """(j, B_j) pairs of the dual, each checked integral and non-negative."""
-    size = q**dim
-    sums = [0] * (n + 1)
-    for w, freq in entries:
-        row = krawtchouk_row(n, q, w)
-        for j in range(n + 1):
-            sums[j] += freq * row[j]
-    dual = []
-    for j, s in enumerate(sums):
-        bj, r = divmod(s, size)
-        if r != 0 or bj < 0:
-            raise ConsistencyError(
-                f"dual frequency B_{j} = {s}/{size} is not a non-negative integer"
-            )
-        if bj:
-            dual.append((j, bj))
-    if sum(bj for _, bj in dual) != q ** (n - dim):
-        raise ConsistencyError("dual frequencies do not sum to q^(n-dim)")
-    return tuple(dual)
 
 
 def dual_prefix(
@@ -513,44 +495,49 @@ def dual_prefix(
 ) -> WeightDistribution:
     """The nonzero B_j of the dual for j <= max(d, 3), d its minimum distance.
 
-    B_j = q^-dim * sum_w A_w K_j(w) with K_j(w) from krawtchouk_direct,
-    for j = 0, 1, 2, ... up to the first nonzero B_j with j >= 1 (and at
-    least to j = 3), or up to j = n when the dual is the zero code: O(d)
-    big-int terms per weight of the code instead of the n^2 bits of
-    macwilliams_dual.  The entries equal the full transform's, so
-    min_nonzero_weight() is d.  B_0 must be 1, every B_j a non-negative
-    integer, and the Pless power moments 0-3, which read only B_0..B_3,
-    must hold.  Memoized on (n, q, dim, entries) like macwilliams_dual;
-    every call returns a fresh object.
+    The transform of macwilliams_dual, stopped at the first nonzero B_j
+    with j >= 1 (and at least at j = 3), or at j = n when the dual is the
+    zero code: O(d) big-int terms per weight of the code instead of the
+    n^2 bits of the full transform.  The entries equal the full
+    transform's, so min_nonzero_weight() is d.  Memoized on
+    (n, q, dim, entries); every call returns a fresh object.
     """
-    entries = _dual_prefix_entries(n, q, dim, tuple(sorted(wd.entries.items())))
+    entries = _dual_entries(n, q, dim, tuple(sorted(wd.entries.items())), False)
     return WeightDistribution(n=n, entries=dict(entries))
 
 
 @lru_cache(maxsize=64)
-def _dual_prefix_entries(
-    n: int, q: int, dim: int, entries: tuple[tuple[int, int], ...]
+def _dual_entries(
+    n: int, q: int, dim: int, entries: tuple[tuple[int, int], ...], full: bool
 ) -> tuple[tuple[int, int], ...]:
+    """(j, B_j) pairs of the nonzero dual frequencies, to j = n when full,
+    else as far as dual_prefix reads.
+
+    B_0 must be 1, every B_j a non-negative integer, a full transform
+    must sum to q^(n-dim), and the Pless power moments 0-3, which read
+    only B_0..B_3, must hold.
+    """
     size = q**dim
     total = sum(freq for _, freq in entries)
     if total != size:  # K_0 = 1, so B_0 = total / q^dim
         raise ConsistencyError(f"dual frequency B_0 = {total}/{size} is not 1")
-    prefix = [(0, 1)]
-    for j in range(1, n + 1):
-        s = sum(freq * krawtchouk_direct(n, q, j, w) for w, freq in entries)
+    dual = []
+    for j, s in enumerate(krawtchouk_sums(n, q, entries)):
         bj, r = divmod(s, size)
         if r != 0 or bj < 0:
             raise ConsistencyError(
                 f"dual frequency B_{j} = {s}/{size} is not a non-negative integer"
             )
         if bj:
-            prefix.append((j, bj))
-        if j >= 3 and len(prefix) > 1:
+            dual.append((j, bj))
+        if not full and j >= 3 and len(dual) > 1:
             break
-    wd = WeightDistribution(n=n, entries=dict(entries))
-    if not pless_moment_check(wd, WeightDistribution(n=n, entries=dict(prefix)), n, q, dim):
-        raise ConsistencyError("Pless power moments 0-3 fail on the dual prefix")
-    return tuple(prefix)
+    if full and sum(bj for _, bj in dual) != q ** (n - dim):
+        raise ConsistencyError("dual frequencies do not sum to q^(n-dim)")
+    code = WeightDistribution(n=n, entries=dict(entries))
+    if not pless_moment_check(code, WeightDistribution(n=n, entries=dict(dual)), n, q, dim):
+        raise ConsistencyError("Pless power moments 0-3 fail on the dual")
+    return tuple(dual)
 
 
 def dual_b3(q: int, k: int) -> int:
@@ -562,6 +549,23 @@ def dual_b3(q: int, k: int) -> int:
     if r != 0:
         raise ConsistencyError(f"B_3 numerator {num} is not divisible by 6")
     return val
+
+
+def dual_claim_failure(dual: WeightDistribution, q: int, k: int) -> tuple[str, str] | None:
+    """(failure name, message) of the first claim the dual breaks, or None.
+
+    The claims on the dual of a target code: B_1 = B_2 = 0,
+    B_3 = dual_b3(q, k) and, for q > 2, minimum distance 3.  They read
+    only B_j for j <= max(d, 3), so dual_prefix serves as well.
+    """
+    b1, b2, b3 = (dual.entries.get(j, 0) for j in (1, 2, 3))
+    if b1 or b2:
+        return "B1_B2_nonzero", f"dual has B_1={b1}, B_2={b2}"
+    if b3 != dual_b3(q, k):
+        return "B3_mismatch", f"dual B_3={b3} != closed form {dual_b3(q, k)}"
+    if q > 2 and dual.min_nonzero_weight() != 3:
+        return "dual_min_weight", f"dual minimum weight {dual.min_nonzero_weight()} != 3"
+    return None
 
 
 # -- Pless power moments ------------------------------------------------------

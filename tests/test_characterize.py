@@ -204,14 +204,14 @@ class TestOneWeight:
 class TestFullWeightDivisor:
     def test_roundtrip_table_code(self):
         ctx = gf.field_for(3, 2)
-        rep = ch.build_code(ctx, 3, 2, 0, 1)
-        got = ch.full_weight_divisor(ctx, rep.code)
+        code = codes.code_from_exponents(ctx, 0, 1)
+        got = ch.full_weight_divisor(ctx, code)
         assert got == pr.minimal_polynomial(ctx, 0)
 
     def test_roundtrip_nonzero_e1(self):
         ctx = gf.field_for(4, 2)
-        rep = ch.build_code(ctx, 4, 2, 1, 1)
-        got = ch.full_weight_divisor(ctx, rep.code)
+        code = codes.code_from_exponents(ctx, 1, 1)
+        got = ch.full_weight_divisor(ctx, code)
         assert got == pr.minimal_polynomial(ctx, rem(ctx.delta * 1, ctx.m))
 
     def test_repetition_code(self):

@@ -355,7 +355,7 @@ class TestKrawtchouk:
     )
     def test_recurrence_matches_direct(self, n, q, data):
         w = data.draw(st.integers(min_value=0, max_value=n))
-        row = codes.krawtchouk_row(n, q, w)
+        row = list(codes.krawtchouk_sums(n, q, ((w, 1),)))
         for j in range(n + 1):
             assert row[j] == codes.krawtchouk_direct(n, q, j, w)
 
@@ -448,6 +448,26 @@ class TestMacWilliamsMemo:
         info = codes._dual_entries.cache_info()
         assert (info.misses, info.hits) == (2, 2 * 36 - 2)
 
+    def test_duality_sweep_checks_pless_once_per_direction(self, monkeypatch):
+        dims = []
+        check = codes.pless_moment_check
+
+        def counted(wd, dual_wd, n, q, dim):
+            dims.append(dim)
+            return check(wd, dual_wd, n, q, dim)
+
+        monkeypatch.setattr(codes, "pless_moment_check", counted)
+        codes._dual_entries.cache_clear()
+        assert verify.verify_duality(4, 3, gf.field_for(4, 3)).ok
+        assert dims == [4, 59]
+
+    def test_pless_failure_is_a_sweep_error(self, monkeypatch):
+        monkeypatch.setattr(codes, "pless_moment_check", lambda *args: False)
+        codes._dual_entries.cache_clear()  # a failed call is not memoized
+        (result,) = verify.run_block(4, 3, 1 << 20, ["duality_suite"])
+        assert not result.ok
+        assert "Pless" in result.counterexample["error"]
+
 
 class TestMacWilliamsBudget:
     def test_one_budget_for_every_job(self):
@@ -470,6 +490,53 @@ class TestMacWilliamsBudget:
 
 # Every (q, k) with k >= 2 and q^k - 1 <= 4095, q a prime power.
 PAIRS_4095 = default_pairs(4095)
+
+
+def direct_macwilliams(wd, n, q, dim):
+    """The row-wise transform: a full Krawtchouk row per weight, then the sums."""
+    sums = [0] * (n + 1)
+    for w, freq in wd.entries.items():
+        row = [1, (q - 1) * n - q * w][: n + 1]
+        for j in range(1, n):
+            val, r = divmod(
+                ((q - 1) * (n - j) + j - q * w) * row[j] - (q - 1) * (n - j + 1) * row[j - 1],
+                j + 1,
+            )
+            assert r == 0
+            row.append(val)
+        for j in range(n + 1):
+            sums[j] += freq * row[j]
+    dual = {}
+    for j, s in enumerate(sums):
+        bj, r = divmod(s, q**dim)
+        assert r == 0 and bj >= 0, (j, s)
+        if bj:
+            dual[j] = bj
+    return dual
+
+
+class TestKernelAgainstDirect:
+    def test_forward_on_every_block_to_4095(self):
+        assert len(PAIRS_4095) == 57
+        for q, k in PAIRS_4095:
+            n = q**k - 1
+            wd = codes.three_weight_distribution(q, k)
+            assert codes.macwilliams_dual(wd, n, q, k + 1).entries == direct_macwilliams(
+                wd, n, q, k + 1
+            ), (q, k)
+
+    def test_back_on_every_block_to_255(self):
+        pairs = default_pairs(255)
+        assert len(pairs) == 22
+        for q, k in pairs:
+            n = q**k - 1
+            dual = codes.WeightDistribution(
+                n=n, entries=direct_macwilliams(codes.three_weight_distribution(q, k), n, q, k + 1)
+            )
+            back = codes.macwilliams_dual(dual, n, q, n - k - 1)
+            assert back.entries == direct_macwilliams(dual, n, q, n - k - 1), (q, k)
+            assert back == codes.three_weight_distribution(q, k)
+
 
 
 class TestDualPrefix:
@@ -497,7 +564,7 @@ class TestDualPrefix:
             raise AssertionError("the prefix built a field")
 
         monkeypatch.setattr(gf.FieldCtx, "__init__", no_field)
-        codes._dual_prefix_entries.cache_clear()
+        codes._dual_entries.cache_clear()
         n = q**k - 1
         start = time.perf_counter()
         prefix = codes.dual_prefix(codes.three_weight_distribution(q, k), n, q, k + 1)
@@ -524,13 +591,14 @@ class TestDualPrefix:
 
     def test_pless_moments_check_the_prefix(self, monkeypatch):
         # an integral but wrong B_3 (one too many) only the moments can see
-        direct = codes.krawtchouk_direct
+        sums = codes.krawtchouk_sums
 
-        def off_by_one(n, q, j, w):
-            return direct(n, q, j, w) + (q**4 if (j, w) == (3, 0) else 0)
+        def off_by_one(n, q, entries):
+            for j, s in enumerate(sums(n, q, entries)):
+                yield s + (q**4 if j == 3 else 0)
 
-        monkeypatch.setattr(codes, "krawtchouk_direct", off_by_one)
-        codes._dual_prefix_entries.cache_clear()  # a failed call is not memoized
+        monkeypatch.setattr(codes, "krawtchouk_sums", off_by_one)
+        codes._dual_entries.cache_clear()  # a failed call is not memoized
         with pytest.raises(ConsistencyError, match="Pless"):
             codes.dual_prefix(codes.three_weight_distribution(4, 3), 63, 4, 4)
 
@@ -549,6 +617,40 @@ class TestDualPrefix:
         wd.entries[48] += 1
         with pytest.raises(ConsistencyError, match="B_1"):
             codes.dual_prefix(wd, 63, 4, 4)
+
+
+class TestDualClaims:
+    def test_target_duals_keep_every_claim(self):
+        for q, k in [(2, 2), (2, 5), (3, 4), (4, 3), (16, 2)]:
+            wd = codes.three_weight_distribution(q, k)
+            prefix = codes.dual_prefix(wd, q**k - 1, q, k + 1)
+            assert codes.dual_claim_failure(prefix, q, k) is None
+
+    @pytest.mark.parametrize(
+        "q,k,entries,failure",
+        [
+            (4, 3, {0: 1, 2: 5}, "B1_B2_nonzero"),
+            (4, 3, {0: 1, 3: 3842}, "B3_mismatch"),
+            (4, 3, {0: 1, 3: 3843}, None),
+            (2, 3, {0: 1, 4: 7}, None),  # d = 4 over F_2: only q > 2 claims d = 3
+        ],
+    )
+    def test_each_claim_named(self, q, k, entries, failure):
+        dual = codes.WeightDistribution(n=q**k - 1, entries=entries)
+        claim = codes.dual_claim_failure(dual, q, k)
+        assert (claim and claim[0]) == failure
+
+    def test_build_and_verify_read_the_same_claims(self, monkeypatch):
+        from cyclochar import characterize
+        from cyclochar.errors import TheoremViolationError
+
+        b3 = codes.dual_b3
+        monkeypatch.setattr(codes, "dual_b3", lambda q, k: b3(q, k) + 1)
+        ctx = gf.field_for(4, 3)
+        with pytest.raises(TheoremViolationError, match=r"^dual B_3=3843 != closed form 3844$"):
+            characterize.build_code(ctx, 4, 3, 2, 5)
+        result = verify.verify_duality(4, 3, ctx)
+        assert not result.ok and result.counterexample["failure"] == "B3_mismatch"
 
 
 class TestDualB3:

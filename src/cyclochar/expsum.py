@@ -19,7 +19,7 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .errors import ConsistencyError, InvalidArgumentError
+from .errors import ConsistencyError, InvalidArgumentError, ResourceLimitError
 from .gf import ZERO, FieldCtx
 from .numth import rem
 
@@ -53,39 +53,57 @@ class CyclotomicCount:
         return self.counts[0] - (self.counts[1] if self.p > 1 else 0)
 
 
-def substitution(spec: CodeSpec, i: int, j: int) -> tuple[int, int]:
-    """Forward reindexing (i, j) -> (v, w) on V.
+def substitution(spec: CodeSpec, i, j):
+    """Forward reindexing (i, j) -> (v, w) on V, pointwise on index arrays.
 
     v = (e2*i + Delta*j) % (q^k - 1), and w is the exact quotient
     (i - alpha*v) / Delta reduced mod q - 1.  The division is exact for
-    every point of V; a failure indicates a broken Bezout pair.
+    every point of V; a failure indicates a broken Bezout pair and is
+    reported for the first point, in index order, where it happens.
     """
     m = spec.q**spec.k - 1
-    _check_point(spec, i, j, m)
-    v = rem(spec.e2 * i + spec.delta * j, m)
+    i, j = _check_points(spec, i, j, m)
+    v = (spec.e2 * i + spec.delta * j) % m
     diff = i - spec.bezout.alpha * v
-    if diff % spec.delta != 0:
+    inexact = diff % spec.delta != 0
+    if inexact.any():
+        first = np.ravel(diff)[np.argmax(inexact)]
         raise ConsistencyError(
-            f"Delta = {spec.delta} does not divide i - alpha*v = {diff}"
+            f"Delta = {spec.delta} does not divide i - alpha*v = {first}"
         )
-    w = rem(diff // spec.delta, spec.q - 1)
+    w = diff // spec.delta % (spec.q - 1)
     return v, w
 
 
-def substitution_inverse(spec: CodeSpec, v: int, w: int) -> tuple[int, int]:
+def substitution_inverse(spec: CodeSpec, v, w):
     """Inverse reindexing (v, w) -> (i, j); a two-sided inverse on V."""
     m = spec.q**spec.k - 1
-    _check_point(spec, v, w, m)
-    i = rem(spec.bezout.alpha * v + spec.delta * w, m)
-    j = rem(spec.bezout.beta * v - spec.e2 * w, spec.q - 1)
+    v, w = _check_points(spec, v, w, m)
+    i = (spec.bezout.alpha * v + spec.delta * w) % m
+    j = (spec.bezout.beta * v - spec.e2 * w) % (spec.q - 1)
     return i, j
 
 
-def _check_point(spec, first: int, second: int, m: int) -> None:
-    if not 0 <= first < m:
-        raise InvalidArgumentError(f"first index {first} outside [0, {m})")
-    if not 0 <= second < spec.q - 1:
-        raise InvalidArgumentError(f"second index {second} outside [0, {spec.q - 1})")
+def _check_points(spec, first, second, m: int) -> tuple[np.ndarray, np.ndarray]:
+    """Both indices as int64 arrays, once every point is known to lie in V.
+
+    Products of two indices stay below 2^62 while m < 2^31.
+    """
+    if m >= 1 << 31:
+        raise ResourceLimitError(f"q^k - 1 = {m} is too large for int64 index arithmetic")
+    return _index_array("first", first, m), _index_array("second", second, spec.q - 1)
+
+
+def _index_array(name: str, idx, bound: int) -> np.ndarray:
+    try:
+        arr = np.asarray(idx, dtype=np.int64)
+    except OverflowError:
+        raise InvalidArgumentError(f"{name} index {idx} outside [0, {bound})") from None
+    outside = (arr < 0) | (arr >= bound)
+    if outside.any():
+        bad = np.ravel(arr)[np.argmax(outside)]
+        raise InvalidArgumentError(f"{name} index {bad} outside [0, {bound})")
+    return arr
 
 
 def level_shift(spec: CodeSpec, d: int) -> int:
@@ -115,7 +133,7 @@ def partition_value(
         raise InvalidArgumentError(f"d = {d} is not gcd(q-1, k*e1 - e2)")
     level_shift(spec, d)  # integrality check
     m = ctx.m
-    _check_point(spec, v, w, m)
+    _check_points(spec, v, w, m)
     stride = spec.delta * (spec.e1 * spec.bezout.alpha + spec.bezout.beta)
     t1 = ZERO if a == ZERO else (a + stride * v + spec.delta * d * w) % m
     t2 = ZERO if b == ZERO else (b + v) % m

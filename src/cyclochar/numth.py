@@ -2,10 +2,10 @@
 
 Canonical remainders, Bezout pairs for the exponent congruence
 e2*alpha + Delta*beta == 1 (mod q^k - 1), the two gcd conditions, Euler
-phi, cyclotomic cosets, base-p digit sums, the closed-form count of
-qualifying codes and the checked listing of those codes.  Also the size
-gates every job passes before it allocates: the field cap, the
-brute-force cap default and the job budget.
+phi, cyclotomic cosets, multiplier orbits, base-p digit sums, the
+closed-form count of qualifying codes and the checked listing of those
+codes.  Also the size gates every job passes before it allocates: the
+field cap, the brute-force cap default and the job budget.
 
 Everything here is exact integer arithmetic on desk-scale inputs;
 factorization is plain trial division.  Nothing here imports numpy, so
@@ -17,6 +17,7 @@ from __future__ import annotations
 from collections.abc import Iterator
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from math import gcd, isqrt
 
 from .errors import (
@@ -233,6 +234,29 @@ def cyclotomic_coset(a: int, q: int, n: int) -> CyclotomicCoset:
         x = x * q % n
     ms = tuple(sorted(members))
     return CyclotomicCoset(representative=ms[0], members=ms)
+
+
+@lru_cache(maxsize=8)
+def _units(n: int) -> tuple[int, ...]:
+    return tuple(u for u in range(1, n) if gcd(u, n) == 1)
+
+
+def multiplier_orbit(q: int, k: int, e1: int, e2: int) -> set[tuple[int, int]]:
+    """Orbit of (e1 mod q-1, e2 mod q^k-1) under the units u mod n = q^k - 1.
+
+    The multiplier i -> u*i permutes the coordinates of a cyclic code of
+    length n.  It maps the code of (e1, e2), with nonzeros at the cosets
+    of Delta*e1 and e2, onto the code of (u*e1 mod (q-1), u*e2 mod n), as
+    u*Delta*e1 = Delta*(u*e1 mod (q-1)) mod n; so every pair of an orbit
+    has one weight distribution (Huffman-Pless, Fundamentals of
+    Error-Correcting Codes, 4.3).  The q-cyclotomic coset of e2 is part
+    of the orbit, as q is a unit.
+    """
+    if k < 2:
+        raise InvalidArgumentError(f"requires k >= 2, got {k}")
+    n = q**k - 1
+    e1, e2 = e1 % (q - 1), e2 % n
+    return {(u * e1 % (q - 1), u * e2 % n) for u in _units(n)}
 
 
 def coset_representatives(q: int, n: int, coprime_to: int = 1) -> dict[int, int]:

@@ -15,7 +15,6 @@ from math import gcd, isqrt
 
 import numpy as np
 
-from . import polyring
 from .characterize import (
     build_code,
     check_conditions,
@@ -25,6 +24,7 @@ from .characterize import (
 from .codes import (
     DEFAULT_BRUTE_CAP,
     CodeSpec,
+    WeightDistribution,
     char_sum_grid,
     code_spec,
     cyclic_code,
@@ -35,10 +35,10 @@ from .codes import (
     weight_distribution_bruteforce,
     weight_distribution_trace,
 )
-from .errors import CyclocharError, ResourceLimitError
+from .errors import ConsistencyError, CyclocharError, ResourceLimitError
 from .expsum import char_sum, predict_char_sum, substitution, substitution_inverse
 from .gf import ZERO, FieldCtx, field_for
-from .numth import prime_power_split
+from .numth import check_budget, multiplier_orbit, prime_power_split
 
 @dataclass
 class PropertyResult:
@@ -96,42 +96,94 @@ def all_specs(q: int, k: int) -> list[CodeSpec]:
     ]
 
 
+# Peak bytes verify_substitution holds per grid point (tracemalloc): the
+# int64 index arrays, their image and round trip, and the temporaries.
+_SUBSTITUTION_BYTES_PER_POINT = 64
+
+
 def verify_substitution(q: int, k: int) -> PropertyResult:
     """Forward/inverse reindexing is a two-sided bijection on the whole grid.
 
     The map depends on (q, k, e2) only, so e1 contributes nothing new.
+    Each e2 maps the whole grid at once, in row-major (i, j) order, and
+    reports what a point-by-point scan would: the first point whose round
+    trip fails.  A repeated (v, w) fails a round trip at or before its
+    second occurrence, so one bincount confirms the bijection once every
+    round trip holds.
     """
     n = q**k - 1
+    r = q - 1
+    check_budget("the substitution grid", _SUBSTITUTION_BYTES_PER_POINT * n * r)
+    grid_i = np.repeat(np.arange(n, dtype=np.int64), r)
+    grid_j = np.tile(np.arange(r, dtype=np.int64), n)
     checked = 0
     for e2 in valid_e2_values(q, k):
         spec = code_spec(q, k, 0, e2)
-        seen = bytearray(n * (q - 1))
-        for i in range(n):
-            for j in range(q - 1):
-                v, w = substitution(spec, i, j)
-                back = substitution_inverse(spec, v, w)
-                if back != (i, j):
-                    return PropertyResult(
-                        "substitution_bijection",
-                        q,
-                        k,
-                        False,
-                        checked,
-                        {"e2": e2, "i": i, "j": j, "v": v, "w": w, "back": list(back)},
-                    )
-                flat = v * (q - 1) + w
-                if seen[flat]:
-                    return PropertyResult(
-                        "substitution_bijection",
-                        q,
-                        k,
-                        False,
-                        checked,
-                        {"e2": e2, "collision_at": [v, w]},
-                    )
-                seen[flat] = 1
-                checked += 1
+        i, j, error = grid_i, grid_j, None
+        try:
+            v, w = substitution(spec, i, j)
+        except ConsistencyError as exc:
+            # the points before the first inexact division are still scanned
+            stop = _exact_prefix(spec, i, j)
+            i, j, error = i[:stop], j[:stop], exc
+            v, w = substitution(spec, i, j)
+        back_i, back_j = substitution_inverse(spec, v, w)
+        trips = np.flatnonzero((back_i != i) | (back_j != j))
+        if len(trips):
+            p = int(trips[0])
+            return PropertyResult(
+                "substitution_bijection",
+                q,
+                k,
+                False,
+                checked + p,
+                {
+                    "e2": e2,
+                    "i": int(i[p]),
+                    "j": int(j[p]),
+                    "v": int(v[p]),
+                    "w": int(w[p]),
+                    "back": [int(back_i[p]), int(back_j[p])],
+                },
+            )
+        flat = v * r + w
+        if np.bincount(flat, minlength=n * r).max() > 1:
+            p = _first_repeat(flat)
+            return PropertyResult(
+                "substitution_bijection",
+                q,
+                k,
+                False,
+                checked + p,
+                {"e2": e2, "collision_at": [int(v[p]), int(w[p])]},
+            )
+        if error is not None:
+            raise error
+        checked += len(i)
     return PropertyResult("substitution_bijection", q, k, True, checked)
+
+
+def _exact_prefix(spec: CodeSpec, i: np.ndarray, j: np.ndarray) -> int:
+    """Length of the longest prefix of the points that substitution maps.
+
+    Only called once substitution has refused the whole array.
+    """
+    lo, hi = 0, len(i)
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        try:
+            substitution(spec, i[:mid], j[:mid])
+            lo = mid
+        except ConsistencyError:
+            hi = mid
+    return lo
+
+
+def _first_repeat(flat: np.ndarray) -> int:
+    """Smallest position holding a value that occurs earlier in flat."""
+    order = np.argsort(flat, kind="stable")
+    ordered = flat[order]
+    return int(order[1:][ordered[1:] == ordered[:-1]].min())
 
 
 def _class_elements(ctx: FieldCtx) -> dict[str, int | None]:
@@ -245,27 +297,55 @@ def verify_char_sum_unit_iff(q: int, k: int, ctx: FieldCtx) -> PropertyResult:
     return PropertyResult("char_sum_unit_iff", q, k, True, checked)
 
 
+class BruteForceMemo:
+    """Brute-forced weight distributions of one (q, k) block, one run per orbit.
+
+    The orbits are those of numth.multiplier_orbit: a unit multiplier maps
+    the code of (e1, e2) onto the code of every pair in its orbit, so the
+    orbit shares one distribution.  The first pair met stands for its
+    orbit, and the orbit is filled in once its code is brute-forced.  The
+    orbit map is integer arithmetic mod q^k - 1 and never reads the trace
+    route, so the two routes stay independent.
+    """
+
+    def __init__(self, ctx: FieldCtx, brute_cap: int = DEFAULT_BRUTE_CAP):
+        self.ctx = ctx
+        self.brute_cap = brute_cap
+        self._by_pair: dict[tuple[int, int], WeightDistribution] = {}
+
+    def distribution(self, e1: int, e2: int) -> WeightDistribution:
+        """The brute-forced distribution of the code of (e1, e2)'s orbit."""
+        ctx = self.ctx
+        pair = (e1 % (ctx.q - 1), e2 % ctx.m)
+        wd = self._by_pair.get(pair)
+        if wd is None:
+            code = cyclic_code(ctx, parity_check_from_exponents(ctx, *pair))
+            wd = weight_distribution_bruteforce(ctx, code, self.brute_cap)
+            self._by_pair.update(dict.fromkeys(multiplier_orbit(ctx.q, ctx.k, *pair), wd))
+        return wd
+
+
 def verify_three_weight_iff(
-    q: int, k: int, ctx: FieldCtx, brute_cap: int = DEFAULT_BRUTE_CAP
+    q: int,
+    k: int,
+    ctx: FieldCtx,
+    brute_cap: int = DEFAULT_BRUTE_CAP,
+    memo: BruteForceMemo | None = None,
 ) -> PropertyResult:
     """Brute-forced distribution equals the three-weight table iff both gcds hold.
 
     Scans every (e1, e2) in [0, q-1) x [0, q^k - 1), including pairs
-    violating the standing assumption; the oracle never consults the
-    trace representation.
+    violating the standing assumption, and checks the conditions of each;
+    the brute force runs once per multiplier orbit (memo, fresh if not
+    given) and never consults the trace representation.
     """
     n = q**k - 1
     table = three_weight_distribution(q, k)
-    cache: dict[polyring.Poly, bool] = {}
+    memo = BruteForceMemo(ctx, brute_cap) if memo is None else memo
     checked = 0
     for e1 in range(q - 1):
         for e2 in range(n):
-            h = parity_check_from_exponents(ctx, e1, e2)
-            match = cache.get(h)
-            if match is None:
-                code = cyclic_code(ctx, h)
-                match = weight_distribution_bruteforce(ctx, code, brute_cap) == table
-                cache[h] = match
+            match = memo.distribution(e1, e2) == table
             conds = all(check_conditions(q, k, e1, e2))
             if match != conds:
                 return PropertyResult(
@@ -281,24 +361,22 @@ def verify_three_weight_iff(
 
 
 def verify_oracle_equivalence(
-    q: int, k: int, ctx: FieldCtx, brute_cap: int = DEFAULT_BRUTE_CAP
+    q: int,
+    k: int,
+    ctx: FieldCtx,
+    brute_cap: int = DEFAULT_BRUTE_CAP,
+    memo: BruteForceMemo | None = None,
 ) -> PropertyResult:
     """Trace-path distribution equals brute force for every spec.
 
-    The generator division and the brute-force run are shared between
-    specs that define the same code (same parity check); the trace path
-    runs per spec.
+    The trace path runs per spec; the brute force runs once per
+    multiplier orbit (memo, fresh if not given).
     """
-    cache: dict[polyring.Poly, dict[int, int]] = {}
+    memo = BruteForceMemo(ctx, brute_cap) if memo is None else memo
     checked = 0
     for spec in all_specs(q, k):
         wd = weight_distribution_trace(ctx, spec)
-        h = parity_check_from_exponents(ctx, spec.e1, spec.e2)
-        brute = cache.get(h)
-        if brute is None:
-            code = cyclic_code(ctx, h)
-            brute = weight_distribution_bruteforce(ctx, code, brute_cap).entries
-            cache[h] = brute
+        brute = memo.distribution(spec.e1, spec.e2).entries
         if wd.entries != brute:
             return PropertyResult(
                 "oracle_equivalence",
@@ -361,18 +439,21 @@ def verify_two_weight_gaps(
     return PropertyResult("two_weight_gaps", q, k, True, len(entries))
 
 
-# property -> runner(q, k, ctx, brute_cap).  Each runner looks its sweep up
-# by module-global name when it is called, so a rebound name (a wrapper,
-# a test double) takes effect without rebuilding the table.
+# property -> runner(q, k, ctx, brute_cap, memo), memo the block's
+# BruteForceMemo.  Each runner looks its sweep up by module-global name
+# when it is called, so a rebound name (a wrapper, a test double) takes
+# effect without rebuilding the table.
 _RUNNERS = {
-    "substitution_bijection": lambda q, k, ctx, cap: verify_substitution(q, k),
-    "char_sum_cases": lambda q, k, ctx, cap: verify_char_sum_cases(q, k, ctx),
-    "char_sum_unit_iff": lambda q, k, ctx, cap: verify_char_sum_unit_iff(q, k, ctx),
-    "three_weight_iff_conditions": lambda q, k, ctx, cap: verify_three_weight_iff(q, k, ctx, cap),
-    "oracle_equivalence": lambda q, k, ctx, cap: verify_oracle_equivalence(q, k, ctx, cap),
-    "duality_suite": lambda q, k, ctx, cap: verify_duality(q, k, ctx),
-    "enumeration_count": lambda q, k, ctx, cap: verify_enumeration(q, k, ctx),
-    "two_weight_gaps": lambda q, k, ctx, cap: verify_two_weight_gaps(q, k, ctx, cap),
+    "substitution_bijection": lambda q, k, ctx, cap, memo: verify_substitution(q, k),
+    "char_sum_cases": lambda q, k, ctx, cap, memo: verify_char_sum_cases(q, k, ctx),
+    "char_sum_unit_iff": lambda q, k, ctx, cap, memo: verify_char_sum_unit_iff(q, k, ctx),
+    "three_weight_iff_conditions":
+        lambda q, k, ctx, cap, memo: verify_three_weight_iff(q, k, ctx, cap, memo),
+    "oracle_equivalence":
+        lambda q, k, ctx, cap, memo: verify_oracle_equivalence(q, k, ctx, cap, memo),
+    "duality_suite": lambda q, k, ctx, cap, memo: verify_duality(q, k, ctx),
+    "enumeration_count": lambda q, k, ctx, cap, memo: verify_enumeration(q, k, ctx),
+    "two_weight_gaps": lambda q, k, ctx, cap, memo: verify_two_weight_gaps(q, k, ctx, cap),
 }
 PROPERTIES = tuple(_RUNNERS)
 
@@ -387,6 +468,8 @@ def run_block(
 ) -> list[PropertyResult]:
     """Run the selected sweeps for one (q, k) block, appending to results.
 
+    The two brute-force sweeps share one BruteForceMemo.
+
     This is the sweeps' one error boundary.  A package error inside a
     sweep becomes a failing result {"error": message}, except a
     ResourceLimitError: that stops the run, and every result finished
@@ -394,9 +477,10 @@ def run_block(
     """
     results = [] if results is None else results
     ctx = field_for(q, k, cap=field_cap)
+    memo = BruteForceMemo(ctx, brute_cap)
     for prop in props:
         try:
-            result = _RUNNERS[prop](q, k, ctx, brute_cap)
+            result = _RUNNERS[prop](q, k, ctx, brute_cap, memo)
         except ResourceLimitError:
             raise
         except CyclocharError as exc:

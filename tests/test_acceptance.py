@@ -13,8 +13,8 @@ from cyclochar.expsum import char_sum
 from cyclochar.gf import ZERO
 from cyclochar.numth import code_count, prime_power_split
 
-PAIRS_127 = verify.default_pairs(127)
 PAIRS_255 = verify.default_pairs(255)
+PAIRS_511 = verify.default_pairs(511)
 
 
 def _report(num, desc, elapsed):
@@ -55,7 +55,7 @@ def test_criterion_02_example2_reproduction():
 def test_criterion_03_table_biconditional():
     start = time.perf_counter()
     total = 0
-    for q, k in PAIRS_127:
+    for q, k in PAIRS_511:
         ctx = gf.field_for(q, k)
         result = verify.verify_three_weight_iff(q, k, ctx)
         assert result.ok, result.counterexample

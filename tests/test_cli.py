@@ -538,6 +538,34 @@ class TestVerify:
         assert passed["property"] == "two_weight_gaps" and passed["ok"]
         assert "counterexample" in err
 
+    def test_capped_run_keeps_its_bytes(self, capsys):
+        # the refusal comes at the same pair with the orbit memo as without it
+        code, out, err = run(capsys, "verify", "--q", "2", "--k", "3..4", "--bruteforce-cap", "8")
+        assert code == 2
+        assert out == (
+            "PASS substitution_bijection q=2 k=3 checked=42\n"
+            "PASS char_sum_cases q=2 k=3 checked=132\n"
+            "PASS char_sum_unit_iff q=2 k=3 checked=42\n"
+        )
+        assert err == "error: 2^4 codewords exceed the brute-force cap 8\n"
+
+    def test_build_and_verify_leave_numpy_ma_unloaded(self):
+        # np.unique would import numpy.ma, 11-15 ms of every item
+        root = Path(__file__).resolve().parents[1]
+        path = os.pathsep.join([str(root / "src"), os.environ.get("PYTHONPATH", "")])
+        script = "\n".join([
+            "import contextlib, io, sys",
+            "import cyclochar.cli as cli",
+            "with contextlib.redirect_stdout(io.StringIO()):",
+            "    codes = [cli.main(['build', '--q', '4', '--k', '3', '--e1', '2', '--e2', '5']),",
+            "             cli.main(['verify', '--q', '2', '--k', '3', '--format', 'json'])]",
+            "print(codes, 'numpy' in sys.modules, 'numpy.ma' in sys.modules)",
+        ])
+        proc = subprocess.run([sys.executable, "-c", script], env={**os.environ, "PYTHONPATH": path},
+                              capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == "[0, 0] True False"
+
     def test_bruteforce_cap_is_read(self, capsys):
         code, _, err = run(
             capsys, "verify", "--q", "2", "--k", "3", "--props", "oracle_equivalence",

@@ -145,6 +145,10 @@ class TestSubstitution:
             expsum.substitution(spec, 8, 0)
         with pytest.raises(InvalidArgumentError):
             expsum.substitution(spec, 0, 2)
+        with pytest.raises(InvalidArgumentError, match="first index 8 outside"):
+            expsum.substitution(spec, [0, 8, 9], [0, 0, 0])
+        with pytest.raises(InvalidArgumentError, match="second index -1 outside"):
+            expsum.substitution_inverse(spec, [0, 1], [1, -1])
 
 
 class TestPartitionValue:

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from cyclochar import gf
-from cyclochar.errors import InvalidArgumentError, ResourceLimitError
+from cyclochar.errors import ConsistencyError, InvalidArgumentError, ResourceLimitError
 from cyclochar.gf import ZERO
 from cyclochar.numth import factorize
 
@@ -294,3 +294,20 @@ class TestPrimitiveOverride:
         table = gf.load_primitive_table(str(path))
         ctx = gf.build_field(2, 1, 4, primitive_table=table)
         assert ctx.modulus == (1, 1, 0, 0, 1)  # untouched degree keeps the default
+
+
+class TestPrimitivityCheck:
+    # FieldCtx checks its own modulus by the log/antilog round trip
+    def test_irreducible_of_order_5_rejected(self):
+        # x^4 + x^3 + x^2 + x + 1 is irreducible over F_2, but x has order 5
+        with pytest.raises(ConsistencyError, match="not primitive"):
+            gf.FieldCtx(2, 1, 4, (1, 1, 1, 1, 1))
+
+    def test_reducible_rejected(self):
+        # x^4 + x^2 + 1 = (x^2 + x + 1)^2 over F_2
+        with pytest.raises(ConsistencyError, match="not primitive"):
+            gf.FieldCtx(2, 1, 4, (1, 0, 1, 0, 1))
+
+    def test_primitive_accepted(self):
+        ctx = gf.FieldCtx(2, 1, 4, (1, 1, 0, 0, 1))  # x^4 + x + 1
+        assert np.array_equal(ctx.log[ctx.antilog], np.arange(15))

@@ -155,6 +155,53 @@ class TestCyclotomicCoset:
             numth.cyclotomic_coset(1, 2, 8)
 
 
+def orbit_partition(q, k):
+    """The multiplier orbits of every (e1, e2) pair, first met first."""
+    seen, orbits = set(), []
+    for e1 in range(q - 1):
+        for e2 in range(q**k - 1):
+            if (e1, e2) not in seen:
+                orbits.append(numth.multiplier_orbit(q, k, e1, e2))
+                seen |= orbits[-1]
+    return orbits
+
+
+class TestMultiplierOrbit:
+    @pytest.mark.parametrize("q,k", [(2, 3), (2, 6), (3, 3), (4, 3), (5, 2), (9, 2)])
+    def test_orbits_partition_the_pairs(self, q, k):
+        n = q**k - 1
+        orbits = orbit_partition(q, k)
+        assert sum(len(o) for o in orbits) == (q - 1) * n
+        for orbit in orbits:
+            for e1, e2 in orbit:
+                assert numth.multiplier_orbit(q, k, e1, e2) == orbit
+
+    @pytest.mark.parametrize("q,k", [(2, 6), (3, 3), (4, 3), (5, 2), (8, 2)])
+    def test_conditions_and_cosets_constant_on_an_orbit(self, q, k):
+        n = q**k - 1
+        for orbit in orbit_partition(q, k):
+            e1, e2 = min(orbit)
+            conditions = numth.gcd_conditions(q, k, e1, e2)
+            for mate in orbit:
+                assert tuple(x == 1 for x in numth.gcd_conditions(q, k, *mate)) == tuple(
+                    x == 1 for x in conditions
+                )
+            # the q-cyclotomic coset of e2 lies in the orbit, with e1 fixed
+            for x in numth.cyclotomic_coset(e2, q, n).members:
+                assert (e1, x) in orbit
+
+    @pytest.mark.parametrize("q,k,count", [(2, 6, 6), (4, 3, 16), (16, 3, 224), (32, 2, 132)])
+    def test_orbit_counts(self, q, k, count):
+        assert len(orbit_partition(q, k)) == count
+
+    def test_reduces_its_arguments(self):
+        assert numth.multiplier_orbit(4, 3, 5, 64) == numth.multiplier_orbit(4, 3, 2, 1)
+
+    def test_k_below_2_rejected(self):
+        with pytest.raises(InvalidArgumentError):
+            numth.multiplier_orbit(2, 1, 0, 1)
+
+
 class TestCosetRepresentatives:
     @pytest.mark.parametrize("q,k", [(2, 3), (2, 6), (3, 3), (4, 3), (5, 2), (2, 12), (7, 3)])
     def test_sizes_match_each_coset(self, q, k):

@@ -25,8 +25,7 @@ import numpy as np
 
 from . import polyring
 from .errors import ConsistencyError, InvalidArgumentError, ResourceLimitError
-from .expsum import char_sum
-from .gf import ZERO, FieldCtx
+from .gf import FieldCtx
 from .numth import (
     DEFAULT_BRUTE_CAP,
     JOB_BUDGET_BYTES,  # re-exported beside check_budget
@@ -154,40 +153,6 @@ def code_from_exponents(ctx: FieldCtx, e1: int, e2: int) -> CyclicCode:
 
 
 # -- trace representation --------------------------------------------------
-
-
-def trace_codeword(ctx: FieldCtx, spec: CodeSpec, a: int, b: int) -> list[int]:
-    """Codeword (Tr(a*gamma^(Delta*e1*i) + b*gamma^(e2*i)))_i as F_q symbols."""
-    m = ctx.m
-    trq = ctx.trace_q_symbol_list()
-    s1 = rem(ctx.delta * spec.e1, m)
-    s2 = rem(spec.e2, m)
-    out = []
-    ea, eb = a, b
-    for _ in range(m):
-        s = ctx.add(ea, eb)
-        out.append(0 if s == ZERO else trq[s])
-        if ea != ZERO:
-            ea = (ea + s1) % m
-        if eb != ZERO:
-            eb = (eb + s2) % m
-    return out
-
-
-def zero_count(ctx: FieldCtx, spec: CodeSpec, a: int, b: int) -> int:
-    """Number of zero entries of the trace codeword for (a, b).
-
-    Counts directly, then cross-checks the exact relation
-    q * zeros = (q^k - 1) + T(a, b) against the character sum.
-    """
-    z = sum(1 for s in trace_codeword(ctx, spec, a, b) if s == 0)
-    t = char_sum(ctx, spec, a, b).as_integer()
-    total, r = divmod(ctx.m + t, ctx.q)
-    if r != 0 or total != z:
-        raise ConsistencyError(
-            f"zero count {z} disagrees with (n + T)/q = ({ctx.m} + {t})/{ctx.q}"
-        )
-    return z
 
 
 def _orbit_columns(ctx: FieldCtx, e1: int, e2: int) -> tuple[int, np.ndarray]:
@@ -414,14 +379,6 @@ def is_griesmer_optimal(q: int, n: int, dim: int, d: int) -> bool:
 
 
 # -- MacWilliams duality ------------------------------------------------------
-
-
-def krawtchouk_direct(n: int, q: int, j: int, w: int) -> int:
-    """Direct binomial-sum evaluation of K_j(w); the recurrence's oracle."""
-    return sum(
-        (-1) ** i * (q - 1) ** (j - i) * comb(w, i) * comb(n - w, j - i)
-        for i in range(j + 1)
-    )
 
 
 def krawtchouk_sums(n: int, q: int, entries: tuple[tuple[int, int], ...]):

@@ -8,8 +8,11 @@ exponents all occur equally often; no floating point is involved
 anywhere.
 
 Also here: the change-of-variables bijection on the index grid
-V = [0, q^k-1) x [0, q-1), the shifted form whose level sets partition
-V, and the closed-form predictions for the sum in each (a, b) class.
+V = [0, q^k-1) x [0, q-1) and the closed-form predictions for the sum
+in each (a, b) class.  The paper's level-set partition of V, which
+forces d = gcd(q-1, k*e1 - e2) to divide T(a, b), runs in no sweep and
+lives with its exhaustive checks in tests/test_expsum.py; the
+char_sum_unit_iff sweep checks its conclusion on every (a, b) of a block.
 """
 
 from __future__ import annotations
@@ -106,40 +109,6 @@ def _index_array(name: str, idx, bound: int) -> np.ndarray:
     return arr
 
 
-def level_shift(spec: CodeSpec, d: int) -> int:
-    """The exact quotient (Delta*(e1*alpha + beta) - 1) / d.
-
-    Integrality is guaranteed whenever d = gcd(q-1, k*e1 - e2); anything
-    else means the Bezout data is inconsistent.
-    """
-    num = spec.delta * (spec.e1 * spec.bezout.alpha + spec.bezout.beta) - 1
-    if num % d != 0:
-        raise ConsistencyError(
-            f"{d} does not divide Delta*(e1*alpha+beta) - 1 = {num}"
-        )
-    return num // d
-
-
-def partition_value(
-    ctx: FieldCtx, spec: CodeSpec, a: int, b: int, d: int, v: int, w: int
-) -> int:
-    """Value a*gamma^(Delta*(e1*alpha+beta)*v + Delta*d*w) + b*gamma^v.
-
-    The level sets of this map over V are invariant under w -> w + (q-1)/d
-    and shift predictably under v -> v + Delta, which forces every level
-    count to be divisible by d.
-    """
-    if d != spec.d:
-        raise InvalidArgumentError(f"d = {d} is not gcd(q-1, k*e1 - e2)")
-    level_shift(spec, d)  # integrality check
-    m = ctx.m
-    _check_points(spec, v, w, m)
-    stride = spec.delta * (spec.e1 * spec.bezout.alpha + spec.bezout.beta)
-    t1 = ZERO if a == ZERO else (a + stride * v + spec.delta * d * w) % m
-    t2 = ZERO if b == ZERO else (b + v) % m
-    return ctx.add(t1, t2)
-
-
 def char_sum(ctx: FieldCtx, spec: CodeSpec, a: int, b: int) -> CyclotomicCount:
     """Exact count vector of T(a, b) over all (q^k-1)(q-1) terms.
 
@@ -200,30 +169,3 @@ def predict_char_sum(
     if b_zero:
         return (q - 1) * n if trace_a_zero else -n
     return -(q - 1) if trace_a_zero else 1
-
-
-def partition_counts(
-    ctx: FieldCtx, spec: CodeSpec, a: int, b: int, d: int
-) -> dict[int, int]:
-    """Level-set sizes of the shifted form over V, keyed by field element.
-
-    Requires d = gcd(q-1, k*e1 - e2) > 1.  Checks that d divides every
-    level count and that counts repeat along the v -> v + Delta orbit.
-    """
-    if d <= 1:
-        raise InvalidArgumentError(f"partition requires d > 1, got {d}")
-    if d != spec.d:
-        raise InvalidArgumentError(f"d = {d} is not gcd(q-1, k*e1 - e2)")
-    m = ctx.m
-    counts: dict[int, int] = {}
-    for v in range(m):
-        for w in range(ctx.q - 1):
-            val = partition_value(ctx, spec, a, b, d, v, w)
-            counts[val] = counts.get(val, 0) + 1
-    for val, c in counts.items():
-        if c % d != 0:
-            raise ConsistencyError(f"level count {c} at {val} is not divisible by {d}")
-    for e in range(m):
-        if counts.get(e, 0) != counts.get((e + ctx.delta) % m, 0):
-            raise ConsistencyError("level counts are not Delta-shift periodic")
-    return counts

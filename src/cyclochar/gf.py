@@ -226,15 +226,6 @@ class FieldCtx:
             raise ZeroDivisionError("zero has no multiplicative inverse")
         return (-x) % self.m
 
-    def pow(self, x: int, e: int) -> int:
-        if x == ZERO:
-            if e > 0:
-                return ZERO
-            if e == 0:
-                return 0
-            raise ZeroDivisionError("negative power of zero")
-        return (x * e) % self.m
-
     def add(self, x: int, y: int) -> int:
         if x == ZERO:
             return y
@@ -249,18 +240,6 @@ class FieldCtx:
         if x == ZERO or self.p == 2:
             return x
         return (x + self.m // 2) % self.m
-
-    def sub(self, x: int, y: int) -> int:
-        return self.add(x, self.neg(y))
-
-    def packed(self, x: int) -> int:
-        """Base-p packed coefficient vector of the element."""
-        return 0 if x == ZERO else int(self.antilog[x])
-
-    def from_packed(self, v: int) -> int:
-        if not 0 <= v < self.order:
-            raise InvalidArgumentError(f"packed value {v} out of range")
-        return ZERO if v == 0 else int(self.log[v])
 
     # -- traces and characters ----------------------------------------------
 
@@ -281,18 +260,7 @@ class FieldCtx:
             e = e * step % self.m
         return acc
 
-    def additive_char_exponent(self, x: int) -> int:
-        """Exponent c in [0, p) with chi'(x) = zeta_p^c, via the trace to F_p."""
-        tr = self.trace_to(x, "Fp")
-        v = self.packed(tr)
-        if v >= self.p:
-            raise ConsistencyError("trace to the prime field left the prime field")
-        return v
-
     # -- the embedded subfield F_q ------------------------------------------
-
-    def in_subfield(self, x: int) -> bool:
-        return x == ZERO or x % self.delta == 0
 
     def symbol_of(self, x: int) -> int:
         """F_q symbol index of a subfield element (0 for zero, 1+j for gamma^(j*delta))."""

@@ -4,10 +4,10 @@ A polynomial is a tuple of F_q symbol indices, low-degree first, with no
 trailing zeros; the zero polynomial is the empty tuple.  A FieldCtx's
 symbol enumeration fixes the meaning of each coefficient, and all
 coefficient arithmetic reads its F_q symbol tables (FieldCtx.symbol_tables,
-as plain lists for the scalar loops here); only minimal_polynomial and
-poly_eval work on elements of F_{q^k}, where the roots live.
+as plain lists for the scalar loops here); only minimal_polynomial works
+on elements of F_{q^k}, where the roots live.
 
-The CLI's textual format is the same sequence, comma separated:
+The CLI prints a polynomial as the same sequence, comma separated:
 "1,1,0,1" is x^3 + x + 1 over F_2.
 """
 
@@ -39,16 +39,6 @@ def is_monic(a: Poly) -> bool:
     return bool(a) and a[-1] == 1
 
 
-def poly_add(ctx: FieldCtx, a: Poly, b: Poly) -> Poly:
-    add = ctx.symbol_table_lists().add
-    if len(a) < len(b):
-        a, b = b, a
-    out = list(a)
-    for i, c in enumerate(b):
-        out[i] = add[out[i]][c]
-    return normalize(out)
-
-
 def poly_mul(ctx: FieldCtx, a: Poly, b: Poly) -> Poly:
     if not a or not b:
         return ZERO_POLY
@@ -62,13 +52,6 @@ def poly_mul(ctx: FieldCtx, a: Poly, b: Poly) -> Poly:
             if bj:
                 out[i + j] = add[out[i + j]][row[bj]]
     return normalize(out)
-
-
-def poly_scale(ctx: FieldCtx, a: Poly, s: int) -> Poly:
-    if s == 0:
-        return ZERO_POLY
-    row = ctx.symbol_table_lists().mul[s]
-    return normalize([row[c] for c in a])
 
 
 def poly_divmod(ctx: FieldCtx, a: Poly, b: Poly) -> tuple[Poly, Poly]:
@@ -101,23 +84,6 @@ def poly_divmod(ctx: FieldCtx, a: Poly, b: Poly) -> tuple[Poly, Poly]:
 
 def poly_mod(ctx: FieldCtx, a: Poly, b: Poly) -> Poly:
     return poly_divmod(ctx, a, b)[1]
-
-
-def poly_gcd(ctx: FieldCtx, a: Poly, b: Poly) -> Poly:
-    """Monic gcd by the Euclidean algorithm."""
-    while b:
-        a, b = b, poly_mod(ctx, a, b)
-    if not a:
-        return ZERO_POLY
-    return poly_scale(ctx, a, ctx.symbol_table_lists().inv[a[-1]])
-
-
-def poly_eval(ctx: FieldCtx, a: Poly, x: int) -> int:
-    """Evaluate at a field element (exponent form); returns an element."""
-    acc = ZERO
-    for c in reversed(a):
-        acc = ctx.add(ctx.mul(acc, x), ctx.element_of_symbol(c))
-    return acc
 
 
 def x_pow_n_minus_1(ctx: FieldCtx, n: int) -> Poly:
@@ -166,16 +132,3 @@ def poly_to_string(a: Poly) -> str:
     if not a:
         return "0"
     return ",".join(str(c) for c in a)
-
-
-def poly_from_string(s: str) -> Poly:
-    s = s.strip()
-    if s in ("", "0"):
-        return ZERO_POLY
-    try:
-        coeffs = [int(tok) for tok in s.split(",")]
-    except ValueError as exc:
-        raise InvalidArgumentError(f"bad polynomial literal {s!r}") from exc
-    if any(c < 0 for c in coeffs):
-        raise InvalidArgumentError("coefficient indices must be non-negative")
-    return normalize(coeffs)

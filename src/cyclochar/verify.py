@@ -38,7 +38,7 @@ from .codes import (
 from .errors import ConsistencyError, CyclocharError, ResourceLimitError
 from .expsum import char_sum, predict_char_sum, substitution, substitution_inverse
 from .gf import ZERO, FieldCtx, field_for
-from .numth import check_budget, multiplier_orbit, prime_power_split
+from .numth import check_budget, check_field, multiplier_orbit, prime_power_split
 
 @dataclass
 class PropertyResult:
@@ -456,6 +456,9 @@ _RUNNERS = {
     "two_weight_gaps": lambda q, k, ctx, cap, memo: verify_two_weight_gaps(q, k, ctx, cap),
 }
 PROPERTIES = tuple(_RUNNERS)
+# Sweeps that read no field: run_block builds the block's field only once
+# a sweep outside this set is about to run.
+_FIELDLESS = frozenset({"substitution_bijection"})
 
 
 def run_block(
@@ -468,7 +471,10 @@ def run_block(
 ) -> list[PropertyResult]:
     """Run the selected sweeps for one (q, k) block, appending to results.
 
-    The two brute-force sweeps share one BruteForceMemo.
+    The block's field is built, after check_field accepts (q, k), just
+    before the first sweep that reads it, so a fieldless sweep the job
+    budget refuses costs no field.  The two brute-force sweeps share one
+    BruteForceMemo.
 
     This is the sweeps' one error boundary.  A package error inside a
     sweep becomes a failing result {"error": message}, except a
@@ -476,9 +482,12 @@ def run_block(
     before it is already in results.
     """
     results = [] if results is None else results
-    ctx = field_for(q, k, cap=field_cap)
-    memo = BruteForceMemo(ctx, brute_cap)
+    check_field(q, k, field_cap)
+    ctx = memo = None
     for prop in props:
+        if ctx is None and prop not in _FIELDLESS:
+            ctx = field_for(q, k, cap=field_cap)
+            memo = BruteForceMemo(ctx, brute_cap)
         try:
             result = _RUNNERS[prop](q, k, ctx, brute_cap, memo)
         except ResourceLimitError:

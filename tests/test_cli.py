@@ -433,6 +433,20 @@ class TestVerify:
         assert calls == [(2, 3, 2, 3)]
         assert [r.checked for r in results] == [-1]
 
+    def test_refused_fieldless_sweep_builds_no_field(self, capsys, monkeypatch):
+        # the substitution sweep reads no field, so the budget refuses it
+        # before F_(2^20) is built
+        def no_field(*args, **kwargs):
+            raise AssertionError("the field was built")
+
+        monkeypatch.setattr(gf.FieldCtx, "__init__", no_field)
+        code, out, err = run(
+            capsys, "verify", "--q", "32", "--k", "4", "--props", "substitution_bijection"
+        )
+        assert code == 2
+        assert out == ""
+        assert "the substitution grid needs about 1.9 GiB" in err
+
     @pytest.mark.parametrize("argv", [("--q", "6"), ("--q", "128"), ("--max-length", "2")])
     def test_empty_selection_exit_2(self, capsys, argv):
         code, out, err = run(capsys, "verify", *argv)

@@ -1,14 +1,19 @@
 """Code objects: both weight-distribution routes, duality, bounds, moments."""
 
+import os
+import subprocess
+import sys
 import time
 import tracemalloc
 from itertools import product
+from math import comb
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from cyclochar import codes, gf, polyring as pr, verify
+from cyclochar import codes, expsum, gf, polyring as pr, verify
 from cyclochar.errors import (
     ConsistencyError,
     InvalidArgumentError,
@@ -21,6 +26,48 @@ from cyclochar.verify import default_pairs
 
 def first_nonzero_trace(ctx):
     return next(e for e in range(ctx.m) if ctx.trace_to(e, "Fq") != ZERO)
+
+
+def trace_codeword(ctx, spec, a, b):
+    """Codeword (Tr(a*gamma^(Delta*e1*i) + b*gamma^(e2*i)))_i as F_q symbols."""
+    m = ctx.m
+    trq = ctx.trace_q_symbol_list()
+    s1 = rem(ctx.delta * spec.e1, m)
+    s2 = rem(spec.e2, m)
+    out = []
+    ea, eb = a, b
+    for _ in range(m):
+        s = ctx.add(ea, eb)
+        out.append(0 if s == ZERO else trq[s])
+        if ea != ZERO:
+            ea = (ea + s1) % m
+        if eb != ZERO:
+            eb = (eb + s2) % m
+    return out
+
+
+def zero_count(ctx, spec, a, b):
+    """Number of zero entries of the trace codeword for (a, b).
+
+    Counts directly, then cross-checks the exact relation
+    q * zeros = (q^k - 1) + T(a, b) against the character sum.
+    """
+    z = sum(1 for s in trace_codeword(ctx, spec, a, b) if s == 0)
+    t = expsum.char_sum(ctx, spec, a, b).as_integer()
+    total, r = divmod(ctx.m + t, ctx.q)
+    if r != 0 or total != z:
+        raise ConsistencyError(
+            f"zero count {z} disagrees with (n + T)/q = ({ctx.m} + {t})/{ctx.q}"
+        )
+    return z
+
+
+def krawtchouk_direct(n, q, j, w):
+    """Direct binomial-sum evaluation of K_j(w); the recurrence's oracle."""
+    return sum(
+        (-1) ** i * (q - 1) ** (j - i) * comb(w, i) * comb(n - w, j - i)
+        for i in range(j + 1)
+    )
 
 
 class TestCodeSpec:
@@ -39,13 +86,13 @@ class TestTraceCodeword:
     def test_all_zero(self):
         ctx = gf.field_for(3, 2)
         spec = codes.code_spec(3, 2, 0, 1)
-        assert codes.trace_codeword(ctx, spec, ZERO, ZERO) == [0] * 8
+        assert trace_codeword(ctx, spec, ZERO, ZERO) == [0] * 8
 
     def test_full_weight_constant_class(self):
         ctx = gf.field_for(4, 3)
         spec = codes.code_spec(4, 3, 2, 5)
         a = first_nonzero_trace(ctx)
-        word = codes.trace_codeword(ctx, spec, a, ZERO)
+        word = trace_codeword(ctx, spec, a, ZERO)
         assert sum(1 for s in word if s) == 63
 
     def test_weight_complements_zero_count(self):
@@ -56,26 +103,26 @@ class TestTraceCodeword:
         for _ in range(200):
             a = elems[int(rng.integers(len(elems)))]
             b = elems[int(rng.integers(len(elems)))]
-            word = codes.trace_codeword(ctx, spec, a, b)
-            assert sum(1 for s in word if s) == 8 - codes.zero_count(ctx, spec, a, b)
+            word = trace_codeword(ctx, spec, a, b)
+            assert sum(1 for s in word if s) == 8 - zero_count(ctx, spec, a, b)
 
 
 class TestZeroCount:
     def test_both_zero(self):
         ctx = gf.field_for(3, 2)
         spec = codes.code_spec(3, 2, 0, 1)
-        assert codes.zero_count(ctx, spec, ZERO, ZERO) == 8
+        assert zero_count(ctx, spec, ZERO, ZERO) == 8
 
     def test_nonzero_trace_b_zero(self):
         ctx = gf.field_for(3, 2)
         spec = codes.code_spec(3, 2, 0, 1)
-        assert codes.zero_count(ctx, spec, first_nonzero_trace(ctx), ZERO) == 0
+        assert zero_count(ctx, spec, first_nonzero_trace(ctx), ZERO) == 0
 
     def test_nonzero_trace_b_nonzero_k2(self):
         # at k = 2 the count equals q itself
         ctx = gf.field_for(3, 2)
         spec = codes.code_spec(3, 2, 0, 1)
-        assert codes.zero_count(ctx, spec, first_nonzero_trace(ctx), 0) == 3
+        assert zero_count(ctx, spec, first_nonzero_trace(ctx), 0) == 3
 
     @pytest.mark.parametrize("q,k", [(2, 3), (4, 3), (3, 3)])
     def test_nonzero_trace_b_nonzero_general_k(self, q, k):
@@ -83,12 +130,12 @@ class TestZeroCount:
         ctx = gf.field_for(q, k)
         spec = codes.code_spec(q, k, 0, 1)
         a = first_nonzero_trace(ctx)
-        assert codes.zero_count(ctx, spec, a, 0) == q ** (k - 1)
+        assert zero_count(ctx, spec, a, 0) == q ** (k - 1)
 
     def test_a_zero_b_nonzero(self):
         ctx = gf.field_for(4, 3)
         spec = codes.code_spec(4, 3, 2, 5)
-        assert codes.zero_count(ctx, spec, ZERO, 0) == 4**2 - 1
+        assert zero_count(ctx, spec, ZERO, 0) == 4**2 - 1
 
 
 class TestTraceDistribution:
@@ -287,13 +334,26 @@ class TestProjectiveOracle:
         def trace_route(*args, **kwargs):
             raise AssertionError("the oracle read the trace route")
 
-        for name in ("_orbit_columns", "trace_weight_grid", "char_sum", "trace_codeword"):
+        for name in ("_orbit_columns", "trace_weight_grid"):
             monkeypatch.setattr(codes, name, trace_route)
+        # codes no longer binds char_sum; patch it where it lives
+        monkeypatch.setattr(expsum, "char_sum", trace_route)
         for attr in ("trace_q_symbols", "trace_q_symbol_list", "char_exponents", "trace_to"):
             monkeypatch.setattr(gf.FieldCtx, attr, trace_route)
         ctx = gf.field_for(4, 3)
         code = codes.code_from_exponents(ctx, 2, 5)
         assert codes.weight_distribution_bruteforce(ctx, code) == codes.three_weight_distribution(4, 3)
+
+    def test_codes_loads_no_character_sum(self):
+        # the trace route and the direct character sum that verify compares
+        # share no module: importing codes leaves expsum unloaded
+        root = Path(__file__).resolve().parents[1]
+        path = os.pathsep.join([str(root / "src"), os.environ.get("PYTHONPATH", "")])
+        script = "import sys, cyclochar.codes; print('cyclochar.expsum' in sys.modules)"
+        proc = subprocess.run([sys.executable, "-c", script], env={**os.environ, "PYTHONPATH": path},
+                              capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == "False"
 
     @pytest.mark.parametrize("q,k", [(2, 4), (3, 2)])
     def test_lost_word_detected(self, q, k, monkeypatch):
@@ -315,8 +375,6 @@ class TestCharSumGrid:
     @pytest.mark.parametrize("q,k,e1,e2", [(3, 2, 0, 1), (4, 2, 2, 1), (2, 4, 0, 7)])
     def test_matches_direct_char_sum_per_element(self, q, k, e1, e2):
         # the grid is indexed by trace classes; every concrete a must agree
-        from cyclochar.expsum import char_sum
-
         ctx = gf.field_for(q, k)
         spec = codes.code_spec(q, k, e1, e2)
         grid = codes.char_sum_grid(ctx, e1, e2)
@@ -327,7 +385,7 @@ class TestCharSumGrid:
             b = elems[int(rng.integers(len(elems)))]
             tau = 0 if a == ZERO else ctx.symbol_of(ctx.trace_to(a, "Fq"))
             col = 0 if b == ZERO else 1 + b
-            assert grid[tau, col] == char_sum(ctx, spec, a, b).as_integer()
+            assert grid[tau, col] == expsum.char_sum(ctx, spec, a, b).as_integer()
 
 
 class TestGriesmer:
@@ -357,7 +415,7 @@ class TestKrawtchouk:
         w = data.draw(st.integers(min_value=0, max_value=n))
         row = list(codes.krawtchouk_sums(n, q, ((w, 1),)))
         for j in range(n + 1):
-            assert row[j] == codes.krawtchouk_direct(n, q, j, w)
+            assert row[j] == krawtchouk_direct(n, q, j, w)
 
 
 class TestMacWilliams:
@@ -391,7 +449,7 @@ class TestMacWilliams:
         h = code.parity_check
         recip = pr.normalize(tuple(reversed(h)))
         lead_inv = ctx.symbol_of(ctx.inv(ctx.element_of_symbol(recip[-1])))
-        recip = pr.poly_scale(ctx, recip, lead_inv)
+        recip = pr.poly_mul(ctx, recip, (lead_inv,))
         dual_code = codes.cyclic_code(ctx, pr.generator_from_parity_check(ctx, recip, 15))
         direct = codes.weight_distribution_bruteforce(ctx, dual_code)
         assert codes.macwilliams_dual(wd, 15, 2, code.dimension) == direct

@@ -7,6 +7,7 @@ from cyclochar.codes import code_spec
 from cyclochar.errors import ConsistencyError, InvalidArgumentError
 from cyclochar.expsum import CyclotomicCount
 from cyclochar.gf import ZERO
+from test_gf import additive_char_exponent
 
 
 def char_sum_reindexed(ctx, spec, a, b, use_delta_form=False):
@@ -26,7 +27,7 @@ def char_sum_reindexed(ctx, spec, a, b, use_delta_form=False):
             t1 = ZERO if a == ZERO else (a + stride * v + wstep * w) % m
             t2 = ZERO if b == ZERO else (b + v) % m
             val = ctx.add(t1, t2)
-            counts[0 if val == ZERO else ctx.additive_char_exponent(val)] += 1
+            counts[0 if val == ZERO else additive_char_exponent(ctx, val)] += 1
     return CyclotomicCount(p=ctx.p, counts=tuple(counts))
 
 
@@ -51,6 +52,72 @@ def direct_char_sum(ctx, spec, a, b):
         if eb != ZERO:
             eb = (eb + s2) % m
     return CyclotomicCount(p=ctx.p, counts=tuple(counts))
+
+
+# The paper's level-set argument for the necessity of gcd(q-1, k*e1 - e2) = 1.
+# In the substituted coordinates (v, w) the sum reads the shifted form
+# below; its level sets over V repeat under w -> w + (q-1)/d and shift
+# with v -> v + Delta, so d divides every level count and hence T(a, b).
+# No verify sweep runs this scalar O(n*(q-1)) loop per (a, b): the
+# char_sum_unit_iff sweep checks the conclusion (d | T and T != 1 when
+# d > 1) on every (a, b) of a block instead.
+
+
+def level_shift(spec, d):
+    """The exact quotient (Delta*(e1*alpha + beta) - 1) / d.
+
+    Integrality is guaranteed whenever d = gcd(q-1, k*e1 - e2); anything
+    else means the Bezout data is inconsistent.
+    """
+    num = spec.delta * (spec.e1 * spec.bezout.alpha + spec.bezout.beta) - 1
+    if num % d != 0:
+        raise ConsistencyError(
+            f"{d} does not divide Delta*(e1*alpha+beta) - 1 = {num}"
+        )
+    return num // d
+
+
+def partition_value(ctx, spec, a, b, d, v, w):
+    """Value a*gamma^(Delta*(e1*alpha+beta)*v + Delta*d*w) + b*gamma^v.
+
+    The level sets of this map over V are invariant under w -> w + (q-1)/d
+    and shift predictably under v -> v + Delta, which forces every level
+    count to be divisible by d.
+    """
+    if d != spec.d:
+        raise InvalidArgumentError(f"d = {d} is not gcd(q-1, k*e1 - e2)")
+    level_shift(spec, d)  # integrality check
+    m = ctx.m
+    expsum._check_points(spec, v, w, m)
+    stride = spec.delta * (spec.e1 * spec.bezout.alpha + spec.bezout.beta)
+    t1 = ZERO if a == ZERO else (a + stride * v + spec.delta * d * w) % m
+    t2 = ZERO if b == ZERO else (b + v) % m
+    return ctx.add(t1, t2)
+
+
+def partition_counts(ctx, spec, a, b, d):
+    """Level-set sizes of the shifted form over V, keyed by field element.
+
+    Requires d = gcd(q-1, k*e1 - e2) > 1.  Checks that d divides every
+    level count and that counts repeat along the v -> v + Delta orbit.
+    """
+    if d <= 1:
+        raise InvalidArgumentError(f"partition requires d > 1, got {d}")
+    if d != spec.d:
+        raise InvalidArgumentError(f"d = {d} is not gcd(q-1, k*e1 - e2)")
+    m = ctx.m
+    counts = {}
+    for v in range(m):
+        for w in range(ctx.q - 1):
+            val = partition_value(ctx, spec, a, b, d, v, w)
+            counts[val] = counts.get(val, 0) + 1
+    for val, c in counts.items():
+        if c % d != 0:
+            raise ConsistencyError(f"level count {c} at {val} is not divisible by {d}")
+    for e in range(m):
+        if counts.get(e, 0) != counts.get((e + ctx.delta) % m, 0):
+            raise ConsistencyError("level counts are not Delta-shift periodic")
+    return counts
 
 
 def class_pairs(ctx):
@@ -159,7 +226,7 @@ class TestPartitionValue:
         assert d == 3
         for v in range(ctx.m):
             for w in range(ctx.q - 1):
-                assert expsum.partition_value(ctx, spec, ZERO, ZERO, d, v, w) == ZERO
+                assert partition_value(ctx, spec, ZERO, ZERO, d, v, w) == ZERO
 
     @pytest.mark.parametrize("q,k,e1,e2", [(4, 2, 2, 1), (5, 3, 1, 1)])
     def test_scaling_symmetry(self, q, k, e1, e2):
@@ -168,16 +235,16 @@ class TestPartitionValue:
         spec = code_spec(q, k, e1, e2)
         d = spec.d
         assert d > 1
-        rho = expsum.level_shift(spec, d)
+        rho = level_shift(spec, d)
         a, b = 1, 2
         for r in range(q):
             for v in range(ctx.m):
                 for w in range(q - 1):
                     lhs = ctx.mul(
                         (r * ctx.delta) % ctx.m,
-                        expsum.partition_value(ctx, spec, a, b, d, v, w),
+                        partition_value(ctx, spec, a, b, d, v, w),
                     )
-                    rhs = expsum.partition_value(
+                    rhs = partition_value(
                         ctx,
                         spec,
                         a,
@@ -198,9 +265,9 @@ class TestPartitionValue:
         a, b = 2, 0
         for v in range(ctx.m):
             for w in range(q - 1):
-                base = expsum.partition_value(ctx, spec, a, b, d, v, w)
+                base = partition_value(ctx, spec, a, b, d, v, w)
                 for t in range(d):
-                    assert base == expsum.partition_value(
+                    assert base == partition_value(
                         ctx, spec, a, b, d, v, (w + step * t) % (q - 1)
                     )
 
@@ -208,7 +275,7 @@ class TestPartitionValue:
         ctx = gf.field_for(4, 2)
         spec = code_spec(4, 2, 2, 1)
         with pytest.raises(InvalidArgumentError):
-            expsum.partition_value(ctx, spec, 0, 0, 2, 0, 0)
+            partition_value(ctx, spec, 0, 0, 2, 0, 0)
 
 
 class TestCharSum:
@@ -274,14 +341,14 @@ class TestPartitionCounts:
         ctx = gf.field_for(4, 2)
         spec = code_spec(4, 2, 2, 1)
         d = spec.d
-        counts = expsum.partition_counts(ctx, spec, 1, 2, d)
+        counts = partition_counts(ctx, spec, 1, 2, d)
         assert sum(counts.values()) == ctx.m * (ctx.q - 1)
         assert all(c % d == 0 for c in counts.values())
 
     def test_delta_periodicity(self):
         ctx = gf.field_for(5, 3)
         spec = code_spec(5, 3, 1, 1)
-        counts = expsum.partition_counts(ctx, spec, 3, 7, spec.d)
+        counts = partition_counts(ctx, spec, 3, 7, spec.d)
         for e in range(ctx.m):
             assert counts.get(e, 0) == counts.get((e + ctx.delta) % ctx.m, 0)
 
@@ -289,10 +356,10 @@ class TestPartitionCounts:
         ctx = gf.field_for(3, 2)
         spec = code_spec(3, 2, 0, 1)
         with pytest.raises(InvalidArgumentError):
-            expsum.partition_counts(ctx, spec, 1, 2, spec.d)
+            partition_counts(ctx, spec, 1, 2, spec.d)
 
     def test_gcd_checked(self):
         ctx = gf.field_for(4, 2)
         spec = code_spec(4, 2, 2, 1)
         with pytest.raises(InvalidArgumentError):
-            expsum.partition_counts(ctx, spec, 1, 2, 6)
+            partition_counts(ctx, spec, 1, 2, 6)

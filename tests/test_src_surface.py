@@ -1,0 +1,106 @@
+"""src/cyclochar holds only what the program runs.
+
+Every module-level function and every method under src/cyclochar must be
+reached from src/ itself: from module-level code, or from another function
+that is reached in turn.  A reference inside a function's own definition
+does not count, nor does one inside a function that is not reached, so a
+cluster of helpers that only each other (or only tests) call fails as a
+whole.  Test references, oracles and lemmas a sweep never runs belong in
+the test modules that read them.
+
+References are matched by name, so the check can miss an unused function
+that shares a name with a used one.  A module-level function counts as
+referenced by a bare name or an attribute (`polyring.poly_mod`), a method
+only by an attribute (`ctx.add`).  A definition that code outside src/
+calls, or that is looked up by a string, needs an exemption.
+"""
+
+import ast
+from pathlib import Path
+
+SRC = Path(__file__).resolve().parents[1] / "src" / "cyclochar"
+
+# Definitions that stay without a caller in src/, each with its reason.
+EXEMPT = {
+    "cli.main": "the console-script entry point, called from outside the package",
+    "cli._Parser.error": "argparse calls it: the override of ArgumentParser.error",
+    "gf.FieldCtx.trace_q_symbol_list": "perfbench/traced_item.py wraps it by name",
+    "gf.FieldCtx.char_exponent_list": "perfbench/traced_item.py wraps it by name",
+    "characterize.characterize_code": "perfbench/traced_item.py wraps it by name",
+    "characterize.one_weight_check": "perfbench/traced_item.py wraps it by name",
+    "characterize.full_weight_divisor": "perfbench/traced_item.py wraps it by name",
+}
+
+
+def _is_def(node):
+    return isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+
+
+def _references(node, owner, out):
+    """Append (name, owner, via attribute) for every bare name and attribute under node."""
+    for sub in ast.walk(node):
+        if isinstance(sub, ast.Name):
+            out.append((sub.id, owner, False))
+        elif isinstance(sub, ast.Attribute):
+            out.append((sub.attr, owner, True))
+
+
+def scan(src=SRC):
+    """(defs, refs): defs maps a qualified name to (bare name, is_method);
+    refs holds (name, owning definition or None, via attribute)."""
+    defs, refs = {}, []
+    for path in sorted(src.glob("*.py")):
+        module = path.stem
+        tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+        for item in tree.body:
+            if _is_def(item):
+                qual = f"{module}.{item.name}"
+                defs[qual] = (item.name, False)
+                _references(item, qual, refs)
+            elif isinstance(item, ast.ClassDef):
+                for member in item.body:
+                    if _is_def(member):
+                        qual = f"{module}.{item.name}.{member.name}"
+                        defs[qual] = (member.name, True)
+                        _references(member, qual, refs)
+                    else:
+                        _references(member, None, refs)
+                for extra in item.bases + item.keywords + item.decorator_list:
+                    _references(extra, None, refs)
+            else:
+                _references(item, None, refs)
+    return defs, refs
+
+
+def unreached(src=SRC):
+    """Qualified names of the definitions nothing reached in src/ refers to."""
+    defs, refs = scan(src)
+    by_name = {}
+    for name, owner, via_attr in refs:
+        by_name.setdefault(name, []).append((owner, via_attr))
+    roots = {
+        qual for qual, (name, _) in defs.items()
+        if qual in EXEMPT or (name.startswith("__") and name.endswith("__"))
+    }
+    dead: set[str] = set()
+    while True:
+        newly = {
+            qual for qual, (name, is_method) in defs.items()
+            if qual not in roots and qual not in dead and not any(
+                owner != qual and owner not in dead and (via_attr or not is_method)
+                for owner, via_attr in by_name.get(name, ())
+            )
+        }
+        if not newly:
+            return sorted(dead)
+        dead |= newly
+
+
+def test_every_src_function_is_reached_from_src():
+    dead = unreached()
+    assert not dead, f"nothing in src/ reaches {dead}: move them to tests or delete them"
+
+
+def test_every_exemption_names_a_definition():
+    defs, _ = scan()
+    assert sorted(set(EXEMPT) - set(defs)) == []

@@ -99,7 +99,6 @@ def build_code(ctx: FieldCtx, q: int, k: int, e1: int, e2: int) -> CodeReport:
         raise TheoremViolationError(f"deg h_(Delta*e1) = {polyring.degree(h1)} != 1")
     if polyring.degree(h2) != k:
         raise TheoremViolationError(f"deg h_(e2) = {polyring.degree(h2)} != {k}")
-    h = polyring.poly_mul(ctx, h1, h2)
     wd = weight_distribution_trace(ctx, spec)
     match = wd == three_weight_distribution(q, k)
     if not match:
@@ -107,7 +106,7 @@ def build_code(ctx: FieldCtx, q: int, k: int, e1: int, e2: int) -> CodeReport:
             f"conditions hold but distribution is {wd.entries}"
         )
     n = spec.n
-    dim = polyring.degree(h)
+    dim = 1 + k  # deg h = deg h1 + deg h2, both checked above
     d = wd.min_nonzero_weight()
     optimal = is_griesmer_optimal(q, n, dim, d)
     if not optimal:

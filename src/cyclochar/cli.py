@@ -73,18 +73,9 @@ def report_json(report: CodeReport) -> dict:
     }
 
 
-def _trace_class_reps(ctx: FieldCtx) -> dict[int, int]:
-    """Smallest gamma-exponent per nonzero trace symbol (reporting metadata)."""
-    trq = ctx.trace_q_symbols()
-    reps: dict[int, int] = {}
-    for e, sym in enumerate(trq.tolist()):
-        if sym and sym not in reps:
-            reps[sym] = e
-    return dict(sorted(reps.items()))
-
-
 def report_text(report: CodeReport, ctx: FieldCtx) -> str:
     spec = report.spec
+    reps = {s: e for s, e in enumerate(ctx.trace_class_reps().tolist()) if s and e < ctx.m}
     lines = [
         f"code C_(Delta*e1={spec.delta * spec.e1 % spec.n}, e2={spec.e2}) over F_{spec.q}:"
         f" [{report.n},{report.dim},{report.min_distance}] cyclic code",
@@ -93,7 +84,7 @@ def report_text(report: CodeReport, ctx: FieldCtx) -> str:
         f"griesmer optimal: {report.griesmer_optimal}",
         f"dual: [{report.n},{report.n - report.dim},{report.dual_min_weight}]"
         f" with B1={report.dual_b1} B2={report.dual_b2} B3={report.dual_b3}",
-        f"trace class representatives (symbol: gamma exponent): {_trace_class_reps(ctx)}",
+        f"trace class representatives (symbol: gamma exponent): {reps}",
     ]
     return "\n".join(lines)
 

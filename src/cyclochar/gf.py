@@ -96,64 +96,52 @@ def smallest_primitive_polynomial(p: int, d: int) -> tuple[int, ...]:
     raise ConsistencyError(f"no primitive polynomial of degree {d} over F_{p}")
 
 
-def _companion_matrix(f, p):
-    d = len(f) - 1
-    m = np.zeros((d, d), dtype=np.int64)
-    for i in range(d - 1):
-        m[i + 1, i] = 1
-    for j in range(d):
-        m[j, d - 1] = (-f[j]) % p
-    return m
+def _linear_map(packed, images, p, d):
+    """Packed images of the packed elements under an F_p-linear map of F_p^d.
 
-
-def _matrix_power_mod(mat, e, p):
-    out = np.eye(mat.shape[0], dtype=np.int64)
-    base = mat % p
-    while e:
-        if e & 1:
-            out = out @ base % p
-        base = base @ base % p
-        e >>= 1
+    The map sends the basis element x^i (packed p^i) to the packed value
+    images[i].  The digits of packed are read off one at a time; output
+    digit j is sum_i digit_i * digit_j(images[i]) mod p, accumulated in the
+    smallest dtype that holds d*(p-1)^2.
+    """
+    rest = np.asarray(packed).astype(np.min_scalar_type(p**d - 1))
+    digit_dtype = np.min_scalar_type(p - 1)
+    acc_type = np.min_scalar_type(d * (p - 1) ** 2).type
+    digits = []
+    for _ in range(d):
+        rest, digit = np.divmod(rest, p)
+        digits.append(digit.astype(digit_dtype))
+    coeffs = [[int(img) // p**j % p for j in range(d)] for img in images]
+    out = np.zeros(len(rest), dtype=np.int64)
+    for j in reversed(range(d)):
+        acc = np.zeros(len(rest), dtype=acc_type)
+        for i in range(d):
+            if coeffs[i][j]:
+                acc += digits[i] * acc_type(coeffs[i][j])
+        out *= p
+        out += acc % p
     return out
 
 
 def _power_table(f, p, m):
-    """Coefficient vectors of x^0 .. x^{m-1} mod f as an (m, d) array."""
-    d = len(f) - 1
-    block = min(m, 1 << 12)
-    cols = np.zeros((d, block), dtype=np.int64)
-    col = [1] + [0] * (d - 1)
-    for j in range(block):
-        cols[:, j] = col
-        top = col[d - 1]
-        col = [0] + col[: d - 1]
-        if top:
-            for i in range(d):
-                col[i] = (col[i] - top * f[i]) % p
-    chunks = [cols.astype(np.uint8)]
-    step = _matrix_power_mod(_companion_matrix(f, p), block, p) if m > block else None
-    total = block
-    while total < m:
-        cols = step @ cols % p
-        chunks.append(cols.astype(np.uint8))
-        total += block
-    table = np.concatenate(chunks, axis=1).T[:m]
-    return np.ascontiguousarray(table)
+    """Packed values of x^0 .. x^(m-1) mod f, by doubling.
 
-
-def _pack_columns(digits, p):
-    """Base-p packed values of an (m, d) digit array, column by column.
-
-    Columnwise accumulation keeps the transient memory at one m-vector
-    instead of widening the whole digit table.
+    Multiplication by x^L is the F_p-linear map sending x^i to x^(L+i), so
+    x^L .. x^(2L-1) are x^0 .. x^(L-1) under it, and the map for 2L sends
+    x^i to the image of x^(L+i) under the map for L.
     """
-    m, d = digits.shape
-    packed = np.zeros(m, dtype=np.int64)
-    mult = 1
-    for i in range(d):
-        packed += digits[:, i].astype(np.int64) * mult
-        mult *= p
-    return packed
+    d = len(f) - 1
+    x_d = sum((-c) % p * p**i for i, c in enumerate(f[:d]))
+    step = [p**i for i in range(1, d)] + [x_d]  # x^(1+i) mod f, the map for L = 1
+    table = np.empty(m, dtype=np.int64)
+    table[0] = 1
+    size = 1
+    while size < m:
+        grow = min(size, m - size)
+        table[size : size + grow] = _linear_map(table[:grow], step, p, d)
+        step = _linear_map(step, step, p, d).tolist()
+        size += grow
+    return table
 
 
 class SymbolTables(NamedTuple):
@@ -193,8 +181,7 @@ class FieldCtx:
         self.modulus = modulus
         self.gamma = 1 % self.m if self.m > 1 else 0
 
-        digits = _power_table(list(modulus), p, max(self.m, 1))
-        self.antilog = _pack_columns(digits, p)
+        self.antilog = _power_table(list(modulus), p, max(self.m, 1))
         exponents = np.arange(max(self.m, 1), dtype=np.int64)
         self.log = np.full(self.order, ZERO, dtype=np.int64)
         self.log[self.antilog] = exponents
@@ -206,7 +193,6 @@ class FieldCtx:
         bumped = np.where(low == p - 1, self.antilog - (p - 1), self.antilog + 1)
         self.zech = self.log[bumped]
 
-        self._digits = digits
         self._trq_sym: np.ndarray | None = None
         self._trp_char: np.ndarray | None = None
         self._sym_tables: SymbolTables | None = None
@@ -278,21 +264,22 @@ class FieldCtx:
 
     # -- vectorized tables for the enumeration kernels -----------------------
 
-    def _digitwise_trace(self, step: int, reps: int) -> np.ndarray:
-        """Packed values of sum_{i<reps} x^(step^i) for x = gamma^e, e in [0, m)."""
-        idx = np.arange(self.m, dtype=np.int64)
-        acc = np.zeros((self.m, self.d), dtype=np.uint16)
-        mult = 1
-        for _ in range(reps):
-            acc += self._digits[idx * mult % self.m]
-            mult = mult * step % self.m
-        acc %= self.p
-        return _pack_columns(acc, self.p)
+    def _trace_table(self, target: str) -> np.ndarray:
+        """Packed Tr(gamma^e) for every exponent e, to F_q or F_p.
+
+        The trace is F_p-linear, so it is the map sending each basis
+        element gamma^i = x^i (i < d) to its scalar trace_to.
+        """
+        images = []
+        for i in range(self.d):
+            tr = self.trace_to(i, target)
+            images.append(0 if tr == ZERO else int(self.antilog[tr]))
+        return _linear_map(self.antilog, images, self.p, self.d)
 
     def trace_q_symbols(self) -> np.ndarray:
         """Symbol index of Tr_{F_{q^k}/F_q}(gamma^e) for every exponent e."""
         if self._trq_sym is None:
-            packed = self._digitwise_trace(self.q, self.k)
+            packed = self._trace_table("Fq")
             exps = self.log[packed]
             sym = np.zeros(self.m, dtype=np.int64)
             nz = packed != 0
@@ -305,11 +292,21 @@ class FieldCtx:
     def char_exponents(self) -> np.ndarray:
         """chi' exponent (trace to F_p) of gamma^e for every exponent e."""
         if self._trp_char is None:
-            packed = self._digitwise_trace(self.p, self.d)
+            packed = self._trace_table("Fp")
             if np.any(packed >= self.p):
                 raise ConsistencyError("trace to the prime field left the prime field")
-            self._trp_char = packed.astype(np.int64)
+            self._trp_char = packed
         return self._trp_char
+
+    def trace_class_reps(self) -> np.ndarray:
+        """Smallest exponent e with trace symbol s, for every F_q symbol s.
+
+        Entry s is m when no exponent has symbol s, which happens only for
+        s = 0 and k = 1.
+        """
+        reps = np.full(self.q, self.m, dtype=np.int64)
+        np.minimum.at(reps, self.trace_q_symbols(), np.arange(self.m, dtype=np.int64))
+        return reps
 
     def trace_q_symbol_list(self) -> list[int]:
         """trace_q_symbols() as a plain list, for scalar-indexed hot loops."""
@@ -397,7 +394,7 @@ def load_primitive_table(path: str) -> dict[tuple[int, int], tuple[int, ...]]:
 
 # Built fields, least recently used first.  Their orders sum to at most
 # _FIELD_CACHE_ORDERS, so the cache pins about one field at the default cap
-# (about 97 MiB of tables: 107 MiB peak RSS in a fresh interpreter after
+# (24 MiB of int64 tables: 86 MiB peak RSS in a fresh interpreter after
 # field_for(2, 20) or field_for(1024, 2), 27 MiB after the numpy import)
 # yet keeps every small field a test session reuses.
 # The field just requested is always kept.

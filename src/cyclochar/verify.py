@@ -186,17 +186,6 @@ def _first_repeat(flat: np.ndarray) -> int:
     return int(order[1:][ordered[1:] == ordered[:-1]].min())
 
 
-def _class_elements(ctx: FieldCtx) -> dict[str, int | None]:
-    """Smallest-exponent representatives of the trace classes of a."""
-    trq = ctx.trace_q_symbols()
-    nonzero = int(np.argmax(trq != 0)) if np.any(trq != 0) else None
-    zeros = np.nonzero(trq == 0)[0]
-    return {
-        "trace_nonzero": nonzero,
-        "trace_zero_nonzero_a": int(zeros[0]) if len(zeros) else None,
-    }
-
-
 def verify_char_sum_cases(q: int, k: int, ctx: FieldCtx) -> PropertyResult:
     """Under both conditions the sum takes the predicted value in every class.
 
@@ -205,7 +194,9 @@ def verify_char_sum_cases(q: int, k: int, ctx: FieldCtx) -> PropertyResult:
     directly on one representative (a, b) per class as well.
     """
     checked = 0
-    reps = _class_elements(ctx)
+    reps = ctx.trace_class_reps()
+    a_nz = int(reps[1:].min())  # the smallest a with Tr(a) != 0
+    a_z = int(reps[0]) if reps[0] < ctx.m else None  # the smallest a != 0 with Tr(a) = 0
     for spec in all_specs(q, k):
         if not all(check_conditions(q, k, spec.e1, spec.e2)):
             continue
@@ -234,15 +225,13 @@ def verify_char_sum_cases(q: int, k: int, ctx: FieldCtx) -> PropertyResult:
             )
         checked += grid.size
         # direct count-vector evaluations, one per class
-        a_nz = reps["trace_nonzero"]
         cases = [
             (ZERO, ZERO, True, True, True),
             (ZERO, 0, True, True, False),
             (a_nz, ZERO, False, False, True),
             (a_nz, 0, False, False, False),
         ]
-        if reps["trace_zero_nonzero_a"] is not None:
-            a_z = reps["trace_zero_nonzero_a"]
+        if a_z is not None:
             cases.append((a_z, ZERO, True, False, True))
             cases.append((a_z, 0, True, False, False))
         for a, b, tz, az, bz in cases:

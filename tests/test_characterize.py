@@ -94,6 +94,20 @@ class TestBuildCode:
         with pytest.raises(InvalidArgumentError):
             ch.build_code(ctx, 4, 3, 2, 5)
 
+    @pytest.mark.parametrize("q,k,e1,e2", [(4, 3, 2, 5), (3, 4, 0, 1), (16, 3, 1, 11)])
+    def test_multiplies_no_polynomials(self, monkeypatch, q, k, e1, e2):
+        # dim = 1 + k follows from the two checked factor degrees
+        cached = gf.field_for(q, k)
+        want = ch.build_code(cached, q, k, e1, e2)
+
+        def refuse(*_):
+            raise AssertionError("build_code multiplied polynomials")
+
+        monkeypatch.setattr(pr, "poly_mul", refuse)
+        ctx = gf.FieldCtx(cached.p, cached.t, cached.k, cached.modulus)
+        assert ch.build_code(ctx, q, k, e1, e2) == want
+        assert ctx._sym_table_lists is None  # no scalar symbol tables either
+
 
 class TestCharacterizeCode:
     def test_example1_roundtrip(self):

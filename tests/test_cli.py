@@ -113,6 +113,17 @@ class TestBuild:
         spec.loader.exec_module(checks)
         assert checks.CHECKS["build"](json.loads(out), checks.REFERENCES["build"](2, 20, 0, 1)) == []
 
+    def test_large_prime_field(self, capsys):
+        # F_257^2: base-p digits above 255, and an order above 2^16
+        code, out, _ = run(
+            capsys, "build", "--q", "257", "--k", "2", "--e1", "0", "--e2", "1",
+            "--format", "json",
+        )
+        assert code == 0
+        assert json.loads(out)["weights"] == [
+            [0, 1], [65791, 16908288], [65792, 66048], [66048, 256]
+        ]
+
     def test_internal_cap_exit_2(self, capsys):
         code, _, err = run(
             capsys, "build", "--q", "2", "--k", "25", "--e1", "0", "--e2", "1",

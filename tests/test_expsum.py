@@ -122,8 +122,9 @@ def partition_counts(ctx, spec, a, b, d):
 
 def class_pairs(ctx):
     """The (a, b) class representatives verify_char_sum_cases evaluates."""
-    reps = verify._class_elements(ctx)
-    a_nz, a_z = reps["trace_nonzero"], reps["trace_zero_nonzero_a"]
+    reps = ctx.trace_class_reps()
+    a_nz = int(reps[1:].min())
+    a_z = int(reps[0]) if reps[0] < ctx.m else None
     out = [(ZERO, ZERO), (ZERO, 0), (a_nz, ZERO), (a_nz, 0)]
     if a_z is not None:
         out += [(a_z, ZERO), (a_z, 0)]

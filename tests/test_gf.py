@@ -30,6 +30,111 @@ def additive_char_exponent(ctx, x):
     return v
 
 
+# -- reference kernels: the field tables as built by a digit table ----------
+
+
+def _companion_matrix(f, p):
+    d = len(f) - 1
+    m = np.zeros((d, d), dtype=np.int64)
+    for i in range(d - 1):
+        m[i + 1, i] = 1
+    for j in range(d):
+        m[j, d - 1] = (-f[j]) % p
+    return m
+
+
+def _matrix_power_mod(mat, e, p):
+    out = np.eye(mat.shape[0], dtype=np.int64)
+    base = mat % p
+    while e:
+        if e & 1:
+            out = out @ base % p
+        base = base @ base % p
+        e >>= 1
+    return out
+
+
+def _power_table(f, p, m):
+    """Coefficient vectors of x^0 .. x^{m-1} mod f as an (m, d) array.
+
+    The digits are stored as uint8, so this reference holds for p < 256.
+    """
+    d = len(f) - 1
+    block = min(m, 1 << 12)
+    cols = np.zeros((d, block), dtype=np.int64)
+    col = [1] + [0] * (d - 1)
+    for j in range(block):
+        cols[:, j] = col
+        top = col[d - 1]
+        col = [0] + col[: d - 1]
+        if top:
+            for i in range(d):
+                col[i] = (col[i] - top * f[i]) % p
+    chunks = [cols.astype(np.uint8)]
+    step = _matrix_power_mod(_companion_matrix(f, p), block, p) if m > block else None
+    total = block
+    while total < m:
+        cols = step @ cols % p
+        chunks.append(cols.astype(np.uint8))
+        total += block
+    table = np.concatenate(chunks, axis=1).T[:m]
+    return np.ascontiguousarray(table)
+
+
+def _pack_columns(digits, p):
+    """Base-p packed values of an (m, d) digit array, column by column."""
+    m, d = digits.shape
+    packed = np.zeros(m, dtype=np.int64)
+    mult = 1
+    for i in range(d):
+        packed += digits[:, i].astype(np.int64) * mult
+        mult *= p
+    return packed
+
+
+def _digitwise_trace(ctx, digits, step, reps):
+    """Packed values of sum_{i<reps} x^(step^i) for x = gamma^e, e in [0, m)."""
+    idx = np.arange(ctx.m, dtype=np.int64)
+    acc = np.zeros((ctx.m, ctx.d), dtype=np.uint16)
+    mult = 1
+    for _ in range(reps):
+        acc += digits[idx * mult % ctx.m]
+        mult = mult * step % ctx.m
+    acc %= ctx.p
+    return _pack_columns(acc, ctx.p)
+
+
+def reference_tables(ctx):
+    """antilog, log, zech, trace_q_symbols(), char_exponents() and
+    trace_class_reps() of ctx, from the digit table of its modulus."""
+    p, m = ctx.p, ctx.m
+    digits = _power_table(list(ctx.modulus), p, m)
+    antilog = _pack_columns(digits, p)
+    log = np.full(ctx.order, ZERO, dtype=np.int64)
+    log[antilog] = np.arange(m)
+    plus_one = digits.copy()
+    plus_one[:, 0] = (plus_one[:, 0] + 1) % p
+    zech = log[_pack_columns(plus_one, p)]
+    trq = _digitwise_trace(ctx, digits, ctx.q, ctx.k)
+    sym = np.where(trq == 0, 0, 1 + log[trq] // ctx.delta)
+    trp = _digitwise_trace(ctx, digits, p, ctx.d)
+    first = {}
+    for e, s in enumerate(sym.tolist()):
+        first.setdefault(s, e)
+    reps = np.array([first.get(s, m) for s in range(ctx.q)], dtype=np.int64)
+    return antilog, log, zech, sym, trp, reps
+
+
+# every (q, k) with k >= 2 and q^k <= 2^16, q a prime power: 126 fields
+FIELDS_TO_2_16 = [
+    (q, k)
+    for q in range(2, 257)
+    if len(factorize(q)) == 1
+    for k in range(2, 17)
+    if q**k <= 1 << 16
+]
+
+
 def x_power_is_one(ctx, e):
     """x^e = 1 modulo the field's modulus, by polynomial powering over F_p."""
     return gf._poly_powmod([0, 1], e, list(ctx.modulus), ctx.p) == [1]
@@ -82,6 +187,28 @@ class TestBuildField:
         assert x_power_is_one(ctx, m)
         for r in factorize(m):
             assert not x_power_is_one(ctx, m // r)
+
+    def test_holds_only_the_three_tables(self):
+        ctx = gf.FieldCtx(2, 1, 4, (1, 1, 0, 0, 1))
+        arrays = {name for name, v in vars(ctx).items() if isinstance(v, np.ndarray)}
+        assert arrays == {"antilog", "log", "zech"}
+
+    def test_tables_equal_the_digit_table_reference(self):
+        assert len(FIELDS_TO_2_16) == 126
+        for q, k in FIELDS_TO_2_16:
+            ctx = gf.field_for(q, k)
+            got = (
+                ctx.antilog,
+                ctx.log,
+                ctx.zech,
+                ctx.trace_q_symbols(),
+                ctx.char_exponents(),
+                ctx.trace_class_reps(),
+            )
+            for name, a, b in zip(
+                ("antilog", "log", "zech", "trq", "trp", "reps"), got, reference_tables(ctx)
+            ):
+                assert a.dtype == np.int64 and np.array_equal(a, b), (q, k, name)
 
     def test_tables_are_inverse(self):
         ctx = gf.build_field(3, 1, 3)
@@ -245,6 +372,16 @@ class TestTrace:
         table = ctx.trace_q_symbols()
         for e in range(ctx.m):
             assert table[e] == ctx.symbol_of(ctx.trace_to(e, "Fq"))
+
+    @pytest.mark.parametrize("q,stride", [(257, 1), (1021, 97)])
+    def test_large_prime_traces_match_scalar(self, q, stride):
+        # field orders above 2^16 with digits above 255
+        ctx = gf.field_for(q, 2)
+        assert np.array_equal(ctx.log[ctx.antilog], np.arange(ctx.m))
+        trq, trp = ctx.trace_q_symbols(), ctx.char_exponents()
+        for e in range(0, ctx.m, stride):
+            assert trq[e] == ctx.symbol_of(ctx.trace_to(e, "Fq")), e
+            assert trp[e] == additive_char_exponent(ctx, e), e
 
     def test_unknown_target(self):
         ctx = gf.build_field(2, 1, 3)

@@ -1,0 +1,58 @@
+"""Golden outputs: the exit code and the sha256 of stdout of fixed commands.
+
+Every subcommand in both formats, a refused build included.  A change
+meant to keep the outputs byte-identical must pass this unchanged; a
+change meant to alter an output updates its digest on purpose.
+"""
+
+import hashlib
+import io
+from contextlib import redirect_stderr, redirect_stdout
+
+import pytest
+
+from cyclochar import cli
+
+GOLDEN = [
+    ("build --q 4 --k 3 --e1 2 --e2 5 --format json", 0,
+     "3e5fd4c1d0643bca513b106020a861526c462ac9155caf1ab593d19237afb68e"),
+    ("build --q 4 --k 3 --e1 2 --e2 5 --format text", 0,
+     "40d58899249853f60c97751f66bb6972c6c18068a80c77ba37ca1fda5bc342d4"),
+    ("build --q 16 --k 3 --e1 1 --e2 11 --format json", 0,
+     "2afa00a3e9eb7076c81d4cf4e2d411b9e355ec9a10bb1dcfd438c7724d8c45ad"),
+    ("build --q 16 --k 3 --e1 1 --e2 11 --format text", 0,
+     "837f9c90a42ee6542053ae69f58017e5eddce2aa886dc3fe107f5ac9b667683a"),
+    ("build --q 4 --k 3 --e1 0 --e2 3 --format json", 2,
+     "e20851d2c0a23360c9a335c052d951b5390cf8d6cb15b0df066b5212f19df593"),
+    ("build --q 4 --k 3 --e1 0 --e2 3 --format text", 2,
+     "f8d8647f815ce81831adb42d04e125113bfcc933bf4b213e45f555f2b40c37ba"),
+    ("verify --q 2..4 --k 3 --format json", 0,
+     "3a319acec76acfae774f5e85dbbd61f2f703f591f8f68c2c6c4f634604e2c7e3"),
+    ("verify --q 2..4 --k 3 --format text", 0,
+     "12c466120c7d8ed98e072a941f290ac7176af0fb156e1c9562e951ffbad9fa4f"),
+    ("enumerate --q 3 --k 4 --format json", 0,
+     "805eb3a837c49a7d2964ab7f71487ae3e4e4a1ce32eab04285d94aab3fe15446"),
+    ("enumerate --q 3 --k 4 --format text", 0,
+     "59fe002b6ec8e418dc73c9036b8399b4509c5bdfdef125e6ed40cc74ec4f1ca8"),
+    ("charsum --q 4 --k 3 --e1 2 --e2 5 --a 3 --b 7 --format json", 0,
+     "596757db34924ede845c4177d947bb9a1e10b3fcda12f8aea49b22c378036f9f"),
+    ("charsum --q 4 --k 3 --e1 2 --e2 5 --a 3 --b 7 --format text", 0,
+     "3408de37c89371a266f62c9fd3254b11bb3ec89ef4133d7dc30acbbabbaef758"),
+    ("dual --q 4 --k 3 --e1 2 --e2 5 --format json", 0,
+     "d21975c4d56cfb29b8b4814fe67e24ec148a74c0b4dc1454078ccaaa7eb8869e"),
+    ("dual --q 4 --k 3 --e1 2 --e2 5 --format text", 0,
+     "9c918574e385e03233814e76c2b1b327deabfc2bac251cac367a418b63cea351"),
+    ("minpoly --q 4 --k 3 --a 5 --format json", 0,
+     "7fe745e41fc5795618131050a275e7ef3f10fd5f5c525f7b2834b46800a156ba"),
+    ("minpoly --q 4 --k 3 --a 5 --format text", 0,
+     "0ebc7c78fa3050f75581c4b11ea3c6a4fff4598ae6e3bf26a7846b2c722869cc"),
+]
+
+
+@pytest.mark.parametrize("command,exit_code,digest", GOLDEN, ids=[c for c, _, _ in GOLDEN])
+def test_output_is_unchanged(command, exit_code, digest):
+    out = io.StringIO()
+    with redirect_stdout(out), redirect_stderr(io.StringIO()):
+        code = cli.main(command.split())
+    assert code == exit_code
+    assert hashlib.sha256(out.getvalue().encode()).hexdigest() == digest

@@ -6,7 +6,7 @@ polynomial it decides whether the code is one of ours and recovers the
 exponents.  Also here: the one-weight criterion for irreducible codes,
 recovery of the degree-one parity factor from a full-weight codeword,
 the two-weight gap scan with its exponent-system solve, and the
-qualifying codes for a given (q, k) as specs.
+qualifying codes for a given (q, k) as exponent pairs (e1, e2).
 """
 
 from __future__ import annotations
@@ -20,10 +20,8 @@ import numpy as np
 
 from . import polyring
 from .codes import (
-    CodeSpec,
     CyclicCode,
     WeightDistribution,
-    code_spec,
     codeword_lines,
     cyclic_code,
     dual_claim_failure,
@@ -53,17 +51,14 @@ from .numth import (
 )
 
 
-def check_conditions(q: int, k: int, e1: int, e2: int) -> tuple[bool, bool]:
-    """(gcd(q-1, k*e1 - e2) == 1, gcd(Delta, e2) == 1)."""
-    g1, g2 = gcd_conditions(q, k, e1, e2)
-    return g1 == 1, g2 == 1
-
-
 @dataclass(frozen=True)
 class CodeReport:
-    """Everything build_code establishes about one constructed code."""
+    """Everything build_code establishes about the code of (e1, e2)."""
 
-    spec: CodeSpec
+    q: int
+    k: int
+    e1: int
+    e2: int
     n: int
     dim: int
     min_distance: int
@@ -92,20 +87,19 @@ def build_code(ctx: FieldCtx, q: int, k: int, e1: int, e2: int) -> CodeReport:
     ]
     if failures:
         raise ConditionFailedError("; ".join(failures), failed=failures)
-    spec = code_spec(q, k, e1, e2)
     h1 = polyring.minimal_polynomial(ctx, rem(ctx.delta * e1, ctx.m))
     h2 = polyring.minimal_polynomial(ctx, rem(e2, ctx.m))
     if polyring.degree(h1) != 1:
         raise TheoremViolationError(f"deg h_(Delta*e1) = {polyring.degree(h1)} != 1")
     if polyring.degree(h2) != k:
         raise TheoremViolationError(f"deg h_(e2) = {polyring.degree(h2)} != {k}")
-    wd = weight_distribution_trace(ctx, spec)
+    wd = weight_distribution_trace(ctx, e1, e2)
     match = wd == three_weight_distribution(q, k)
     if not match:
         raise TheoremViolationError(
             f"conditions hold but distribution is {wd.entries}"
         )
-    n = spec.n
+    n = ctx.m
     dim = 1 + k  # deg h = deg h1 + deg h2, both checked above
     d = wd.min_nonzero_weight()
     optimal = is_griesmer_optimal(q, n, dim, d)
@@ -116,7 +110,10 @@ def build_code(ctx: FieldCtx, q: int, k: int, e1: int, e2: int) -> CodeReport:
     if claim:
         raise TheoremViolationError(claim[1])
     return CodeReport(
-        spec=spec,
+        q=q,
+        k=k,
+        e1=e1,
+        e2=e2,
         n=n,
         dim=dim,
         min_distance=d,
@@ -198,8 +195,7 @@ def characterize_code(
     (rep2, cof) = next((rp, f) for rp, f in factors if polyring.degree(f) != 1)
     if polyring.degree(cof) != k:
         return None
-    cond1, cond2 = check_conditions(q, k, e1, rep2)
-    if cond1 and cond2:
+    if gcd_conditions(q, k, e1, rep2) == (1, 1):
         return e1, rep2
     return None
 
@@ -384,16 +380,11 @@ def _solve_two_weight_system(
     return None
 
 
-def enumerate_codes(q: int, k: int) -> Iterator[CodeSpec]:
-    """All distinct qualifying codes for (q, k), one spec per code.
+def enumerate_codes(q: int, k: int) -> Iterator[tuple[int, int]]:
+    """All distinct qualifying codes for (q, k), as exponent pairs (e1, e2).
 
-    A lazy view of numth.qualifying_codes under the default field cap:
-    every check of the listing, the closed-form count included, has run
-    when this returns.
+    The lazy records of numth.qualifying_codes under the default field
+    cap: every check of the listing, the closed-form count included, has
+    run when this returns.
     """
-    _, records = qualifying_codes(q, k)
-    delta = (q**k - 1) // (q - 1)
-    return (
-        CodeSpec(q=q, k=k, delta=delta, e1=e1, e2=e2, bezout=pair)
-        for e1, e2, pair in records
-    )
+    return qualifying_codes(q, k)[1]

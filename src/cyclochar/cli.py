@@ -13,6 +13,7 @@ import json
 import os
 import sys
 from itertools import groupby
+from math import log10
 from operator import itemgetter
 from typing import TYPE_CHECKING
 
@@ -22,7 +23,8 @@ from .errors import (
     ResourceLimitError,
     TheoremViolationError,
 )
-from .numth import DEFAULT_BRUTE_CAP, DEFAULT_FIELD_CAP, check_field, qualifying_codes
+from .numth import DEFAULT_BRUTE_CAP, DEFAULT_FIELD_CAP, check_budget, check_field, gcd_conditions
+from .numth import qualifying_codes
 
 # The numpy-bound modules are imported by the subcommands that use them, so
 # parsing and `enumerate` start without numpy.
@@ -56,10 +58,10 @@ def _field(args) -> FieldCtx:
 def report_json(report: CodeReport) -> dict:
     """The fixed-order report object; key order is part of the format."""
     return {
-        "q": report.spec.q,
-        "k": report.spec.k,
-        "e1": report.spec.e1,
-        "e2": report.spec.e2,
+        "q": report.q,
+        "k": report.k,
+        "e1": report.e1,
+        "e2": report.e2,
         "n": report.n,
         "dim": report.dim,
         "weights": report.distribution.pairs(),
@@ -74,10 +76,9 @@ def report_json(report: CodeReport) -> dict:
 
 
 def report_text(report: CodeReport, ctx: FieldCtx) -> str:
-    spec = report.spec
     reps = {s: e for s, e in enumerate(ctx.trace_class_reps().tolist()) if s and e < ctx.m}
     lines = [
-        f"code C_(Delta*e1={spec.delta * spec.e1 % spec.n}, e2={spec.e2}) over F_{spec.q}:"
+        f"code C_(Delta*e1={ctx.delta * report.e1 % ctx.m}, e2={report.e2}) over F_{report.q}:"
         f" [{report.n},{report.dim},{report.min_distance}] cyclic code",
         f"weight enumerator: {report.distribution.enumerator()}",
         f"three-weight table match: {report.three_weight_match}",
@@ -123,7 +124,7 @@ def cmd_enumerate(args) -> int:
         sep = ""
         for e1, row in rows:
             head = f'{{"e1": {e1}, "delta_e1": {delta * e1 % n}, "e2": '
-            for _, e2, _ in row:
+            for _, e2 in row:
                 write(f"{sep}{head}{e2}}}")
                 sep = ", "
         write("]}\n")
@@ -131,7 +132,7 @@ def cmd_enumerate(args) -> int:
         write(f"qualifying codes for q={q}, k={k}: {count} (formula: {count})\n")
         for e1, row in rows:
             head, mid = f"  C_({delta * e1 % n},", f")   e1={e1} e2="
-            for _, e2, _ in row:
+            for _, e2 in row:
                 write(f"{head}{e2}{mid}{e2}\n")
     return EXIT_OK
 
@@ -226,15 +227,15 @@ def _exponent(e: int | None, m: int) -> int:
 
 
 def cmd_charsum(args) -> int:
-    from .codes import code_spec
     from .expsum import char_sum
     from .gf import ZERO
 
     ctx = _field(args)
-    spec = code_spec(args.q, args.k, args.e1, args.e2)
+    d, g = gcd_conditions(args.q, args.k, args.e1, args.e2)
+    if g != 1:
+        raise InvalidArgumentError(f"gcd(Delta, e2) = gcd({ctx.delta}, {args.e2}) = {g} != 1")
     a, b = (_exponent(e, ctx.m) for _, e in (args.a, args.b))
-    value = char_sum(ctx, spec, a, b)
-    d = spec.d  # code_spec has already required gcd(Delta, e2) = 1
+    value = char_sum(ctx, args.e1, args.e2, a, b)
     tr_zero = a == ZERO or ctx.trace_to(a, "Fq") == ZERO
     case = f"Tr(a){'=' if tr_zero else '!='}0, b{'=' if b == ZERO else '!='}0"
     integer = value.as_integer() if value.is_integral() else None
@@ -269,23 +270,32 @@ def cmd_charsum(args) -> int:
 
 
 def cmd_dual(args) -> int:
-    from .codes import check_macwilliams_budget, code_from_exponents, macwilliams_dual
-    from .codes import weight_distribution_trace_exponents
+    from . import polyring
+    from .codes import check_macwilliams_budget, macwilliams_dual, weight_distribution_trace
+    from .codes import parity_check_from_exponents
 
-    # refuse an oversized field or transform before any table is built
-    check_field(args.q, args.k, args.field_cap)
-    check_macwilliams_budget(args.q**args.k - 1, args.q)
+    # refuse an oversized field, transform or output before any table is built
+    q, n = args.q, args.q**args.k - 1
+    check_field(q, args.k, args.field_cap)
+    check_macwilliams_budget(n, q)
+    # at most n + 1 frequencies, each below q^n, written with its weight
+    check_budget(
+        f"writing the dual distribution at n = {n}, q = {q}",
+        (n + 1) * (n * log10(q) + len(str(n)) + 8),
+    )
+    if hasattr(sys, "set_int_max_str_digits"):  # Python 3.10.7 and later
+        sys.set_int_max_str_digits(0)  # frequencies run past 4300 digits; main restores it
     ctx = _field(args)
-    wd = weight_distribution_trace_exponents(ctx, args.e1, args.e2)
-    code = code_from_exponents(ctx, args.e1, args.e2)
-    dual = macwilliams_dual(wd, code.n, args.q, code.dimension)
+    wd = weight_distribution_trace(ctx, args.e1, args.e2)
+    dim = polyring.degree(parity_check_from_exponents(ctx, args.e1, args.e2))
+    dual = macwilliams_dual(wd, n, q, dim)
     out = {
         "q": args.q,
         "k": args.k,
         "e1": args.e1,
         "e2": args.e2,
-        "n": code.n,
-        "dim": code.dimension,
+        "n": n,
+        "dim": dim,
         "dual_min_weight": dual.min_nonzero_weight(),
         "dual_weights": dual.pairs(),
     }
@@ -293,7 +303,7 @@ def cmd_dual(args) -> int:
         print(json.dumps(out))
     else:
         print(f"dual of C_({args.e1},{args.e2}) over F_{args.q}:"
-              f" [{code.n},{code.n - code.dimension},{dual.min_nonzero_weight()}]")
+              f" [{n},{n - dim},{dual.min_nonzero_weight()}]")
         print(f"dual enumerator: {dual.enumerator()}")
     return EXIT_OK
 
@@ -394,6 +404,7 @@ def main(argv=None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else EXIT_USAGE
+    digit_limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()  # 0: no limit
     try:
         if args.field_cap <= 0 or getattr(args, "bruteforce_cap", DEFAULT_BRUTE_CAP) <= 0:
             raise InvalidArgumentError("caps must be positive")
@@ -407,6 +418,9 @@ def main(argv=None) -> int:
     except Exception as exc:  # noqa: BLE001
         print(f"internal error: {_describe(exc)}", file=sys.stderr)
         return EXIT_INTERNAL
+    finally:
+        if digit_limit:
+            sys.set_int_max_str_digits(digit_limit)
 
 
 def _describe(exc: Exception) -> str:

@@ -33,7 +33,6 @@ from .numth import (
     bezout_pair,
     check_budget,
     ext_gcd,
-    gcd_conditions,
     rem,
 )
 
@@ -47,10 +46,11 @@ _BLOCK_ENTRIES = 1 << 20
 
 @dataclass(frozen=True)
 class CodeSpec:
-    """Exponent data (q, k, e1, e2) plus the reduced Bezout pair.
+    """Exponent data (q, k, e1, e2) plus the reduced Bezout pair of e2.
 
-    Only requires gcd(Delta, e2) = 1 (so the Bezout pair exists); the
-    second gcd condition may or may not hold and is queried separately.
+    The input of expsum.substitution and substitution_inverse, the one
+    place the Bezout pair is read; everywhere else a code is its pair
+    (e1, e2).  Only requires gcd(Delta, e2) = 1, so the Bezout pair exists.
     """
 
     q: int
@@ -63,11 +63,6 @@ class CodeSpec:
     @property
     def n(self) -> int:
         return self.q**self.k - 1
-
-    @property
-    def d(self) -> int:
-        """gcd(q - 1, k*e1 - e2), the obstruction to the sum collapsing to 1."""
-        return gcd_conditions(self.q, self.k, self.e1, self.e2)[0]
 
 
 def code_spec(q: int, k: int, e1: int, e2: int) -> CodeSpec:
@@ -226,13 +221,7 @@ def char_sum_grid(ctx: FieldCtx, e1: int, e2: int) -> np.ndarray:
     return ctx.q * (ctx.m - wt) - ctx.m
 
 
-def weight_distribution_trace(ctx: FieldCtx, spec: CodeSpec) -> WeightDistribution:
-    return weight_distribution_trace_exponents(ctx, spec.e1, spec.e2)
-
-
-def weight_distribution_trace_exponents(
-    ctx: FieldCtx, e1: int, e2: int
-) -> WeightDistribution:
+def weight_distribution_trace(ctx: FieldCtx, e1: int, e2: int) -> WeightDistribution:
     """Exact distribution of the code via the trace representation.
 
     By the shift and scaling symmetry of trace_weight_grid, each of the

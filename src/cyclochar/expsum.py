@@ -64,7 +64,7 @@ def substitution(spec: CodeSpec, i, j):
     every point of V; a failure indicates a broken Bezout pair and is
     reported for the first point, in index order, where it happens.
     """
-    m = spec.q**spec.k - 1
+    m = spec.n
     i, j = _check_points(spec, i, j, m)
     v = (spec.e2 * i + spec.delta * j) % m
     diff = i - spec.bezout.alpha * v
@@ -80,7 +80,7 @@ def substitution(spec: CodeSpec, i, j):
 
 def substitution_inverse(spec: CodeSpec, v, w):
     """Inverse reindexing (v, w) -> (i, j); a two-sided inverse on V."""
-    m = spec.q**spec.k - 1
+    m = spec.n
     v, w = _check_points(spec, v, w, m)
     i = (spec.bezout.alpha * v + spec.delta * w) % m
     j = (spec.bezout.beta * v - spec.e2 * w) % (spec.q - 1)
@@ -109,21 +109,21 @@ def _index_array(name: str, idx, bound: int) -> np.ndarray:
     return arr
 
 
-def char_sum(ctx: FieldCtx, spec: CodeSpec, a: int, b: int) -> CyclotomicCount:
+def char_sum(ctx: FieldCtx, e1: int, e2: int, a: int, b: int) -> CyclotomicCount:
     """Exact count vector of T(a, b) over all (q^k-1)(q-1) terms.
 
-    a and b are elements of F_{q^k} in exponent form (ZERO allowed).
-    At x = gamma^i the inner value s = a*x^(Delta*e1) + b*x^(e2) comes
-    from the Zech table, and its q - 1 multiples y*s = gamma^(s + Delta*j)
-    are counted by character exponent.  Positions are taken in chunks so
-    that no index array holds more than _CHAR_SUM_ENTRIES terms (one
-    position's q - 1 terms at the least).
+    e1 and e2 are any integers; a and b are elements of F_{q^k} in
+    exponent form (ZERO allowed).  At x = gamma^i the inner value
+    s = a*x^(Delta*e1) + b*x^(e2) comes from the Zech table, and its q - 1
+    multiples y*s = gamma^(s + Delta*j) are counted by character exponent.
+    Positions are taken in chunks so that no index array holds more than
+    _CHAR_SUM_ENTRIES terms (one position's q - 1 terms at the least).
     """
     m = ctx.m
     q = ctx.q
     chars = ctx.char_exponents()
-    s1 = rem(spec.delta * spec.e1, m)
-    s2 = rem(spec.e2, m)
+    s1 = rem(ctx.delta * e1, m)
+    s2 = rem(e2, m)
     steps = ctx.delta * np.arange(q - 1, dtype=np.int64)
     counts = np.zeros(ctx.p, dtype=np.int64)
     zeros = 0

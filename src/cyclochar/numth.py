@@ -31,10 +31,11 @@ DEFAULT_FIELD_CAP = 1 << 20
 
 DEFAULT_BRUTE_CAP = 1 << 22
 
-# The most memory (or, for a listing, output) one job may claim, by the
-# estimates behind check_budget's two callers.  Every MacWilliams transform of
-# length up to 65535 over F_2 and F_4 passes (0.5 GiB at (2,16)), while (2,20)
-# would need 128 GiB; a listing passes up to about 18 million records at
+# The most memory (or, for a listing or a dual distribution, output) one job
+# may claim, by the estimates its callers pass to check_budget.  Every
+# MacWilliams transform of length up to 65535 over F_2 and F_4 passes (0.5 GiB
+# at (2,16)), while (2,20) would need 128 GiB; its decimal output passes up to
+# n = 32767 over F_2; a listing passes up to about 18 million records at
 # q^k <= 2^20, while (1024, 2) would write 13.7 GiB.
 JOB_BUDGET_BYTES = 1 << 30
 
@@ -301,18 +302,18 @@ def listing_record_bytes(n: int) -> int:
 
 def qualifying_codes(
     q: int, k: int, cap: int = DEFAULT_FIELD_CAP
-) -> tuple[int, Iterator[tuple[int, int, BezoutPair]]]:
+) -> tuple[int, Iterator[tuple[int, int]]]:
     """Every distinct qualifying code for (q, k) as (count, records).
 
-    The records are (e1, e2, Bezout pair of e2), e1-major: e1 runs over
+    The records are the exponent pairs (e1, e2), e1-major: e1 runs over
     [0, q-1) (one value per degree-one factor) and e2 over the minimal
     cyclotomic coset representatives coprime to Delta, ascending.  They
-    come lazily from one coset walk with one Bezout pair per e2 class, so
-    memory does not grow with the count.  Every check has run when this
-    returns, before the first record exists: the field gate, the job
-    budget on the written records (before the walk), deg h_e2 = k for
-    every class, the Bezout congruence per class, and the count, tallied
-    per (e1, e2 mod q-1), against the closed form.
+    come lazily from one coset walk, so memory does not grow with the
+    count.  Every check has run when this returns, before the first
+    record exists: the field gate, the job budget on the written records
+    (before the walk), gcd(Delta, e2) = 1 and deg h_e2 = k for every
+    class, and the count, tallied per (e1, e2 mod q-1), against the
+    closed form.
     """
     check_field(q, k, cap)
     count = code_count(q, k)
@@ -325,10 +326,12 @@ def qualifying_codes(
     classes = []
     tally = [0] * (q - 1)  # e2 classes per residue mod q - 1
     for rep, size in coset_representatives(q, n, delta).items():
+        if gcd(delta, rep) != 1:
+            raise ConsistencyError(f"coset walk kept {rep}, which shares a factor with Delta")
         if size != k:
             raise TheoremViolationError(f"gcd(Delta, {rep}) = 1 but deg h_{rep} != {k}")
         r = rep % (q - 1)
-        classes.append((rep, r, bezout_pair(rep, q, k)))
+        classes.append((rep, r))
         tally[r] += 1
     # gcd(q-1, k*e1 - e2) depends on e2 only through e2 mod q-1
     units = [
@@ -340,11 +343,11 @@ def qualifying_codes(
             f"enumerated {listed} codes but the count formula gives {count}"
         )
 
-    def records() -> Iterator[tuple[int, int, BezoutPair]]:
+    def records() -> Iterator[tuple[int, int]]:
         for e1, row in enumerate(units):
-            for rep, r, pair in classes:
+            for rep, r in classes:
                 if row[r]:
-                    yield e1, rep, pair
+                    yield e1, rep
 
     return count, records()
 

@@ -10,27 +10,22 @@ stops the run with every finished result kept.
 
 from __future__ import annotations
 
+from collections.abc import Iterator
 from dataclasses import dataclass
 from math import gcd, isqrt
 
 import numpy as np
 
-from .characterize import (
-    build_code,
-    check_conditions,
-    enumerate_codes,
-    two_weight_gap_scan,
-)
+from .characterize import build_code, enumerate_codes, two_weight_gap_scan
 from .codes import (
     DEFAULT_BRUTE_CAP,
     CodeSpec,
     WeightDistribution,
     char_sum_grid,
+    code_from_exponents,
     code_spec,
-    cyclic_code,
     dual_claim_failure,
     macwilliams_dual,
-    parity_check_from_exponents,
     three_weight_distribution,
     weight_distribution_bruteforce,
     weight_distribution_trace,
@@ -38,7 +33,7 @@ from .codes import (
 from .errors import ConsistencyError, CyclocharError, ResourceLimitError
 from .expsum import char_sum, predict_char_sum, substitution, substitution_inverse
 from .gf import ZERO, FieldCtx, field_for
-from .numth import check_budget, check_field, multiplier_orbit, prime_power_split
+from .numth import check_budget, check_field, gcd_conditions, multiplier_orbit, prime_power_split
 
 @dataclass
 class PropertyResult:
@@ -80,20 +75,16 @@ def default_pairs(length_limit: int = 127) -> list[tuple[int, int]]:
     return sorted(out)
 
 
-def valid_e2_values(q: int, k: int) -> list[int]:
-    """All e2 in [0, q^k - 1) satisfying the standing gcd(Delta, e2) = 1."""
+def valid_e2_values(q: int, k: int) -> Iterator[int]:
+    """All e2 in [0, q^k - 1) satisfying the standing gcd(Delta, e2) = 1, lazily."""
     n = q**k - 1
     delta = n // (q - 1)
-    return [e2 for e2 in range(n) if gcd(delta, e2) == 1]
+    return (e2 for e2 in range(n) if gcd(delta, e2) == 1)
 
 
-def all_specs(q: int, k: int) -> list[CodeSpec]:
-    """Every spec for (q, k): e1 in [0, q-1), e2 any unit against Delta."""
-    return [
-        code_spec(q, k, e1, e2)
-        for e1 in range(q - 1)
-        for e2 in valid_e2_values(q, k)
-    ]
+def all_pairs(q: int, k: int) -> Iterator[tuple[int, int]]:
+    """Every (e1, e2), e1 in [0, q-1) and e2 in valid_e2_values, lazily and e1-major."""
+    return ((e1, e2) for e1 in range(q - 1) for e2 in valid_e2_values(q, k))
 
 
 # Peak bytes verify_substitution holds per grid point (tracemalloc): the
@@ -186,22 +177,30 @@ def _first_repeat(flat: np.ndarray) -> int:
     return int(order[1:][ordered[1:] == ordered[:-1]].min())
 
 
+# Peak bytes a character-sum sweep holds per cell of its (q, q^k) grid
+# (tracemalloc, 24.5-27.5 from 10^5 cells up): char_sum_grid's int64 grid and
+# index temporaries.  Each pair's grids are freed before the next is formed.
+_CHAR_SUM_BYTES_PER_CELL = 28
+
+
 def verify_char_sum_cases(q: int, k: int, ctx: FieldCtx) -> PropertyResult:
     """Under both conditions the sum takes the predicted value in every class.
 
     The (tau, b) grid covers every (a, b) pair exactly, since the sum
     depends on a only through Tr(a); the count-vector path is evaluated
-    directly on one representative (a, b) per class as well.
+    directly on one representative (a, b) per class as well.  A grid over
+    the job budget is refused before the first one is formed.
     """
+    check_budget("the character-sum grid", _CHAR_SUM_BYTES_PER_CELL * q * q**k)
     checked = 0
     reps = ctx.trace_class_reps()
     a_nz = int(reps[1:].min())  # the smallest a with Tr(a) != 0
     a_z = int(reps[0]) if reps[0] < ctx.m else None  # the smallest a != 0 with Tr(a) = 0
-    for spec in all_specs(q, k):
-        if not all(check_conditions(q, k, spec.e1, spec.e2)):
+    n = ctx.m
+    for e1, e2 in all_pairs(q, k):
+        if gcd_conditions(q, k, e1, e2) != (1, 1):
             continue
-        grid = char_sum_grid(ctx, spec.e1, spec.e2)
-        n = spec.n
+        grid = char_sum_grid(ctx, e1, e2)
         expected = np.full_like(grid, 1)
         expected[0, :] = -(q - 1)
         expected[0, 0] = (q - 1) * n
@@ -215,8 +214,8 @@ def verify_char_sum_cases(q: int, k: int, ctx: FieldCtx) -> PropertyResult:
                 False,
                 checked,
                 {
-                    "e1": spec.e1,
-                    "e2": spec.e2,
+                    "e1": e1,
+                    "e2": e2,
                     "tau": int(tau),
                     "b_col": int(b),
                     "got": int(grid[tau, b]),
@@ -224,6 +223,7 @@ def verify_char_sum_cases(q: int, k: int, ctx: FieldCtx) -> PropertyResult:
                 },
             )
         checked += grid.size
+        del grid, expected
         # direct count-vector evaluations, one per class
         cases = [
             (ZERO, ZERO, True, True, True),
@@ -235,7 +235,7 @@ def verify_char_sum_cases(q: int, k: int, ctx: FieldCtx) -> PropertyResult:
             cases.append((a_z, ZERO, True, False, True))
             cases.append((a_z, 0, True, False, False))
         for a, b, tz, az, bz in cases:
-            got = char_sum(ctx, spec, a, b).as_integer()
+            got = char_sum(ctx, e1, e2, a, b).as_integer()
             want = predict_char_sum(q, k, tz, az, bz)
             if got != want:
                 return PropertyResult(
@@ -244,7 +244,7 @@ def verify_char_sum_cases(q: int, k: int, ctx: FieldCtx) -> PropertyResult:
                     k,
                     False,
                     checked,
-                    {"e1": spec.e1, "e2": spec.e2, "a": a, "b": b, "got": got, "want": want},
+                    {"e1": e1, "e2": e2, "a": a, "b": b, "got": got, "want": want},
                 )
             checked += 1
     return PropertyResult("char_sum_cases", q, k, True, checked)
@@ -254,12 +254,14 @@ def verify_char_sum_unit_iff(q: int, k: int, ctx: FieldCtx) -> PropertyResult:
     """T = 1 on the Tr(a) != 0, b != 0 classes iff gcd(q-1, k*e1 - e2) = 1.
 
     When the gcd is d > 1 every such value must be a nonunit multiple
-    of d.  Covers every (a, b) pair through the trace classes.
+    of d.  Covers every (a, b) pair through the trace classes; refused
+    like verify_char_sum_cases when a grid would exceed the job budget.
     """
+    check_budget("the character-sum grid", _CHAR_SUM_BYTES_PER_CELL * q * q**k)
     checked = 0
-    for spec in all_specs(q, k):
-        d = spec.d
-        grid = char_sum_grid(ctx, spec.e1, spec.e2)
+    for e1, e2 in all_pairs(q, k):
+        d = gcd_conditions(q, k, e1, e2)[0]
+        grid = char_sum_grid(ctx, e1, e2)
         block = grid[1:, 1:]
         if d == 1:
             bad = np.argwhere(block != 1)
@@ -274,8 +276,8 @@ def verify_char_sum_unit_iff(q: int, k: int, ctx: FieldCtx) -> PropertyResult:
                 False,
                 checked,
                 {
-                    "e1": spec.e1,
-                    "e2": spec.e2,
+                    "e1": e1,
+                    "e2": e2,
                     "d": d,
                     "tau": int(tau) + 1,
                     "b_col": int(b) + 1,
@@ -283,6 +285,7 @@ def verify_char_sum_unit_iff(q: int, k: int, ctx: FieldCtx) -> PropertyResult:
                 },
             )
         checked += block.size
+        del grid, block
     return PropertyResult("char_sum_unit_iff", q, k, True, checked)
 
 
@@ -308,7 +311,7 @@ class BruteForceMemo:
         pair = (e1 % (ctx.q - 1), e2 % ctx.m)
         wd = self._by_pair.get(pair)
         if wd is None:
-            code = cyclic_code(ctx, parity_check_from_exponents(ctx, *pair))
+            code = code_from_exponents(ctx, *pair)
             wd = weight_distribution_bruteforce(ctx, code, self.brute_cap)
             self._by_pair.update(dict.fromkeys(multiplier_orbit(ctx.q, ctx.k, *pair), wd))
         return wd
@@ -335,7 +338,7 @@ def verify_three_weight_iff(
     for e1 in range(q - 1):
         for e2 in range(n):
             match = memo.distribution(e1, e2) == table
-            conds = all(check_conditions(q, k, e1, e2))
+            conds = gcd_conditions(q, k, e1, e2) == (1, 1)
             if match != conds:
                 return PropertyResult(
                     "three_weight_iff_conditions",
@@ -356,16 +359,16 @@ def verify_oracle_equivalence(
     brute_cap: int = DEFAULT_BRUTE_CAP,
     memo: BruteForceMemo | None = None,
 ) -> PropertyResult:
-    """Trace-path distribution equals brute force for every spec.
+    """Trace-path distribution equals brute force for every pair of all_pairs.
 
-    The trace path runs per spec; the brute force runs once per
+    The trace path runs per pair; the brute force runs once per
     multiplier orbit (memo, fresh if not given).
     """
     memo = BruteForceMemo(ctx, brute_cap) if memo is None else memo
     checked = 0
-    for spec in all_specs(q, k):
-        wd = weight_distribution_trace(ctx, spec)
-        brute = memo.distribution(spec.e1, spec.e2).entries
+    for e1, e2 in all_pairs(q, k):
+        wd = weight_distribution_trace(ctx, e1, e2)
+        brute = memo.distribution(e1, e2).entries
         if wd.entries != brute:
             return PropertyResult(
                 "oracle_equivalence",
@@ -373,7 +376,7 @@ def verify_oracle_equivalence(
                 k,
                 False,
                 checked,
-                {"e1": spec.e1, "e2": spec.e2, "trace": wd.entries, "brute": brute},
+                {"e1": e1, "e2": e2, "trace": wd.entries, "brute": brute},
             )
         checked += 1
     return PropertyResult("oracle_equivalence", q, k, True, checked)
@@ -387,10 +390,10 @@ def verify_duality(q: int, k: int, ctx: FieldCtx) -> PropertyResult:
     there raises, and run_block reports it as an error.
     """
     checked = 0
-    for spec in enumerate_codes(q, k):
-        n = spec.n
-        dim = k + 1
-        wd = weight_distribution_trace(ctx, spec)
+    n = ctx.m
+    dim = k + 1
+    for e1, e2 in enumerate_codes(q, k):
+        wd = weight_distribution_trace(ctx, e1, e2)
         dual = macwilliams_dual(wd, n, q, dim)
         back = macwilliams_dual(dual, n, q, n - dim)
         if back != wd:
@@ -405,7 +408,7 @@ def verify_duality(q: int, k: int, ctx: FieldCtx) -> PropertyResult:
                 k,
                 False,
                 checked,
-                {"e1": spec.e1, "e2": spec.e2, "failure": failure},
+                {"e1": e1, "e2": e2, "failure": failure},
             )
         checked += 1
     return PropertyResult("duality_suite", q, k, True, checked)
@@ -414,8 +417,8 @@ def verify_duality(q: int, k: int, ctx: FieldCtx) -> PropertyResult:
 def verify_enumeration(q: int, k: int, ctx: FieldCtx) -> PropertyResult:
     """Enumeration agrees with the closed-form count and every entry verifies."""
     checked = 0
-    for spec in enumerate_codes(q, k):
-        build_code(ctx, q, k, spec.e1, spec.e2)
+    for e1, e2 in enumerate_codes(q, k):
+        build_code(ctx, q, k, e1, e2)
         checked += 1
     return PropertyResult("enumeration_count", q, k, True, checked)
 

@@ -11,7 +11,7 @@ from cyclochar import characterize as ch, codes, gf, verify
 from cyclochar.errors import CyclocharError
 from cyclochar.expsum import char_sum
 from cyclochar.gf import ZERO
-from cyclochar.numth import code_count, prime_power_split
+from cyclochar.numth import code_count, gcd_conditions, prime_power_split
 
 PAIRS_255 = verify.default_pairs(255)
 PAIRS_511 = verify.default_pairs(511)
@@ -38,14 +38,14 @@ def test_criterion_01_example1_reproduction():
 def test_criterion_02_example2_reproduction():
     start = time.perf_counter()
     ctx = gf.field_for(3, 4)
-    specs = list(ch.enumerate_codes(3, 4))
-    assert len(specs) == 16
-    listing = {(s.delta * s.e1 % s.n, s.e2) for s in specs}
+    pairs = list(ch.enumerate_codes(3, 4))
+    assert len(pairs) == 16
+    listing = {(ctx.delta * e1 % ctx.m, e2) for e1, e2 in pairs}
     assert listing == {
         (d, e2) for d in (0, 40) for e2 in (1, 7, 11, 13, 17, 23, 41, 53)
     }
-    for spec in specs:
-        wd = codes.weight_distribution_trace(ctx, spec)
+    for e1, e2 in pairs:
+        wd = codes.weight_distribution_trace(ctx, e1, e2)
         assert wd.enumerator() == "1 + 160z^53 + 80z^54 + 2z^80"
     elapsed = time.perf_counter() - start
     assert elapsed < 10.0
@@ -92,8 +92,7 @@ def test_criterion_04_oracle_equivalence():
     # beyond length 255 the sweep thins to one canonical spec per (q, k)
     for q, k in _large_oracle_pairs():
         ctx = gf.field_for(q, k)
-        spec = codes.code_spec(q, k, 0, 1)
-        wd = codes.weight_distribution_trace(ctx, spec)
+        wd = codes.weight_distribution_trace(ctx, 0, 1)
         code = codes.code_from_exponents(ctx, 0, 1)
         assert wd == codes.weight_distribution_bruteforce(ctx, code), (q, k)
         total += 1
@@ -122,14 +121,15 @@ def test_criterion_06_unit_sum_converse():
         result = verify.verify_char_sum_unit_iff(q, k, ctx)
         assert result.ok, result.counterexample
         total += result.checked
-        # direct count-vector evaluation on one d > 1 spec per block
-        for spec in verify.all_specs(q, k):
-            if spec.d <= 1:
+        # direct count-vector evaluation on one d > 1 pair per block
+        for e1, e2 in verify.all_pairs(q, k):
+            d = gcd_conditions(q, k, e1, e2)[0]
+            if d <= 1:
                 continue
             gap_specs += 1
             a = next(e for e in range(ctx.m) if ctx.trace_to(e, "Fq") != ZERO)
-            value = char_sum(ctx, spec, a, 0).as_integer()
-            assert value != 1 and value % spec.d == 0
+            value = char_sum(ctx, e1, e2, a, 0).as_integer()
+            assert value != 1 and value % d == 0
             break
     assert gap_specs > 0
     elapsed = time.perf_counter() - start
@@ -150,8 +150,8 @@ def test_criterion_07_substitution_bijection():
 def test_criterion_08_enumeration_count():
     start = time.perf_counter()
     for q, k in PAIRS_255:
-        specs = list(ch.enumerate_codes(q, k))  # raises on formula mismatch
-        assert len(specs) == code_count(q, k)
+        pairs = list(ch.enumerate_codes(q, k))  # raises on formula mismatch
+        assert len(pairs) == code_count(q, k)
     elapsed = time.perf_counter() - start
     _report(8, f"enumeration cardinality = phi(q^k-1)(q-1)/k on {len(PAIRS_255)} blocks", elapsed)
 

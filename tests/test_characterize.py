@@ -7,11 +7,10 @@ import pytest
 from cyclochar import characterize as ch, codes, gf, numth, polyring as pr
 from cyclochar.errors import ConditionFailedError, InvalidArgumentError, ResourceLimitError
 from cyclochar.numth import (
-    BezoutPair,
     coset_representatives,
     cyclotomic_coset,
-    ext_gcd,
     factorize,
+    gcd_conditions,
     rem,
 )
 
@@ -26,8 +25,8 @@ SMALL_PAIRS = [
 
 
 def reference_enumeration(q, k):
-    """The listing as it was first computed: one coset and one extended-Euclid
-    Bezout pair per (e1, representative), in e1-major order."""
+    """The listing as it was first computed: one coset per representative and
+    one gcd per (e1, representative), in e1-major order."""
     n = q**k - 1
     delta = n // (q - 1)
     e2_reps = [rep for rep in coset_representatives(q, n) if gcd(delta, rep) == 1]
@@ -37,28 +36,26 @@ def reference_enumeration(q, k):
     for e1 in range(q - 1):
         for rep in e2_reps:
             if gcd(q - 1, rem(k * e1 - rep, q - 1)) == 1:
-                _, s, t = ext_gcd(rep, delta)
-                pair = BezoutPair(alpha=rem(s, n), beta=rem(t, q - 1) if q > 2 else 0)
-                out.append(codes.CodeSpec(q=q, k=k, delta=delta, e1=e1, e2=rep, bezout=pair))
+                out.append((e1, rep))
     return out
 
 
 class TestCheckConditions:
     def test_example1(self):
-        assert ch.check_conditions(4, 3, 2, 5) == (True, True)
+        assert gcd_conditions(4, 3, 2, 5) == (1, 1)
 
     def test_binary_first_condition_vacuous(self):
         for e1 in range(3):
             for e2 in range(7):
-                assert ch.check_conditions(2, 3, e1, e2)[0]
+                assert gcd_conditions(2, 3, e1, e2)[0] == 1
 
     def test_shared_factor_detected(self):
-        cond1, cond2 = ch.check_conditions(3, 4, 0, 2)
-        assert not cond2  # gcd(40, 2) = 2
+        g1, g2 = gcd_conditions(3, 4, 0, 2)
+        assert g2 != 1  # gcd(40, 2) = 2
 
     def test_remainder_normalization(self):
         # huge and negative exponents reduce before the gcd
-        assert ch.check_conditions(4, 3, 2 + 3 * 10**9, 5 - 63 * 10**9) == (True, True)
+        assert gcd_conditions(4, 3, 2 + 3 * 10**9, 5 - 63 * 10**9) == (1, 1)
 
 
 class TestBuildCode:
@@ -156,13 +153,13 @@ class TestCharacterizeCode:
     @pytest.mark.parametrize("q,k", [(2, 3), (3, 2), (4, 2), (2, 4), (3, 3)])
     def test_roundtrip_every_qualifying_code(self, q, k):
         ctx = gf.field_for(q, k)
-        for spec in ch.enumerate_codes(q, k):
-            h = codes.parity_check_from_exponents(ctx, spec.e1, spec.e2)
+        for pair in ch.enumerate_codes(q, k):
+            h = codes.parity_check_from_exponents(ctx, *pair)
             got = ch.characterize_code(ctx, h, q, k)
             assert got is not None
             e1, e2 = got
-            assert rem(e1, q - 1) == rem(spec.e1, q - 1)
-            assert e2 == spec.e2
+            assert rem(e1, q - 1) == rem(pair[0], q - 1)
+            assert e2 == pair[1]
 
     @pytest.mark.parametrize("q,k", [(3, 2), (2, 4), (4, 2)])
     def test_converse_negative_exhaustive(self, q, k):
@@ -268,9 +265,9 @@ class TestTwoWeightGapScan:
 
 class TestEnumerateCodes:
     def test_example2_full_listing(self):
-        specs = list(ch.enumerate_codes(3, 4))
-        assert len(specs) == 16
-        listing = {(spec.delta * spec.e1 % spec.n, spec.e2) for spec in specs}
+        pairs = list(ch.enumerate_codes(3, 4))
+        assert len(pairs) == 16
+        listing = {(40 * e1 % 80, e2) for e1, e2 in pairs}
         assert listing == {
             (d, e2)
             for d in (0, 40)
@@ -278,14 +275,14 @@ class TestEnumerateCodes:
         }
 
     def test_q2_k3_reps(self):
-        specs = list(ch.enumerate_codes(2, 3))
-        assert [(s.e1, s.e2) for s in specs] == [(0, 1), (0, 3)]
+        pairs = list(ch.enumerate_codes(2, 3))
+        assert pairs == [(0, 1), (0, 3)]
 
     @pytest.mark.parametrize("q,k", [(2, 4), (3, 3), (4, 2), (5, 2)])
     def test_every_enumerated_code_builds(self, q, k):
         ctx = gf.field_for(q, k)
-        for spec in ch.enumerate_codes(q, k):
-            rep = ch.build_code(ctx, q, k, spec.e1, spec.e2)
+        for e1, e2 in ch.enumerate_codes(q, k):
+            rep = ch.build_code(ctx, q, k, e1, e2)
             assert rep.three_weight_match
 
     @pytest.mark.parametrize("q,k", SMALL_PAIRS)

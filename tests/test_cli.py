@@ -45,25 +45,26 @@ SMALL_PAIRS = [
 
 
 def old_enumerate_output(q, k, fmt):
-    """`enumerate` as printed before it streamed: every spec in a list, then
+    """`enumerate` as printed before it streamed: every pair in a list, then
     one json.dumps of the whole report, or one print per line."""
-    specs = list(characterize.enumerate_codes(q, k))
+    pairs = list(characterize.enumerate_codes(q, k))
     formula = code_count(q, k)
     n = q**k - 1
+    delta = n // (q - 1)
     out = io.StringIO()
     with redirect_stdout(out):
         if fmt == "json":
             print(json.dumps({
                 "q": q,
                 "k": k,
-                "count": len(specs),
+                "count": len(pairs),
                 "formula": formula,
-                "codes": [{"e1": s.e1, "delta_e1": s.delta * s.e1 % n, "e2": s.e2} for s in specs],
+                "codes": [{"e1": e1, "delta_e1": delta * e1 % n, "e2": e2} for e1, e2 in pairs],
             }))
         else:
-            print(f"qualifying codes for q={q}, k={k}: {len(specs)} (formula: {formula})")
-            for s in specs:
-                print(f"  C_({s.delta * s.e1 % n},{s.e2})   e1={s.e1} e2={s.e2}")
+            print(f"qualifying codes for q={q}, k={k}: {len(pairs)} (formula: {formula})")
+            for e1, e2 in pairs:
+                print(f"  C_({delta * e1 % n},{e2})   e1={e1} e2={e2}")
     return out.getvalue()
 
 
@@ -344,6 +345,26 @@ class TestDualAndMinpoly:
         assert parsed["dual_min_weight"] == 4
         assert parsed["dual_weights"] == [[0, 1], [4, 7]]
 
+    def test_dual_past_the_int_str_digit_limit(self, capsys):
+        # the B_j of the [4095, 4082] dual run to about 1230 digits, past a
+        # limit of 640; main lifts the limit for dual and restores it
+        from cyclochar.codes import macwilliams_dual, weight_distribution_trace
+
+        argv = ("dual", "--q", "2", "--k", "12", "--e1", "0", "--e2", "1", "--format")
+        limit = sys.get_int_max_str_digits()
+        sys.set_int_max_str_digits(640)
+        try:
+            outs = {}
+            for fmt in ("json", "text"):
+                code, outs[fmt], _ = run(capsys, *argv, fmt)
+                assert code == 0
+                assert sys.get_int_max_str_digits() == 640
+        finally:
+            sys.set_int_max_str_digits(limit)
+        want = macwilliams_dual(weight_distribution_trace(field_for(2, 12), 0, 1), 4095, 2, 13)
+        assert json.loads(outs["json"])["dual_weights"] == want.pairs()
+        assert outs["text"].splitlines()[1] == f"dual enumerator: {want.enumerator()}"
+
     def test_minpoly_text_format(self, capsys):
         code, out, _ = run(capsys, "minpoly", "--q", "2", "--k", "3", "--a", "1")
         assert code == 0
@@ -415,13 +436,13 @@ class TestVerify:
         # sabotage the condition test; the sweep must catch the lie
         import cyclochar.verify as vmod
 
-        real = vmod.check_conditions
+        real = vmod.gcd_conditions
 
         def flipped(q, k, e1, e2):
-            c1, c2 = real(q, k, e1, e2)
-            return (not c1, c2)
+            g1, g2 = real(q, k, e1, e2)
+            return (2 if g1 == 1 else 1, g2)
 
-        monkeypatch.setattr(vmod, "check_conditions", flipped)
+        monkeypatch.setattr(vmod, "gcd_conditions", flipped)
         code, out, err = run(
             capsys, "verify", "--q", "3", "--k", "2",
             "--props", "three_weight_iff_conditions",
@@ -656,6 +677,16 @@ class TestInternalErrors:
         code, _, err = run(capsys, "dual", "--q", "2", "--k", "20", "--e1", "0", "--e2", "1")
         assert code == 2
         assert "needs about 128.0 GiB" in err
+
+    def test_dual_output_over_the_budget_refused_before_any_field(self, capsys, monkeypatch):
+        # (2, 16): the transform fits the budget, its 1.2 GiB of decimal output does not
+        def no_field(*args, **kwargs):
+            raise AssertionError("dual built a field")
+
+        monkeypatch.setattr(gf, "field_for", no_field)
+        code, out, err = run(capsys, "dual", "--q", "2", "--k", "16", "--e1", "0", "--e2", "1")
+        assert (code, out) == (2, "")
+        assert "writing the dual distribution at n = 65535, q = 2 needs about 1.2 GiB" in err
 
     def test_oversized_dual_exits_2(self, capsys, monkeypatch):
         # the real case, dual --q 2 --k 20, needs a 128 GiB transform

@@ -20,7 +20,7 @@ from cyclochar.errors import (
     ResourceLimitError,
 )
 from cyclochar.gf import ZERO
-from cyclochar.numth import coset_representatives, rem
+from cyclochar.numth import coset_representatives, gcd_conditions, rem
 from cyclochar.verify import default_pairs
 
 
@@ -28,12 +28,12 @@ def first_nonzero_trace(ctx):
     return next(e for e in range(ctx.m) if ctx.trace_to(e, "Fq") != ZERO)
 
 
-def trace_codeword(ctx, spec, a, b):
+def trace_codeword(ctx, e1, e2, a, b):
     """Codeword (Tr(a*gamma^(Delta*e1*i) + b*gamma^(e2*i)))_i as F_q symbols."""
     m = ctx.m
     trq = ctx.trace_q_symbol_list()
-    s1 = rem(ctx.delta * spec.e1, m)
-    s2 = rem(spec.e2, m)
+    s1 = rem(ctx.delta * e1, m)
+    s2 = rem(e2, m)
     out = []
     ea, eb = a, b
     for _ in range(m):
@@ -46,14 +46,14 @@ def trace_codeword(ctx, spec, a, b):
     return out
 
 
-def zero_count(ctx, spec, a, b):
+def zero_count(ctx, e1, e2, a, b):
     """Number of zero entries of the trace codeword for (a, b).
 
     Counts directly, then cross-checks the exact relation
     q * zeros = (q^k - 1) + T(a, b) against the character sum.
     """
-    z = sum(1 for s in trace_codeword(ctx, spec, a, b) if s == 0)
-    t = expsum.char_sum(ctx, spec, a, b).as_integer()
+    z = sum(1 for s in trace_codeword(ctx, e1, e2, a, b) if s == 0)
+    t = expsum.char_sum(ctx, e1, e2, a, b).as_integer()
     total, r = divmod(ctx.m + t, ctx.q)
     if r != 0 or total != z:
         raise ConsistencyError(
@@ -74,7 +74,7 @@ class TestCodeSpec:
     def test_fields(self):
         spec = codes.code_spec(4, 3, 2, 5)
         assert (spec.delta, spec.n) == (21, 63)
-        assert spec.d == 1
+        assert gcd_conditions(spec.q, spec.k, spec.e1, spec.e2)[0] == 1
         assert (5 * spec.bezout.alpha + 21 * spec.bezout.beta) % 63 == 1
 
     def test_invalid_e2(self):
@@ -85,91 +85,83 @@ class TestCodeSpec:
 class TestTraceCodeword:
     def test_all_zero(self):
         ctx = gf.field_for(3, 2)
-        spec = codes.code_spec(3, 2, 0, 1)
-        assert trace_codeword(ctx, spec, ZERO, ZERO) == [0] * 8
+        assert trace_codeword(ctx, 0, 1, ZERO, ZERO) == [0] * 8
 
     def test_full_weight_constant_class(self):
         ctx = gf.field_for(4, 3)
-        spec = codes.code_spec(4, 3, 2, 5)
         a = first_nonzero_trace(ctx)
-        word = trace_codeword(ctx, spec, a, ZERO)
+        word = trace_codeword(ctx, 2, 5, a, ZERO)
         assert sum(1 for s in word if s) == 63
 
     def test_weight_complements_zero_count(self):
         ctx = gf.field_for(3, 2)
-        spec = codes.code_spec(3, 2, 0, 1)
         rng = np.random.default_rng(0)
         elems = [ZERO] + list(range(8))
         for _ in range(200):
             a = elems[int(rng.integers(len(elems)))]
             b = elems[int(rng.integers(len(elems)))]
-            word = trace_codeword(ctx, spec, a, b)
-            assert sum(1 for s in word if s) == 8 - zero_count(ctx, spec, a, b)
+            word = trace_codeword(ctx, 0, 1, a, b)
+            assert sum(1 for s in word if s) == 8 - zero_count(ctx, 0, 1, a, b)
 
 
 class TestZeroCount:
     def test_both_zero(self):
         ctx = gf.field_for(3, 2)
-        spec = codes.code_spec(3, 2, 0, 1)
-        assert zero_count(ctx, spec, ZERO, ZERO) == 8
+        assert zero_count(ctx, 0, 1, ZERO, ZERO) == 8
 
     def test_nonzero_trace_b_zero(self):
         ctx = gf.field_for(3, 2)
-        spec = codes.code_spec(3, 2, 0, 1)
-        assert zero_count(ctx, spec, first_nonzero_trace(ctx), ZERO) == 0
+        assert zero_count(ctx, 0, 1, first_nonzero_trace(ctx), ZERO) == 0
 
     def test_nonzero_trace_b_nonzero_k2(self):
         # at k = 2 the count equals q itself
         ctx = gf.field_for(3, 2)
-        spec = codes.code_spec(3, 2, 0, 1)
-        assert zero_count(ctx, spec, first_nonzero_trace(ctx), 0) == 3
+        assert zero_count(ctx, 0, 1, first_nonzero_trace(ctx), 0) == 3
 
     @pytest.mark.parametrize("q,k", [(2, 3), (4, 3), (3, 3)])
     def test_nonzero_trace_b_nonzero_general_k(self, q, k):
         # general k: q^(k-1) zeros, forced by weight q^(k-1)(q-1) - 1
         ctx = gf.field_for(q, k)
-        spec = codes.code_spec(q, k, 0, 1)
         a = first_nonzero_trace(ctx)
-        assert zero_count(ctx, spec, a, 0) == q ** (k - 1)
+        assert zero_count(ctx, 0, 1, a, 0) == q ** (k - 1)
 
     def test_a_zero_b_nonzero(self):
         ctx = gf.field_for(4, 3)
-        spec = codes.code_spec(4, 3, 2, 5)
-        assert zero_count(ctx, spec, ZERO, 0) == 4**2 - 1
+        assert zero_count(ctx, 2, 5, ZERO, 0) == 4**2 - 1
 
 
 class TestTraceDistribution:
     def test_example_q4_k3(self):
         ctx = gf.field_for(4, 3)
-        wd = codes.weight_distribution_trace(ctx, codes.code_spec(4, 3, 2, 5))
+        wd = codes.weight_distribution_trace(ctx, 2, 5)
         assert wd.entries == {0: 1, 47: 189, 48: 63, 63: 3}
         assert wd.enumerator() == "1 + 189z^47 + 63z^48 + 3z^63"
 
     def test_example_q2_k3(self):
         ctx = gf.field_for(2, 3)
-        wd = codes.weight_distribution_trace(ctx, codes.code_spec(2, 3, 0, 1))
+        wd = codes.weight_distribution_trace(ctx, 0, 1)
         assert wd.entries == {0: 1, 3: 7, 4: 7, 7: 1}
 
     @pytest.mark.parametrize("q,k,e1,e2", [(3, 2, 0, 1), (4, 2, 1, 2), (2, 4, 0, 7), (5, 2, 2, 1)])
     def test_total_is_field_grid(self, q, k, e1, e2):
         ctx = gf.field_for(q, k)
-        wd = codes.weight_distribution_trace(ctx, codes.code_spec(q, k, e1, e2))
+        wd = codes.weight_distribution_trace(ctx, e1, e2)
         assert wd.total() == q ** (k + 1)
         assert wd.entries[0] == 1
 
     def test_collapsed_code_when_cosets_coincide(self):
         # e2 in the orbit of Delta*e1 collapses the parity check to one factor
         ctx = gf.field_for(3, 2)
-        wd = codes.weight_distribution_trace_exponents(ctx, 1, 4)
+        wd = codes.weight_distribution_trace(ctx, 1, 4)
         code = codes.code_from_exponents(ctx, 1, 4)
         assert code.dimension == 1
         assert wd.total() == 3
         assert wd == codes.weight_distribution_bruteforce(ctx, code)
 
     def test_condition_violating_pair_still_exact(self):
-        # gcd(Delta, e2) > 1: no spec exists, but the distribution is defined
+        # gcd(Delta, e2) > 1: no Bezout pair exists, but the distribution is defined
         ctx = gf.field_for(3, 2)
-        wd = codes.weight_distribution_trace_exponents(ctx, 0, 2)
+        wd = codes.weight_distribution_trace(ctx, 0, 2)
         code = codes.code_from_exponents(ctx, 0, 2)
         assert wd == codes.weight_distribution_bruteforce(ctx, code)
 
@@ -208,16 +200,16 @@ class TestOrbitReducedGrid:
                 assert np.array_equal(codes.trace_weight_grid(ctx, e1, e2), want), (e1, e2)
                 counts = np.bincount(want.ravel(), minlength=n + 1)
                 expected = {int(w): int(counts[w] // counts[0]) for w in np.nonzero(counts)[0]}
-                wd = codes.weight_distribution_trace_exponents(ctx, e1, e2)
+                wd = codes.weight_distribution_trace(ctx, e1, e2)
                 assert wd.entries == expected, (e1, e2)
 
     def test_distribution_never_forms_the_grid(self):
         ctx = gf.field_for(16, 3)
-        codes.weight_distribution_trace_exponents(ctx, 1, 1)  # warm the field tables
+        codes.weight_distribution_trace(ctx, 1, 1)  # warm the field tables
         grid_bytes = ctx.q * ctx.order * np.dtype(np.int64).itemsize
         tracemalloc.start()
         try:
-            wd = codes.weight_distribution_trace_exponents(ctx, 1, 1)
+            wd = codes.weight_distribution_trace(ctx, 1, 1)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
@@ -245,9 +237,8 @@ class TestBruteForce:
     @pytest.mark.parametrize("q,k,e1,e2", [(2, 3, 0, 1), (3, 2, 1, 3), (4, 2, 2, 1), (2, 5, 0, 1), (5, 2, 1, 1)])
     def test_oracle_equivalence_small(self, q, k, e1, e2):
         ctx = gf.field_for(q, k)
-        spec = codes.code_spec(q, k, e1, e2)
         code = codes.code_from_exponents(ctx, e1, e2)
-        assert codes.weight_distribution_trace(ctx, spec) == codes.weight_distribution_bruteforce(ctx, code)
+        assert codes.weight_distribution_trace(ctx, e1, e2) == codes.weight_distribution_bruteforce(ctx, code)
 
     @pytest.mark.parametrize("q,k,e1,e2", [(2, 5, 0, 1), (3, 3, 1, 1), (4, 2, 2, 1), (5, 2, 1, 1)])
     def test_chunked_enumeration_matches_single_block(self, q, k, e1, e2, monkeypatch):
@@ -376,7 +367,6 @@ class TestCharSumGrid:
     def test_matches_direct_char_sum_per_element(self, q, k, e1, e2):
         # the grid is indexed by trace classes; every concrete a must agree
         ctx = gf.field_for(q, k)
-        spec = codes.code_spec(q, k, e1, e2)
         grid = codes.char_sum_grid(ctx, e1, e2)
         rng = np.random.default_rng(1)
         elems = [ZERO] + list(range(ctx.m))
@@ -385,7 +375,7 @@ class TestCharSumGrid:
             b = elems[int(rng.integers(len(elems)))]
             tau = 0 if a == ZERO else ctx.symbol_of(ctx.trace_to(a, "Fq"))
             col = 0 if b == ZERO else 1 + b
-            assert grid[tau, col] == expsum.char_sum(ctx, spec, a, b).as_integer()
+            assert grid[tau, col] == expsum.char_sum(ctx, e1, e2, a, b).as_integer()
 
 
 class TestGriesmer:
@@ -425,7 +415,7 @@ class TestMacWilliams:
 
     def test_example1_dual(self):
         ctx = gf.field_for(4, 3)
-        wd = codes.weight_distribution_trace(ctx, codes.code_spec(4, 3, 2, 5))
+        wd = codes.weight_distribution_trace(ctx, 2, 5)
         dual = codes.macwilliams_dual(wd, 63, 4, 4)
         assert dual.entries.get(1, 0) == 0
         assert dual.entries.get(2, 0) == 0
@@ -436,7 +426,7 @@ class TestMacWilliams:
     def test_involution(self, q, k, e1, e2):
         ctx = gf.field_for(q, k)
         n = q**k - 1
-        wd = codes.weight_distribution_trace(ctx, codes.code_spec(q, k, e1, e2))
+        wd = codes.weight_distribution_trace(ctx, e1, e2)
         dual = codes.macwilliams_dual(wd, n, q, k + 1)
         assert codes.macwilliams_dual(dual, n, q, n - (k + 1)) == wd
 
@@ -722,7 +712,7 @@ class TestDualB3:
     def test_q3_k4_against_macwilliams(self):
         # closed form must equal the transform output for the [80, 5] code
         ctx = gf.field_for(3, 4)
-        wd = codes.weight_distribution_trace(ctx, codes.code_spec(3, 4, 0, 1))
+        wd = codes.weight_distribution_trace(ctx, 0, 1)
         dual = codes.macwilliams_dual(wd, 80, 3, 5)
         assert codes.dual_b3(3, 4) == dual.entries[3] == 2080
 
@@ -740,7 +730,7 @@ class TestThreeWeightTable:
 class TestPless:
     def test_example1_passes(self):
         ctx = gf.field_for(4, 3)
-        wd = codes.weight_distribution_trace(ctx, codes.code_spec(4, 3, 2, 5))
+        wd = codes.weight_distribution_trace(ctx, 2, 5)
         dual = codes.macwilliams_dual(wd, 63, 4, 4)
         assert codes.pless_moment_check(wd, dual, 63, 4, 4)
 

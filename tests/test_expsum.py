@@ -7,6 +7,7 @@ from cyclochar.codes import code_spec
 from cyclochar.errors import ConsistencyError, InvalidArgumentError
 from cyclochar.expsum import CyclotomicCount
 from cyclochar.gf import ZERO
+from cyclochar.numth import gcd_conditions
 from test_gf import additive_char_exponent
 
 
@@ -31,14 +32,14 @@ def char_sum_reindexed(ctx, spec, a, b, use_delta_form=False):
     return CyclotomicCount(p=ctx.p, counts=tuple(counts))
 
 
-def direct_char_sum(ctx, spec, a, b):
+def direct_char_sum(ctx, e1, e2, a, b):
     """Test oracle: the sum term by term, one scalar Zech addition per
     position and one character lookup per term."""
     m, q = ctx.m, ctx.q
     chars = ctx.char_exponent_list()
     counts = [0] * ctx.p
-    s1 = spec.delta * spec.e1 % m
-    s2 = spec.e2 % m
+    s1 = ctx.delta * e1 % m
+    s2 = e2 % m
     ea, eb = a, b
     for _ in range(m):
         s = ctx.add(ea, eb)
@@ -63,6 +64,11 @@ def direct_char_sum(ctx, spec, a, b):
 # d > 1) on every (a, b) of a block instead.
 
 
+def spec_d(spec):
+    """d = gcd(q-1, k*e1 - e2) of the spec's exponent pair."""
+    return gcd_conditions(spec.q, spec.k, spec.e1, spec.e2)[0]
+
+
 def level_shift(spec, d):
     """The exact quotient (Delta*(e1*alpha + beta) - 1) / d.
 
@@ -84,7 +90,7 @@ def partition_value(ctx, spec, a, b, d, v, w):
     and shift predictably under v -> v + Delta, which forces every level
     count to be divisible by d.
     """
-    if d != spec.d:
+    if d != spec_d(spec):
         raise InvalidArgumentError(f"d = {d} is not gcd(q-1, k*e1 - e2)")
     level_shift(spec, d)  # integrality check
     m = ctx.m
@@ -103,7 +109,7 @@ def partition_counts(ctx, spec, a, b, d):
     """
     if d <= 1:
         raise InvalidArgumentError(f"partition requires d > 1, got {d}")
-    if d != spec.d:
+    if d != spec_d(spec):
         raise InvalidArgumentError(f"d = {d} is not gcd(q-1, k*e1 - e2)")
     m = ctx.m
     counts = {}
@@ -136,28 +142,27 @@ class TestCharSumAgainstDirect:
     def test_every_pair_of_every_spec(self, q, k):
         ctx = gf.field_for(q, k)
         elems = [ZERO] + list(range(ctx.m))
-        for spec in verify.all_specs(q, k):
+        for e1, e2 in verify.all_pairs(q, k):
             for a in elems:
                 for b in elems:
-                    got = expsum.char_sum(ctx, spec, a, b)
-                    assert got == direct_char_sum(ctx, spec, a, b), (spec.e1, spec.e2, a, b)
+                    got = expsum.char_sum(ctx, e1, e2, a, b)
+                    assert got == direct_char_sum(ctx, e1, e2, a, b), (e1, e2, a, b)
                     assert all(type(c) is int for c in got.counts)
 
     @pytest.mark.parametrize("q,k", verify.default_pairs(127))
     def test_class_representatives_of_every_spec(self, q, k):
         ctx = gf.field_for(q, k)
-        for spec in verify.all_specs(q, k):
+        for e1, e2 in verify.all_pairs(q, k):
             for a, b in class_pairs(ctx):
-                assert expsum.char_sum(ctx, spec, a, b) == direct_char_sum(ctx, spec, a, b)
+                assert expsum.char_sum(ctx, e1, e2, a, b) == direct_char_sum(ctx, e1, e2, a, b)
 
     @pytest.mark.parametrize("budget", [1, 7, 100])
     @pytest.mark.parametrize("q,k,e1,e2", [(2, 4, 0, 7), (3, 3, 1, 5), (4, 3, 2, 5), (9, 2, 3, 7)])
     def test_walk_spanning_several_chunks(self, q, k, e1, e2, budget, monkeypatch):
         ctx = gf.field_for(q, k)
-        spec = code_spec(q, k, e1, e2)
         monkeypatch.setattr(expsum, "_CHAR_SUM_ENTRIES", budget)
         for a, b in class_pairs(ctx) + [(3, 5), (5, 3), (1, ZERO)]:
-            assert expsum.char_sum(ctx, spec, a, b) == direct_char_sum(ctx, spec, a, b)
+            assert expsum.char_sum(ctx, e1, e2, a, b) == direct_char_sum(ctx, e1, e2, a, b)
 
 
 class TestCyclotomicCount:
@@ -223,7 +228,7 @@ class TestPartitionValue:
     def test_zero_inputs_vanish(self):
         ctx = gf.field_for(4, 2)
         spec = code_spec(4, 2, 2, 1)
-        d = spec.d
+        d = spec_d(spec)
         assert d == 3
         for v in range(ctx.m):
             for w in range(ctx.q - 1):
@@ -234,7 +239,7 @@ class TestPartitionValue:
         # gamma^(r*Delta) * f(v, w) = f(v + r*Delta, w - r*rho), exhaustively
         ctx = gf.field_for(q, k)
         spec = code_spec(q, k, e1, e2)
-        d = spec.d
+        d = spec_d(spec)
         assert d > 1
         rho = level_shift(spec, d)
         a, b = 1, 2
@@ -261,7 +266,7 @@ class TestPartitionValue:
         # f(v, w) = f(v, w + (q-1)/d * t) for t = 0..d-1, exhaustively
         ctx = gf.field_for(q, k)
         spec = code_spec(q, k, e1, e2)
-        d = spec.d
+        d = spec_d(spec)
         step = (q - 1) // d
         a, b = 2, 0
         for v in range(ctx.m):
@@ -282,25 +287,21 @@ class TestPartitionValue:
 class TestCharSum:
     def test_example_all_zero(self):
         ctx = gf.field_for(4, 3)
-        spec = code_spec(4, 3, 2, 5)
-        assert expsum.char_sum(ctx, spec, ZERO, ZERO).as_integer() == 189
+        assert expsum.char_sum(ctx, 2, 5, ZERO, ZERO).as_integer() == 189
 
     def test_example_trace_nonzero_b_zero(self):
         ctx = gf.field_for(4, 3)
-        spec = code_spec(4, 3, 2, 5)
         a = next(e for e in range(63) if ctx.trace_to(e, "Fq") != ZERO)
-        assert expsum.char_sum(ctx, spec, a, ZERO).as_integer() == -63
+        assert expsum.char_sum(ctx, 2, 5, a, ZERO).as_integer() == -63
 
     def test_example_generic_class(self):
         ctx = gf.field_for(4, 3)
-        spec = code_spec(4, 3, 2, 5)
         a = next(e for e in range(63) if ctx.trace_to(e, "Fq") != ZERO)
-        assert expsum.char_sum(ctx, spec, a, 0).as_integer() == 1
+        assert expsum.char_sum(ctx, 2, 5, a, 0).as_integer() == 1
 
     def test_term_count(self):
         ctx = gf.field_for(3, 2)
-        spec = code_spec(3, 2, 0, 1)
-        assert expsum.char_sum(ctx, spec, 3, 5).total() == 8 * 2
+        assert expsum.char_sum(ctx, 0, 1, 3, 5).total() == 8 * 2
 
     @pytest.mark.parametrize("q,k,e1,e2", [(3, 2, 0, 1), (2, 3, 0, 1), (4, 2, 2, 1), (5, 2, 1, 7)])
     def test_reindexed_evaluation_identical(self, q, k, e1, e2):
@@ -308,7 +309,7 @@ class TestCharSum:
         ctx = gf.field_for(q, k)
         spec = code_spec(q, k, e1, e2)
         for a, b in [(ZERO, ZERO), (0, ZERO), (ZERO, 0), (1, 2), (2, 1)]:
-            direct = expsum.char_sum(ctx, spec, a, b)
+            direct = expsum.char_sum(ctx, e1, e2, a, b)
             assert char_sum_reindexed(ctx, spec, a, b) == direct
             assert char_sum_reindexed(ctx, spec, a, b, use_delta_form=True) == direct
 
@@ -326,22 +327,21 @@ class TestPredictions:
 
     @pytest.mark.parametrize("q,k,e1,e2", [(3, 2, 0, 1), (2, 3, 0, 1), (4, 2, 0, 1)])
     def test_matches_char_sum_on_every_pair(self, q, k, e1, e2):
-        # both conditions hold for these specs: check every (a, b), not classes
+        # both conditions hold for these pairs: check every (a, b), not classes
         ctx = gf.field_for(q, k)
-        spec = code_spec(q, k, e1, e2)
         elems = [ZERO] + list(range(ctx.m))
         for a in elems:
             tz = a == ZERO or ctx.trace_to(a, "Fq") == ZERO
             for b in elems:
                 want = expsum.predict_char_sum(q, k, tz, a == ZERO, b == ZERO)
-                assert expsum.char_sum(ctx, spec, a, b).as_integer() == want
+                assert expsum.char_sum(ctx, e1, e2, a, b).as_integer() == want
 
 
 class TestPartitionCounts:
     def test_totals_and_divisibility(self):
         ctx = gf.field_for(4, 2)
         spec = code_spec(4, 2, 2, 1)
-        d = spec.d
+        d = spec_d(spec)
         counts = partition_counts(ctx, spec, 1, 2, d)
         assert sum(counts.values()) == ctx.m * (ctx.q - 1)
         assert all(c % d == 0 for c in counts.values())
@@ -349,7 +349,7 @@ class TestPartitionCounts:
     def test_delta_periodicity(self):
         ctx = gf.field_for(5, 3)
         spec = code_spec(5, 3, 1, 1)
-        counts = partition_counts(ctx, spec, 3, 7, spec.d)
+        counts = partition_counts(ctx, spec, 3, 7, spec_d(spec))
         for e in range(ctx.m):
             assert counts.get(e, 0) == counts.get((e + ctx.delta) % ctx.m, 0)
 
@@ -357,7 +357,7 @@ class TestPartitionCounts:
         ctx = gf.field_for(3, 2)
         spec = code_spec(3, 2, 0, 1)
         with pytest.raises(InvalidArgumentError):
-            partition_counts(ctx, spec, 1, 2, spec.d)
+            partition_counts(ctx, spec, 1, 2, spec_d(spec))
 
     def test_gcd_checked(self):
         ctx = gf.field_for(4, 2)

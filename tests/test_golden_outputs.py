@@ -2,7 +2,9 @@
 
 Every subcommand in both formats, a refused build included.  A change
 meant to keep the outputs byte-identical must pass this unchanged; a
-change meant to alter an output updates its digest on purpose.
+change meant to alter an output updates its digest on purpose.  The same
+outputs must come out when nothing but the substitution sweep may solve a
+Bezout pair, and, for `dual`, when no polynomial may be divided.
 """
 
 import hashlib
@@ -11,7 +13,7 @@ from contextlib import redirect_stderr, redirect_stdout
 
 import pytest
 
-from cyclochar import cli
+from cyclochar import cli, codes, numth, polyring, verify
 
 GOLDEN = [
     ("build --q 4 --k 3 --e1 2 --e2 5 --format json", 0,
@@ -46,6 +48,15 @@ GOLDEN = [
      "7fe745e41fc5795618131050a275e7ef3f10fd5f5c525f7b2834b46800a156ba"),
     ("minpoly --q 4 --k 3 --a 5 --format text", 0,
      "0ebc7c78fa3050f75581c4b11ea3c6a4fff4598ae6e3bf26a7846b2c722869cc"),
+    ("enumerate --q 16 --k 4 --format json", 0,
+     "b9193b247c22bea63349376e973a170b8e112952469219a7976a114da16a9d60"),
+    ("enumerate --q 16 --k 4 --format text", 0,
+     "a1da84a934fbea1da3ed68ef6ac427bcad15f0aef64984bd1b65ecdba0523c9f"),
+    # h_(Delta*e1) = h_(e2): the parity check is one factor of degree 2
+    ("dual --q 3 --k 2 --e1 1 --e2 4 --format json", 0,
+     "724342ad086d19f0d920b8732b275703708b2aad038b4af016dc05608083e946"),
+    ("dual --q 3 --k 2 --e1 1 --e2 4 --format text", 0,
+     "042ccdda96f7b6444058efcedf6ba9782dda2b896557037b190a66971e572e5e"),
 ]
 
 
@@ -56,3 +67,51 @@ def test_output_is_unchanged(command, exit_code, digest):
         code = cli.main(command.split())
     assert code == exit_code
     assert hashlib.sha256(out.getvalue().encode()).hexdigest() == digest
+
+
+def _run(command):
+    out = io.StringIO()
+    with redirect_stdout(out), redirect_stderr(io.StringIO()):
+        code = cli.main(command.split())
+    return code, hashlib.sha256(out.getvalue().encode()).hexdigest()
+
+
+@pytest.mark.parametrize("command,exit_code,digest", GOLDEN, ids=[c for c, _, _ in GOLDEN])
+def test_a_bezout_pair_is_solved_only_by_the_substitution_sweep(command, exit_code, digest,
+                                                               monkeypatch):
+    # a code is its exponent pair everywhere else: enumerate, build, charsum,
+    # dual and every other verify property keep their outputs without one
+    inside, solved = [], []
+    real_sweep = verify.verify_substitution
+
+    def sweep(q, k):
+        inside.append(1)
+        try:
+            return real_sweep(q, k)
+        finally:
+            inside.pop()
+
+    for owner in (numth, codes):
+        def guarded(e2, q, k, real=owner.bezout_pair):
+            if not inside:
+                raise AssertionError("a Bezout pair was solved outside the substitution sweep")
+            solved.append(e2)
+            return real(e2, q, k)
+
+        monkeypatch.setattr(owner, "bezout_pair", guarded)
+    monkeypatch.setattr(verify, "verify_substitution", sweep)
+    assert _run(command) == (exit_code, digest)
+    assert bool(solved) == command.startswith("verify")
+
+
+@pytest.mark.parametrize(
+    "command,exit_code,digest",
+    [g for g in GOLDEN if g[0].startswith("dual")],
+    ids=[c for c, _, _ in GOLDEN if c.startswith("dual")],
+)
+def test_dual_forms_no_generator(command, exit_code, digest, monkeypatch):
+    def no_division(*args):
+        raise AssertionError("dual divided a polynomial")
+
+    monkeypatch.setattr(polyring, "poly_divmod", no_division)
+    assert _run(command) == (exit_code, digest)

@@ -242,7 +242,7 @@ class TestQualifyingCodes:
         delta = n // (q - 1)
         reps = [a for a in numth.coset_representatives(q, n) if math.gcd(a, delta) == 1]
         expected = [
-            (e1, e2, numth.bezout_pair(e2, q, k))
+            (e1, e2)
             for e1 in range(q - 1)
             for e2 in reps
             if numth.gcd_conditions(q, k, e1, e2) == (1, 1)

@@ -10,9 +10,12 @@ reference must agree on ok, checked and the counterexample (or raise the
 same error), on clean runs and under injected faults.
 """
 
+import json
+import tracemalloc
+
 import pytest
 
-from cyclochar import codes, expsum, gf, numth, verify
+from cyclochar import cli, codes, expsum, gf, numth, verify
 from cyclochar.errors import ConsistencyError, CyclocharError, InvalidArgumentError
 
 PAIRS_63 = verify.default_pairs(63)
@@ -25,9 +28,9 @@ PAIRS_255 = verify.default_pairs(255)
 
 def reference_brute(ctx, e1, e2, cap, cache):
     """Brute force shared between pairs with the same parity check."""
-    h = verify.parity_check_from_exponents(ctx, e1, e2)
+    h = codes.parity_check_from_exponents(ctx, e1, e2)
     if h not in cache:
-        cache[h] = verify.weight_distribution_bruteforce(ctx, verify.cyclic_code(ctx, h), cap)
+        cache[h] = verify.weight_distribution_bruteforce(ctx, codes.cyclic_code(ctx, h), cap)
     return cache[h]
 
 
@@ -39,7 +42,7 @@ def reference_three_weight_iff(q, k, ctx, brute_cap=numth.DEFAULT_BRUTE_CAP):
     for e1 in range(q - 1):
         for e2 in range(n):
             match = reference_brute(ctx, e1, e2, brute_cap, cache) == table
-            conds = all(verify.check_conditions(q, k, e1, e2))
+            conds = verify.gcd_conditions(q, k, e1, e2) == (1, 1)
             if match != conds:
                 return verify.PropertyResult(
                     "three_weight_iff_conditions", q, k, False, checked,
@@ -52,13 +55,13 @@ def reference_three_weight_iff(q, k, ctx, brute_cap=numth.DEFAULT_BRUTE_CAP):
 def reference_oracle_equivalence(q, k, ctx, brute_cap=numth.DEFAULT_BRUTE_CAP):
     cache = {}
     checked = 0
-    for spec in verify.all_specs(q, k):
-        wd = verify.weight_distribution_trace(ctx, spec)
-        brute = reference_brute(ctx, spec.e1, spec.e2, brute_cap, cache).entries
+    for e1, e2 in verify.all_pairs(q, k):
+        wd = verify.weight_distribution_trace(ctx, e1, e2)
+        brute = reference_brute(ctx, e1, e2, brute_cap, cache).entries
         if wd.entries != brute:
             return verify.PropertyResult(
                 "oracle_equivalence", q, k, False, checked,
-                {"e1": spec.e1, "e2": spec.e2, "trace": wd.entries, "brute": brute},
+                {"e1": e1, "e2": e2, "trace": wd.entries, "brute": brute},
             )
         checked += 1
     return verify.PropertyResult("oracle_equivalence", q, k, True, checked)
@@ -123,15 +126,14 @@ def outcome(sweep, *args):
 
 
 def mid_qualifying_rep(q, k):
-    """First pair, in scan order, of the orbit of a middle qualifying spec.
+    """First pair, in scan order, of the orbit of a middle qualifying pair.
 
     Its parity check is met first at that pair, by both the orbit memo and
     the per-parity-check reference: with gcd(Delta, e2) = 1, pairs sharing
     a parity check differ by a power of q, so they share an orbit too.
     """
-    specs = [s for s in verify.all_specs(q, k) if all(verify.check_conditions(q, k, s.e1, s.e2))]
-    mid = specs[len(specs) // 2]
-    return min(numth.multiplier_orbit(q, k, mid.e1, mid.e2))
+    pairs = [p for p in verify.all_pairs(q, k) if verify.gcd_conditions(q, k, *p) == (1, 1)]
+    return min(numth.multiplier_orbit(q, k, *pairs[len(pairs) // 2]))
 
 
 # -- the sweeps equal their references ----------------------------------------
@@ -171,7 +173,7 @@ def test_cap_refusal_comes_at_the_same_pair(q, k, monkeypatch):
         outcomes = []
         for fn in (sweep, reference):
             met = []
-            for name in ("check_conditions", "weight_distribution_trace"):
+            for name in ("gcd_conditions", "weight_distribution_trace"):
                 real = getattr(verify, name)
                 monkeypatch.setattr(verify, name,
                                     lambda *a, real=real: met.append(a[-2:]) or real(*a))
@@ -188,13 +190,13 @@ def test_cap_refusal_comes_at_the_same_pair(q, k, monkeypatch):
 def test_a_flipped_condition_is_caught_at_the_same_pair(q, k, monkeypatch):
     ctx = gf.field_for(q, k)
     target = ((q - 1) // 2, (q**k - 1) // 2)
-    real = verify.check_conditions
+    real = verify.gcd_conditions
 
     def flipped(q_, k_, e1, e2):
         conds = real(q_, k_, e1, e2)
-        return (not all(conds), True) if (e1, e2) == target else conds
+        return ((1, 1) if conds != (1, 1) else (2, 1)) if (e1, e2) == target else conds
 
-    monkeypatch.setattr(verify, "check_conditions", flipped)
+    monkeypatch.setattr(verify, "gcd_conditions", flipped)
     got = outcome(verify.verify_three_weight_iff, q, k, ctx)
     assert got == outcome(reference_three_weight_iff, q, k, ctx)
     assert (got[2]["e1"], got[2]["e2"]) == target
@@ -204,7 +206,7 @@ def test_a_flipped_condition_is_caught_at_the_same_pair(q, k, monkeypatch):
 def test_a_corrupted_distribution_is_caught_at_the_same_pair(q, k, monkeypatch):
     ctx = gf.field_for(q, k)
     target = mid_qualifying_rep(q, k)
-    bad_h = verify.parity_check_from_exponents(ctx, *target)
+    bad_h = codes.parity_check_from_exponents(ctx, *target)
     real = verify.weight_distribution_bruteforce
 
     def corrupted(ctx_, code, cap=numth.DEFAULT_BRUTE_CAP):
@@ -298,7 +300,6 @@ def test_the_brute_force_route_never_reads_the_trace_route(q, k, monkeypatch):
     for owner, name in [
         (codes, "trace_weight_grid"),
         (codes, "weight_distribution_trace"),
-        (codes, "weight_distribution_trace_exponents"),
         (codes, "_orbit_columns"),
         (verify, "weight_distribution_trace"),
         (gf.FieldCtx, "trace_q_symbols"),
@@ -310,3 +311,42 @@ def test_the_brute_force_route_never_reads_the_trace_route(q, k, monkeypatch):
     assert memo.distribution(0, 1) == codes.three_weight_distribution(q, k)
     result = verify.verify_three_weight_iff(q, k, ctx)
     assert result.ok and result.checked == (q - 1) * (q**k - 1)
+
+
+# -- the character-sum sweeps: lazy pairs and a budgeted grid -----------------
+
+
+@pytest.mark.parametrize("prop", ["char_sum_cases", "char_sum_unit_iff"])
+def test_an_oversized_char_sum_grid_is_refused_before_the_first_grid(prop, monkeypatch, capsys):
+    def no_grid(*args):
+        raise AssertionError("a character-sum grid was formed")
+
+    monkeypatch.setattr(verify, "char_sum_grid", no_grid)
+    monkeypatch.setattr(numth, "JOB_BUDGET_BYTES", verify._CHAR_SUM_BYTES_PER_CELL * 4**4 - 1)
+    code = cli.main(["verify", "--q", "4", "--k", "3", "--format", "json",
+                     "--props", f"three_weight_iff_conditions,{prop}"])
+    out, err = capsys.readouterr()
+    assert code == 2
+    [kept] = json.loads(out)
+    assert (kept["property"], kept["ok"]) == ("three_weight_iff_conditions", True)
+    assert "the character-sum grid needs about" in err
+
+
+def test_the_unit_sweep_reaches_its_first_grid_in_a_few_mib(monkeypatch):
+    # (31, 3) has 594,000 pairs; none is held before the first grid
+    class FirstGrid(Exception):
+        pass
+
+    def first_grid(*args):
+        raise FirstGrid
+
+    ctx = gf.field_for(31, 3)
+    monkeypatch.setattr(verify, "char_sum_grid", first_grid)
+    tracemalloc.start()
+    try:
+        with pytest.raises(FirstGrid):
+            verify.verify_char_sum_unit_iff(31, 3, ctx)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 4 << 20

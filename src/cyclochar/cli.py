@@ -289,22 +289,26 @@ def cmd_dual(args) -> int:
     wd = weight_distribution_trace(ctx, args.e1, args.e2)
     dim = polyring.degree(parity_check_from_exponents(ctx, args.e1, args.e2))
     dual = macwilliams_dual(wd, n, q, dim)
-    out = {
-        "q": args.q,
-        "k": args.k,
-        "e1": args.e1,
-        "e2": args.e2,
-        "n": n,
-        "dim": dim,
-        "dual_min_weight": dual.min_nonzero_weight(),
-        "dual_weights": dual.pairs(),
-    }
+    d_dual = dual.min_nonzero_weight()
+    # the frequencies are written one at a time, as enumerate writes its records
+    write = sys.stdout.write
     if args.format == "json":
-        print(json.dumps(out))
+        # json.dumps of {"q", "k", "e1", "e2", "n", "dim", "dual_min_weight", "dual_weights"}
+        write(f'{{"q": {q}, "k": {args.k}, "e1": {args.e1}, "e2": {args.e2}, "n": {n}, '
+              f'"dim": {dim}, "dual_min_weight": {d_dual}, "dual_weights": [')
+        sep = ""
+        for w in sorted(dual.entries):
+            write(f"{sep}[{w}, {dual.entries[w]}]")
+            sep = ", "
+        write("]}\n")
     else:
-        print(f"dual of C_({args.e1},{args.e2}) over F_{args.q}:"
-              f" [{n},{n - dim},{dual.min_nonzero_weight()}]")
-        print(f"dual enumerator: {dual.enumerator()}")
+        write(f"dual of C_({args.e1},{args.e2}) over F_{q}: [{n},{n - dim},{d_dual}]\n")
+        write("dual enumerator: ")
+        sep = ""
+        for term in dual.terms():  # B_0 = 1, so there is always a term
+            write(f"{sep}{term}")
+            sep = " + "
+        write("\n")
     return EXIT_OK
 
 

@@ -2,7 +2,8 @@
 
 Two independent routes to a weight distribution are kept side by side:
 the trace representation (codewords indexed by a trace class and a
-field element, weights read off zero counts) and plain brute force over
+field element, weights read off zero counts on one column per orbit of
+the shift and scaling symmetry) and plain brute force over
 the information words against the generator polynomial, one word per
 F_q^* line, as linearity allows.  Their
 agreement is the library's core self-check, so neither may be removed
@@ -32,7 +33,6 @@ from .numth import (
     BezoutPair,
     bezout_pair,
     check_budget,
-    ext_gcd,
     rem,
 )
 
@@ -90,23 +90,15 @@ class WeightDistribution:
         """Smallest nonzero weight; 0 for a trivial (zero-only) code."""
         return min((w for w in self.entries if w > 0), default=0)
 
-    def enumerator(self) -> str:
-        """Weight enumerator polynomial, e.g. "1 + 189z^47 + 63z^48 + 3z^63"."""
-        terms = []
+    def terms(self):
+        """The terms of the enumerator, by increasing weight, one at a time."""
         for w in sorted(self.entries):
             freq = self.entries[w]
-            if w == 0:
-                terms.append(str(freq))
-            else:
-                terms.append(f"{freq}z^{w}")
-        return " + ".join(terms) if terms else "0"
+            yield str(freq) if w == 0 else f"{freq}z^{w}"
 
-    def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, WeightDistribution)
-            and self.n == other.n
-            and self.entries == other.entries
-        )
+    def enumerator(self) -> str:
+        """Weight enumerator polynomial, e.g. "1 + 189z^47 + 63z^48 + 3z^63"."""
+        return " + ".join(self.terms()) or "0"
 
 
 @dataclass(frozen=True)
@@ -150,14 +142,29 @@ def code_from_exponents(ctx: FieldCtx, e1: int, e2: int) -> CyclicCode:
 # -- trace representation --------------------------------------------------
 
 
-def _orbit_columns(ctx: FieldCtx, e1: int, e2: int) -> tuple[int, np.ndarray]:
-    """(g, W) with g = gcd(e2 mod q^k - 1, Delta) and W the weights of the
-    orbit representatives: W[tau, 0] for b = 0 and W[tau, 1 + b0] for
-    b = gamma^b0, b0 < g.
+def trace_weight_grid(ctx: FieldCtx, e1: int, e2: int) -> tuple[int, np.ndarray]:
+    """(g, W): Hamming weights of the trace codewords, one column per orbit.
 
-    Position i of the class (tau, b) reads tau*omega^(e1*i) + Tr(b*gamma^(e2*i))
-    with omega = gamma^Delta.  As omega^(e1*i) != 0, the b = 0 column is
-    zero only at tau = 0, and for b != 0 exactly one tau vanishes at i:
+    The class (tau, b) holds the codewords of every a with Tr(a) = tau;
+    row tau of W is the F_q symbol of tau.  With g = gcd(e2 mod q^k - 1,
+    Delta), column 0 is b = 0 and column 1 + b0 is b = gamma^b0 for b0 < g,
+    so every class of W is the class in the same row and column of the
+    full (q, q^k) grid.  Works for any integer pair (e1, e2), including
+    pairs violating the gcd conditions.
+
+    These columns stand for the whole grid.  A cyclic shift by s and a
+    scaling by omega^j in F_q^* (omega = gamma^Delta) keep every weight,
+    and together map the class (tau, gamma^e) to
+    (omega^(e1*s + j)*tau, gamma^(e + e2*s + Delta*j)).  As e2*s + Delta*j
+    runs over the multiples of g, column e = e0 + g*r is column e0 < g
+    with its nonzero rows permuted, and row 0 and column 0 are fixed.  So
+    a check that reads a class only through its value and whether tau and
+    b are zero reaches the grid's verdict on W, and the grid is never
+    formed.
+
+    Position i of the class (tau, b) reads tau*omega^(e1*i) + Tr(b*gamma^(e2*i)).
+    As omega^(e1*i) != 0, the b = 0 column is zero only at tau = 0, and for
+    b != 0 exactly one tau vanishes at i:
     tau = -Tr(b*gamma^(e2*i)) * omega^(-e1*i).  So the zero counts of a
     whole column are one bincount over its n positions.
     """
@@ -182,42 +189,14 @@ def _orbit_columns(ctx: FieldCtx, e1: int, e2: int) -> tuple[int, np.ndarray]:
     return g, weights
 
 
-def trace_weight_grid(ctx: FieldCtx, e1: int, e2: int) -> np.ndarray:
-    """Hamming weights of all trace codewords, as a (q, q^k) array.
-
-    Row index is the F_q symbol of the trace class tau = Tr(a); column 0
-    is b = 0 and column 1 + e is b = gamma^e.  Works for any integer
-    pair (e1, e2), including pairs violating the gcd conditions.
-
-    A cyclic shift by s and a scaling by omega^j in F_q^* keep every
-    weight, and together map the class (tau, gamma^e) to
-    (omega^(e1*s + j)*tau, gamma^(e + e2*s + Delta*j)).  With
-    g = gcd(e2, Delta) and (e2/g)*u + (Delta/g)*v = 1, column
-    e = e0 + g*r is therefore column e0 < g with row tau read from row
-    omega^(-r*(e1*u + v))*tau: only the g representative columns are
-    evaluated, and every other column is a table lookup.
-    """
-    m, q = ctx.m, ctx.q
-    g, reps = _orbit_columns(ctx, e1, e2)
-    _, u, v = ext_gcd(rem(e2, m), ctx.delta)
-    r, e0 = np.divmod(np.arange(m, dtype=np.int64), g)
-    mu = r * rem(e1 * u + v, q - 1) % (q - 1)
-    sym = np.arange(1, q, dtype=np.int64)[:, None]
-    weights = np.empty((q, q**ctx.k), dtype=np.int64)
-    weights[:, 0] = reps[:, 0]
-    weights[0, 1:] = reps[0, 1 + e0]
-    weights[1:, 1:] = reps[1 + (sym - 1 - mu) % (q - 1), 1 + e0]
-    return weights
-
-
 def char_sum_grid(ctx: FieldCtx, e1: int, e2: int) -> np.ndarray:
-    """T(a, b) for every (a, b) class, derived from trace zero counts.
+    """T(a, b) on the classes of trace_weight_grid, derived from zero counts.
 
-    Same indexing as trace_weight_grid; the value for class (tau, b) is
+    Same (q, 1 + g) indexing; the value for class (tau, b) is
     q*Z - (q^k - 1) with Z the codeword zero count, which equals the
     character sum for every a with Tr(a) = tau.
     """
-    wt = trace_weight_grid(ctx, e1, e2)
+    _, wt = trace_weight_grid(ctx, e1, e2)
     return ctx.q * (ctx.m - wt) - ctx.m
 
 
@@ -227,13 +206,13 @@ def weight_distribution_trace(ctx: FieldCtx, e1: int, e2: int) -> WeightDistribu
     By the shift and scaling symmetry of trace_weight_grid, each of the
     n/g columns in the orbit of a representative column b0 < g is a row
     permutation of it, so the grid histogram is the b = 0 column's plus
-    n/g times the representatives'; the (q, q^k) grid is never formed.
+    n/g times the representatives'.
     The grid maps onto the code a constant number of times; that
     multiplicity is the zero-weight count and divides every frequency
     exactly.
     """
     m = ctx.m
-    g, reps = _orbit_columns(ctx, e1, e2)
+    g, reps = trace_weight_grid(ctx, e1, e2)
     counts = np.bincount(reps[:, 0], minlength=m + 1) + (m // g) * np.bincount(
         reps[:, 1:].ravel(), minlength=m + 1
     )

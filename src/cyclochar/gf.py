@@ -188,9 +188,11 @@ class FieldCtx:
         # a round trip, not np.unique, which would import numpy.ma (11-15 ms)
         if not np.array_equal(self.log[self.antilog], exponents):
             raise ConsistencyError("modulus is not primitive: powers of gamma collide")
+        del exponents  # so the Zech step below holds four length-m arrays, not five
 
-        low = self.antilog % p
-        bumped = np.where(low == p - 1, self.antilog - (p - 1), self.antilog + 1)
+        # packed gamma^e + 1: the low digit goes up by one, p - 1 wrapping to 0
+        bumped = self.antilog + 1
+        bumped[self.antilog % p == p - 1] -= p
         self.zech = self.log[bumped]
 
         self._trq_sym: np.ndarray | None = None
@@ -394,8 +396,8 @@ def load_primitive_table(path: str) -> dict[tuple[int, int], tuple[int, ...]]:
 
 # Built fields, least recently used first.  Their orders sum to at most
 # _FIELD_CACHE_ORDERS, so the cache pins about one field at the default cap
-# (24 MiB of int64 tables: 86 MiB peak RSS in a fresh interpreter after
-# field_for(2, 20) or field_for(1024, 2), 27 MiB after the numpy import)
+# (24 MiB of int64 tables: 62 MiB peak RSS in a fresh interpreter after
+# field_for(2, 20) or field_for(1024, 2), 28 MiB after the numpy import)
 # yet keeps every small field a test session reuses.
 # The field just requested is always kept.
 _FIELD_CACHE_ORDERS = DEFAULT_FIELD_CAP

@@ -60,19 +60,6 @@ def rem(a: int, b: int) -> int:
     return a % b
 
 
-def ext_gcd(a: int, b: int) -> tuple[int, int, int]:
-    """Extended Euclid: returns (g, s, t) with a*s + b*t == g == gcd(a, b)."""
-    s0, s1, t0, t1 = 1, 0, 0, 1
-    while b:
-        qq, r = divmod(a, b)
-        a, b = b, r
-        s0, s1 = s1, s0 - qq * s1
-        t0, t1 = t1, t0 - qq * t1
-    if a < 0:
-        a, s0, t0 = -a, -s0, -t0
-    return a, s0, t0
-
-
 @dataclass(frozen=True)
 class BezoutPair:
     """Reduced solution (alpha, beta) of e2*alpha + Delta*beta == 1 mod q^k-1.
@@ -89,8 +76,8 @@ def bezout_pair(e2: int, q: int, k: int) -> BezoutPair:
 
     Delta = (q^k - 1) // (q - 1).  Requires gcd(Delta, e2) == 1; solves
     e2*S + Delta*T == 1 over the integers and reduces S mod q^k - 1 and
-    T mod q - 1.  (S, T) is the pair ext_gcd(e2, Delta) returns: extended
-    Euclid gives |S| <= Delta/2, and for Delta > 2 only the centred
+    T mod q - 1.  (S, T) is the pair extended Euclid on (e2, Delta)
+    returns: it gives |S| <= Delta/2, and for Delta > 2 only the centred
     inverse of e2 mod Delta lies there, which pow computes in C.
     """
     n = q**k - 1

@@ -177,21 +177,18 @@ def _first_repeat(flat: np.ndarray) -> int:
     return int(order[1:][ordered[1:] == ordered[:-1]].min())
 
 
-# Peak bytes a character-sum sweep holds per cell of its (q, q^k) grid
-# (tracemalloc, 24.5-27.5 from 10^5 cells up): char_sum_grid's int64 grid and
-# index temporaries.  Each pair's grids are freed before the next is formed.
-_CHAR_SUM_BYTES_PER_CELL = 28
-
-
 def verify_char_sum_cases(q: int, k: int, ctx: FieldCtx) -> PropertyResult:
     """Under both conditions the sum takes the predicted value in every class.
 
-    The (tau, b) grid covers every (a, b) pair exactly, since the sum
-    depends on a only through Tr(a); the count-vector path is evaluated
-    directly on one representative (a, b) per class as well.  A grid over
-    the job budget is refused before the first one is formed.
+    The sum depends on a only through Tr(a), and its predicted value on
+    the class (tau, b) only on whether tau and b are zero, which the
+    symmetry of codes.trace_weight_grid preserves: the orbit
+    representatives reach the verdict of all q*q^k classes, and checked
+    counts all of them.  A counterexample is the first failing
+    representative class (tau, b_col), b_col <= g, itself a class of the
+    full grid.  The count-vector path is evaluated directly on one
+    representative (a, b) per case as well.
     """
-    check_budget("the character-sum grid", _CHAR_SUM_BYTES_PER_CELL * q * q**k)
     checked = 0
     reps = ctx.trace_class_reps()
     a_nz = int(reps[1:].min())  # the smallest a with Tr(a) != 0
@@ -222,8 +219,7 @@ def verify_char_sum_cases(q: int, k: int, ctx: FieldCtx) -> PropertyResult:
                     "want": int(expected[tau, b]),
                 },
             )
-        checked += grid.size
-        del grid, expected
+        checked += q * ctx.order
         # direct count-vector evaluations, one per class
         cases = [
             (ZERO, ZERO, True, True, True),
@@ -254,15 +250,14 @@ def verify_char_sum_unit_iff(q: int, k: int, ctx: FieldCtx) -> PropertyResult:
     """T = 1 on the Tr(a) != 0, b != 0 classes iff gcd(q-1, k*e1 - e2) = 1.
 
     When the gcd is d > 1 every such value must be a nonunit multiple
-    of d.  Covers every (a, b) pair through the trace classes; refused
-    like verify_char_sum_cases when a grid would exceed the job budget.
+    of d.  As in verify_char_sum_cases, the orbit representatives of
+    codes.trace_weight_grid decide all (q - 1)(q^k - 1) classes, checked
+    counts all of them, and a counterexample is a representative class.
     """
-    check_budget("the character-sum grid", _CHAR_SUM_BYTES_PER_CELL * q * q**k)
     checked = 0
     for e1, e2 in all_pairs(q, k):
         d = gcd_conditions(q, k, e1, e2)[0]
-        grid = char_sum_grid(ctx, e1, e2)
-        block = grid[1:, 1:]
+        block = char_sum_grid(ctx, e1, e2)[1:, 1:]
         if d == 1:
             bad = np.argwhere(block != 1)
         else:
@@ -284,8 +279,7 @@ def verify_char_sum_unit_iff(q: int, k: int, ctx: FieldCtx) -> PropertyResult:
                     "value": int(block[tau, b]),
                 },
             )
-        checked += block.size
-        del grid, block
+        checked += (q - 1) * ctx.m
     return PropertyResult("char_sum_unit_iff", q, k, True, checked)
 
 

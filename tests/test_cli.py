@@ -1,5 +1,6 @@
 """Command-line surface: exit codes, formats, round-trips, fault injection."""
 
+import hashlib
 import importlib.util
 import io
 import json
@@ -364,6 +365,36 @@ class TestDualAndMinpoly:
         want = macwilliams_dual(weight_distribution_trace(field_for(2, 12), 0, 1), 4095, 2, 13)
         assert json.loads(outs["json"])["dual_weights"] == want.pairs()
         assert outs["text"].splitlines()[1] == f"dual enumerator: {want.enumerator()}"
+
+    @pytest.mark.parametrize("fmt", ["json", "text"])
+    def test_dual_holds_less_than_its_output(self, fmt):
+        # the [8191, 8177] dual writes 7.3 MB; written a frequency at a time,
+        # the run never holds the whole output beside the transform
+        class HashingSink:
+            def __init__(self):
+                self.digest, self.size = hashlib.sha256(), 0
+
+            def write(self, text):
+                data = text.encode()
+                self.digest.update(data)
+                self.size += len(data)
+                return len(text)
+
+            def flush(self):
+                pass
+
+        field_for(2, 13)
+        sink = HashingSink()
+        tracemalloc.start()
+        try:
+            with redirect_stdout(sink), redirect_stderr(io.StringIO()):
+                code = cli.main(["dual", "--q", "2", "--k", "13", "--e1", "0", "--e2", "1",
+                                 "--format", fmt])
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert code == 0 and sink.size > 7_000_000
+        assert peak < sink.size
 
     def test_minpoly_text_format(self, capsys):
         code, out, _ = run(capsys, "minpoly", "--q", "2", "--k", "3", "--a", "1")

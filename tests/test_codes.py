@@ -1,5 +1,6 @@
 """Code objects: both weight-distribution routes, duality, bounds, moments."""
 
+import math
 import os
 import subprocess
 import sys
@@ -22,6 +23,7 @@ from cyclochar.errors import (
 from cyclochar.gf import ZERO
 from cyclochar.numth import coset_representatives, gcd_conditions, rem
 from cyclochar.verify import default_pairs
+from test_numth import ext_gcd
 
 
 def first_nonzero_trace(ctx):
@@ -187,17 +189,42 @@ def direct_weight_grid(ctx, e1, e2):
     return weights
 
 
+def expand_orbit_columns(ctx, e1, e2, reps):
+    """The full (q, q^k) grid from the (q, 1 + g) orbit representatives of
+    trace_weight_grid or char_sum_grid, by the shift and scaling symmetry.
+
+    With g = gcd(e2, Delta) and (e2/g)*u + (Delta/g)*v = 1, column
+    e = e0 + g*r is column e0 < g with row tau read from row
+    omega^(-r*(e1*u + v))*tau; row 0 and column 0 are fixed.
+    """
+    m, q = ctx.m, ctx.q
+    g, u, v = ext_gcd(rem(e2, m), ctx.delta)
+    assert reps.shape == (q, 1 + g)
+    r, e0 = np.divmod(np.arange(m, dtype=np.int64), g)
+    mu = r * rem(e1 * u + v, q - 1) % (q - 1)
+    sym = np.arange(1, q, dtype=np.int64)[:, None]
+    grid = np.empty((q, q**ctx.k), dtype=reps.dtype)
+    grid[:, 0] = reps[:, 0]
+    grid[0, 1:] = reps[0, 1 + e0]
+    grid[1:, 1:] = reps[1 + (sym - 1 - mu) % (q - 1), 1 + e0]
+    return grid
+
+
 class TestOrbitReducedGrid:
     @pytest.mark.parametrize("q,k", default_pairs(63))
     def test_matches_direct_grid_for_every_exponent_pair(self, q, k):
         # every e1, e2 including out-of-range, negative, non-qualifying
-        # and gcd(e2, Delta) > 1 pairs
+        # and gcd(e2, Delta) > 1 pairs: the representatives are the grid's
+        # first 1 + g columns, and their expansion is the whole grid
         ctx = gf.field_for(q, k)
         n = ctx.m
         for e1 in list(range(q - 1)) + [q - 1, q, -1]:
             for e2 in list(range(n)) + [-3, n + 5]:
                 want = direct_weight_grid(ctx, e1, e2)
-                assert np.array_equal(codes.trace_weight_grid(ctx, e1, e2), want), (e1, e2)
+                g, reps = codes.trace_weight_grid(ctx, e1, e2)
+                assert g == math.gcd(e2, ctx.delta), (e1, e2)
+                assert np.array_equal(reps, want[:, : 1 + g]), (e1, e2)
+                assert np.array_equal(expand_orbit_columns(ctx, e1, e2, reps), want), (e1, e2)
                 counts = np.bincount(want.ravel(), minlength=n + 1)
                 expected = {int(w): int(counts[w] // counts[0]) for w in np.nonzero(counts)[0]}
                 wd = codes.weight_distribution_trace(ctx, e1, e2)
@@ -325,8 +352,7 @@ class TestProjectiveOracle:
         def trace_route(*args, **kwargs):
             raise AssertionError("the oracle read the trace route")
 
-        for name in ("_orbit_columns", "trace_weight_grid"):
-            monkeypatch.setattr(codes, name, trace_route)
+        monkeypatch.setattr(codes, "trace_weight_grid", trace_route)
         # codes no longer binds char_sum; patch it where it lives
         monkeypatch.setattr(expsum, "char_sum", trace_route)
         for attr in ("trace_q_symbols", "trace_q_symbol_list", "char_exponents", "trace_to"):
@@ -367,7 +393,7 @@ class TestCharSumGrid:
     def test_matches_direct_char_sum_per_element(self, q, k, e1, e2):
         # the grid is indexed by trace classes; every concrete a must agree
         ctx = gf.field_for(q, k)
-        grid = codes.char_sum_grid(ctx, e1, e2)
+        grid = expand_orbit_columns(ctx, e1, e2, codes.char_sum_grid(ctx, e1, e2))
         rng = np.random.default_rng(1)
         elems = [ZERO] + list(range(ctx.m))
         for _ in range(40):

@@ -1,5 +1,7 @@
 """Field tower construction, element arithmetic, traces and characters."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -192,6 +194,19 @@ class TestBuildField:
         ctx = gf.FieldCtx(2, 1, 4, (1, 1, 0, 0, 1))
         arrays = {name for name, v in vars(ctx).items() if isinstance(v, np.ndarray)}
         assert arrays == {"antilog", "log", "zech"}
+
+    def test_building_at_the_cap_peaks_near_the_tables(self):
+        # the construction's transients beside antilog, log and zech stay
+        # within 16 MiB at (2, 20): two int64 arrays of length 2^20
+        modulus = gf.smallest_primitive_polynomial(2, 20)
+        tracemalloc.start()
+        try:
+            ctx = gf.FieldCtx(2, 1, 20, modulus)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        tables = ctx.antilog.nbytes + ctx.log.nbytes + ctx.zech.nbytes  # 24 MiB
+        assert peak <= tables + (16 << 20)
 
     def test_tables_equal_the_digit_table_reference(self):
         assert len(FIELDS_TO_2_16) == 126

@@ -57,6 +57,20 @@ GOLDEN = [
      "724342ad086d19f0d920b8732b275703708b2aad038b4af016dc05608083e946"),
     ("dual --q 3 --k 2 --e1 1 --e2 4 --format text", 0,
      "042ccdda96f7b6444058efcedf6ba9782dda2b896557037b190a66971e572e5e"),
+    # the n = 255 blocks, where a character-sum sweep once formed its largest grids
+    ("verify --q 16 --k 2 --format json", 0,
+     "fdc3815e66daf389e1fb3249981354b1d9e332efbd0003f61a29f99f421f1b32"),
+    ("verify --q 16 --k 2 --format text", 0,
+     "c6ce2273660b01a073035e1965bd8c5302e98afb9f8d6549559b374fc51a40ff"),
+    ("verify --q 2 --k 8 --format json", 0,
+     "0ad7939091415ef4329da3a3e73cfd8827e0e0780508ad2be28c754f73078301"),
+    ("verify --q 2 --k 8 --format text", 0,
+     "a2b6d283d609bee945fc5a3cd385e99381ab3f62954e96c407d826b865cefe0d"),
+    # a dual written a frequency at a time: 1.8 MB of json, 7.3 MB of text
+    ("dual --q 2 --k 12 --e1 0 --e2 1 --format json", 0,
+     "3fcbbfcc802496f894c0568633ce1bfb2eae692ad49be6fa00f3cc4a5f9b80f3"),
+    ("dual --q 2 --k 13 --e1 0 --e2 1 --format text", 0,
+     "de05a62456b40a84b79cfac03d63fd04b9c664461df0aa8b9925d1888cac9b37"),
 ]
 
 

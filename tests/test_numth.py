@@ -9,6 +9,22 @@ from cyclochar import numth
 from cyclochar.errors import InvalidArgumentError, ResourceLimitError, TheoremViolationError
 
 
+def ext_gcd(a, b):
+    """Extended Euclid: returns (g, s, t) with a*s + b*t == g == gcd(a, b).
+
+    The reference bezout_pair must reduce to; src solves the pair with pow.
+    """
+    s0, s1, t0, t1 = 1, 0, 0, 1
+    while b:
+        qq, r = divmod(a, b)
+        a, b = b, r
+        s0, s1 = s1, s0 - qq * s1
+        t0, t1 = t1, t0 - qq * t1
+    if a < 0:
+        a, s0, t0 = -a, -s0, -t0
+    return a, s0, t0
+
+
 class TestRem:
     def test_positive(self):
         assert numth.rem(9, 7) == 2
@@ -72,7 +88,7 @@ class TestBezout:
         n = q**k - 1
         delta = n // (q - 1)
         for e2 in range(-n, 2 * n):
-            g, s, t = numth.ext_gcd(e2, delta)
+            g, s, t = ext_gcd(e2, delta)
             if g != 1:
                 continue
             expected = numth.BezoutPair(numth.rem(s, n), numth.rem(t, q - 1) if q > 2 else 0)

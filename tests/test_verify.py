@@ -1,22 +1,31 @@
 """The verify sweeps against the loops they replaced, kept here as references.
 
 verify_three_weight_iff and verify_oracle_equivalence brute-force one code
-per multiplier orbit, and verify_substitution maps each whole grid at
-once.  The references below are the loops they replaced: the per-pair
-three-weight scan and the oracle scan, each sharing a brute force only
-between pairs with the same parity check, and the point-by-point
-substitution scan over scalar copies of the two maps.  A sweep and its
+per multiplier orbit, verify_substitution maps each whole grid at once,
+and the two character-sum sweeps read only the orbit representatives of
+the trace grid.  The references below are the loops they replaced: the
+per-pair three-weight scan and the oracle scan, each sharing a brute force
+only between pairs with the same parity check, the point-by-point
+substitution scan over scalar copies of the two maps, and the
+character-sum sweeps over the full (q, q^k) grid.  A sweep and its
 reference must agree on ok, checked and the counterexample (or raise the
-same error), on clean runs and under injected faults.
+same error), on clean runs and under injected faults; a character-sum
+sweep may name a different failing class, as long as it fails in the
+reference grid too.
 """
 
 import json
+import math
 import tracemalloc
+from itertools import islice
 
+import numpy as np
 import pytest
 
 from cyclochar import cli, codes, expsum, gf, numth, verify
 from cyclochar.errors import ConsistencyError, CyclocharError, InvalidArgumentError
+from cyclochar.gf import ZERO
+from test_codes import expand_orbit_columns
 
 PAIRS_63 = verify.default_pairs(63)
 PAIRS_127 = verify.default_pairs(127)
@@ -116,6 +125,124 @@ def reference_substitution(q, k):
     return verify.PropertyResult("substitution_bijection", q, k, True, checked)
 
 
+def full_char_sum_grid(ctx, e1, e2):
+    return expand_orbit_columns(ctx, e1, e2, verify.char_sum_grid(ctx, e1, e2))
+
+
+def expected_case_table(q, n, shape):
+    expected = np.full(shape, 1, dtype=np.int64)
+    expected[0, :] = -(q - 1)
+    expected[0, 0] = (q - 1) * n
+    expected[1:, 0] = -n
+    return expected
+
+
+def unit_failures(block, d):
+    """Mask of the Tr(a) != 0, b != 0 classes that break the unit claim."""
+    return block != 1 if d == 1 else (block == 1) | (block % d != 0)
+
+
+def reference_char_sum_cases(q, k, ctx):
+    """The case sweep over the full grid of every qualifying pair."""
+    checked = 0
+    reps = ctx.trace_class_reps()
+    a_nz = int(reps[1:].min())
+    a_z = int(reps[0]) if reps[0] < ctx.m else None
+    n = ctx.m
+    for e1, e2 in verify.all_pairs(q, k):
+        if verify.gcd_conditions(q, k, e1, e2) != (1, 1):
+            continue
+        grid = full_char_sum_grid(ctx, e1, e2)
+        expected = expected_case_table(q, n, grid.shape)
+        if not np.array_equal(grid, expected):
+            tau, b = np.argwhere(grid != expected)[0]
+            return verify.PropertyResult(
+                "char_sum_cases", q, k, False, checked,
+                {"e1": e1, "e2": e2, "tau": int(tau), "b_col": int(b),
+                 "got": int(grid[tau, b]), "want": int(expected[tau, b])},
+            )
+        checked += grid.size
+        cases = [(ZERO, ZERO, True, True, True), (ZERO, 0, True, True, False),
+                 (a_nz, ZERO, False, False, True), (a_nz, 0, False, False, False)]
+        if a_z is not None:
+            cases += [(a_z, ZERO, True, False, True), (a_z, 0, True, False, False)]
+        for a, b, tz, az, bz in cases:
+            got = verify.char_sum(ctx, e1, e2, a, b).as_integer()
+            want = verify.predict_char_sum(q, k, tz, az, bz)
+            if got != want:
+                return verify.PropertyResult(
+                    "char_sum_cases", q, k, False, checked,
+                    {"e1": e1, "e2": e2, "a": a, "b": b, "got": got, "want": want},
+                )
+            checked += 1
+    return verify.PropertyResult("char_sum_cases", q, k, True, checked)
+
+
+def reference_char_sum_unit_iff(q, k, ctx):
+    """The unit sweep over the full grid of every pair."""
+    checked = 0
+    for e1, e2 in verify.all_pairs(q, k):
+        d = verify.gcd_conditions(q, k, e1, e2)[0]
+        block = full_char_sum_grid(ctx, e1, e2)[1:, 1:]
+        bad = np.argwhere(unit_failures(block, d))
+        if len(bad):
+            tau, b = bad[0]
+            return verify.PropertyResult(
+                "char_sum_unit_iff", q, k, False, checked,
+                {"e1": e1, "e2": e2, "d": d, "tau": int(tau) + 1, "b_col": int(b) + 1,
+                 "value": int(block[tau, b])},
+            )
+        checked += block.size
+    return verify.PropertyResult("char_sum_unit_iff", q, k, True, checked)
+
+
+def assert_char_sum_sweeps_match(q, k, ctx):
+    """Both character-sum sweeps against their full-grid references.
+
+    Same ok and checked; a failing class the sweep names must fail, with
+    the same value, in the reference grid of its pair, and any other
+    counterexample must be the reference's own.  Returns both outcomes.
+    """
+    outcomes = []
+    for sweep, reference in [
+        (verify.verify_char_sum_cases, reference_char_sum_cases),
+        (verify.verify_char_sum_unit_iff, reference_char_sum_unit_iff),
+    ]:
+        got = outcome(sweep, q, k, ctx)
+        want = outcome(reference, q, k, ctx)
+        assert got[:2] == want[:2]
+        cex = got[2]
+        if cex is None or "tau" not in cex:
+            assert cex == want[2]
+        else:
+            assert want[2] is not None and (want[2]["e1"], want[2]["e2"]) == (cex["e1"], cex["e2"])
+            assert cex["b_col"] <= math.gcd(cex["e2"], ctx.delta)
+            grid = full_char_sum_grid(ctx, cex["e1"], cex["e2"])
+            value = int(grid[cex["tau"], cex["b_col"]])
+            if "want" in cex:
+                want_value = expected_case_table(q, ctx.m, grid.shape)[cex["tau"], cex["b_col"]]
+                assert (value, int(want_value)) == (cex["got"], cex["want"]) and value != want_value
+            else:
+                assert value == cex["value"] and unit_failures(np.array(value), cex["d"])
+        outcomes.append(got)
+    return outcomes
+
+
+def perturb_kernel(monkeypatch, target, classes):
+    """Add one to the weight of each class of the trace kernel's output for
+    the pair target, where every caller reads it."""
+    real = codes.trace_weight_grid
+
+    def perturbed(ctx, e1, e2):
+        g, weights = real(ctx, e1, e2)
+        if (e1, e2) == target:
+            for cls in classes:
+                weights[cls] += 1
+        return g, weights
+
+    monkeypatch.setattr(codes, "trace_weight_grid", perturbed)
+
+
 def outcome(sweep, *args):
     """(ok, checked, counterexample) of a sweep, or the error it raised."""
     try:
@@ -160,6 +287,15 @@ def test_substitution_sweep_equals_the_scalar_loop(q, k):
     got = outcome(verify.verify_substitution, q, k)
     assert got == outcome(reference_substitution, q, k)
     assert got[0] is True
+
+
+@pytest.mark.parametrize("q,k", PAIRS_255)
+def test_char_sum_sweeps_equal_the_full_grid_loops(q, k):
+    ctx = gf.field_for(q, k)
+    cases, unit = assert_char_sum_sweeps_match(q, k, ctx)
+    assert cases[0] is True and unit[0] is True
+    pairs = sum(1 for _ in verify.all_pairs(q, k))
+    assert unit[1] == pairs * (q - 1) * ctx.m
 
 
 @pytest.mark.parametrize("q,k", [(2, 6), (3, 3), (4, 3), (5, 2), (8, 2)])
@@ -223,6 +359,40 @@ def test_a_corrupted_distribution_is_caught_at_the_same_pair(q, k, monkeypatch):
         got = outcome(sweep, q, k, ctx)
         assert got == outcome(reference, q, k, ctx)
         assert (got[2]["e1"], got[2]["e2"]) == target
+
+
+@pytest.mark.parametrize("classes", [((0, 0), (-1, 1)), ((0, 1), (-1, 0))])
+@pytest.mark.parametrize("q,k", PAIRS_255)
+def test_perturbed_trace_classes_are_caught_by_both_char_sum_sweeps(q, k, classes, monkeypatch):
+    # two classes of one pair's kernel output, each off by one weight:
+    # row 0 or the last row, column 0 (b = 0) or column 1 (b = 1)
+    ctx = gf.field_for(q, k)
+    target = mid_qualifying_rep(q, k)
+    perturb_kernel(monkeypatch, target, classes)
+    cases, unit = assert_char_sum_sweeps_match(q, k, ctx)
+    assert cases[0] is False and (cases[2]["e1"], cases[2]["e2"]) == target
+    if (-1, 1) in classes:  # only the Tr(a) != 0, b != 0 classes bear on the unit claim
+        assert unit[0] is False and (unit[2]["e1"], unit[2]["e2"]) == target
+    else:
+        assert unit[0] is True
+
+
+@pytest.mark.parametrize("q,k", PAIRS_255)
+def test_a_wrong_direct_char_sum_is_caught_at_the_same_case(q, k, monkeypatch):
+    ctx = gf.field_for(q, k)
+    target = mid_qualifying_rep(q, k)
+    real = verify.char_sum
+
+    def wrong(ctx_, e1, e2, a, b):
+        value = real(ctx_, e1, e2, a, b)
+        if (e1, e2, b) == (*target, 0):
+            return expsum.CyclotomicCount(value.p, (value.counts[0] + 1, *value.counts[1:]))
+        return value
+
+    monkeypatch.setattr(verify, "char_sum", wrong)
+    cases, _ = assert_char_sum_sweeps_match(q, k, ctx)
+    assert cases[0] is False and (cases[2]["e1"], cases[2]["e2"]) == target
+    assert "a" in cases[2]
 
 
 @pytest.mark.parametrize("field", ["alpha", "beta"])
@@ -300,7 +470,6 @@ def test_the_brute_force_route_never_reads_the_trace_route(q, k, monkeypatch):
     for owner, name in [
         (codes, "trace_weight_grid"),
         (codes, "weight_distribution_trace"),
-        (codes, "_orbit_columns"),
         (verify, "weight_distribution_trace"),
         (gf.FieldCtx, "trace_q_symbols"),
         (gf.FieldCtx, "char_exponents"),
@@ -313,23 +482,7 @@ def test_the_brute_force_route_never_reads_the_trace_route(q, k, monkeypatch):
     assert result.ok and result.checked == (q - 1) * (q**k - 1)
 
 
-# -- the character-sum sweeps: lazy pairs and a budgeted grid -----------------
-
-
-@pytest.mark.parametrize("prop", ["char_sum_cases", "char_sum_unit_iff"])
-def test_an_oversized_char_sum_grid_is_refused_before_the_first_grid(prop, monkeypatch, capsys):
-    def no_grid(*args):
-        raise AssertionError("a character-sum grid was formed")
-
-    monkeypatch.setattr(verify, "char_sum_grid", no_grid)
-    monkeypatch.setattr(numth, "JOB_BUDGET_BYTES", verify._CHAR_SUM_BYTES_PER_CELL * 4**4 - 1)
-    code = cli.main(["verify", "--q", "4", "--k", "3", "--format", "json",
-                     "--props", f"three_weight_iff_conditions,{prop}"])
-    out, err = capsys.readouterr()
-    assert code == 2
-    [kept] = json.loads(out)
-    assert (kept["property"], kept["ok"]) == ("three_weight_iff_conditions", True)
-    assert "the character-sum grid needs about" in err
+# -- the character-sum sweeps: lazy pairs and no full grid --------------------
 
 
 def test_the_unit_sweep_reaches_its_first_grid_in_a_few_mib(monkeypatch):
@@ -350,3 +503,36 @@ def test_the_unit_sweep_reaches_its_first_grid_in_a_few_mib(monkeypatch):
     finally:
         tracemalloc.stop()
     assert peak < 4 << 20
+
+
+def test_a_failing_char_sum_class_exits_3_and_is_named(monkeypatch, capsys):
+    q, k = 4, 3
+    target = mid_qualifying_rep(q, k)
+    perturb_kernel(monkeypatch, target, [(q - 1, 1)])
+    code = cli.main(["verify", "--q", "4", "--k", "3", "--format", "json",
+                     "--props", "char_sum_cases,char_sum_unit_iff"])
+    out, err = capsys.readouterr()
+    assert code == 3
+    cases, unit = json.loads(out)
+    assert not cases["ok"] and not unit["ok"]
+    for result in (cases, unit):
+        cex = result["counterexample"]
+        assert (cex["e1"], cex["e2"], cex["tau"], cex["b_col"]) == (*target, q - 1, 1)
+    assert cases["counterexample"]["got"] == unit["counterexample"]["value"] == 1 - q
+    assert "counterexample:" in err and json.dumps(cases["counterexample"]) in err
+
+
+def test_the_unit_sweep_forms_no_full_grid_at_257_2(monkeypatch):
+    # the full (257, 257^2) grid would be 17 million cells, 130 MiB of int64
+    ctx = gf.field_for(257, 2)
+    verify.char_sum_grid(ctx, 0, 1)  # warm the field's trace and symbol tables
+    real = verify.all_pairs
+    monkeypatch.setattr(verify, "all_pairs", lambda q, k: islice(real(q, k), 20))
+    tracemalloc.start()
+    try:
+        result = verify.verify_char_sum_unit_iff(257, 2, ctx)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert result.ok and result.checked == 20 * 256 * ctx.m
+    assert peak < 16 << 20

@@ -8,9 +8,13 @@ identity, 64 usage.
 
 from __future__ import annotations
 
+import os
+
+# Nothing here calls BLAS, whose idle worker thread spins: one thread unless the user set it.
+os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
+
 import argparse
 import json
-import os
 import sys
 from itertools import groupby
 from math import log10

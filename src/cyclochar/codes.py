@@ -36,10 +36,6 @@ from .numth import (
     rem,
 )
 
-# Only transforms of at most _MEMO_MAX_BYTES (n up to 2896 over F_2) are
-# memoized, so the MacWilliams memo pins at most 64 MiB.
-_MEMO_MAX_BYTES = 1 << 20
-
 _BLOCK = 1 << 12
 _BLOCK_ENTRIES = 1 << 20
 
@@ -399,19 +395,15 @@ def macwilliams_dual(
     """Exact dual distribution B_j = q^-dim * sum_w A_w K_j(w), j = 0..n.
 
     Transforms over the job budget are refused before any B_j is
-    computed.  Results are memoized like dual_prefix for the `dual`
-    subcommand and verify_duality, whose sweep over the codes of one
-    (q, k) block transforms the same distribution once per code; only
-    transforms of at most _MEMO_MAX_BYTES are kept, and every call
-    returns a fresh object.
+    computed.  Not memoized: the `dual` subcommand transforms once, and
+    verify_duality once per distinct distribution of its sweep.
     """
     if wd.total() != q**dim:
         raise InvalidArgumentError(
             f"distribution sums to {wd.total()}, expected q^dim = {q**dim}"
         )
-    size = check_macwilliams_budget(n, q)
-    transform = _dual_entries if size <= _MEMO_MAX_BYTES else _dual_entries.__wrapped__
-    entries = transform(n, q, dim, tuple(sorted(wd.entries.items())), True)
+    check_macwilliams_budget(n, q)
+    entries = _dual_entries.__wrapped__(n, q, dim, tuple(sorted(wd.entries.items())), True)
     return WeightDistribution(n=n, entries=dict(entries))
 
 

@@ -2,10 +2,11 @@
 
 Canonical remainders, Bezout pairs for the exponent congruence
 e2*alpha + Delta*beta == 1 (mod q^k - 1), the two gcd conditions, Euler
-phi, cyclotomic cosets, multiplier orbits, base-p digit sums, the
-closed-form count of qualifying codes and the checked listing of those
-codes.  Also the size gates every job passes before it allocates: the
-field cap, the brute-force cap default and the job budget.
+phi, cyclotomic cosets, multiplier orbits by their representatives,
+base-p digit sums, the closed-form count of qualifying codes and the
+checked listing of those codes.  Also the size gates every job passes
+before it allocates: the field cap, the brute-force cap default and the
+job budget.
 
 Everything here is exact integer arithmetic on desk-scale inputs;
 factorization is plain trial division.  Nothing here imports numpy, so
@@ -17,7 +18,6 @@ from __future__ import annotations
 from collections.abc import Iterator
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
 from math import gcd, isqrt
 
 from .errors import (
@@ -224,27 +224,79 @@ def cyclotomic_coset(a: int, q: int, n: int) -> CyclotomicCoset:
     return CyclotomicCoset(representative=ms[0], members=ms)
 
 
-@lru_cache(maxsize=8)
-def _units(n: int) -> tuple[int, ...]:
-    return tuple(u for u in range(1, n) if gcd(u, n) == 1)
+def orbit_representative(q: int, k: int, e1: int, e2: int) -> tuple[int, int]:
+    """Canonical pair of the orbit of (e1 mod q-1, e2 mod n) under the units u mod n.
 
+    Here n = q^k - 1.  The multiplier i -> u*i permutes the coordinates of
+    a cyclic code of length n.  It maps the code of (e1, e2), with
+    nonzeros at the cosets of Delta*e1 and e2, onto the code of
+    (u*e1 mod (q-1), u*e2 mod n), as u*Delta*e1 = Delta*(u*e1 mod (q-1))
+    mod n; so every pair of an orbit has one weight distribution
+    (Huffman-Pless, Fundamentals of Error-Correcting Codes, 4.3).  The
+    substitution x -> x^u likewise keeps the character sum T(a, b), and
+    both gcd conditions hold on all of an orbit or on none of it.
 
-def multiplier_orbit(q: int, k: int, e1: int, e2: int) -> set[tuple[int, int]]:
-    """Orbit of (e1 mod q-1, e2 mod q^k-1) under the units u mod n = q^k - 1.
-
-    The multiplier i -> u*i permutes the coordinates of a cyclic code of
-    length n.  It maps the code of (e1, e2), with nonzeros at the cosets
-    of Delta*e1 and e2, onto the code of (u*e1 mod (q-1), u*e2 mod n), as
-    u*Delta*e1 = Delta*(u*e1 mod (q-1)) mod n; so every pair of an orbit
-    has one weight distribution (Huffman-Pless, Fundamentals of
-    Error-Correcting Codes, 4.3).  The q-cyclotomic coset of e2 is part
-    of the orbit, as q is a unit.
+    No orbit is formed.  With g = gcd(e2, n) and t = e2/g, the units that
+    send e2 to g are those with u*t == 1 mod n/g; reduced mod r = q - 1
+    they are the units v mod r with v == t^-1 mod c, c = gcd(r, n/g).
+    The representative is (min over those v of v*e1 mod r, g mod n).
     """
     if k < 2:
         raise InvalidArgumentError(f"requires k >= 2, got {k}")
     n = q**k - 1
-    e1, e2 = e1 % (q - 1), e2 % n
-    return {(u * e1 % (q - 1), u * e2 % n) for u in _units(n)}
+    r = q - 1
+    e2 %= n
+    g = gcd(e2, n)  # n when e2 = 0
+    c = gcd(r, n // g)
+    return _least_multiple(e1 % r, r, c, pow(e2 // g, -1, c)), g % n
+
+
+def _least_multiple(e1: int, r: int, c: int, s: int) -> int:
+    """min{v*e1 mod r : v a unit mod r, v == s mod c}, for c | r and s a unit mod c.
+
+    With h = gcd(e1, r), v*e1 = h*(v*e1/h mod r/h), and v*e1/h runs over
+    exactly the units mod r/h that are == s*e1/h modulo c' = gcd(c, r/h)
+    (CRT): the least one is a few steps of c' from s*e1/h mod c'.
+    """
+    h = gcd(e1, r)  # r when e1 = 0
+    rr = r // h
+    step = gcd(c, rr)
+    w = s * (e1 // h) % step
+    while gcd(w, rr) != 1:
+        w += step
+    return h * w % r
+
+
+def divisors(n: int) -> list[int]:
+    """The positive divisors of n >= 1, ascending."""
+    out = [1]
+    for p, e in factorize(n).items():
+        out = [d * p**i for d in out for i in range(e + 1)]
+    return sorted(out)
+
+
+def valid_orbits(q: int, k: int) -> Iterator[tuple[int, int, int]]:
+    """(e1, e2, size) for each orbit of the pairs with gcd(Delta, e2) = 1, lazily.
+
+    (e1, e2) is the orbit's orbit_representative and size its number of
+    pairs.  Since Delta | n, gcd(Delta, e2) = gcd(Delta, gcd(e2, n)), so
+    the walk runs over the divisors g of n coprime to Delta and then over
+    the e1 that represent themselves beside g.  The orbit of (e1, g) has
+    phi(n/g) values of e2, and beside each the phi(r')/phi(gcd(c, r'))
+    multiples of e1 that _least_multiple ranges over, r' = r/gcd(e1, r).
+    """
+    n = q**k - 1
+    r = q - 1
+    delta = n // r
+    for g in divisors(n)[:-1]:
+        if gcd(g, delta) != 1:
+            continue
+        c = gcd(r, n // g)
+        e2_count = euler_phi(n // g)
+        for e1 in range(r):
+            if _least_multiple(e1, r, c, 1) == e1:
+                rr = r // gcd(e1, r)
+                yield e1, g, e2_count * euler_phi(rr) // euler_phi(gcd(c, rr))
 
 
 def coset_representatives(q: int, n: int, coprime_to: int = 1) -> dict[int, int]:

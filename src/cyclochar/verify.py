@@ -33,7 +33,14 @@ from .codes import (
 from .errors import ConsistencyError, CyclocharError, ResourceLimitError
 from .expsum import char_sum, predict_char_sum, substitution, substitution_inverse
 from .gf import ZERO, FieldCtx, field_for
-from .numth import check_budget, check_field, gcd_conditions, multiplier_orbit, prime_power_split
+from .numth import (
+    check_budget,
+    check_field,
+    gcd_conditions,
+    orbit_representative,
+    prime_power_split,
+    valid_orbits,
+)
 
 @dataclass
 class PropertyResult:
@@ -180,21 +187,35 @@ def _first_repeat(flat: np.ndarray) -> int:
 def verify_char_sum_cases(q: int, k: int, ctx: FieldCtx) -> PropertyResult:
     """Under both conditions the sum takes the predicted value in every class.
 
-    The sum depends on a only through Tr(a), and its predicted value on
-    the class (tau, b) only on whether tau and b are zero, which the
-    symmetry of codes.trace_weight_grid preserves: the orbit
-    representatives reach the verdict of all q*q^k classes, and checked
-    counts all of them.  A counterexample is the first failing
-    representative class (tau, b_col), b_col <= g, itself a class of the
-    full grid.  The count-vector path is evaluated directly on one
-    representative (a, b) per case as well.
+    The sum T is constant on a multiplier orbit of (e1, e2) (see
+    numth.orbit_representative), so the representative of each
+    qualifying orbit of numth.valid_orbits stands for all its pairs.  The
+    sum depends on a only through Tr(a), and its predicted value on the
+    class (tau, b) only on whether tau and b are zero, which the symmetry
+    of codes.trace_weight_grid preserves: the representative classes
+    reach the verdict of all q*q^k classes.  The count-vector path is
+    evaluated directly on one (a, b) per case as well.  checked counts
+    the classes and cases of every pair an orbit stands for, those of
+    the orbits finished before a failure included.  A counterexample
+    names the representative pair and its first failing representative
+    class (tau, b_col), b_col <= g, itself a class of the full grid, or
+    its failing case.
     """
     checked = 0
     reps = ctx.trace_class_reps()
     a_nz = int(reps[1:].min())  # the smallest a with Tr(a) != 0
     a_z = int(reps[0]) if reps[0] < ctx.m else None  # the smallest a != 0 with Tr(a) = 0
     n = ctx.m
-    for e1, e2 in all_pairs(q, k):
+    cases = [
+        (ZERO, ZERO, True, True, True),
+        (ZERO, 0, True, True, False),
+        (a_nz, ZERO, False, False, True),
+        (a_nz, 0, False, False, False),
+    ]
+    if a_z is not None:
+        cases.append((a_z, ZERO, True, False, True))
+        cases.append((a_z, 0, True, False, False))
+    for e1, e2, size in valid_orbits(q, k):
         if gcd_conditions(q, k, e1, e2) != (1, 1):
             continue
         grid = char_sum_grid(ctx, e1, e2)
@@ -219,17 +240,7 @@ def verify_char_sum_cases(q: int, k: int, ctx: FieldCtx) -> PropertyResult:
                     "want": int(expected[tau, b]),
                 },
             )
-        checked += q * ctx.order
         # direct count-vector evaluations, one per class
-        cases = [
-            (ZERO, ZERO, True, True, True),
-            (ZERO, 0, True, True, False),
-            (a_nz, ZERO, False, False, True),
-            (a_nz, 0, False, False, False),
-        ]
-        if a_z is not None:
-            cases.append((a_z, ZERO, True, False, True))
-            cases.append((a_z, 0, True, False, False))
         for a, b, tz, az, bz in cases:
             got = char_sum(ctx, e1, e2, a, b).as_integer()
             want = predict_char_sum(q, k, tz, az, bz)
@@ -242,7 +253,7 @@ def verify_char_sum_cases(q: int, k: int, ctx: FieldCtx) -> PropertyResult:
                     checked,
                     {"e1": e1, "e2": e2, "a": a, "b": b, "got": got, "want": want},
                 )
-            checked += 1
+        checked += size * (q * ctx.order + len(cases))
     return PropertyResult("char_sum_cases", q, k, True, checked)
 
 
@@ -250,12 +261,14 @@ def verify_char_sum_unit_iff(q: int, k: int, ctx: FieldCtx) -> PropertyResult:
     """T = 1 on the Tr(a) != 0, b != 0 classes iff gcd(q-1, k*e1 - e2) = 1.
 
     When the gcd is d > 1 every such value must be a nonunit multiple
-    of d.  As in verify_char_sum_cases, the orbit representatives of
-    codes.trace_weight_grid decide all (q - 1)(q^k - 1) classes, checked
-    counts all of them, and a counterexample is a representative class.
+    of d.  As in verify_char_sum_cases, one representative per orbit of
+    numth.valid_orbits and the representative classes of
+    codes.trace_weight_grid decide all (q - 1)(q^k - 1) classes of every
+    pair, checked counts all of them for every orbit finished, and a
+    counterexample is a representative class of a representative pair.
     """
     checked = 0
-    for e1, e2 in all_pairs(q, k):
+    for e1, e2, size in valid_orbits(q, k):
         d = gcd_conditions(q, k, e1, e2)[0]
         block = char_sum_grid(ctx, e1, e2)[1:, 1:]
         if d == 1:
@@ -279,35 +292,33 @@ def verify_char_sum_unit_iff(q: int, k: int, ctx: FieldCtx) -> PropertyResult:
                     "value": int(block[tau, b]),
                 },
             )
-        checked += (q - 1) * ctx.m
+        checked += size * (q - 1) * ctx.m
     return PropertyResult("char_sum_unit_iff", q, k, True, checked)
 
 
 class BruteForceMemo:
     """Brute-forced weight distributions of one (q, k) block, one run per orbit.
 
-    The orbits are those of numth.multiplier_orbit: a unit multiplier maps
-    the code of (e1, e2) onto the code of every pair in its orbit, so the
-    orbit shares one distribution.  The first pair met stands for its
-    orbit, and the orbit is filled in once its code is brute-forced.  The
-    orbit map is integer arithmetic mod q^k - 1 and never reads the trace
-    route, so the two routes stay independent.
+    A unit multiplier maps the code of (e1, e2) onto the code of every
+    pair in its orbit, so the orbit shares one distribution, kept under
+    its numth.orbit_representative and brute-forced from that pair's
+    code.  The representative is integer arithmetic mod q^k - 1 and never
+    reads the trace route, so the two routes stay independent.
     """
 
     def __init__(self, ctx: FieldCtx, brute_cap: int = DEFAULT_BRUTE_CAP):
         self.ctx = ctx
         self.brute_cap = brute_cap
-        self._by_pair: dict[tuple[int, int], WeightDistribution] = {}
+        self._by_orbit: dict[tuple[int, int], WeightDistribution] = {}
 
     def distribution(self, e1: int, e2: int) -> WeightDistribution:
         """The brute-forced distribution of the code of (e1, e2)'s orbit."""
         ctx = self.ctx
-        pair = (e1 % (ctx.q - 1), e2 % ctx.m)
-        wd = self._by_pair.get(pair)
+        rep = orbit_representative(ctx.q, ctx.k, e1, e2)
+        wd = self._by_orbit.get(rep)
         if wd is None:
-            code = code_from_exponents(ctx, *pair)
-            wd = weight_distribution_bruteforce(ctx, code, self.brute_cap)
-            self._by_pair.update(dict.fromkeys(multiplier_orbit(ctx.q, ctx.k, *pair), wd))
+            code = code_from_exponents(ctx, *rep)
+            wd = self._by_orbit[rep] = weight_distribution_bruteforce(ctx, code, self.brute_cap)
         return wd
 
 
@@ -379,32 +390,40 @@ def verify_oracle_equivalence(
 def verify_duality(q: int, k: int, ctx: FieldCtx) -> PropertyResult:
     """MacWilliams involution and the claims of codes.dual_claim_failure.
 
-    Runs over every qualifying code for (q, k).  The transform itself
-    checks the Pless moments, once per distinct distribution; a failure
-    there raises, and run_block reports it as an error.
+    Runs over the qualifying orbits of numth.valid_orbits: the pairs of
+    an orbit share one distribution, and checked counts the qualifying
+    codes, size/k an orbit (a q-cyclotomic coset of e2 has k members).
+    The transform and its inverse run once per distinct distribution;
+    the transform itself checks the Pless moments, a failure there
+    raises, and run_block reports it as an error.  A counterexample names
+    the representative pair.
     """
     checked = 0
     n = ctx.m
     dim = k + 1
-    for e1, e2 in enumerate_codes(q, k):
+    failures: dict[tuple[tuple[int, int], ...], str | None] = {}
+    for e1, e2, size in valid_orbits(q, k):
+        if gcd_conditions(q, k, e1, e2) != (1, 1):
+            continue
         wd = weight_distribution_trace(ctx, e1, e2)
-        dual = macwilliams_dual(wd, n, q, dim)
-        back = macwilliams_dual(dual, n, q, n - dim)
-        if back != wd:
-            failure = "involution"
-        else:
-            claim = dual_claim_failure(dual, q, k)
-            failure = claim[0] if claim else None
-        if failure:
+        key = tuple(sorted(wd.entries.items()))
+        if key not in failures:
+            dual = macwilliams_dual(wd, n, q, dim)
+            if macwilliams_dual(dual, n, q, n - dim) != wd:
+                failures[key] = "involution"
+            else:
+                claim = dual_claim_failure(dual, q, k)
+                failures[key] = claim[0] if claim else None
+        if failures[key]:
             return PropertyResult(
                 "duality_suite",
                 q,
                 k,
                 False,
                 checked,
-                {"e1": e1, "e2": e2, "failure": failure},
+                {"e1": e1, "e2": e2, "failure": failures[key]},
             )
-        checked += 1
+        checked += size // k
     return PropertyResult("duality_suite", q, k, True, checked)
 
 

@@ -673,6 +673,36 @@ class TestVerify:
         assert {"expsum.char_sum", "codes.weight_distribution_bruteforce"} <= names
 
 
+@pytest.mark.skipif(not Path("/proc/self/status").exists(), reason="reads /proc/self/status")
+class TestBlasThreads:
+    # numpy's OpenBLAS starts a worker thread per CPU that spins although
+    # no subcommand calls BLAS; importing the CLI first keeps it to one
+    def run_script(self, env_value):
+        root = Path(__file__).resolve().parents[1]
+        env = {name: value for name, value in os.environ.items() if name != "OPENBLAS_NUM_THREADS"}
+        env["PYTHONPATH"] = os.pathsep.join([str(root / "src"), os.environ.get("PYTHONPATH", "")])
+        if env_value is not None:
+            env["OPENBLAS_NUM_THREADS"] = env_value
+        script = "\n".join([
+            "import os",
+            "import cyclochar.cli",
+            "import numpy",
+            "threads = [line.split()[1] for line in open('/proc/self/status')",
+            "           if line.startswith('Threads:')]",
+            "print(threads[0], os.environ['OPENBLAS_NUM_THREADS'])",
+        ])
+        proc = subprocess.run([sys.executable, "-c", script], env=env,
+                              capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        return proc.stdout.split()
+
+    def test_numpy_runs_on_one_thread(self):
+        assert self.run_script(None) == ["1", "1"]
+
+    def test_a_value_the_user_set_is_kept(self):
+        assert self.run_script("2")[1] == "2"
+
+
 class TestDegreeOne:
     @pytest.mark.parametrize(
         "argv",

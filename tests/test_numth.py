@@ -5,7 +5,7 @@ import math
 import pytest
 from hypothesis import given, strategies as st
 
-from cyclochar import numth
+from cyclochar import numth, verify
 from cyclochar.errors import InvalidArgumentError, ResourceLimitError, TheoremViolationError
 
 
@@ -24,6 +24,8 @@ def ext_gcd(a, b):
         a, s0, t0 = -a, -s0, -t0
     return a, s0, t0
 
+
+PAIRS_255 = verify.default_pairs(255)
 
 class TestRem:
     def test_positive(self):
@@ -171,13 +173,24 @@ class TestCyclotomicCoset:
             numth.cyclotomic_coset(1, 2, 8)
 
 
+def multiplier_orbit(q, k, e1, e2):
+    """Orbit of (e1 mod q-1, e2 mod q^k-1) under the units u mod n = q^k - 1.
+
+    Formed in full: the reference numth.orbit_representative must name
+    without forming it.
+    """
+    n = q**k - 1
+    e1, e2 = e1 % (q - 1), e2 % n
+    return {(u * e1 % (q - 1), u * e2 % n) for u in range(1, n) if math.gcd(u, n) == 1}
+
+
 def orbit_partition(q, k):
     """The multiplier orbits of every (e1, e2) pair, first met first."""
     seen, orbits = set(), []
     for e1 in range(q - 1):
         for e2 in range(q**k - 1):
             if (e1, e2) not in seen:
-                orbits.append(numth.multiplier_orbit(q, k, e1, e2))
+                orbits.append(multiplier_orbit(q, k, e1, e2))
                 seen |= orbits[-1]
     return orbits
 
@@ -190,7 +203,7 @@ class TestMultiplierOrbit:
         assert sum(len(o) for o in orbits) == (q - 1) * n
         for orbit in orbits:
             for e1, e2 in orbit:
-                assert numth.multiplier_orbit(q, k, e1, e2) == orbit
+                assert multiplier_orbit(q, k, e1, e2) == orbit
 
     @pytest.mark.parametrize("q,k", [(2, 6), (3, 3), (4, 3), (5, 2), (8, 2)])
     def test_conditions_and_cosets_constant_on_an_orbit(self, q, k):
@@ -211,11 +224,60 @@ class TestMultiplierOrbit:
         assert len(orbit_partition(q, k)) == count
 
     def test_reduces_its_arguments(self):
-        assert numth.multiplier_orbit(4, 3, 5, 64) == numth.multiplier_orbit(4, 3, 2, 1)
+        assert multiplier_orbit(4, 3, 5, 64) == multiplier_orbit(4, 3, 2, 1)
+
+
+class TestOrbitRepresentative:
+    @pytest.mark.parametrize("q,k", PAIRS_255)
+    def test_one_member_names_each_orbit(self, q, k):
+        named = set()
+        for orbit in orbit_partition(q, k):
+            reps = {numth.orbit_representative(q, k, *pair) for pair in orbit}
+            assert len(reps) == 1
+            (rep,) = reps
+            assert rep in orbit and rep not in named
+            named.add(rep)
+
+    @pytest.mark.parametrize("q,k", PAIRS_255)
+    def test_the_walk_yields_each_valid_orbit_once(self, q, k):
+        delta = (q**k - 1) // (q - 1)
+        want = {
+            numth.orbit_representative(q, k, *min(orbit)): len(orbit)
+            for orbit in orbit_partition(q, k)
+            if math.gcd(delta, min(orbit)[1]) == 1
+        }
+        walk = list(numth.valid_orbits(q, k))
+        assert len(walk) == len(want)
+        assert {(e1, e2): size for e1, e2, size in walk} == want
+
+    @pytest.mark.parametrize(
+        "q,k,orbits,qualifying",
+        [(16, 3, 21, 15), (64, 2, 153, 63), (257, 2, 256, 256), (1024, 2, 2145, 1023)],
+    )
+    def test_the_walk_counts_every_pair_past_255(self, q, k, orbits, qualifying):
+        n = q**k - 1
+        delta = n // (q - 1)
+        walk = list(numth.valid_orbits(q, k))
+        good = [size for e1, e2, size in walk if numth.gcd_conditions(q, k, e1, e2) == (1, 1)]
+        assert (len(walk), len(good)) == (orbits, qualifying)
+        # (q - 1) choices of e1 beside each e2 coprime to Delta, and k pairs a qualifying code
+        assert sum(size for *_, size in walk) == (q - 1) ** 2 * numth.euler_phi(delta)
+        assert sum(good) == k * numth.code_count(q, k)
+        for e1, e2, _ in walk:
+            assert numth.orbit_representative(q, k, e1, e2) == (e1, e2)
+
+    def test_reduces_its_arguments(self):
+        rep = numth.orbit_representative(4, 3, 2, 1)
+        assert numth.orbit_representative(4, 3, 5, 64) == rep
+        assert numth.orbit_representative(4, 3, -1, -62) == rep
 
     def test_k_below_2_rejected(self):
         with pytest.raises(InvalidArgumentError):
-            numth.multiplier_orbit(2, 1, 0, 1)
+            numth.orbit_representative(2, 1, 0, 1)
+
+    @pytest.mark.parametrize("n", [1, 2, 12, 63, 255, 4095, 1048575])
+    def test_divisors(self, n):
+        assert numth.divisors(n) == [d for d in range(1, n + 1) if n % d == 0]
 
 
 class TestCosetRepresentatives:

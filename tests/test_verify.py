@@ -12,6 +12,12 @@ reference must agree on ok, checked and the counterexample (or raise the
 same error), on clean runs and under injected faults; a character-sum
 sweep may name a different failing class, as long as it fails in the
 reference grid too.
+
+The two character-sum sweeps and the duality sweep walk one
+representative per multiplier orbit, so a fault injected here covers a
+whole orbit, as a real fault would: the sweeps rely on T and the
+distribution being constant on an orbit.  Under a fault a character-sum
+sweep names the representative of the orbit where its reference fails.
 """
 
 import json
@@ -26,6 +32,7 @@ from cyclochar import cli, codes, expsum, gf, numth, verify
 from cyclochar.errors import ConsistencyError, CyclocharError, InvalidArgumentError
 from cyclochar.gf import ZERO
 from test_codes import expand_orbit_columns
+from test_numth import multiplier_orbit
 
 PAIRS_63 = verify.default_pairs(63)
 PAIRS_127 = verify.default_pairs(127)
@@ -196,26 +203,47 @@ def reference_char_sum_unit_iff(q, k, ctx):
     return verify.PropertyResult("char_sum_unit_iff", q, k, True, checked)
 
 
+def checked_before(q, k, rep, per_pair, qualifying):
+    """The checked count of a sweep that fails at the orbit of rep: per_pair
+    for every pair of the orbits walked before it."""
+    total = 0
+    for e1, e2, size in numth.valid_orbits(q, k):
+        if (e1, e2) == rep:
+            return total
+        if not qualifying or numth.gcd_conditions(q, k, e1, e2) == (1, 1):
+            total += size * per_pair
+    raise AssertionError(f"{rep} is not an orbit representative")
+
+
 def assert_char_sum_sweeps_match(q, k, ctx):
     """Both character-sum sweeps against their full-grid references.
 
-    Same ok and checked; a failing class the sweep names must fail, with
-    the same value, in the reference grid of its pair, and any other
-    counterexample must be the reference's own.  Returns both outcomes.
+    Same ok, and the same checked on success.  On failure the sweep names
+    the representative of the orbit of the reference's pair, and checked
+    counts the orbits walked before it.  A failing class the sweep names
+    must fail, with the same value, in the reference grid of its pair,
+    and a failing direct case must be the reference's own.  Returns both
+    outcomes.
     """
     outcomes = []
-    for sweep, reference in [
-        (verify.verify_char_sum_cases, reference_char_sum_cases),
-        (verify.verify_char_sum_unit_iff, reference_char_sum_unit_iff),
+    for sweep, reference, per_pair, qualifying in [
+        (verify.verify_char_sum_cases, reference_char_sum_cases, q * q**k + 6, True),
+        (verify.verify_char_sum_unit_iff, reference_char_sum_unit_iff, (q - 1) * ctx.m, False),
     ]:
         got = outcome(sweep, q, k, ctx)
         want = outcome(reference, q, k, ctx)
-        assert got[:2] == want[:2]
+        assert got[0] == want[0]
         cex = got[2]
-        if cex is None or "tau" not in cex:
-            assert cex == want[2]
+        if got[0] is True or "e1" not in (cex or {}):
+            assert got == want
+            outcomes.append(got)
+            continue
+        rep = (cex["e1"], cex["e2"])
+        assert numth.orbit_representative(q, k, want[2]["e1"], want[2]["e2"]) == rep
+        assert got[1] == checked_before(q, k, rep, per_pair, qualifying)
+        if "tau" not in cex:
+            assert cex == {**want[2], "e1": rep[0], "e2": rep[1]}
         else:
-            assert want[2] is not None and (want[2]["e1"], want[2]["e2"]) == (cex["e1"], cex["e2"])
             assert cex["b_col"] <= math.gcd(cex["e2"], ctx.delta)
             grid = full_char_sum_grid(ctx, cex["e1"], cex["e2"])
             value = int(grid[cex["tau"], cex["b_col"]])
@@ -228,14 +256,15 @@ def assert_char_sum_sweeps_match(q, k, ctx):
     return outcomes
 
 
-def perturb_kernel(monkeypatch, target, classes):
+def perturb_kernel(monkeypatch, q, k, target, classes):
     """Add one to the weight of each class of the trace kernel's output for
-    the pair target, where every caller reads it."""
+    every pair of the orbit of target, where every caller reads it."""
     real = codes.trace_weight_grid
+    orbit = multiplier_orbit(q, k, *target)
 
     def perturbed(ctx, e1, e2):
         g, weights = real(ctx, e1, e2)
-        if (e1, e2) == target:
+        if (e1, e2) in orbit:
             for cls in classes:
                 weights[cls] += 1
         return g, weights
@@ -260,7 +289,7 @@ def mid_qualifying_rep(q, k):
     a parity check differ by a power of q, so they share an orbit too.
     """
     pairs = [p for p in verify.all_pairs(q, k) if verify.gcd_conditions(q, k, *p) == (1, 1)]
-    return min(numth.multiplier_orbit(q, k, *pairs[len(pairs) // 2]))
+    return min(multiplier_orbit(q, k, *pairs[len(pairs) // 2]))
 
 
 # -- the sweeps equal their references ----------------------------------------
@@ -296,6 +325,23 @@ def test_char_sum_sweeps_equal_the_full_grid_loops(q, k):
     assert cases[0] is True and unit[0] is True
     pairs = sum(1 for _ in verify.all_pairs(q, k))
     assert unit[1] == pairs * (q - 1) * ctx.m
+
+
+@pytest.mark.parametrize("q,k", PAIRS_255)
+def test_char_sums_are_constant_on_every_orbit(q, k):
+    # what lets both character-sum sweeps read one pair per orbit
+    ctx = gf.field_for(q, k)
+    reps = ctx.trace_class_reps()
+    a_values = [ZERO, int(reps[1:].min())] + ([int(reps[0])] if reps[0] < ctx.m else [])
+    points = [(a, b) for a in a_values for b in (ZERO, 0)]
+    for e1, e2, size in numth.valid_orbits(q, k):
+        grid = verify.char_sum_grid(ctx, e1, e2)
+        sums = [verify.char_sum(ctx, e1, e2, a, b) for a, b in points]
+        orbit = multiplier_orbit(q, k, e1, e2)
+        assert len(orbit) == size
+        for pair in orbit:
+            assert np.array_equal(verify.char_sum_grid(ctx, *pair), grid), pair
+            assert [verify.char_sum(ctx, *pair, a, b) for a, b in points] == sums, pair
 
 
 @pytest.mark.parametrize("q,k", [(2, 6), (3, 3), (4, 3), (5, 2), (8, 2)])
@@ -342,12 +388,12 @@ def test_a_flipped_condition_is_caught_at_the_same_pair(q, k, monkeypatch):
 def test_a_corrupted_distribution_is_caught_at_the_same_pair(q, k, monkeypatch):
     ctx = gf.field_for(q, k)
     target = mid_qualifying_rep(q, k)
-    bad_h = codes.parity_check_from_exponents(ctx, *target)
+    bad_h = {codes.parity_check_from_exponents(ctx, *pair) for pair in multiplier_orbit(q, k, *target)}
     real = verify.weight_distribution_bruteforce
 
     def corrupted(ctx_, code, cap=numth.DEFAULT_BRUTE_CAP):
         wd = real(ctx_, code, cap)
-        if code.parity_check == bad_h:
+        if code.parity_check in bad_h:
             wd = codes.WeightDistribution(wd.n, {**wd.entries, 0: 2})
         return wd
 
@@ -368,11 +414,12 @@ def test_perturbed_trace_classes_are_caught_by_both_char_sum_sweeps(q, k, classe
     # row 0 or the last row, column 0 (b = 0) or column 1 (b = 1)
     ctx = gf.field_for(q, k)
     target = mid_qualifying_rep(q, k)
-    perturb_kernel(monkeypatch, target, classes)
+    rep = numth.orbit_representative(q, k, *target)
+    perturb_kernel(monkeypatch, q, k, target, classes)
     cases, unit = assert_char_sum_sweeps_match(q, k, ctx)
-    assert cases[0] is False and (cases[2]["e1"], cases[2]["e2"]) == target
+    assert cases[0] is False and (cases[2]["e1"], cases[2]["e2"]) == rep
     if (-1, 1) in classes:  # only the Tr(a) != 0, b != 0 classes bear on the unit claim
-        assert unit[0] is False and (unit[2]["e1"], unit[2]["e2"]) == target
+        assert unit[0] is False and (unit[2]["e1"], unit[2]["e2"]) == rep
     else:
         assert unit[0] is True
 
@@ -381,18 +428,50 @@ def test_perturbed_trace_classes_are_caught_by_both_char_sum_sweeps(q, k, classe
 def test_a_wrong_direct_char_sum_is_caught_at_the_same_case(q, k, monkeypatch):
     ctx = gf.field_for(q, k)
     target = mid_qualifying_rep(q, k)
+    orbit = multiplier_orbit(q, k, *target)
     real = verify.char_sum
 
     def wrong(ctx_, e1, e2, a, b):
         value = real(ctx_, e1, e2, a, b)
-        if (e1, e2, b) == (*target, 0):
+        if (e1, e2) in orbit and b == 0:
             return expsum.CyclotomicCount(value.p, (value.counts[0] + 1, *value.counts[1:]))
         return value
 
     monkeypatch.setattr(verify, "char_sum", wrong)
     cases, _ = assert_char_sum_sweeps_match(q, k, ctx)
-    assert cases[0] is False and (cases[2]["e1"], cases[2]["e2"]) == target
-    assert "a" in cases[2]
+    assert cases[0] is False and "a" in cases[2]
+    assert (cases[2]["e1"], cases[2]["e2"]) == numth.orbit_representative(q, k, *target)
+
+
+@pytest.mark.parametrize("q,k", PAIRS_255)
+def test_duality_sweep_counts_every_code_with_one_transform_each_way(q, k, monkeypatch):
+    dims = []
+    real = verify.macwilliams_dual
+    monkeypatch.setattr(verify, "macwilliams_dual",
+                        lambda wd, n, q_, dim: dims.append(dim) or real(wd, n, q_, dim))
+    result = verify.verify_duality(q, k, gf.field_for(q, k))
+    assert result.ok and result.checked == numth.code_count(q, k)
+    assert dims == [k + 1, q**k - 1 - (k + 1)]
+
+
+@pytest.mark.parametrize("q,k", [(3, 3), (4, 2), (5, 3), (7, 2), (8, 2), (11, 2)])
+def test_a_foreign_distribution_on_one_orbit_fails_the_duality_sweep(q, k, monkeypatch):
+    # the distribution of a valid pair that breaks the first condition
+    # stands in for every code of one qualifying orbit
+    ctx = gf.field_for(q, k)
+    orbits = list(numth.valid_orbits(q, k))
+    foreign = next((e1, e2) for e1, e2, _ in orbits if numth.gcd_conditions(q, k, e1, e2) != (1, 1))
+    target = mid_qualifying_rep(q, k)
+    orbit = multiplier_orbit(q, k, *target)
+    real = verify.weight_distribution_trace
+    monkeypatch.setattr(verify, "weight_distribution_trace",
+                        lambda ctx_, e1, e2: real(ctx_, *(foreign if (e1, e2) in orbit else (e1, e2))))
+    result = verify.verify_duality(q, k, ctx)
+    rep = numth.orbit_representative(q, k, *target)
+    assert not result.ok
+    assert result.counterexample == {"e1": rep[0], "e2": rep[1], "failure": "B1_B2_nonzero"}
+    # the codes of the qualifying orbits walked before it
+    assert result.checked * k == checked_before(q, k, rep, 1, True)
 
 
 @pytest.mark.parametrize("field", ["alpha", "beta"])
@@ -458,7 +537,7 @@ def test_one_brute_force_per_orbit_shared_by_both_sweeps(monkeypatch):
                         lambda ctx, code, cap: calls.append(code) or real(ctx, code, cap))
     results = verify.run_block(q, k, 1 << 20, ("three_weight_iff_conditions", "oracle_equivalence"))
     assert all(r.ok for r in results)
-    orbits = {frozenset(numth.multiplier_orbit(q, k, e1, e2)) for e1 in range(q - 1) for e2 in range(63)}
+    orbits = {frozenset(multiplier_orbit(q, k, e1, e2)) for e1 in range(q - 1) for e2 in range(63)}
     assert len(calls) == len(orbits) == 16
 
 
@@ -507,8 +586,8 @@ def test_the_unit_sweep_reaches_its_first_grid_in_a_few_mib(monkeypatch):
 
 def test_a_failing_char_sum_class_exits_3_and_is_named(monkeypatch, capsys):
     q, k = 4, 3
-    target = mid_qualifying_rep(q, k)
-    perturb_kernel(monkeypatch, target, [(q - 1, 1)])
+    target = numth.orbit_representative(q, k, *mid_qualifying_rep(q, k))
+    perturb_kernel(monkeypatch, q, k, target, [(q - 1, 1)])
     code = cli.main(["verify", "--q", "4", "--k", "3", "--format", "json",
                      "--props", "char_sum_cases,char_sum_unit_iff"])
     out, err = capsys.readouterr()
@@ -526,13 +605,21 @@ def test_the_unit_sweep_forms_no_full_grid_at_257_2(monkeypatch):
     # the full (257, 257^2) grid would be 17 million cells, 130 MiB of int64
     ctx = gf.field_for(257, 2)
     verify.char_sum_grid(ctx, 0, 1)  # warm the field's trace and symbol tables
-    real = verify.all_pairs
-    monkeypatch.setattr(verify, "all_pairs", lambda q, k: islice(real(q, k), 20))
+    real = verify.valid_orbits
+    monkeypatch.setattr(verify, "valid_orbits", lambda q, k: islice(real(q, k), 20))
     tracemalloc.start()
     try:
         result = verify.verify_char_sum_unit_iff(257, 2, ctx)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert result.ok and result.checked == 20 * 256 * ctx.m
+    pairs = sum(size for *_, size in islice(real(257, 2), 20))
+    assert result.ok and result.checked == pairs * 256 * ctx.m
     assert peak < 16 << 20
+
+
+def test_the_unit_sweep_covers_all_of_257_2():
+    # 5,505,024 pairs in 256 orbits, one grid each
+    ctx = gf.field_for(257, 2)
+    result = verify.verify_char_sum_unit_iff(257, 2, ctx)
+    assert result.ok and result.checked == 5_505_024 * 256 * 66_048

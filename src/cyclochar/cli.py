@@ -16,7 +16,8 @@ os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 import argparse
 import json
 import sys
-from itertools import groupby
+from collections.abc import Iterator
+from itertools import groupby, islice
 from math import log10
 from operator import itemgetter
 from typing import TYPE_CHECKING
@@ -43,6 +44,11 @@ EXIT_INTERNAL = 1
 EXIT_PRECONDITION = 2
 EXIT_VIOLATION = 3
 EXIT_USAGE = 64
+
+# The listing is formatted and written this many records of one e1 row at a
+# time; `dual` writes its frequencies in calls of at least FLUSH_CHARS characters.
+LISTING_BATCH = 4096
+FLUSH_CHARS = 1 << 16
 
 
 class _Parser(argparse.ArgumentParser):
@@ -113,6 +119,37 @@ def cmd_build(args) -> int:
     return EXIT_OK
 
 
+class _BatchedStdout:
+    """`dual`'s output for stdout, written in calls of at least FLUSH_CHARS characters.
+
+    An unbuffered stdout (PYTHONUNBUFFERED) makes one write(2) per call, and
+    a frequency can run to thousands of digits, so pieces are gathered until
+    FLUSH_CHARS characters (bytes: the output is ASCII) are pending; no more
+    than that plus one piece is held.  flush() writes the rest.
+    """
+
+    def __init__(self) -> None:
+        self.pending: list[str] = []
+        self.size = 0
+
+    def write(self, text: str) -> None:
+        self.pending.append(text)
+        self.size += len(text)
+        if self.size >= FLUSH_CHARS:
+            self.flush()
+
+    def flush(self) -> None:
+        if self.pending:
+            sys.stdout.write("".join(self.pending))
+            self.pending, self.size = [], 0
+
+
+def _row_batches(row: Iterator[tuple[int, int]]) -> Iterator[list[int]]:
+    """The e2 values of one e1 row of the listing, LISTING_BATCH at a time."""
+    while batch := [e2 for _, e2 in islice(row, LISTING_BATCH)]:
+        yield batch
+
+
 def cmd_enumerate(args) -> int:
     q, k = args.q, args.k
     # every check of the listing, the closed-form count included, runs here,
@@ -123,21 +160,21 @@ def cmd_enumerate(args) -> int:
     write = sys.stdout.write
     rows = groupby(records, key=itemgetter(0))  # e1-major: one row per e1
     if args.format == "json":
-        # json.dumps of {"q", "k", "count", "formula", "codes": [...]}, a record at a time
+        # json.dumps of {"q", "k", "count", "formula", "codes": [...]}, one write a batch
         write(f'{{"q": {q}, "k": {k}, "count": {count}, "formula": {count}, "codes": [')
         sep = ""
         for e1, row in rows:
             head = f'{{"e1": {e1}, "delta_e1": {delta * e1 % n}, "e2": '
-            for _, e2 in row:
-                write(f"{sep}{head}{e2}}}")
+            for batch in _row_batches(row):
+                write(sep + head + ("}, " + head).join(map(str, batch)) + "}")
                 sep = ", "
         write("]}\n")
     else:
         write(f"qualifying codes for q={q}, k={k}: {count} (formula: {count})\n")
         for e1, row in rows:
             head, mid = f"  C_({delta * e1 % n},", f")   e1={e1} e2="
-            for _, e2 in row:
-                write(f"{head}{e2}{mid}{e2}\n")
+            for batch in _row_batches(row):
+                write("".join([f"{head}{e2}{mid}{e2}\n" for e2 in batch]))
     return EXIT_OK
 
 
@@ -294,8 +331,9 @@ def cmd_dual(args) -> int:
     dim = polyring.degree(parity_check_from_exponents(ctx, args.e1, args.e2))
     dual = macwilliams_dual(wd, n, q, dim)
     d_dual = dual.min_nonzero_weight()
-    # the frequencies are written one at a time, as enumerate writes its records
-    write = sys.stdout.write
+    # the frequencies are streamed one at a time, so the output is never held whole
+    out = _BatchedStdout()
+    write = out.write
     if args.format == "json":
         # json.dumps of {"q", "k", "e1", "e2", "n", "dim", "dual_min_weight", "dual_weights"}
         write(f'{{"q": {q}, "k": {args.k}, "e1": {args.e1}, "e2": {args.e2}, "n": {n}, '
@@ -313,6 +351,7 @@ def cmd_dual(args) -> int:
             write(f"{sep}{term}")
             sep = " + "
         write("\n")
+    out.flush()
     return EXIT_OK
 
 

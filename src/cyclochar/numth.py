@@ -300,34 +300,42 @@ def valid_orbits(q: int, k: int) -> Iterator[tuple[int, int, int]]:
 
 
 def coset_representatives(q: int, n: int, coprime_to: int = 1) -> dict[int, int]:
-    """Minimal representative -> size of every q-cyclotomic coset mod n
+    """Minimal representative -> size of every q-cyclotomic coset mod n = q^k - 1
     whose members are coprime to coprime_to, a divisor of n (1: every coset).
 
-    Keys ascend, so iterating the mapping yields the representatives in
-    order.  One walk over Z/n finds every orbit; requires gcd(q, n) == 1,
-    so multiplying by q keeps the gcd with any divisor of n.
+    Multiplying by q mod q^k - 1 rotates the k base-q digits of x < n, so
+    the least member of a coset is a necklace and the coset's size is the
+    necklace's period.  The walk generates the prenecklaces in ascending
+    order (Fredricksen-Kessler-Maiorana) on integers alone: with t trailing
+    digits q - 1 in x and i = k - t, the prefix p = x // q^t + 1 repeated
+    and cut to k digits is the next prenecklace p*q^k // (q^i - 1), a
+    necklace of period i when i divides k; the walk ends at p = q^i - 1,
+    the all-(q - 1) word, which is n == 0.  Keys ascend, so iterating the
+    mapping yields the representatives in order.  Multiplying by q keeps
+    the gcd with any divisor of n, so a coset is coprime to coprime_to
+    exactly when its representative is.
     """
-    if n <= 0:
-        raise InvalidArgumentError(f"modulus must be positive, got {n}")
-    if gcd(q, n) != 1:
-        raise InvalidArgumentError(f"gcd(q, n) = gcd({q}, {n}) != 1")
+    k = 0
+    while q > 1 and q**k <= n:
+        k += 1
+    if k == 0 or q**k - 1 != n:
+        raise InvalidArgumentError(f"the modulus {n} is not {q}^k - 1 for any k >= 1")
+    power = [q**j for j in range(k + 1)]
     if coprime_to < 1 or n % coprime_to:
         raise InvalidArgumentError(f"{coprime_to} is not a divisor of {n}")
-    seen = bytearray(n)
-    for p in factorize(coprime_to):
-        seen[::p] = b"\x01" * len(range(0, n, p))  # a multiple of p is never walked
     reps = {}
-    a = seen.find(0)
-    while a >= 0:
-        size = 0
-        x = a
-        while not seen[x]:
-            seen[x] = 1
-            x = x * q % n
-            size += 1
-        reps[a] = size
-        a = seen.find(0, a + 1)
-    return reps
+    x, i = 0, 1
+    while True:
+        if k % i == 0 and gcd(x, coprime_to) == 1:
+            reps[x] = i
+        p, t = x + 1, 0  # x + 1 ends in t zero digits, and (x + 1) // q^t = x // q^t + 1
+        while p % q == 0:
+            p //= q
+            t += 1
+        i = k - t
+        if p == power[i] - 1:
+            return reps
+        x = p * power[k] // (power[i] - 1)
 
 
 def listing_record_bytes(n: int) -> int:
@@ -346,13 +354,14 @@ def qualifying_codes(
 
     The records are the exponent pairs (e1, e2), e1-major: e1 runs over
     [0, q-1) (one value per degree-one factor) and e2 over the minimal
-    cyclotomic coset representatives coprime to Delta, ascending.  They
-    come lazily from one coset walk, so memory does not grow with the
-    count.  Every check has run when this returns, before the first
-    record exists: the field gate, the job budget on the written records
-    (before the walk), gcd(Delta, e2) = 1 and deg h_e2 = k for every
-    class, and the count, tallied per (e1, e2 mod q-1), against the
-    closed form.
+    cyclotomic coset representatives coprime to Delta, ascending.  One
+    necklace walk (coset_representatives) finds those representatives, and
+    the records pair them lazily with each e1, so memory grows with the
+    number of classes, not with the count.  Every check has run when this
+    returns, before the first record exists: the field gate, the job budget
+    on the written records (before the walk), gcd(Delta, e2) = 1 and
+    deg h_e2 = k for every class, and the count, tallied per
+    (e1, e2 mod q-1), against the closed form.
     """
     check_field(q, k, cap)
     count = code_count(q, k)
@@ -362,16 +371,14 @@ def qualifying_codes(
         count * listing_record_bytes(n),
     )
     delta = n // (q - 1)
-    classes = []
+    reps = coset_representatives(q, n, delta)
     tally = [0] * (q - 1)  # e2 classes per residue mod q - 1
-    for rep, size in coset_representatives(q, n, delta).items():
+    for rep, size in reps.items():
         if gcd(delta, rep) != 1:
             raise ConsistencyError(f"coset walk kept {rep}, which shares a factor with Delta")
         if size != k:
             raise TheoremViolationError(f"gcd(Delta, {rep}) = 1 but deg h_{rep} != {k}")
-        r = rep % (q - 1)
-        classes.append((rep, r))
-        tally[r] += 1
+        tally[rep % (q - 1)] += 1
     # gcd(q-1, k*e1 - e2) depends on e2 only through e2 mod q-1
     units = [
         [gcd_conditions(q, k, e1, r)[0] == 1 for r in range(q - 1)] for e1 in range(q - 1)
@@ -384,8 +391,8 @@ def qualifying_codes(
 
     def records() -> Iterator[tuple[int, int]]:
         for e1, row in enumerate(units):
-            for rep, r in classes:
-                if row[r]:
+            for rep in reps:
+                if row[rep % (q - 1)]:
                     yield e1, rep
 
     return count, records()

@@ -69,6 +69,30 @@ def old_enumerate_output(q, k, fmt):
     return out.getvalue()
 
 
+class CountingSink:
+    """A stdout that counts the write calls made on it and hashes what they write."""
+
+    def __init__(self):
+        self.digest, self.size, self.writes = hashlib.sha256(), 0, 0
+
+    def write(self, text):
+        data = text.encode()
+        self.digest.update(data)
+        self.size += len(data)
+        self.writes += 1
+        return len(text)
+
+    def flush(self):
+        pass
+
+
+def run_counted(*argv):
+    sink = CountingSink()
+    with redirect_stdout(sink), redirect_stderr(io.StringIO()):
+        code = cli.main(list(argv))
+    return code, sink
+
+
 def run(capsys, *argv):
     code = cli.main(list(argv))
     captured = capsys.readouterr()
@@ -257,6 +281,40 @@ class TestEnumerate:
                 finally:
                     tracemalloc.stop()
         assert peaks[64, 2] < peaks[2, 12] + (1 << 20), peaks
+
+
+class TestBatchedWrites:
+    # Under PYTHONUNBUFFERED every write call on stdout is one write(2): the
+    # listing once paid one per record (122,882 here), `dual` one per frequency.
+    GOLDEN_16_4_JSON = "b9193b247c22bea63349376e973a170b8e112952469219a7976a114da16a9d60"
+
+    @pytest.mark.parametrize("fmt", ["json", "text"])
+    def test_the_listing_writes_a_call_per_batch(self, fmt):
+        code, sink = run_counted("enumerate", "--q", "16", "--k", "4", "--format", fmt)
+        count, records = numth.qualifying_codes(16, 4)
+        rows = len({e1 for e1, _ in records})
+        assert code == 0 and count == 122_880
+        assert sink.writes <= -(-count // 4096) + rows + 2, sink.writes
+        if fmt == "json":
+            assert sink.digest.hexdigest() == self.GOLDEN_16_4_JSON
+
+    def test_the_dual_writes_a_call_per_64_kib(self):
+        code, sink = run_counted("dual", "--q", "2", "--k", "13", "--e1", "0", "--e2", "1",
+                                 "--format", "text")
+        assert code == 0 and sink.size > 7_000_000
+        assert sink.writes <= -(-sink.size // (64 << 10)) + 2, sink.writes
+
+    def test_an_unbuffered_stdout_keeps_the_bytes(self):
+        root = Path(__file__).resolve().parents[1]
+        path = os.pathsep.join([str(root / "src"), os.environ.get("PYTHONPATH", "")])
+        proc = subprocess.run(
+            [sys.executable, "-m", "cyclochar.cli", "enumerate", "--q", "16", "--k", "4",
+             "--format", "json"],
+            env={**os.environ, "PYTHONPATH": path, "PYTHONUNBUFFERED": "1"},
+            capture_output=True, timeout=120,
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert hashlib.sha256(proc.stdout).hexdigest() == self.GOLDEN_16_4_JSON
 
 
 class TestCharsum:

@@ -71,6 +71,15 @@ GOLDEN = [
      "3fcbbfcc802496f894c0568633ce1bfb2eae692ad49be6fa00f3cc4a5f9b80f3"),
     ("dual --q 2 --k 13 --e1 0 --e2 1 --format text", 0,
      "de05a62456b40a84b79cfac03d63fd04b9c664461df0aa8b9925d1888cac9b37"),
+    # listings of several batches a row, as printed a record at a time
+    ("enumerate --q 4 --k 8 --format json", 0,
+     "257573d9b4a692ef25b576c800d06ed40cd83315c7c3863b71f52a888c936a23"),
+    ("enumerate --q 4 --k 8 --format text", 0,
+     "16ff0c9236accbd37002e913983d3ba2b7a9a0f825e48e9e9c0cc00fef790e95"),
+    ("enumerate --q 2 --k 18 --format json", 0,
+     "76f44a32a96e69e33b1279172675e16f42951a1f6de81a8cc2704e90a95c6415"),
+    ("enumerate --q 2 --k 18 --format text", 0,
+     "9d0d4c031cda288569b319ada3cfd93b5ac8eaee29180436c7e30cc5428cdc31"),
 ]
 
 

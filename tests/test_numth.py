@@ -6,7 +6,12 @@ import pytest
 from hypothesis import given, strategies as st
 
 from cyclochar import numth, verify
-from cyclochar.errors import InvalidArgumentError, ResourceLimitError, TheoremViolationError
+from cyclochar.errors import (
+    ConsistencyError,
+    InvalidArgumentError,
+    ResourceLimitError,
+    TheoremViolationError,
+)
 
 
 def ext_gcd(a, b):
@@ -280,6 +285,37 @@ class TestOrbitRepresentative:
         assert numth.divisors(n) == [d for d in range(1, n + 1) if n % d == 0]
 
 
+def zn_walk_representatives(q, n, coprime_to=1):
+    """The coset walk over all of Z/n that the necklace walk replaced, kept as
+    its reference: every coset from its least member, which a scan for the
+    first unseen element finds in ascending order."""
+    seen = bytearray(n)
+    for p in numth.factorize(coprime_to):
+        seen[::p] = b"\x01" * len(range(0, n, p))  # a multiple of p is never walked
+    reps = {}
+    a = seen.find(0)
+    while a >= 0:
+        size = 0
+        x = a
+        while not seen[x]:
+            seen[x] = 1
+            x = x * q % n
+            size += 1
+        reps[a] = size
+        a = seen.find(0, a + 1)
+    return reps
+
+
+# Every (q, k) with q a prime power and q^k <= 2^14, k = 1 included.
+BLOCKS_2_14 = [
+    (q, k)
+    for q in range(2, 2**7 + 1)
+    if len(numth.factorize(q)) == 1
+    for k in range(1, 15)
+    if q**k <= 2**14
+]
+
+
 class TestCosetRepresentatives:
     @pytest.mark.parametrize("q,k", [(2, 3), (2, 6), (3, 3), (4, 3), (5, 2), (2, 12), (7, 3)])
     def test_sizes_match_each_coset(self, q, k):
@@ -295,10 +331,37 @@ class TestCosetRepresentatives:
     def test_iterates_representatives_in_order(self):
         assert list(numth.coset_representatives(2, 7)) == [0, 1, 3]
 
-    @pytest.mark.parametrize("q,n", [(2, 8), (3, 0)])
+    @pytest.mark.parametrize("q,n", [(2, 8), (3, 0), (2, 9), (3, 7), (4, 7), (1, 3)])
     def test_invalid_modulus(self, q, n):
+        # the necklace walk needs n = q^k - 1
         with pytest.raises(InvalidArgumentError):
             numth.coset_representatives(q, n)
+
+    @pytest.mark.parametrize("q,k", BLOCKS_2_14)
+    def test_necklace_walk_equals_the_zn_walk(self, q, k):
+        n = q**k - 1
+        for coprime_to in (1, n // (q - 1)):
+            got = numth.coset_representatives(q, n, coprime_to)
+            assert list(got.items()) == list(zn_walk_representatives(q, n, coprime_to).items())
+
+    @pytest.mark.parametrize("q,k", [(q, k) for q, k in BLOCKS_2_14 if q**k <= 4096])
+    def test_necklace_walk_equals_the_zn_walk_for_every_divisor(self, q, k):
+        n = q**k - 1
+        for d in numth.divisors(n):
+            got = numth.coset_representatives(q, n, d)
+            assert list(got.items()) == list(zn_walk_representatives(q, n, d).items())
+
+    @pytest.mark.parametrize("q,k,count", [(2, 19, 27_594), (2, 20, 24_000), (4, 10, 72_000),
+                                           (8, 6, 27_216)])
+    def test_representative_counts_past_the_reference(self, q, k, count):
+        # the classes coprime to Delta all have size k (the theorem's deg h = k),
+        # so there are (q - 1) phi(Delta) / k of them
+        n = q**k - 1
+        delta = n // (q - 1)
+        reps = numth.coset_representatives(q, n, delta)
+        assert len(reps) == count == (q - 1) * numth.euler_phi(delta) // k
+        assert set(reps.values()) == {k}
+        assert list(reps) == sorted(reps)
 
     @pytest.mark.parametrize("q,k", [(2, 6), (3, 4), (4, 3), (5, 2), (2, 12), (16, 3)])
     def test_coprime_walk_keeps_exactly_the_coprime_cosets(self, q, k):
@@ -340,6 +403,20 @@ class TestQualifyingCodes:
     def test_count_mismatch_raises_before_any_record(self, monkeypatch):
         monkeypatch.setattr(numth, "code_count", lambda q, k: 17)
         with pytest.raises(TheoremViolationError, match="enumerated 16 codes but the count formula gives 17"):
+            numth.qualifying_codes(3, 4)
+
+    def test_a_kept_class_sharing_a_factor_with_delta_raises(self, monkeypatch):
+        real = numth.coset_representatives
+        monkeypatch.setattr(numth, "coset_representatives",
+                            lambda q, n, d: {**real(q, n, d), 5: 4})  # 5 | Delta = 40
+        with pytest.raises(ConsistencyError, match="coset walk kept 5"):
+            numth.qualifying_codes(3, 4)
+
+    def test_a_class_of_the_wrong_size_raises(self, monkeypatch):
+        real = numth.coset_representatives
+        monkeypatch.setattr(numth, "coset_representatives",
+                            lambda q, n, d: {**real(q, n, d), 1: 2})
+        with pytest.raises(TheoremViolationError, match="deg h_1 != 4"):
             numth.qualifying_codes(3, 4)
 
     def test_budget_bounds_the_written_bytes(self, monkeypatch):

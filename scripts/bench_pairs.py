@@ -18,16 +18,18 @@ workload gives the per-layer metrics.
 The output holds every run, and per workload and end-to-end metric each
 side's median and quartiles (statistics.quantiles, n=4), the pairs the
 change won (ties count for neither side), and whether a gain would be
-claimable: at least ten pairs ran, every run of both sides was correct, the
-change failed no larger share of its items than the parent, it won at least
-nine tenths of the pairs, and the medians are apart by more than the
-parent's interquartile range.  It also records the machine and the
-environment variables that move the metrics.
+claimable: both sides ran the same benchmark (one digest of BENCHMARK.json
+and the perfbench/ files), at least ten pairs ran, every run of both sides
+was correct, the change failed no larger share of its items than the
+parent, it won at least nine tenths of the pairs, and the medians are apart
+by more than the parent's interquartile range.  It also records the
+machine and the environment variables that move the metrics.
 """
 
 from __future__ import annotations
 
 import argparse
+import hashlib
 import json
 import os
 import platform
@@ -69,6 +71,17 @@ def copy_tree(repo: Path, side: str, dest: Path) -> str:
     return git(repo, "rev-parse", side).decode().strip()
 
 
+def benchmark_digest(tree: Path) -> str:
+    """sha256 over the names and bytes of BENCHMARK.json and every file under perfbench/."""
+    digest = hashlib.sha256()
+    bench = tree / "perfbench"
+    for path in [tree / "BENCHMARK.json", *sorted(p for p in bench.rglob("*") if p.is_file())]:
+        data = path.read_bytes()
+        digest.update(f"{path.relative_to(tree).as_posix()}\0{len(data)}\0".encode())
+        digest.update(data)
+    return digest.hexdigest()
+
+
 def run_bench(tree: Path, workload: str, seed: int, seconds: float, trace: int) -> dict:
     """One perfbench run in tree; its JSON result line."""
     argv = [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(seed),
@@ -90,10 +103,11 @@ def failed_share(pairs: list[dict], side: str) -> float:
     return sum(p[side]["failed"] for p in pairs) / attempted if attempted else 1.0
 
 
-def summarize(pairs: list[dict], better: dict[str, str]) -> dict:
+def summarize(pairs: list[dict], better: dict[str, str], same_benchmark: bool) -> dict:
     """Per metric: both sides' spreads, the change's wins and the claim rule."""
-    # no gain counts from too few pairs, a wrong output, or more items failing
-    sound = (len(pairs) >= MIN_PAIRS
+    # no gain counts from an edited benchmark, too few pairs, a wrong output,
+    # or more items failing
+    sound = (same_benchmark and len(pairs) >= MIN_PAIRS
              and all(p[side]["correct"] for p in pairs for side in ("parent", "change"))
              and failed_share(pairs, "change") <= failed_share(pairs, "parent"))
     out = {}
@@ -159,6 +173,7 @@ def main(argv=None) -> int:
     trees = {"parent": args.work / "parent", "change": args.work / "change"}
     sources = {side: copy_tree(repo, rev, trees[side])
                for side, rev in (("parent", args.parent), ("change", args.change))}
+    digests = {side: benchmark_digest(tree) for side, tree in trees.items()}
     spec = json.loads((trees["change"] / "BENCHMARK.json").read_text())
     better = {m["name"]: m["better"] for m in spec["end_to_end"]}
     seconds = spec["run_seconds"]
@@ -168,12 +183,13 @@ def main(argv=None) -> int:
         "protocol": f"{args.pairs} alternating parent/change pairs per workload (seeds "
                     f"{args.first_seed}-{args.first_seed + args.pairs - 1}, parent first on "
                     "even positions), each side run from its own copy of its tree; quartiles "
-                    "by statistics.quantiles(n=4); a gain is claimable when at least "
-                    f"{MIN_PAIRS} pairs ran, every run was correct, the change failed no "
+                    "by statistics.quantiles(n=4); a gain is claimable when both sides have "
+                    f"one benchmark digest, at least {MIN_PAIRS} pairs ran, every run was correct, the change failed no "
                     "larger share of its items, it wins at least 9/10 of the pairs and the "
                     "medians differ by more than the parent's IQR; then one --trace 1 pass "
                     "per side",
         "sources": sources,
+        "benchmark_digest": digests,
         "machine": machine(),
         "environment": {key: os.environ.get(key) for key in ENV_KEYS},
         "workloads": {},
@@ -198,7 +214,7 @@ def main(argv=None) -> int:
                     value["value"])
         result["workloads"][workload] = {
             "pairs": pairs,
-            "summary": summarize(pairs, better),
+            "summary": summarize(pairs, better, digests["parent"] == digests["change"]),
             "traced": traced,
         }
         args.out.write_text(json.dumps(result, indent=1) + "\n")  # partial results survive

@@ -383,8 +383,8 @@ def _solve_two_weight_system(
 def enumerate_codes(q: int, k: int) -> Iterator[tuple[int, int]]:
     """All distinct qualifying codes for (q, k), as exponent pairs (e1, e2).
 
-    The lazy records of numth.qualifying_codes under the default field
-    cap: every check of the listing, the closed-form count included, has
-    run when this returns.
+    The records of numth.qualifying_codes under the default field cap, as
+    integers and produced lazily: every check of the listing, the
+    closed-form count included, has run when this returns.
     """
-    return qualifying_codes(q, k)[1]
+    return qualifying_codes(q, k).pairs()

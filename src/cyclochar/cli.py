@@ -14,12 +14,9 @@ import os
 os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 
 import argparse
-import json
 import sys
-from collections.abc import Iterator
-from itertools import groupby, islice
+from itertools import islice
 from math import log10
-from operator import itemgetter
 from typing import TYPE_CHECKING
 
 from .errors import (
@@ -31,8 +28,8 @@ from .errors import (
 from .numth import DEFAULT_BRUTE_CAP, DEFAULT_FIELD_CAP, check_budget, check_field, gcd_conditions
 from .numth import qualifying_codes
 
-# The numpy-bound modules are imported by the subcommands that use them, so
-# parsing and `enumerate` start without numpy.
+# The numpy-bound modules, and json, are imported by the subcommands that use
+# them, so parsing and `enumerate` start without them.
 if TYPE_CHECKING:
     from .characterize import CodeReport
     from .gf import FieldCtx
@@ -101,6 +98,8 @@ def report_text(report: CodeReport, ctx: FieldCtx) -> str:
 
 
 def cmd_build(args) -> int:
+    import json
+
     from .characterize import build_code
 
     ctx = _field(args)
@@ -144,37 +143,33 @@ class _BatchedStdout:
             self.pending, self.size = [], 0
 
 
-def _row_batches(row: Iterator[tuple[int, int]]) -> Iterator[list[int]]:
-    """The e2 values of one e1 row of the listing, LISTING_BATCH at a time."""
-    while batch := [e2 for _, e2 in islice(row, LISTING_BATCH)]:
-        yield batch
-
-
 def cmd_enumerate(args) -> int:
     q, k = args.q, args.k
     # every check of the listing, the closed-form count included, runs here,
     # before the first byte is written
-    count, records = qualifying_codes(q, k, args.field_cap)
-    n = q**k - 1
+    listing = qualifying_codes(q, k, args.field_cap)
+    count, n = listing.count, q**k - 1
     delta = n // (q - 1)
     write = sys.stdout.write
-    rows = groupby(records, key=itemgetter(0))  # e1-major: one row per e1
+    # each class's decimal is rendered once, in place of the integer
+    listing.classes = list(map(str, listing.classes))
+    rows = listing.rows()
     if args.format == "json":
         # json.dumps of {"q", "k", "count", "formula", "codes": [...]}, one write a batch
         write(f'{{"q": {q}, "k": {k}, "count": {count}, "formula": {count}, "codes": [')
         sep = ""
         for e1, row in rows:
             head = f'{{"e1": {e1}, "delta_e1": {delta * e1 % n}, "e2": '
-            for batch in _row_batches(row):
-                write(sep + head + ("}, " + head).join(map(str, batch)) + "}")
+            while batch := ("}, " + head).join(islice(row, LISTING_BATCH)):
+                write(f"{sep}{head}{batch}}}")
                 sep = ", "
         write("]}\n")
     else:
         write(f"qualifying codes for q={q}, k={k}: {count} (formula: {count})\n")
         for e1, row in rows:
             head, mid = f"  C_({delta * e1 % n},", f")   e1={e1} e2="
-            for batch in _row_batches(row):
-                write("".join([f"{head}{e2}{mid}{e2}\n" for e2 in batch]))
+            while batch := [f"{head}{e2}{mid}{e2}\n" for e2 in islice(row, LISTING_BATCH)]:
+                write("".join(batch))
     return EXIT_OK
 
 
@@ -190,6 +185,8 @@ def _parse_range(text: str) -> range:
 
 
 def cmd_verify(args) -> int:
+    import json
+
     from .verify import PROPERTIES, default_pairs, run_block
 
     if args.k is None:  # each q takes its k values from the default pair set
@@ -268,6 +265,8 @@ def _exponent(e: int | None, m: int) -> int:
 
 
 def cmd_charsum(args) -> int:
+    import json
+
     from .expsum import char_sum
     from .gf import ZERO
 
@@ -356,6 +355,8 @@ def cmd_dual(args) -> int:
 
 
 def cmd_minpoly(args) -> int:
+    import json
+
     from . import polyring
 
     ctx = _field(args)

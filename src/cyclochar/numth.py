@@ -15,10 +15,13 @@ the command line can start and list codes without it.
 
 from __future__ import annotations
 
+from array import array
+from collections import Counter
 from collections.abc import Iterator
-from dataclasses import dataclass
-from fractions import Fraction
+from itertools import compress, repeat
 from math import gcd, isqrt
+from operator import mod
+from typing import TYPE_CHECKING
 
 from .errors import (
     ConsistencyError,
@@ -26,6 +29,9 @@ from .errors import (
     ResourceLimitError,
     TheoremViolationError,
 )
+
+if TYPE_CHECKING:
+    from fractions import Fraction
 
 DEFAULT_FIELD_CAP = 1 << 20
 
@@ -60,15 +66,27 @@ def rem(a: int, b: int) -> int:
     return a % b
 
 
-@dataclass(frozen=True)
 class BezoutPair:
     """Reduced solution (alpha, beta) of e2*alpha + Delta*beta == 1 mod q^k-1.
 
     0 <= alpha < q^k - 1 and 0 <= beta < q - 1.
     """
 
-    alpha: int
-    beta: int
+    __slots__ = ("alpha", "beta")
+
+    def __init__(self, alpha: int, beta: int) -> None:
+        self.alpha, self.beta = alpha, beta
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, BezoutPair):
+            return NotImplemented
+        return (self.alpha, self.beta) == (other.alpha, other.beta)
+
+    def __hash__(self) -> int:
+        return hash((self.alpha, self.beta))
+
+    def __repr__(self) -> str:
+        return f"BezoutPair(alpha={self.alpha}, beta={self.beta})"
 
 
 def bezout_pair(e2: int, q: int, k: int) -> BezoutPair:
@@ -194,12 +212,24 @@ def code_count(q: int, k: int) -> int:
     return cnt
 
 
-@dataclass(frozen=True)
 class CyclotomicCoset:
     """Orbit of an exponent under multiplication by q modulo n."""
 
-    representative: int
-    members: tuple[int, ...]
+    __slots__ = ("representative", "members")
+
+    def __init__(self, representative: int, members: tuple[int, ...]) -> None:
+        self.representative, self.members = representative, members
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, CyclotomicCoset):
+            return NotImplemented
+        return self.members == other.members
+
+    def __hash__(self) -> int:
+        return hash(self.members)
+
+    def __repr__(self) -> str:
+        return f"CyclotomicCoset(representative={self.representative}, members={self.members})"
 
     def __len__(self) -> int:
         return len(self.members)
@@ -320,22 +350,30 @@ def coset_representatives(q: int, n: int, coprime_to: int = 1) -> dict[int, int]
         k += 1
     if k == 0 or q**k - 1 != n:
         raise InvalidArgumentError(f"the modulus {n} is not {q}^k - 1 for any k >= 1")
-    power = [q**j for j in range(k + 1)]
     if coprime_to < 1 or n % coprime_to:
         raise InvalidArgumentError(f"{coprime_to} is not a divisor of {n}")
+    mask = [q**j - 1 for j in range(k + 1)]  # mask[i] = q^i - 1
+    divides = [j > 0 and k % j == 0 for j in range(k + 1)]
+    top = n + 1
     reps = {}
     x, i = 0, 1
     while True:
-        if k % i == 0 and gcd(x, coprime_to) == 1:
+        if divides[i] and gcd(x, coprime_to) == 1:
             reps[x] = i
-        p, t = x + 1, 0  # x + 1 ends in t zero digits, and (x + 1) // q^t = x // q^t + 1
+        p = x + 1
+        if p % q:  # x ends in no digit q - 1: the next prenecklace is x + 1, of period k
+            if p == n:
+                return reps
+            x, i = p, k
+            continue
+        p, t = p // q, 1  # x + 1 ends in t zero digits, and (x + 1) // q^t = x // q^t + 1
         while p % q == 0:
             p //= q
             t += 1
         i = k - t
-        if p == power[i] - 1:
+        if p == mask[i]:
             return reps
-        x = p * power[k] // (power[i] - 1)
+        x = p * top // mask[i]
 
 
 def listing_record_bytes(n: int) -> int:
@@ -347,21 +385,50 @@ def listing_record_bytes(n: int) -> int:
     return 32 + 4 * len(str(n))
 
 
-def qualifying_codes(
-    q: int, k: int, cap: int = DEFAULT_FIELD_CAP
-) -> tuple[int, Iterator[tuple[int, int]]]:
-    """Every distinct qualifying code for (q, k) as (count, records).
+class CodeListing:
+    """The checked listing of the qualifying codes for (q, k); see qualifying_codes.
+
+    Per e2 class it holds the class (classes, ascending) and its residue
+    mod q - 1 (residues); units[e1][r] says whether gcd(q - 1, k*e1 - r) = 1.
+    classes is an array of ints; a writer may replace it by the classes'
+    decimals, rendered once, so that the two are not held side by side.
+    """
+
+    __slots__ = ("count", "classes", "residues", "units")
+
+    def __init__(self, count: int, classes: array, residues: array, units: list[list[bool]]):
+        self.count, self.classes, self.residues, self.units = count, classes, residues, units
+
+    def rows(self) -> Iterator[tuple[int, Iterator]]:
+        """(e1, the classes listed beside e1) for each e1, ascending.
+
+        gcd(q - 1, k*e1 - e2) depends on e2 only through e2 mod q - 1, so
+        each row is selected by its residues, in C loops.
+        """
+        classes, residues = self.classes, self.residues
+        for e1, row in enumerate(self.units):
+            yield e1, compress(classes, map(row.__getitem__, residues))
+
+    def pairs(self) -> Iterator[tuple[int, int]]:
+        """The records as exponent pairs (e1, e2), e1-major."""
+        for e1, row in self.rows():
+            for e2 in row:
+                yield e1, e2
+
+
+def qualifying_codes(q: int, k: int, cap: int = DEFAULT_FIELD_CAP) -> CodeListing:
+    """Every distinct qualifying code for (q, k), as a checked CodeListing.
 
     The records are the exponent pairs (e1, e2), e1-major: e1 runs over
     [0, q-1) (one value per degree-one factor) and e2 over the minimal
     cyclotomic coset representatives coprime to Delta, ascending.  One
-    necklace walk (coset_representatives) finds those representatives, and
-    the records pair them lazily with each e1, so memory grows with the
-    number of classes, not with the count.  Every check has run when this
-    returns, before the first record exists: the field gate, the job budget
-    on the written records (before the walk), gcd(Delta, e2) = 1 and
-    deg h_e2 = k for every class, and the count, tallied per
-    (e1, e2 mod q-1), against the closed form.
+    necklace walk (coset_representatives) finds those representatives; the
+    listing keeps them and their residues mod q - 1 in arrays, not the
+    walk's dict, so memory grows with the number of classes, not with the
+    count.  Every check has run when this returns, before the first record
+    exists: the field gate, the job budget on the written records (before
+    the walk), gcd(Delta, e2) = 1 and deg h_e2 = k for every class, and the
+    count, tallied per (e1, e2 mod q-1), against the closed form.
     """
     check_field(q, k, cap)
     count = code_count(q, k)
@@ -370,32 +437,27 @@ def qualifying_codes(
         f"writing the {count:,} codes for q = {q}, k = {k}",
         count * listing_record_bytes(n),
     )
-    delta = n // (q - 1)
+    r = q - 1
+    delta = n // r
     reps = coset_representatives(q, n, delta)
-    tally = [0] * (q - 1)  # e2 classes per residue mod q - 1
-    for rep, size in reps.items():
-        if gcd(delta, rep) != 1:
-            raise ConsistencyError(f"coset walk kept {rep}, which shares a factor with Delta")
-        if size != k:
-            raise TheoremViolationError(f"gcd(Delta, {rep}) = 1 but deg h_{rep} != {k}")
-        tally[rep % (q - 1)] += 1
+    # the checks run in C loops; a failing class is looked up only to name it
+    if max(map(gcd, reps, repeat(delta)), default=1) != 1:
+        rep = next(rep for rep in reps if gcd(delta, rep) != 1)
+        raise ConsistencyError(f"coset walk kept {rep}, which shares a factor with Delta")
+    if set(reps.values()) - {k}:
+        rep = next(rep for rep, size in reps.items() if size != k)
+        raise TheoremViolationError(f"gcd(Delta, {rep}) = 1 but deg h_{rep} != {k}")
+    classes = array("I" if n >> 32 == 0 else "Q", reps)
+    residues = array("H" if r >> 16 == 0 else "L", map(mod, reps, repeat(r)))
+    tally = Counter(residues)  # e2 classes per residue mod q - 1
     # gcd(q-1, k*e1 - e2) depends on e2 only through e2 mod q-1
-    units = [
-        [gcd_conditions(q, k, e1, r)[0] == 1 for r in range(q - 1)] for e1 in range(q - 1)
-    ]
-    listed = sum(t for row in units for t, unit in zip(tally, row) if unit)
+    units = [[gcd_conditions(q, k, e1, res)[0] == 1 for res in range(r)] for e1 in range(r)]
+    listed = sum(tally[res] for row in units for res, unit in enumerate(row) if unit)
     if listed != count:
         raise TheoremViolationError(
             f"enumerated {listed} codes but the count formula gives {count}"
         )
-
-    def records() -> Iterator[tuple[int, int]]:
-        for e1, row in enumerate(units):
-            for rep in reps:
-                if row[rep % (q - 1)]:
-                    yield e1, rep
-
-    return count, records()
+    return CodeListing(count, classes, residues, units)
 
 
 def digit_sum(x: int, p: int) -> int:
@@ -422,6 +484,8 @@ def schmidt_white_theta(u: int, p: int, f: int) -> Fraction:
     m = p**f - 1
     if m % u != 0:
         raise InvalidArgumentError(f"{u} does not divide p^f - 1 = {m}")
+    from fractions import Fraction  # only the two-weight scan reads theta
+
     step = m // u
     best = min(digit_sum(j * step, p) for j in range(1, u))
     return Fraction(best, p - 1)

@@ -24,13 +24,29 @@ def pairs(count=10, **change):
             for i in range(count)]
 
 
-def claimable(runs):
-    return bench_pairs.summarize(runs, BETTER)["items_per_s"]["claimable"]
+def claimable(runs, same_benchmark=True):
+    return bench_pairs.summarize(runs, BETTER, same_benchmark)["items_per_s"]["claimable"]
 
 
 def test_a_clear_gain_is_claimable():
-    summary = bench_pairs.summarize(pairs(), BETTER)["items_per_s"]
+    summary = bench_pairs.summarize(pairs(), BETTER, True)["items_per_s"]
     assert summary["change_wins"] == 10 and summary["claimable"]
+
+
+def benchmark_digest(tree, spec='{"run_seconds": 20}', run_py="ITEM_LIMIT_S = 150\n"):
+    (tree / "perfbench").mkdir(parents=True)
+    (tree / "BENCHMARK.json").write_text(spec)
+    (tree / "perfbench" / "run.py").write_text(run_py)
+    return bench_pairs.benchmark_digest(tree)
+
+
+def test_an_edited_benchmark_claims_nothing(tmp_path):
+    parent = benchmark_digest(tmp_path / "parent")
+    assert benchmark_digest(tmp_path / "same") == parent
+    assert benchmark_digest(tmp_path / "spec", spec='{"run_seconds": 2}') != parent
+    assert benchmark_digest(tmp_path / "run", run_py="ITEM_LIMIT_S = 15\n") != parent
+    assert claimable(pairs(), same_benchmark=True)
+    assert not claimable(pairs(), same_benchmark=False)
 
 
 def test_fewer_than_ten_pairs_claim_nothing():

@@ -16,7 +16,7 @@ from unittest import mock
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from cyclochar import characterize, cli, gf, numth, verify
+from cyclochar import cli, gf, numth, verify
 from cyclochar.characterize import build_code
 from cyclochar.cli import report_json
 from cyclochar.gf import field_for
@@ -35,38 +35,49 @@ ENUMERATE_3_4_JSON = (
 )
 
 
-# Every (q, k) with k >= 2 and q^k - 1 <= 4095, q a prime power.
-SMALL_PAIRS = [
+# Every (q, k) with k >= 2 and q^k <= 2^14, q a prime power.
+LISTING_BLOCKS = [
     (q, k)
-    for q in range(2, 65)
+    for q in range(2, 2**7 + 1)
     if len(factorize(q)) == 1
-    for k in range(2, 13)
-    if q**k - 1 <= 4095
+    for k in range(2, 15)
+    if q**k <= 2**14
 ]
 
 
+def reference_records(q, k):
+    """The listing's records as they were made before the listing kept its
+    classes in arrays: one pass over the walk's dict per e1, each class's
+    residue tested per record."""
+    n = q**k - 1
+    reps = numth.coset_representatives(q, n, n // (q - 1))
+    units = [[numth.gcd_conditions(q, k, e1, r)[0] == 1 for r in range(q - 1)]
+             for e1 in range(q - 1)]
+    for e1, row in enumerate(units):
+        for rep in reps:
+            if row[rep % (q - 1)]:
+                yield e1, rep
+
+
 def old_enumerate_output(q, k, fmt):
-    """`enumerate` as printed before it streamed: every pair in a list, then
-    one json.dumps of the whole report, or one print per line."""
-    pairs = list(characterize.enumerate_codes(q, k))
+    """`enumerate` as printed before it streamed: every reference record in
+    a list, then one json.dumps of the whole report, or one line per record."""
+    pairs = list(reference_records(q, k))
     formula = code_count(q, k)
     n = q**k - 1
     delta = n // (q - 1)
-    out = io.StringIO()
-    with redirect_stdout(out):
-        if fmt == "json":
-            print(json.dumps({
-                "q": q,
-                "k": k,
-                "count": len(pairs),
-                "formula": formula,
-                "codes": [{"e1": e1, "delta_e1": delta * e1 % n, "e2": e2} for e1, e2 in pairs],
-            }))
-        else:
-            print(f"qualifying codes for q={q}, k={k}: {len(pairs)} (formula: {formula})")
-            for e1, e2 in pairs:
-                print(f"  C_({delta * e1 % n},{e2})   e1={e1} e2={e2}")
-    return out.getvalue()
+    if fmt == "json":
+        return json.dumps({
+            "q": q,
+            "k": k,
+            "count": len(pairs),
+            "formula": formula,
+            "codes": [{"e1": e1, "delta_e1": delta * e1 % n, "e2": e2} for e1, e2 in pairs],
+        }) + "\n"
+    return "".join(
+        [f"qualifying codes for q={q}, k={k}: {len(pairs)} (formula: {formula})\n"]
+        + [f"  C_({delta * e1 % n},{e2})   e1={e1} e2={e2}\n" for e1, e2 in pairs]
+    )
 
 
 class CountingSink:
@@ -223,25 +234,30 @@ class TestEnumerate:
         assert code == 2
         assert "245,520,000 codes" in err and "budget" in err
 
-    def test_starts_and_lists_without_numpy(self):
+    def test_starts_and_lists_without_the_modules_it_does_not_read(self):
+        # numpy, and the start-up cost of dataclasses (inspect, ast, dis,
+        # tokenize), fractions, decimal and json, which the listing never reads
         root = Path(__file__).resolve().parents[1]
         path = os.pathsep.join([str(root / "src"), os.environ.get("PYTHONPATH", "")])
         script = "\n".join([
             "import contextlib, io, sys",
+            "before = set(sys.modules)",
             "import cyclochar.cli as cli",
             "with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):",
             "    codes = [cli.main(['enumerate', '--q', '3', '--k', '4', '--format', fmt])",
             "             for fmt in ('json', 'text')]",
             "    codes.append(cli.main(['enumerate', '--q', '6', '--k', '2']))",
-            "print(codes, sorted(m for m in sys.modules if m.split('.')[0] == 'numpy'))",
+            "unread = {'numpy', 'dataclasses', 'fractions', 'decimal', 'json'}",
+            "print(codes, sorted(m for m in set(sys.modules) - before if m.split('.')[0] in unread))",
         ])
         proc = subprocess.run([sys.executable, "-c", script], env={**os.environ, "PYTHONPATH": path},
                               capture_output=True, text=True, timeout=120)
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout.strip() == "[0, 0, 2] []"
 
-    @pytest.mark.parametrize("q,k", SMALL_PAIRS)
+    @pytest.mark.parametrize("q,k", LISTING_BLOCKS)
     def test_streams_the_bytes_of_the_old_encoder(self, capsys, q, k):
+        assert list(numth.qualifying_codes(q, k).pairs()) == list(reference_records(q, k))
         bound = listing_record_bytes(q**k - 1)
         for fmt in ("json", "text"):
             code, out, _ = run(capsys, "enumerate", "--q", str(q), "--k", str(k), "--format", fmt)
@@ -282,6 +298,25 @@ class TestEnumerate:
                     tracemalloc.stop()
         assert peaks[64, 2] < peaks[2, 12] + (1 << 20), peaks
 
+    @pytest.mark.parametrize("fmt", ["json", "text"])
+    def test_listing_peak_per_class(self, fmt):
+        # (4,10) has 72,000 e2 classes.  The walk's dict takes about 70 bytes
+        # a class; once it is gone the listing holds each class's decimal
+        # (about 64 bytes with its list slot) and a 2-byte residue: about 78
+        # bytes a class at either peak.  Keeping the dict beside the decimals
+        # would take about 130.
+        q, k = 4, 10
+        classes = (q - 1) * numth.euler_phi((q**k - 1) // (q - 1)) // k
+        with open(os.devnull, "w") as sink, redirect_stdout(sink):
+            tracemalloc.start()
+            try:
+                assert cli.main(["enumerate", "--q", str(q), "--k", str(k), "--format", fmt]) == 0
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+        assert classes == 72_000
+        assert peak < 100 * classes, peak / classes
+
 
 class TestBatchedWrites:
     # Under PYTHONUNBUFFERED every write call on stdout is one write(2): the
@@ -291,8 +326,8 @@ class TestBatchedWrites:
     @pytest.mark.parametrize("fmt", ["json", "text"])
     def test_the_listing_writes_a_call_per_batch(self, fmt):
         code, sink = run_counted("enumerate", "--q", "16", "--k", "4", "--format", fmt)
-        count, records = numth.qualifying_codes(16, 4)
-        rows = len({e1 for e1, _ in records})
+        listing = numth.qualifying_codes(16, 4)
+        count, rows = listing.count, len({e1 for e1, _ in listing.pairs()})
         assert code == 0 and count == 122_880
         assert sink.writes <= -(-count // 4096) + rows + 2, sink.writes
         if fmt == "json":

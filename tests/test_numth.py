@@ -388,9 +388,9 @@ class TestQualifyingCodes:
             for e2 in reps
             if numth.gcd_conditions(q, k, e1, e2) == (1, 1)
         ]
-        count, records = numth.qualifying_codes(q, k)
-        assert list(records) == expected
-        assert count == len(expected) == numth.code_count(q, k)
+        listing = numth.qualifying_codes(q, k)
+        assert list(listing.pairs()) == expected
+        assert listing.count == len(expected) == numth.code_count(q, k)
 
     @pytest.mark.parametrize("q,k,error", [
         (6, 2, InvalidArgumentError), (2, 1, InvalidArgumentError), (2, 21, ResourceLimitError),

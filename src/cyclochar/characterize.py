@@ -12,9 +12,8 @@ qualifying codes for a given (q, k) as exponent pairs (e1, e2).
 from __future__ import annotations
 
 from collections.abc import Iterator
-from dataclasses import dataclass
-from fractions import Fraction
 from math import gcd
+from typing import TYPE_CHECKING, NamedTuple
 
 import numpy as np
 
@@ -50,9 +49,11 @@ from .numth import (
     schmidt_white_theta,
 )
 
+if TYPE_CHECKING:
+    from fractions import Fraction
 
-@dataclass(frozen=True)
-class CodeReport:
+
+class CodeReport(NamedTuple):
     """Everything build_code establishes about the code of (e1, e2)."""
 
     q: int
@@ -276,8 +277,7 @@ def full_weight_divisor(
     return divisor
 
 
-@dataclass(frozen=True)
-class GapScanEntry:
+class GapScanEntry(NamedTuple):
     """One irreducible cyclic code inspected by the two-weight gap scan."""
 
     exponent: int

@@ -29,7 +29,8 @@ from .numth import DEFAULT_BRUTE_CAP, DEFAULT_FIELD_CAP, check_budget, check_fie
 from .numth import qualifying_codes
 
 # The numpy-bound modules, and json, are imported by the subcommands that use
-# them, so parsing and `enumerate` start without them.
+# them, so parsing and `enumerate` start without them; `build` writes its
+# report without json.
 if TYPE_CHECKING:
     from .characterize import CodeReport
     from .gf import FieldCtx
@@ -62,24 +63,16 @@ def _field(args) -> FieldCtx:
     return field_for(args.q, args.k, cap=args.field_cap, primitive_table=table)
 
 
-def report_json(report: CodeReport) -> dict:
-    """The fixed-order report object; key order is part of the format."""
-    return {
-        "q": report.q,
-        "k": report.k,
-        "e1": report.e1,
-        "e2": report.e2,
-        "n": report.n,
-        "dim": report.dim,
-        "weights": report.distribution.pairs(),
-        "griesmer_optimal": report.griesmer_optimal,
-        "dual": {
-            "min_weight": report.dual_min_weight,
-            "B1": report.dual_b1,
-            "B2": report.dual_b2,
-            "B3": report.dual_b3,
-        },
-    }
+def report_line(report: CodeReport) -> str:
+    """The report object as JSON, with its newline; key order is part of the format."""
+    weights = ", ".join(f"[{w}, {freq}]" for w, freq in report.distribution.pairs())
+    optimal = "true" if report.griesmer_optimal else "false"
+    return (
+        f'{{"q": {report.q}, "k": {report.k}, "e1": {report.e1}, "e2": {report.e2}, '
+        f'"n": {report.n}, "dim": {report.dim}, "weights": [{weights}], '
+        f'"griesmer_optimal": {optimal}, "dual": {{"min_weight": {report.dual_min_weight}, '
+        f'"B1": {report.dual_b1}, "B2": {report.dual_b2}, "B3": {report.dual_b3}}}}}\n'
+    )
 
 
 def report_text(report: CodeReport, ctx: FieldCtx) -> str:
@@ -98,8 +91,6 @@ def report_text(report: CodeReport, ctx: FieldCtx) -> str:
 
 
 def cmd_build(args) -> int:
-    import json
-
     from .characterize import build_code
 
     ctx = _field(args)
@@ -107,12 +98,14 @@ def cmd_build(args) -> int:
         report = build_code(ctx, args.q, args.k, args.e1, args.e2)
     except ConditionFailedError as exc:
         if args.format == "json":
+            import json
+
             print(json.dumps({"error": "conditions_failed", "failed": list(exc.failed)}))
         else:
             print(f"conditions failed: {'; '.join(exc.failed)}")
         return EXIT_PRECONDITION
     if args.format == "json":
-        print(json.dumps(report_json(report)))
+        sys.stdout.write(report_line(report))
     else:
         print(report_text(report, ctx))
     return EXIT_OK

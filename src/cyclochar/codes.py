@@ -16,11 +16,10 @@ precision.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from fractions import Fraction
 from functools import lru_cache
 from itertools import product
 from math import comb, factorial, gcd, log2
+from typing import NamedTuple
 
 import numpy as np
 
@@ -40,8 +39,7 @@ _BLOCK = 1 << 12
 _BLOCK_ENTRIES = 1 << 20
 
 
-@dataclass(frozen=True)
-class CodeSpec:
+class CodeSpec(NamedTuple):
     """Exponent data (q, k, e1, e2) plus the reduced Bezout pair of e2.
 
     The input of expsum.substitution and substitution_inverse, the one
@@ -69,12 +67,22 @@ def code_spec(q: int, k: int, e1: int, e2: int) -> CodeSpec:
     return CodeSpec(q=q, k=k, delta=delta, e1=e1, e2=e2, bezout=bezout_pair(e2, q, k))
 
 
-@dataclass
 class WeightDistribution:
     """Exact mapping weight -> codeword count for a code of length n."""
 
-    n: int
-    entries: dict[int, int] = field(default_factory=dict)
+    __slots__ = ("n", "entries")
+
+    def __init__(self, n: int, entries: dict[int, int] | None = None) -> None:
+        self.n = n
+        self.entries = {} if entries is None else entries
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, WeightDistribution):
+            return NotImplemented
+        return (self.n, self.entries) == (other.n, other.entries)
+
+    def __repr__(self) -> str:
+        return f"WeightDistribution(n={self.n}, entries={self.entries})"
 
     def total(self) -> int:
         return sum(self.entries.values())
@@ -97,8 +105,7 @@ class WeightDistribution:
         return " + ".join(self.terms()) or "0"
 
 
-@dataclass(frozen=True)
-class CyclicCode:
+class CyclicCode(NamedTuple):
     """A cyclic code fixed by its parity-check/generator factorization."""
 
     n: int
@@ -503,32 +510,29 @@ _STIRLING2 = {
 
 def pless_moments(
     wd: WeightDistribution, dual_wd: WeightDistribution, n: int, q: int, dim: int
-) -> list[tuple[int, Fraction]]:
-    """(lhs, rhs) of the first four power moments, exact.
+) -> list[tuple[int, int]]:
+    """(lhs, rhs) of the first four power moments, both times q^r, exact.
 
-    lhs(r) = sum_j j^r A_j; rhs(r) uses only B_0..B_r of the dual.
+    lhs(r) = sum_j j^r A_j; rhs(r) uses only B_0..B_r of the dual.  Its
+    terms carry q^(dim - i) with i <= r, so the factor q^r makes both
+    sides integers without changing whether they are equal.
     """
     out = []
     for r in range(4):
-        lhs = sum(w**r * freq for w, freq in wd.entries.items())
-        rhs = Fraction(0)
+        lhs = q**r * sum(w**r * freq for w, freq in wd.entries.items())
+        rhs = 0
         for j in range(min(n, r) + 1):
             bj = dual_wd.entries.get(j, 0)
             if bj == 0:
                 continue
-            inner = Fraction(0)
-            for i in range(j, r + 1):
-                s2 = _STIRLING2[(r, i)]
-                if s2 == 0:
-                    continue
-                inner += (
-                    Fraction(1)
-                    * factorial(i)
-                    * s2
-                    * Fraction(q) ** (dim - i)
-                    * (q - 1) ** (i - j)
-                    * comb(n - j, n - i)
-                )
+            inner = sum(
+                factorial(i)
+                * _STIRLING2[(r, i)]
+                * q ** (dim - i + r)
+                * (q - 1) ** (i - j)
+                * comb(n - j, n - i)
+                for i in range(j, r + 1)
+            )
             rhs += (-1) ** j * bj * inner
         out.append((lhs, rhs))
     return out

@@ -16,6 +16,8 @@ symbol 0 -> 0, symbol 1+j -> gamma^(j*delta).
 from __future__ import annotations
 
 from collections import OrderedDict
+from itertools import product
+from math import gcd
 from typing import Any, NamedTuple
 
 import numpy as np
@@ -32,50 +34,72 @@ from .numth import (
 ZERO = -1
 
 
-def _poly_mulmod(a, b, f, p):
-    """Product of coefficient lists a, b modulo the monic poly f, over F_p."""
+def _packed_ring(f, p):
+    """(x, mulmod) for F_p[x]/(f), polynomials packed into one int.
+
+    Coefficient i sits in bits [w*i, w*(i+1)), so a product is one
+    big-int multiply.  No sum below reaches 2^a > d*p^2 in a slot, so no
+    carry crosses slots.  mod_p reduces every slot at once: floor(v/p)
+    is floor(v*magic / 2^s) for v < 2^a, read off the top a bits of each
+    w-bit slot.  A product c, of degree at most 2d-2, is reduced mod f
+    by Barrett: with mu = floor(x^(2d)/f) the quotient is
+    floor(floor(c/x^d)*mu / x^d), exact over a field, and c mod f is the
+    low d coefficients of c + quotient*r, r = x^d mod f.
+    """
     d = len(f) - 1
-    out = [0] * (len(a) + len(b) - 1)
-    for i, ai in enumerate(a):
-        if ai:
-            for j, bj in enumerate(b):
-                out[i + j] = (out[i + j] + ai * bj) % p
-    for i in range(len(out) - 1, d - 1, -1):
-        c = out[i]
+    a = (d * p * p).bit_length()
+    s = a + p.bit_length()
+    w = a + s
+    magic = -(-(1 << s) // p)
+    ones = sum(1 << (w * i) for i in range(2 * d))
+    quotient_mask = ((1 << a) - 1) * ones
+    low = (1 << (w * d)) - 1
+    shift = w * d
+
+    def mod_p(c):
+        return c - p * (((c * magic) >> s) & quotient_mask)
+
+    # mu = floor(x^(2d) / f) by long division, highest coefficient first
+    rest = [0] * (2 * d) + [1]
+    mu = 0
+    for i in range(2 * d, d - 1, -1):
+        c = rest[i] % p
+        mu = (mu << w) | c
         if c:
-            out[i] = 0
             for j in range(d):
-                out[i - d + j] = (out[i - d + j] - c * f[j]) % p
-    del out[d:]
-    while out and out[-1] == 0:
-        out.pop()
-    return out
+                rest[i - d + j] -= c * f[j]
+    r = sum((-c) % p << (w * i) for i, c in enumerate(f[:d]))
+
+    def mulmod(x, y):
+        c = mod_p(x * y)
+        quotient = mod_p((c >> shift) * mu) >> shift
+        return mod_p((c + quotient * r) & low)
+
+    return (1 << w if d > 1 else r), mulmod
 
 
-def _poly_powmod(a, e, f, p):
-    result = [1]
-    base = list(a)
-    while e:
-        if e & 1:
-            result = _poly_mulmod(result, base, f, p)
-        base = _poly_mulmod(base, base, f, p)
-        e >>= 1
-    return result
+def _x_is_primitive(f, p, primes=None):
+    """True iff the residue of x has multiplicative order p^d - 1 mod f.
 
-
-def _x_is_primitive(f, p):
-    """True iff the residue of x has multiplicative order p^d - 1 mod f."""
+    primes: the prime factors of p^d - 1, if the caller has them.
+    """
     d = len(f) - 1
     if f[0] == 0:
         return False
     m = p**d - 1
-    x = [0, 1] if d > 1 else [(-f[0]) % p]
-    if _poly_powmod(x, m, f, p) != [1]:
+    x, mulmod = _packed_ring(f, p)
+
+    def x_power_is_one(e):
+        y = x
+        for bit in bin(e)[3:]:
+            y = mulmod(y, y)
+            if bit == "1":
+                y = mulmod(y, x)
+        return y == 1
+
+    if not x_power_is_one(m):
         return False
-    for r in factorize(m):
-        if _poly_powmod(x, m // r, f, p) == [1]:
-            return False
-    return True
+    return not any(x_power_is_one(m // r) for r in (primes or factorize(m)))
 
 
 def smallest_primitive_polynomial(p: int, d: int) -> tuple[int, ...]:
@@ -84,15 +108,25 @@ def smallest_primitive_polynomial(p: int, d: int) -> tuple[int, ...]:
     Candidates are ordered by their base-p packed value sum(c_i * p^i),
     which matches the conventional published tables (x^3+x+1 for F_8,
     x^2+x+2 for F_9, ...).  Coefficients are returned low-degree first,
-    including the leading 1.
+    including the leading 1.  Before the order test, a candidate f must
+    pass three necessary conditions: (-1)^d f(0), the norm of x,
+    generates F_p^*; f(1) != 0 when d >= 2; and f is not h(x^g) with
+    g > 1.
     """
-    top = p**d
-    for val in range(top + 1, 2 * top):
-        if val % p == 0:
-            continue
-        f = [(val // p**i) % p for i in range(d + 1)]
-        if _x_is_primitive(f, p):
-            return tuple(f)
+    primes = list(factorize(p**d - 1))
+    norm_tests = [(p - 1) // r for r in factorize(p - 1)]
+    lows = [c0 for c0 in range(1, p) if all(pow((-1) ** d * c0, e, p) != 1 for e in norm_tests)]
+    # c_(d-1) .. c_1, most significant first, so the packed value ascends
+    for high in product(range(p), repeat=d - 1):
+        if gcd(d, *(d - 1 - i for i, c in enumerate(high) if c)) > 1:
+            continue  # f = h(x^g): x^g lies in a proper subfield
+        f_at_1 = 1 + sum(high)
+        for c0 in lows:
+            if d > 1 and (f_at_1 + c0) % p == 0:
+                continue  # x - 1 divides f
+            f = (c0, *reversed(high), 1)
+            if _x_is_primitive(f, p, primes):
+                return f
     raise ConsistencyError(f"no primitive polynomial of degree {d} over F_{p}")
 
 
@@ -111,13 +145,16 @@ def _linear_map(packed, images, p, d):
     for _ in range(d):
         rest, digit = np.divmod(rest, p)
         digits.append(digit.astype(digit_dtype))
-    coeffs = [[int(img) // p**j % p for j in range(d)] for img in images]
+    coeffs = (np.asarray(images, dtype=np.int64)[:, None] // p ** np.arange(d) % p).tolist()
     out = np.zeros(len(rest), dtype=np.int64)
     for j in reversed(range(d)):
         acc = np.zeros(len(rest), dtype=acc_type)
         for i in range(d):
-            if coeffs[i][j]:
-                acc += digits[i] * acc_type(coeffs[i][j])
+            c = coeffs[i][j]
+            if c == 1:
+                acc += digits[i]
+            elif c:
+                acc += digits[i] * acc_type(c)
         out *= p
         out += acc % p
     return out
@@ -126,20 +163,20 @@ def _linear_map(packed, images, p, d):
 def _power_table(f, p, m):
     """Packed values of x^0 .. x^(m-1) mod f, by doubling.
 
-    Multiplication by x^L is the F_p-linear map sending x^i to x^(L+i), so
-    x^L .. x^(2L-1) are x^0 .. x^(L-1) under it, and the map for 2L sends
-    x^i to the image of x^(L+i) under the map for L.
+    Multiplication by x^L is the F_p-linear map sending x^i to x^(L+i).
+    Once the table holds x^0 .. x^(L+d-1), its entries x^L .. x^(L+d-1)
+    are that map, which sends x^d .. x^(d+L-1) to the next L entries.
+    The table starts as x^0 .. x^d, at L = 1, and L doubles each level.
     """
     d = len(f) - 1
     x_d = sum((-c) % p * p**i for i, c in enumerate(f[:d]))
-    step = [p**i for i in range(1, d)] + [x_d]  # x^(1+i) mod f, the map for L = 1
     table = np.empty(m, dtype=np.int64)
-    table[0] = 1
-    size = 1
+    size = min(m, d + 1)
+    table[:size] = ([p**i for i in range(d)] + [x_d])[:size]
     while size < m:
-        grow = min(size, m - size)
-        table[size : size + grow] = _linear_map(table[:grow], step, p, d)
-        step = _linear_map(step, step, p, d).tolist()
+        step = size - d
+        grow = min(step, m - size)
+        table[size : size + grow] = _linear_map(table[d : d + grow], table[step:size].tolist(), p, d)
         size += grow
     return table
 

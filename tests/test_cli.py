@@ -10,6 +10,7 @@ import sys
 import time
 import tracemalloc
 from contextlib import redirect_stderr, redirect_stdout
+from itertools import islice
 from pathlib import Path
 from unittest import mock
 
@@ -17,8 +18,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from cyclochar import cli, gf, numth, verify
-from cyclochar.characterize import build_code
-from cyclochar.cli import report_json
+from cyclochar.characterize import build_code, enumerate_codes
 from cyclochar.gf import field_for
 from cyclochar.numth import code_count, factorize, listing_record_bytes
 
@@ -78,6 +78,51 @@ def old_enumerate_output(q, k, fmt):
         [f"qualifying codes for q={q}, k={k}: {len(pairs)} (formula: {formula})\n"]
         + [f"  C_({delta * e1 % n},{e2})   e1={e1} e2={e2}\n" for e1, e2 in pairs]
     )
+
+
+def report_json(report):
+    """The fixed-order report object `build --format json` prints; key order
+    is part of the format."""
+    return {
+        "q": report.q,
+        "k": report.k,
+        "e1": report.e1,
+        "e2": report.e2,
+        "n": report.n,
+        "dim": report.dim,
+        "weights": report.distribution.pairs(),
+        "griesmer_optimal": report.griesmer_optimal,
+        "dual": {
+            "min_weight": report.dual_min_weight,
+            "B1": report.dual_b1,
+            "B2": report.dual_b2,
+            "B3": report.dual_b3,
+        },
+    }
+
+
+# perfbench's build workload: n = 1023 .. 4095
+BENCHMARK_BUILD_BLOCKS = [(2, 10), (2, 11), (2, 12), (4, 5), (4, 6), (8, 4), (16, 3)]
+
+
+def fresh_interpreter_modules(runs, unread):
+    """(exit codes, loaded modules of the packages in unread) of a fresh
+    interpreter that imports cyclochar.cli and runs cli.main on each argv."""
+    root = Path(__file__).resolve().parents[1]
+    path = os.pathsep.join([str(root / "src"), os.environ.get("PYTHONPATH", "")])
+    script = "\n".join([
+        "import contextlib, io, sys",
+        "before = set(sys.modules)",
+        "import cyclochar.cli as cli",
+        "with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):",
+        f"    codes = [cli.main(argv) for argv in {runs!r}]",
+        f"unread = {set(unread)!r}",
+        "print(codes, sorted(m for m in set(sys.modules) - before if m.split('.')[0] in unread))",
+    ])
+    proc = subprocess.run([sys.executable, "-c", script], env={**os.environ, "PYTHONPATH": path},
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    return proc.stdout.strip()
 
 
 class CountingSink:
@@ -168,6 +213,39 @@ class TestBuild:
         assert code == 2
         assert "cap" in err
 
+    def test_builds_without_the_modules_it_does_not_read(self):
+        # the report is written without json, the Pless check without
+        # fractions, and the records are no dataclasses
+        runs = [["build", "--q", "4", "--k", "3", "--e1", "2", "--e2", "5", "--format", fmt]
+                for fmt in ("json", "text")]
+        unread = {"dataclasses", "fractions", "decimal", "json"}
+        assert fresh_interpreter_modules(runs, unread) == "[0, 0] []"
+        # only a failed condition in JSON still reads json
+        runs.append(["build", "--q", "3", "--k", "2", "--e1", "0", "--e2", "2", "--format", "json"])
+        assert fresh_interpreter_modules(runs, unread) == (
+            "[0, 0, 2] ['json', 'json.decoder', 'json.encoder', 'json.scanner']"
+        )
+
+    def test_json_report_is_the_json_dumps_bytes(self):
+        # every qualifying code at n <= 255 and every 50th at the benchmark
+        # blocks; the command writes the first of each block in one call
+        blocks = [(q, k, None) for q, k in verify.default_pairs(255)]
+        blocks += [(q, k, 50) for q, k in BENCHMARK_BUILD_BLOCKS]
+        reports = 0
+        for q, k, stride in blocks:
+            ctx = field_for(q, k)
+            for i, (e1, e2) in enumerate(islice(enumerate_codes(q, k), 0, None, stride)):
+                report = build_code(ctx, q, k, e1, e2)
+                expected = json.dumps(report_json(report)) + "\n"
+                assert cli.report_line(report) == expected, (q, k, e1, e2)
+                reports += 1
+                if i == 0:
+                    argv = [str(v) for v in ("--q", q, "--k", k, "--e1", e1, "--e2", e2)]
+                    code, sink = run_counted("build", *argv, "--format", "json")
+                    assert code == 0 and sink.writes == 1, argv
+                    assert sink.digest.digest() == hashlib.sha256(expected.encode()).digest()
+        assert reports == 2073 + 269
+
 
 class TestEnumerate:
     def test_example2_count(self, capsys):
@@ -237,23 +315,10 @@ class TestEnumerate:
     def test_starts_and_lists_without_the_modules_it_does_not_read(self):
         # numpy, and the start-up cost of dataclasses (inspect, ast, dis,
         # tokenize), fractions, decimal and json, which the listing never reads
-        root = Path(__file__).resolve().parents[1]
-        path = os.pathsep.join([str(root / "src"), os.environ.get("PYTHONPATH", "")])
-        script = "\n".join([
-            "import contextlib, io, sys",
-            "before = set(sys.modules)",
-            "import cyclochar.cli as cli",
-            "with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):",
-            "    codes = [cli.main(['enumerate', '--q', '3', '--k', '4', '--format', fmt])",
-            "             for fmt in ('json', 'text')]",
-            "    codes.append(cli.main(['enumerate', '--q', '6', '--k', '2']))",
-            "unread = {'numpy', 'dataclasses', 'fractions', 'decimal', 'json'}",
-            "print(codes, sorted(m for m in set(sys.modules) - before if m.split('.')[0] in unread))",
-        ])
-        proc = subprocess.run([sys.executable, "-c", script], env={**os.environ, "PYTHONPATH": path},
-                              capture_output=True, text=True, timeout=120)
-        assert proc.returncode == 0, proc.stderr
-        assert proc.stdout.strip() == "[0, 0, 2] []"
+        runs = [["enumerate", "--q", "3", "--k", "4", "--format", fmt] for fmt in ("json", "text")]
+        runs.append(["enumerate", "--q", "6", "--k", "2"])
+        unread = {"numpy", "dataclasses", "fractions", "decimal", "json"}
+        assert fresh_interpreter_modules(runs, unread) == "[0, 0, 2] []"
 
     @pytest.mark.parametrize("q,k", LISTING_BLOCKS)
     def test_streams_the_bytes_of_the_old_encoder(self, capsys, q, k):

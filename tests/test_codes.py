@@ -6,22 +6,23 @@ import subprocess
 import sys
 import time
 import tracemalloc
+from fractions import Fraction
 from itertools import product
-from math import comb
+from math import comb, factorial
 from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from cyclochar import codes, expsum, gf, polyring as pr, verify
+from cyclochar import characterize, codes, expsum, gf, polyring as pr, verify
 from cyclochar.errors import (
     ConsistencyError,
     InvalidArgumentError,
     ResourceLimitError,
 )
 from cyclochar.gf import ZERO
-from cyclochar.numth import coset_representatives, gcd_conditions, rem
+from cyclochar.numth import coset_representatives, gcd_conditions, rem, valid_orbits
 from cyclochar.verify import default_pairs
 from test_numth import ext_gcd
 
@@ -745,6 +746,20 @@ class TestDualB3:
         assert codes.dual_b3(3, 4) == dual.entries[3] == 2080
 
 
+class TestWeightDistribution:
+    def test_equality_reads_the_length_and_the_entries(self):
+        wd = codes.WeightDistribution(7, {0: 1, 3: 7})
+        assert wd == codes.WeightDistribution(n=7, entries={3: 7, 0: 1})
+        assert wd != codes.WeightDistribution(8, {0: 1, 3: 7})
+        assert wd != codes.WeightDistribution(7, {0: 1})
+        assert wd != (7, {0: 1, 3: 7})
+
+    def test_each_gets_its_own_entries(self):
+        first, second = codes.WeightDistribution(7), codes.WeightDistribution(7)
+        first.entries[0] = 1
+        assert second.entries == {}
+
+
 class TestThreeWeightTable:
     def test_shape(self):
         wd = codes.three_weight_distribution(4, 3)
@@ -753,6 +768,93 @@ class TestThreeWeightTable:
     def test_total(self):
         for q, k in [(2, 3), (3, 4), (5, 2)]:
             assert codes.three_weight_distribution(q, k).total() == q ** (k + 1)
+
+
+def fraction_pless_moments(wd, dual_wd, n, q, dim):
+    """Reference: (lhs, rhs) of the first four power moments as Fractions,
+    rhs(r) = sum_j (-1)^j B_j sum_(i=j..r) i! S(r, i) q^(dim-i) (q-1)^(i-j) C(n-j, n-i)."""
+    stirling2 = {(0, 0): 1, (1, 1): 1, (2, 1): 1, (2, 2): 1, (3, 1): 1, (3, 2): 3, (3, 3): 1}
+    out = []
+    for r in range(4):
+        lhs = sum(w**r * freq for w, freq in wd.entries.items())
+        rhs = Fraction(0)
+        for j in range(min(n, r) + 1):
+            bj = dual_wd.entries.get(j, 0)
+            for i in range(j, r + 1):
+                rhs += ((-1) ** j * bj * factorial(i) * stirling2.get((r, i), 0)
+                        * Fraction(q) ** (dim - i) * (q - 1) ** (i - j) * comb(n - j, n - i))
+        out.append((lhs, rhs))
+    return out
+
+
+def assert_pless_equals_the_fractions(wd, dual_wd, n, q, dim):
+    """The integer moments are the Fraction moments times q^r, so each
+    moment gets the same verdict."""
+    moments = codes.pless_moments(wd, dual_wd, n, q, dim)
+    reference = fraction_pless_moments(wd, dual_wd, n, q, dim)
+    assert moments == [(lhs * q**r, rhs * q**r) for r, (lhs, rhs) in enumerate(reference)]
+    assert [lhs == rhs for lhs, rhs in moments] == [lhs == rhs for lhs, rhs in reference]
+    return [lhs == rhs for lhs, rhs in moments]
+
+
+class TestPlessAsIntegers:
+    def test_the_pless_cases(self):
+        ctx = gf.field_for(4, 3)
+        wd = codes.weight_distribution_trace(ctx, 2, 5)
+        hamming = codes.WeightDistribution(n=7, entries={0: 1, 3: 7, 4: 7, 7: 1})
+        perturbed = codes.WeightDistribution(n=7, entries={0: 1, 3: 8, 4: 6, 7: 1})
+        simplex = codes.WeightDistribution(n=7, entries={0: 1, 4: 7})
+        cases = [
+            (wd, codes.macwilliams_dual(wd, 63, 4, 4), 63, 4, 4),
+            (hamming, simplex, 7, 2, 4),
+            (perturbed, simplex, 7, 2, 4),
+        ]
+        verdicts = [assert_pless_equals_the_fractions(*case) for case in cases]
+        assert verdicts == [[True] * 4, [True] * 4, [True, False, False, False]]
+
+    def test_a_dual_of_distance_one(self):
+        # C = {000, 100}, dim 1: q^(dim - i) is a fraction for i = 2, 3
+        wd = codes.WeightDistribution(n=3, entries={0: 1, 1: 1})
+        dual = codes.WeightDistribution(n=3, entries={0: 1, 1: 2, 2: 1})
+        assert assert_pless_equals_the_fractions(wd, dual, 3, 2, 1) == [True] * 4
+
+    def test_the_2_2_build(self):
+        # C = F_2^3, whose dual is the zero code
+        ctx = gf.field_for(2, 2)
+        (e1, e2), *_ = characterize.enumerate_codes(2, 2)
+        report = characterize.build_code(ctx, 2, 2, e1, e2)
+        dual = codes.dual_prefix(report.distribution, 3, 2, 3)
+        assert dual.entries == {0: 1}
+        assert assert_pless_equals_the_fractions(report.distribution, dual, 3, 2, 3) == [True] * 4
+
+    def test_every_distribution_to_n_255(self, monkeypatch):
+        # each distinct trace distribution of every pair with gcd(Delta, e2) = 1,
+        # against its dual prefix, its full dual, and its dual against it
+        calls = []
+        check = codes.pless_moment_check
+
+        def recorded(*args):
+            calls.append(args)
+            return check(*args)
+
+        monkeypatch.setattr(codes, "pless_moment_check", recorded)
+        codes._dual_entries.cache_clear()
+        for q, k in default_pairs(255):
+            ctx, n = gf.field_for(q, k), q**k - 1
+            seen = set()
+            for e1, e2, _ in valid_orbits(q, k):
+                wd = codes.weight_distribution_trace(ctx, e1, e2)
+                key = tuple(sorted(wd.entries.items()))
+                if key in seen:
+                    continue
+                seen.add(key)
+                dim = round(math.log(wd.total(), q))
+                codes.dual_prefix(wd, n, q, dim)
+                dual = codes.macwilliams_dual(wd, n, q, dim)
+                assert codes.macwilliams_dual(dual, n, q, n - dim) == wd
+        assert len(calls) == 3 * 35  # 35 distributions on 22 blocks
+        for args in calls:
+            assert assert_pless_equals_the_fractions(*args) == [True] * 4
 
 
 class TestPless:

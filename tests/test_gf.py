@@ -1,6 +1,9 @@
 """Field tower construction, element arithmetic, traces and characters."""
 
+import random
 import tracemalloc
+from itertools import product
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -9,9 +12,10 @@ from hypothesis import given, settings, strategies as st
 from cyclochar import gf
 from cyclochar.errors import ConsistencyError, InvalidArgumentError, ResourceLimitError
 from cyclochar.gf import ZERO
-from cyclochar.numth import factorize
+from cyclochar.numth import factorize, is_prime
 
 PRIME_POWERS_TO_64 = [q for q in range(2, 65) if len(factorize(q)) == 1]
+GOLDEN_MODULI = Path(__file__).with_name("golden_moduli.txt")
 
 
 def elements(ctx):
@@ -137,9 +141,107 @@ FIELDS_TO_2_16 = [
 ]
 
 
+# -- reference order test: coefficient lists, one product at a time --------
+
+
+def _poly_mulmod(a, b, f, p):
+    """Product of coefficient lists a, b modulo the monic poly f, over F_p."""
+    d = len(f) - 1
+    out = [0] * (len(a) + len(b) - 1)
+    for i, ai in enumerate(a):
+        if ai:
+            for j, bj in enumerate(b):
+                out[i + j] = (out[i + j] + ai * bj) % p
+    for i in range(len(out) - 1, d - 1, -1):
+        c = out[i]
+        if c:
+            out[i] = 0
+            for j in range(d):
+                out[i - d + j] = (out[i - d + j] - c * f[j]) % p
+    del out[d:]
+    while out and out[-1] == 0:
+        out.pop()
+    return out
+
+
+def _poly_powmod(a, e, f, p):
+    result = [1]
+    base = list(a)
+    while e:
+        if e & 1:
+            result = _poly_mulmod(result, base, f, p)
+        base = _poly_mulmod(base, base, f, p)
+        e >>= 1
+    return result
+
+
+def reference_x_is_primitive(f, p):
+    """x has order p^d - 1 modulo f, by list powering and no shortcut."""
+    d = len(f) - 1
+    if f[0] == 0:
+        return False
+    m = p**d - 1
+    x = [0, 1] if d > 1 else [(-f[0]) % p]
+    return _poly_powmod(x, m, f, p) == [1] and all(
+        _poly_powmod(x, m // r, f, p) != [1] for r in factorize(m)
+    )
+
+
+def monic_candidates(p, d):
+    """Every monic f of degree d over F_p with f(0) != 0, in packed order."""
+    for high in product(range(p), repeat=d - 1):
+        for c0 in range(1, p):
+            yield (c0, *reversed(high), 1)
+
+
 def x_power_is_one(ctx, e):
     """x^e = 1 modulo the field's modulus, by polynomial powering over F_p."""
-    return gf._poly_powmod([0, 1], e, list(ctx.modulus), ctx.p) == [1]
+    return _poly_powmod([0, 1], e, list(ctx.modulus), ctx.p) == [1]
+
+
+# every (p, d) with p < 64 and p^d <= 2^10: 44 fields, 6,315 candidates
+SMALL_PRIME_FIELDS = [(p, d) for p in range(2, 64) if is_prime(p)
+                      for d in range(1, 11) if p**d <= 1 << 10]
+
+
+class TestModulusSearch:
+    def test_the_golden_moduli_at_every_capped_field(self):
+        golden = gf.load_primitive_table(str(GOLDEN_MODULI))
+        capped = [(p, d) for p in range(2, 1025) if is_prime(p)
+                  for d in range(2, 21) if p**d <= 1 << 20]
+        assert sorted(golden) == capped and len(capped) == 242
+        for (p, d), modulus in golden.items():
+            assert gf.smallest_primitive_polynomial(p, d) == modulus, (p, d)
+
+    @pytest.mark.parametrize("p,d", [(2, 20), (3, 12), (5, 8), (7, 7), (13, 5), (31, 4),
+                                     (101, 3), (997, 2), (1021, 2)])
+    def test_packed_products_equal_the_list_products(self, p, d):
+        # the golden modulus and random monic ones, with random operands and
+        # the all-(p-1) operand, whose products fill the slots most
+        rng = random.Random(p * 100 + d)
+        moduli = [gf.load_primitive_table(str(GOLDEN_MODULI))[p, d]]
+        moduli += [[rng.randrange(p) for _ in range(d)] + [1] for _ in range(10)]
+        for modulus in moduli:
+            x, mulmod = gf._packed_ring(modulus, p)
+            w = x.bit_length() - 1  # x is the packed x^1
+
+            def pack(coeffs):
+                return sum(c << (w * i) for i, c in enumerate(coeffs))
+
+            operands = [[p - 1] * d] * 3 + [[rng.choice([p - 1, rng.randrange(p)]) for _ in range(d)]
+                                            for _ in range(40)]
+            for a, b in zip(operands, operands[1:]):
+                expected = _poly_mulmod(a, b, list(modulus), p)
+                expected += [0] * (d - len(expected))
+                product = mulmod(pack(a), pack(b))
+                assert [(product >> (w * i)) & ((1 << w) - 1) for i in range(d)] == expected, modulus
+
+    def test_packed_order_test_equals_the_list_reference(self):
+        # every candidate, those the search skips by its conditions included
+        for p, d in SMALL_PRIME_FIELDS:
+            primitive = [f for f in monic_candidates(p, d) if reference_x_is_primitive(f, p)]
+            assert [f for f in monic_candidates(p, d) if gf._x_is_primitive(f, p)] == primitive
+            assert gf.smallest_primitive_polynomial(p, d) == primitive[0], (p, d)
 
 
 class TestBuildField:

@@ -198,7 +198,7 @@ def cmd_verify(args) -> int:
             "no (q, k) block was selected: a block needs a prime power q, k >= 2"
             " and, unless --k is given, q^k - 1 <= --max-length"
         )
-    props = args.props.split(",") if args.props else list(PROPERTIES)
+    props = args.props.split(",") if args.props is not None else list(PROPERTIES)
     unknown = [p for p in props if p not in PROPERTIES]
     if unknown:
         raise InvalidArgumentError(

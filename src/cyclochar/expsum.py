@@ -29,19 +29,12 @@ from .numth import rem
 if TYPE_CHECKING:  # pragma: no cover
     from .codes import CodeSpec
 
-# Largest (positions x F_q^*) term array char_sum forms at once.
-_CHAR_SUM_ENTRIES = 1 << 20
-
-
 @dataclass(frozen=True)
 class CyclotomicCount:
     """A sum of p-th roots of unity, stored as per-exponent term counts."""
 
     p: int
     counts: tuple[int, ...]
-
-    def total(self) -> int:
-        return sum(self.counts)
 
     def is_integral(self) -> bool:
         tail = self.counts[1:]
@@ -114,29 +107,23 @@ def char_sum(ctx: FieldCtx, e1: int, e2: int, a: int, b: int) -> CyclotomicCount
 
     e1 and e2 are any integers; a and b are elements of F_{q^k} in
     exponent form (ZERO allowed).  At x = gamma^i the inner value
-    s = a*x^(Delta*e1) + b*x^(e2) comes from the Zech table, and its q - 1
-    multiples y*s = gamma^(s + Delta*j) are counted by character exponent.
-    Positions are taken in chunks so that no index array holds more than
-    _CHAR_SUM_ENTRIES terms (one position's q - 1 terms at the least).
+    s = a*x^(Delta*e1) + b*x^(e2) comes from the Zech table.  Its q - 1
+    multiples y*s = gamma^(s + Delta*j) run over the exponents congruent
+    to s mod Delta, so a position adds row s mod Delta of the table
+    H[r, c] = #{j < q - 1 : chi' exponent of gamma^(r + Delta*j) is c}.
+    One pass over the exponents builds H, and one over the positions
+    counts their residues: O(q^k) work, with no term array.
     """
-    m = ctx.m
-    q = ctx.q
-    chars = ctx.char_exponents()
-    s1 = rem(ctx.delta * e1, m)
-    s2 = rem(e2, m)
-    steps = ctx.delta * np.arange(q - 1, dtype=np.int64)
-    counts = np.zeros(ctx.p, dtype=np.int64)
-    zeros = 0
-    rows = max(1, _CHAR_SUM_ENTRIES // (q - 1))
-    for start in range(0, m, rows):
-        i = np.arange(start, min(start + rows, m), dtype=np.int64)
-        s = _inner_values(ctx, a, s1, b, s2, i)
-        s = s[s != ZERO]
-        zeros += len(i) - len(s)
-        terms = chars[(s[:, None] + steps[None, :]) % m]
-        counts += np.bincount(terms.ravel(), minlength=ctx.p)
-    counts[0] += (q - 1) * zeros
-    return CyclotomicCount(p=ctx.p, counts=tuple(int(c) for c in counts))
+    m, p, delta = ctx.m, ctx.p, ctx.delta
+    # before the length-m arrays below, so that the table's build does not stack on them
+    chars = ctx.char_exponents().reshape(ctx.q - 1, delta)
+    s = _inner_values(ctx, a, rem(delta * e1, m), b, rem(e2, m), np.arange(m, dtype=np.int64))
+    s = s[s != ZERO]
+    rows = np.bincount(s % delta, minlength=delta)
+    table = np.bincount((chars + p * np.arange(delta)).ravel(), minlength=delta * p)
+    counts = rows @ table.reshape(delta, p)
+    counts[0] += (ctx.q - 1) * (m - len(s))
+    return CyclotomicCount(p=p, counts=tuple(int(c) for c in counts))
 
 
 def _inner_values(
@@ -150,8 +137,13 @@ def _inner_values(
     y = (b + s2 * i) % m
     if a == ZERO:
         return y
-    z = ctx.zech[(x - y) % m]
-    return np.where(z == ZERO, ZERO, (y + z) % m)
+    x -= y  # in place: four length-len(i) arrays at the peak, with i
+    x %= m
+    z = ctx.zech[x]
+    y += z
+    y %= m
+    y[z == ZERO] = ZERO
+    return y
 
 
 def predict_char_sum(

@@ -15,7 +15,6 @@ symbol 0 -> 0, symbol 1+j -> gamma^(j*delta).
 
 from __future__ import annotations
 
-from collections import OrderedDict
 from itertools import product
 from math import gcd
 from typing import Any, NamedTuple
@@ -431,41 +430,6 @@ def load_primitive_table(path: str) -> dict[tuple[int, int], tuple[int, ...]]:
     return table
 
 
-# Built fields, least recently used first.  Their orders sum to at most
-# _FIELD_CACHE_ORDERS, so the cache pins about one field at the default cap
-# (24 MiB of int64 tables: 62 MiB peak RSS in a fresh interpreter after
-# field_for(2, 20) or field_for(1024, 2), 28 MiB after the numpy import)
-# yet keeps every small field a test session reuses.
-# The field just requested is always kept.
-_FIELD_CACHE_ORDERS = DEFAULT_FIELD_CAP
-_fields: OrderedDict[tuple, FieldCtx] = OrderedDict()
-
-
-def _build_field_cached(p, t, k, override_items):
-    key = (p, t, k, override_items)
-    ctx = _fields.pop(key, None)
-    if ctx is None:
-        ctx = _build_field(p, t, k, override_items)
-    _fields[key] = ctx
-    while len(_fields) > 1 and sum(c.order for c in _fields.values()) > _FIELD_CACHE_ORDERS:
-        _fields.popitem(last=False)
-    return ctx
-
-
-def _build_field(p, t, k, override_items):
-    override = dict(override_items) if override_items else {}
-    mod = override.get((p, t * k))
-    if mod is not None:
-        mod = tuple(c % p for c in mod)
-        if mod[-1] != 1:
-            raise InvalidArgumentError("override polynomial must be monic")
-        if not _x_is_primitive(list(mod), p):
-            raise InvalidArgumentError("override polynomial is not primitive")
-    else:
-        mod = smallest_primitive_polynomial(p, t * k)
-    return FieldCtx(p, t, k, mod)
-
-
 def build_field(
     p: int,
     t: int,
@@ -483,8 +447,16 @@ def build_field(
     if t < 1 or k < 1:
         raise InvalidArgumentError("t and k must be positive")
     _check_order(p, t * k, cap)
-    items = tuple(sorted(primitive_table.items())) if primitive_table else None
-    return _build_field_cached(p, t, k, items)
+    mod = (primitive_table or {}).get((p, t * k))
+    if mod is not None:
+        mod = tuple(c % p for c in mod)
+        if mod[-1] != 1:
+            raise InvalidArgumentError("override polynomial must be monic")
+        if not _x_is_primitive(list(mod), p):
+            raise InvalidArgumentError("override polynomial is not primitive")
+    else:
+        mod = smallest_primitive_polynomial(p, t * k)
+    return FieldCtx(p, t, k, mod)
 
 
 def field_for(

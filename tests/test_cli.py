@@ -615,6 +615,13 @@ class TestVerify:
         code, _, err = run(capsys, "verify", "--q", "2", "--k", "2", "--props", "nope")
         assert code == 2
 
+    def test_empty_props_exit_2(self, capsys):
+        # an empty selection is refused like ",", not read as "every property"
+        code, out, err = run(capsys, "verify", "--q", "2", "--k", "2", "--props", "")
+        assert code == 2
+        assert out == ""
+        assert "unknown properties: ['']" in err
+
     def test_unknown_prop_names_the_valid_ones(self, capsys):
         code, _, err = run(capsys, "verify", "--q", "2", "--k", "2", "--props", "nope,char_sum_cases")
         assert code == 2

@@ -1,5 +1,8 @@
 """Character sums, the index bijection, and the level-set partition."""
 
+import tracemalloc
+
+import numpy as np
 import pytest
 
 from cyclochar import expsum, gf, verify
@@ -7,7 +10,7 @@ from cyclochar.codes import code_spec
 from cyclochar.errors import ConsistencyError, InvalidArgumentError
 from cyclochar.expsum import CyclotomicCount
 from cyclochar.gf import ZERO
-from cyclochar.numth import gcd_conditions
+from cyclochar.numth import gcd_conditions, rem
 from test_gf import additive_char_exponent
 
 
@@ -53,6 +56,33 @@ def direct_char_sum(ctx, e1, e2, a, b):
         if eb != ZERO:
             eb = (eb + s2) % m
     return CyclotomicCount(p=ctx.p, counts=tuple(counts))
+
+
+def chunked_char_sum(ctx, e1, e2, a, b, entries=1 << 20):
+    """Reference for blocks the scalar oracle cannot reach: every term formed.
+
+    Each position's q - 1 multiples gamma^(s + Delta*j) are looked up in
+    the character table one by one, with positions taken in chunks so
+    that no term array holds more than `entries` terms (one position's
+    q - 1 terms at the least).
+    """
+    m, q = ctx.m, ctx.q
+    chars = ctx.char_exponents()
+    s1 = rem(ctx.delta * e1, m)
+    s2 = rem(e2, m)
+    steps = ctx.delta * np.arange(q - 1, dtype=np.int64)
+    counts = np.zeros(ctx.p, dtype=np.int64)
+    zeros = 0
+    rows = max(1, entries // (q - 1))
+    for start in range(0, m, rows):
+        i = np.arange(start, min(start + rows, m), dtype=np.int64)
+        s = expsum._inner_values(ctx, a, s1, b, s2, i)
+        s = s[s != ZERO]
+        zeros += len(i) - len(s)
+        terms = chars[(s[:, None] + steps[None, :]) % m]
+        counts += np.bincount(terms.ravel(), minlength=ctx.p)
+    counts[0] += (q - 1) * zeros
+    return CyclotomicCount(p=ctx.p, counts=tuple(int(c) for c in counts))
 
 
 # The paper's level-set argument for the necessity of gcd(q-1, k*e1 - e2) = 1.
@@ -158,11 +188,46 @@ class TestCharSumAgainstDirect:
 
     @pytest.mark.parametrize("budget", [1, 7, 100])
     @pytest.mark.parametrize("q,k,e1,e2", [(2, 4, 0, 7), (3, 3, 1, 5), (4, 3, 2, 5), (9, 2, 3, 7)])
-    def test_walk_spanning_several_chunks(self, q, k, e1, e2, budget, monkeypatch):
+    def test_walk_spanning_several_chunks(self, q, k, e1, e2, budget):
+        # the chunked reference must not depend on its chunk size
         ctx = gf.field_for(q, k)
-        monkeypatch.setattr(expsum, "_CHAR_SUM_ENTRIES", budget)
         for a, b in class_pairs(ctx) + [(3, 5), (5, 3), (1, ZERO)]:
-            assert expsum.char_sum(ctx, e1, e2, a, b) == direct_char_sum(ctx, e1, e2, a, b)
+            want = direct_char_sum(ctx, e1, e2, a, b)
+            assert chunked_char_sum(ctx, e1, e2, a, b, entries=budget) == want
+
+
+class TestCharSumAgainstChunked:
+    # Blocks too large for the scalar oracle.  At (31,3) and (64,2): a
+    # qualifying pair, one with gcd(q-1, k*e1 - e2) > 1, and one whose e2
+    # shares a factor with Delta (993 and 65).  At (257,2), where each
+    # reference sum takes about 0.2 s, only the last kind (Delta = 258).
+    @pytest.mark.parametrize(
+        "q,k,e1,e2",
+        [
+            (31, 3, 0, 1), (31, 3, 1, 1), (31, 3, 1, 3),
+            (64, 2, 0, 1), (64, 2, 1, 2), (64, 2, 1, 5),
+            (257, 2, 1, 3),
+        ],
+    )
+    def test_class_pairs_and_generic_points(self, q, k, e1, e2):
+        ctx = gf.field_for(q, k)
+        for a, b in class_pairs(ctx) + [(3, 5), (5, 3), (1, ZERO)]:
+            got = expsum.char_sum(ctx, e1, e2, a, b)
+            assert got == chunked_char_sum(ctx, e1, e2, a, b), (e1, e2, a, b)
+
+    @pytest.mark.parametrize("q,k", [(257, 2), (31, 3)])
+    def test_peak_memory_per_field_element(self, q, k):
+        # one pass holds a few length-q^k arrays, never the (q-1)*q^k terms
+        ctx = gf.field_for(q, k)
+        ctx.char_exponents()  # built once per field, not per sum
+        a = int(ctx.trace_class_reps()[1:].min())
+        tracemalloc.start()
+        try:
+            expsum.char_sum(ctx, 1, 1, a, 0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 64 * ctx.order, peak / ctx.order
 
 
 class TestCyclotomicCount:
@@ -301,7 +366,7 @@ class TestCharSum:
 
     def test_term_count(self):
         ctx = gf.field_for(3, 2)
-        assert expsum.char_sum(ctx, 0, 1, 3, 5).total() == 8 * 2
+        assert sum(expsum.char_sum(ctx, 0, 1, 3, 5).counts) == 8 * 2
 
     @pytest.mark.parametrize("q,k,e1,e2", [(3, 2, 0, 1), (2, 3, 0, 1), (4, 2, 2, 1), (5, 2, 1, 7)])
     def test_reindexed_evaluation_identical(self, q, k, e1, e2):

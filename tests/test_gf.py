@@ -270,20 +270,6 @@ class TestBuildField:
         with pytest.raises(ResourceLimitError):
             gf.build_field(2, 1, 25, cap=1 << 20)
 
-    def test_cache_shared_across_caps(self):
-        assert gf.field_for(4, 3, cap=1 << 10) is gf.field_for(4, 3, cap=1 << 20)
-
-    def test_cache_bounded_by_summed_orders(self, monkeypatch):
-        monkeypatch.setattr(gf, "_fields", type(gf._fields)())
-        monkeypatch.setattr(gf, "_FIELD_CACHE_ORDERS", 100)
-        f64, f16 = gf.field_for(4, 3), gf.field_for(4, 2)
-        assert gf.field_for(4, 3) is f64  # orders 64 + 16 fit
-        f27 = gf.field_for(3, 3)  # 64 + 16 + 27 do not: F_16, least recently used, goes
-        assert list(gf._fields.values()) == [f64, f27]
-        assert gf.field_for(4, 2) is not f16
-        big = gf.field_for(2, 8)  # over the bound alone, still kept
-        assert list(gf._fields.values()) == [big]
-
     @pytest.mark.parametrize("p,t,k", [(2, 1, 4), (3, 1, 2), (2, 2, 2), (5, 1, 2)])
     def test_gamma_has_full_order(self, p, t, k):
         ctx = gf.build_field(p, t, k)

@@ -22,8 +22,13 @@ claimable: both sides ran the same benchmark (one digest of BENCHMARK.json
 and the perfbench/ files), at least ten pairs ran, every run of both sides
 was correct, the change failed no larger share of its items than the
 parent, it won at least nine tenths of the pairs, and the medians are apart
-by more than the parent's interquartile range.  It also records the
-machine and the environment variables that move the metrics.
+by more than the parent's interquartile range.  Each metric also gets a
+no-regression verdict against its `bound` in the change's BENCHMARK.json,
+a fraction of the parent's median: `regressed` when the change's median is
+worse than the parent's by more than the bound, else `unresolved` when the
+parent's interquartile range exceeds the bound and not every change run
+beats every parent run, else `within_bound`.  It also records the machine
+and the environment variables that move the metrics.
 """
 
 from __future__ import annotations
@@ -103,15 +108,17 @@ def failed_share(pairs: list[dict], side: str) -> float:
     return sum(p[side]["failed"] for p in pairs) / attempted if attempted else 1.0
 
 
-def summarize(pairs: list[dict], better: dict[str, str], same_benchmark: bool) -> dict:
-    """Per metric: both sides' spreads, the change's wins and the claim rule."""
+def summarize(pairs: list[dict], end_to_end: list[dict], same_benchmark: bool) -> dict:
+    """Per end_to_end metric of BENCHMARK.json: both sides' spreads, the change's
+    wins, the claim rule and the no-regression verdict."""
     # no gain counts from an edited benchmark, too few pairs, a wrong output,
     # or more items failing
     sound = (same_benchmark and len(pairs) >= MIN_PAIRS
              and all(p[side]["correct"] for p in pairs for side in ("parent", "change"))
              and failed_share(pairs, "change") <= failed_share(pairs, "parent"))
     out = {}
-    for metric, direction in better.items():
+    for entry in end_to_end:
+        metric, direction, bound = entry["name"], entry["better"], entry["bound"]
         values = {side: [p[side]["metrics"][metric]["value"] for p in pairs]
                   for side in ("parent", "change")}
         sign = 1 if direction == "higher" else -1
@@ -119,6 +126,13 @@ def summarize(pairs: list[dict], better: dict[str, str], same_benchmark: bool) -
         ties = sum(c == p for p, c in zip(values["parent"], values["change"]))
         parent, change = spread(values["parent"]), spread(values["change"])
         gain = sign * (change["median"] - parent["median"])
+        beaten = min(sign * c for c in values["change"]) > max(sign * p for p in values["parent"])
+        if -gain > bound * abs(parent["median"]):
+            verdict = "regressed"
+        elif parent["iqr"] > bound * abs(parent["median"]) and not beaten:
+            verdict = "unresolved"
+        else:
+            verdict = "within_bound"
         out[metric] = {
             "better": direction,
             "parent": parent,
@@ -128,6 +142,8 @@ def summarize(pairs: list[dict], better: dict[str, str], same_benchmark: bool) -
             "pairs": len(pairs),
             "median_gain": gain,
             "claimable": sound and wins >= 0.9 * len(pairs) and gain > parent["iqr"],
+            "bound": bound,
+            "verdict": verdict,
         }
     return out
 
@@ -175,7 +191,6 @@ def main(argv=None) -> int:
                for side, rev in (("parent", args.parent), ("change", args.change))}
     digests = {side: benchmark_digest(tree) for side, tree in trees.items()}
     spec = json.loads((trees["change"] / "BENCHMARK.json").read_text())
-    better = {m["name"]: m["better"] for m in spec["end_to_end"]}
     seconds = spec["run_seconds"]
     result = {
         "command": f"python3 perfbench/run.py --workload W --seed S --seconds {seconds:g}"
@@ -186,8 +201,10 @@ def main(argv=None) -> int:
                     "by statistics.quantiles(n=4); a gain is claimable when both sides have "
                     f"one benchmark digest, at least {MIN_PAIRS} pairs ran, every run was correct, the change failed no "
                     "larger share of its items, it wins at least 9/10 of the pairs and the "
-                    "medians differ by more than the parent's IQR; then one --trace 1 pass "
-                    "per side",
+                    "medians differ by more than the parent's IQR; a metric regressed when "
+                    "the change's median is worse by more than its bound, and is unresolved "
+                    "when the parent's IQR exceeds the bound and not every change run beats "
+                    "every parent run; then one --trace 1 pass per side",
         "sources": sources,
         "benchmark_digest": digests,
         "machine": machine(),
@@ -214,7 +231,8 @@ def main(argv=None) -> int:
                     value["value"])
         result["workloads"][workload] = {
             "pairs": pairs,
-            "summary": summarize(pairs, better, digests["parent"] == digests["change"]),
+            "summary": summarize(pairs, spec["end_to_end"],
+                                 digests["parent"] == digests["change"]),
             "traced": traced,
         }
         args.out.write_text(json.dumps(result, indent=1) + "\n")  # partial results survive

@@ -144,8 +144,9 @@ def cmd_enumerate(args) -> int:
     count, n = listing.count, q**k - 1
     delta = n // (q - 1)
     write = sys.stdout.write
-    # each class's decimal is rendered once, in place of the integer
-    listing.classes = list(map(str, listing.classes))
+    # each class's decimal is rendered once, in place of the integer, which
+    # the rebinding frees
+    listing = listing._replace(classes=list(map(str, listing.classes)))
     rows = listing.rows()
     if args.format == "json":
         # json.dumps of {"q", "k", "count", "formula", "codes": [...]}, one write a batch

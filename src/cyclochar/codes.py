@@ -68,7 +68,11 @@ def code_spec(q: int, k: int, e1: int, e2: int) -> CodeSpec:
 
 
 class WeightDistribution:
-    """Exact mapping weight -> codeword count for a code of length n."""
+    """Exact mapping weight -> codeword count for a code of length n.
+
+    A plain class, not a NamedTuple, on purpose: a distribution never
+    equals a tuple, and each instance gets its own entries dict.
+    """
 
     __slots__ = ("n", "entries")
 

@@ -17,8 +17,7 @@ char_sum_unit_iff sweep checks its conclusion on every (a, b) of a block.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, NamedTuple
 
 import numpy as np
 
@@ -29,8 +28,8 @@ from .numth import rem
 if TYPE_CHECKING:  # pragma: no cover
     from .codes import CodeSpec
 
-@dataclass(frozen=True)
-class CyclotomicCount:
+
+class CyclotomicCount(NamedTuple):
     """A sum of p-th roots of unity, stored as per-exponent term counts."""
 
     p: int
@@ -55,7 +54,8 @@ def substitution(spec: CodeSpec, i, j):
     v = (e2*i + Delta*j) % (q^k - 1), and w is the exact quotient
     (i - alpha*v) / Delta reduced mod q - 1.  The division is exact for
     every point of V; a failure indicates a broken Bezout pair and is
-    reported for the first point, in index order, where it happens.
+    reported for the first point, in index order, where it happens; the
+    error's position is that point's index in the flattened arrays.
     """
     m = spec.n
     i, j = _check_points(spec, i, j, m)
@@ -63,9 +63,10 @@ def substitution(spec: CodeSpec, i, j):
     diff = i - spec.bezout.alpha * v
     inexact = diff % spec.delta != 0
     if inexact.any():
-        first = np.ravel(diff)[np.argmax(inexact)]
+        first = int(np.argmax(inexact))
         raise ConsistencyError(
-            f"Delta = {spec.delta} does not divide i - alpha*v = {first}"
+            f"Delta = {spec.delta} does not divide i - alpha*v = {np.ravel(diff)[first]}",
+            position=first,
         )
     w = diff // spec.delta % (spec.q - 1)
     return v, w

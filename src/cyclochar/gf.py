@@ -397,9 +397,6 @@ class FieldCtx:
             self._sym_table_lists = SymbolTables(*(t.tolist() for t in self.symbol_tables()))
         return self._sym_table_lists
 
-    def __repr__(self) -> str:
-        return f"FieldCtx(p={self.p}, t={self.t}, k={self.k}, order={self.order})"
-
 
 def load_primitive_table(path: str) -> dict[tuple[int, int], tuple[int, ...]]:
     """Parse an override file of records "p degree c0 c1 ... c_d"."""

@@ -21,7 +21,7 @@ from collections.abc import Iterator
 from itertools import compress, repeat
 from math import gcd, isqrt
 from operator import mod
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, NamedTuple
 
 from .errors import (
     ConsistencyError,
@@ -66,27 +66,14 @@ def rem(a: int, b: int) -> int:
     return a % b
 
 
-class BezoutPair:
+class BezoutPair(NamedTuple):
     """Reduced solution (alpha, beta) of e2*alpha + Delta*beta == 1 mod q^k-1.
 
     0 <= alpha < q^k - 1 and 0 <= beta < q - 1.
     """
 
-    __slots__ = ("alpha", "beta")
-
-    def __init__(self, alpha: int, beta: int) -> None:
-        self.alpha, self.beta = alpha, beta
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, BezoutPair):
-            return NotImplemented
-        return (self.alpha, self.beta) == (other.alpha, other.beta)
-
-    def __hash__(self) -> int:
-        return hash((self.alpha, self.beta))
-
-    def __repr__(self) -> str:
-        return f"BezoutPair(alpha={self.alpha}, beta={self.beta})"
+    alpha: int
+    beta: int
 
 
 def bezout_pair(e2: int, q: int, k: int) -> BezoutPair:
@@ -212,34 +199,11 @@ def code_count(q: int, k: int) -> int:
     return cnt
 
 
-class CyclotomicCoset:
-    """Orbit of an exponent under multiplication by q modulo n."""
+def cyclotomic_coset(a: int, q: int, n: int) -> tuple[int, ...]:
+    """The q-cyclotomic coset of a mod n, its members ascending; requires gcd(q, n) == 1.
 
-    __slots__ = ("representative", "members")
-
-    def __init__(self, representative: int, members: tuple[int, ...]) -> None:
-        self.representative, self.members = representative, members
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, CyclotomicCoset):
-            return NotImplemented
-        return self.members == other.members
-
-    def __hash__(self) -> int:
-        return hash(self.members)
-
-    def __repr__(self) -> str:
-        return f"CyclotomicCoset(representative={self.representative}, members={self.members})"
-
-    def __len__(self) -> int:
-        return len(self.members)
-
-    def __contains__(self, x: int) -> bool:
-        return x in self.members
-
-
-def cyclotomic_coset(a: int, q: int, n: int) -> CyclotomicCoset:
-    """The q-cyclotomic coset of a mod n; requires gcd(q, n) == 1."""
+    Its first member is the coset's minimal representative.
+    """
     if n <= 0:
         raise InvalidArgumentError(f"modulus must be positive, got {n}")
     if gcd(q, n) != 1:
@@ -250,8 +214,7 @@ def cyclotomic_coset(a: int, q: int, n: int) -> CyclotomicCoset:
     while x != a:
         members.add(x)
         x = x * q % n
-    ms = tuple(sorted(members))
-    return CyclotomicCoset(representative=ms[0], members=ms)
+    return tuple(sorted(members))
 
 
 def orbit_representative(q: int, k: int, e1: int, e2: int) -> tuple[int, int]:
@@ -385,19 +348,19 @@ def listing_record_bytes(n: int) -> int:
     return 32 + 4 * len(str(n))
 
 
-class CodeListing:
+class CodeListing(NamedTuple):
     """The checked listing of the qualifying codes for (q, k); see qualifying_codes.
 
     Per e2 class it holds the class (classes, ascending) and its residue
     mod q - 1 (residues); units[e1][r] says whether gcd(q - 1, k*e1 - r) = 1.
-    classes is an array of ints; a writer may replace it by the classes'
-    decimals, rendered once, so that the two are not held side by side.
+    classes is an array of ints; a writer may swap in the classes' decimals,
+    rendered once, with _replace, so that the two are not held side by side.
     """
 
-    __slots__ = ("count", "classes", "residues", "units")
-
-    def __init__(self, count: int, classes: array, residues: array, units: list[list[bool]]):
-        self.count, self.classes, self.residues, self.units = count, classes, residues, units
+    count: int
+    classes: array
+    residues: array
+    units: list[list[bool]]
 
     def rows(self) -> Iterator[tuple[int, Iterator]]:
         """(e1, the classes listed beside e1) for each e1, ascending.

@@ -105,7 +105,7 @@ def minimal_polynomial(ctx: FieldCtx, a: int) -> Poly:
     coset = cyclotomic_coset(-a, ctx.q, m)
     # product over roots, tracked as field elements low-degree first
     poly_elems = [0]  # the constant polynomial 1 (exponent of gamma^0)
-    for s in coset.members:
+    for s in coset:
         root = s
         new = [ZERO] * (len(poly_elems) + 1)
         for i, c in enumerate(poly_elems):

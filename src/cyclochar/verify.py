@@ -11,15 +11,14 @@ stops the run with every finished result kept.
 from __future__ import annotations
 
 from collections.abc import Iterator
-from dataclasses import dataclass
 from math import gcd, isqrt
+from typing import NamedTuple
 
 import numpy as np
 
 from .characterize import build_code, enumerate_codes, two_weight_gap_scan
 from .codes import (
     DEFAULT_BRUTE_CAP,
-    CodeSpec,
     WeightDistribution,
     char_sum_grid,
     code_from_exponents,
@@ -42,8 +41,8 @@ from .numth import (
     valid_orbits,
 )
 
-@dataclass
-class PropertyResult:
+
+class PropertyResult(NamedTuple):
     prop: str
     q: int
     k: int
@@ -122,8 +121,7 @@ def verify_substitution(q: int, k: int) -> PropertyResult:
             v, w = substitution(spec, i, j)
         except ConsistencyError as exc:
             # the points before the first inexact division are still scanned
-            stop = _exact_prefix(spec, i, j)
-            i, j, error = i[:stop], j[:stop], exc
+            i, j, error = i[:exc.position], j[:exc.position], exc
             v, w = substitution(spec, i, j)
         back_i, back_j = substitution_inverse(spec, v, w)
         trips = np.flatnonzero((back_i != i) | (back_j != j))
@@ -161,22 +159,6 @@ def verify_substitution(q: int, k: int) -> PropertyResult:
     return PropertyResult("substitution_bijection", q, k, True, checked)
 
 
-def _exact_prefix(spec: CodeSpec, i: np.ndarray, j: np.ndarray) -> int:
-    """Length of the longest prefix of the points that substitution maps.
-
-    Only called once substitution has refused the whole array.
-    """
-    lo, hi = 0, len(i)
-    while hi - lo > 1:
-        mid = (lo + hi) // 2
-        try:
-            substitution(spec, i[:mid], j[:mid])
-            lo = mid
-        except ConsistencyError:
-            hi = mid
-    return lo
-
-
 def _first_repeat(flat: np.ndarray) -> int:
     """Smallest position holding a value that occurs earlier in flat."""
     order = np.argsort(flat, kind="stable")
@@ -205,7 +187,14 @@ def verify_char_sum_cases(q: int, k: int, ctx: FieldCtx) -> PropertyResult:
     reps = ctx.trace_class_reps()
     a_nz = int(reps[1:].min())  # the smallest a with Tr(a) != 0
     a_z = int(reps[0]) if reps[0] < ctx.m else None  # the smallest a != 0 with Tr(a) = 0
-    n = ctx.m
+    # predict_char_sum's four cases as regions of a grid, each later one written
+    # over the earlier: row 0 holds the classes with Tr(a) = 0, column 0 those with b = 0
+    regions = [
+        (np.s_[:, :], predict_char_sum(q, k, False, False, False)),
+        (np.s_[0, :], predict_char_sum(q, k, True, False, False)),
+        (np.s_[:, 0], predict_char_sum(q, k, False, False, True)),
+        (np.s_[0, 0], predict_char_sum(q, k, True, False, True)),
+    ]
     cases = [
         (ZERO, ZERO, True, True, True),
         (ZERO, 0, True, True, False),
@@ -219,10 +208,9 @@ def verify_char_sum_cases(q: int, k: int, ctx: FieldCtx) -> PropertyResult:
         if gcd_conditions(q, k, e1, e2) != (1, 1):
             continue
         grid = char_sum_grid(ctx, e1, e2)
-        expected = np.full_like(grid, 1)
-        expected[0, :] = -(q - 1)
-        expected[0, 0] = (q - 1) * n
-        expected[1:, 0] = -n
+        expected = np.empty_like(grid)
+        for region, value in regions:
+            expected[region] = value
         if not np.array_equal(grid, expected):
             tau, b = np.argwhere(grid != expected)[0]
             return PropertyResult(

@@ -1,4 +1,4 @@
-"""The claim rule of scripts/bench_pairs.py, on made-up runs."""
+"""The claim rule and the no-regression verdict of scripts/bench_pairs.py, on made-up runs."""
 
 import importlib.util
 from pathlib import Path
@@ -10,7 +10,7 @@ spec = importlib.util.spec_from_file_location("bench_pairs", SCRIPT)
 bench_pairs = importlib.util.module_from_spec(spec)
 spec.loader.exec_module(bench_pairs)
 
-BETTER = {"items_per_s": "higher"}
+BETTER = [{"name": "items_per_s", "better": "higher", "bound": 0.25}]
 
 
 def run(rate, failed=0, correct=True, attempted=100):
@@ -31,6 +31,39 @@ def claimable(runs, same_benchmark=True):
 def test_a_clear_gain_is_claimable():
     summary = bench_pairs.summarize(pairs(), BETTER, True)["items_per_s"]
     assert summary["change_wins"] == 10 and summary["claimable"]
+
+
+PARENT = [3.0 + i / 10 for i in range(10)]  # median 3.45, IQR 0.55: narrower than the bound
+WIDE = [float(i) for i in range(1, 11)]  # median 5.5, IQR 5.5: wider than the bound
+
+
+def verdict(parent, change, better="higher"):
+    runs = [{"seed": i, "parent": run(p), "change": run(c)}
+            for i, (p, c) in enumerate(zip(parent, change))]
+    metrics = [{"name": "items_per_s", "better": better, "bound": 0.25}]
+    return bench_pairs.summarize(runs, metrics, True)["items_per_s"]["verdict"]
+
+
+@pytest.mark.parametrize("better,factor,expected", [
+    ("higher", 0.7, "regressed"),
+    ("higher", 0.8, "within_bound"),
+    ("higher", 1.3, "within_bound"),
+    ("lower", 1.3, "regressed"),
+    ("lower", 1.2, "within_bound"),
+    ("lower", 0.7, "within_bound"),
+])
+def test_the_median_against_the_bound(better, factor, expected):
+    assert verdict(PARENT, [p * factor for p in PARENT], better) == expected
+
+
+def test_a_spread_wider_than_the_bound_is_unresolved():
+    assert verdict(WIDE, WIDE) == "unresolved"
+    assert verdict(WIDE, [p * 0.9 for p in WIDE]) == "unresolved"
+    # unless every change run beats every parent run
+    assert verdict(WIDE, [p + 10 for p in WIDE]) == "within_bound"
+    assert verdict(WIDE, [p / 100 for p in WIDE], "lower") == "within_bound"
+    # a median worse by more than the bound is a regression however wide the spread
+    assert verdict(WIDE, [p * 0.5 for p in WIDE]) == "regressed"
 
 
 def benchmark_digest(tree, spec='{"run_seconds": 20}', run_py="ITEM_LIMIT_S = 150\n"):

@@ -587,6 +587,18 @@ class TestDualAndMinpoly:
         assert f"error: {path}:2: non-integer token" in err
 
 
+def test_the_other_subcommands_load_no_dataclasses():
+    # every record they make is a NamedTuple or a plain class
+    commands = [
+        ["verify", "--q", "2", "--k", "3"],
+        ["charsum", "--q", "4", "--k", "3", "--e1", "2", "--e2", "5", "--a", "g3", "--b", "0"],
+        ["dual", "--q", "2", "--k", "3", "--e1", "0", "--e2", "1"],
+        ["minpoly", "--q", "2", "--k", "3", "--a", "1"],
+    ]
+    runs = [[*argv, "--format", fmt] for argv in commands for fmt in ("json", "text")]
+    assert fresh_interpreter_modules(runs, {"dataclasses"}) == f"{[0] * len(runs)} []"
+
+
 class TestVerify:
     def test_small_range_passes(self, capsys):
         code, out, _ = run(capsys, "verify", "--q", "2", "--k", "3..5")

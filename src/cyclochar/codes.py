@@ -28,43 +28,12 @@ from .errors import ConsistencyError, InvalidArgumentError, ResourceLimitError
 from .gf import FieldCtx
 from .numth import (
     DEFAULT_BRUTE_CAP,
-    JOB_BUDGET_BYTES,  # re-exported beside check_budget
-    BezoutPair,
-    bezout_pair,
     check_budget,
     rem,
 )
 
 _BLOCK = 1 << 12
 _BLOCK_ENTRIES = 1 << 20
-
-
-class CodeSpec(NamedTuple):
-    """Exponent data (q, k, e1, e2) plus the reduced Bezout pair of e2.
-
-    The input of expsum.substitution and substitution_inverse, the one
-    place the Bezout pair is read; everywhere else a code is its pair
-    (e1, e2).  Only requires gcd(Delta, e2) = 1, so the Bezout pair exists.
-    """
-
-    q: int
-    k: int
-    delta: int
-    e1: int
-    e2: int
-    bezout: BezoutPair
-
-    @property
-    def n(self) -> int:
-        return self.q**self.k - 1
-
-
-def code_spec(q: int, k: int, e1: int, e2: int) -> CodeSpec:
-    """Build a CodeSpec, solving the Bezout congruence for (alpha, beta)."""
-    if k < 2:
-        raise InvalidArgumentError(f"requires k >= 2, got {k}")
-    delta = (q**k - 1) // (q - 1)
-    return CodeSpec(q=q, k=k, delta=delta, e1=e1, e2=e2, bezout=bezout_pair(e2, q, k))
 
 
 class WeightDistribution:

@@ -8,8 +8,9 @@ exponents all occur equally often; no floating point is involved
 anywhere.
 
 Also here: the change-of-variables bijection on the index grid
-V = [0, q^k-1) x [0, q-1) and the closed-form predictions for the sum
-in each (a, b) class.  The paper's level-set partition of V, which
+V = [0, q^k-1) x [0, q-1), with the CodeSpec that carries its Bezout
+pair, and the closed-form predictions for the sum in each (a, b)
+class.  The paper's level-set partition of V, which
 forces d = gcd(q-1, k*e1 - e2) to divide T(a, b), runs in no sweep and
 lives with its exhaustive checks in tests/test_expsum.py; the
 char_sum_unit_iff sweep checks its conclusion on every (a, b) of a block.
@@ -17,16 +18,13 @@ char_sum_unit_iff sweep checks its conclusion on every (a, b) of a block.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, NamedTuple
+from typing import NamedTuple
 
 import numpy as np
 
 from .errors import ConsistencyError, InvalidArgumentError, ResourceLimitError
 from .gf import ZERO, FieldCtx
-from .numth import rem
-
-if TYPE_CHECKING:  # pragma: no cover
-    from .codes import CodeSpec
+from .numth import BezoutPair, bezout_pair, rem
 
 
 class CyclotomicCount(NamedTuple):
@@ -46,6 +44,34 @@ class CyclotomicCount(NamedTuple):
                 f"count vector {self.counts} is not a rational integer"
             )
         return self.counts[0] - (self.counts[1] if self.p > 1 else 0)
+
+
+class CodeSpec(NamedTuple):
+    """Exponent data (q, k, e1, e2) plus the reduced Bezout pair of e2.
+
+    The input of substitution and substitution_inverse, the one place the
+    Bezout pair is read; everywhere else a code is its pair (e1, e2).
+    Only requires gcd(Delta, e2) = 1, so the Bezout pair exists.
+    """
+
+    q: int
+    k: int
+    delta: int
+    e1: int
+    e2: int
+    bezout: BezoutPair
+
+    @property
+    def n(self) -> int:
+        return self.q**self.k - 1
+
+
+def code_spec(q: int, k: int, e1: int, e2: int) -> CodeSpec:
+    """Build a CodeSpec, solving the Bezout congruence for (alpha, beta)."""
+    if k < 2:
+        raise InvalidArgumentError(f"requires k >= 2, got {k}")
+    delta = (q**k - 1) // (q - 1)
+    return CodeSpec(q=q, k=k, delta=delta, e1=e1, e2=e2, bezout=bezout_pair(e2, q, k))
 
 
 def substitution(spec: CodeSpec, i, j):

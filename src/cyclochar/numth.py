@@ -19,7 +19,7 @@ from array import array
 from collections import Counter
 from collections.abc import Iterator
 from itertools import compress, repeat
-from math import gcd, isqrt
+from math import gcd
 from operator import mod
 from typing import TYPE_CHECKING, NamedTuple
 
@@ -131,16 +131,7 @@ def factorize(n: int) -> dict[int, int]:
 
 
 def is_prime(n: int) -> bool:
-    if n < 2:
-        return False
-    if n < 4:
-        return True
-    if n % 2 == 0:
-        return False
-    for d in range(3, isqrt(n) + 1, 2):
-        if n % d == 0:
-            return False
-    return True
+    return n >= 2 and factorize(n) == {n: 1}
 
 
 def prime_power_split(q: int) -> tuple[int, int]:

@@ -15,7 +15,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from cyclochar import characterize, codes, expsum, gf, polyring as pr, verify
+from cyclochar import characterize, codes, expsum, gf, numth, polyring as pr, verify
 from cyclochar.errors import (
     ConsistencyError,
     InvalidArgumentError,
@@ -75,14 +75,14 @@ def krawtchouk_direct(n, q, j, w):
 
 class TestCodeSpec:
     def test_fields(self):
-        spec = codes.code_spec(4, 3, 2, 5)
+        spec = expsum.code_spec(4, 3, 2, 5)
         assert (spec.delta, spec.n) == (21, 63)
         assert gcd_conditions(spec.q, spec.k, spec.e1, spec.e2)[0] == 1
         assert (5 * spec.bezout.alpha + 21 * spec.bezout.beta) % 63 == 1
 
     def test_invalid_e2(self):
         with pytest.raises(InvalidArgumentError):
-            codes.code_spec(3, 2, 0, 2)
+            expsum.code_spec(3, 2, 0, 2)
 
 
 class TestTraceCodeword:
@@ -548,9 +548,9 @@ class TestMacWilliamsMemo:
 
 class TestMacWilliamsBudget:
     def test_one_budget_for_every_job(self):
-        codes.check_budget("a job", codes.JOB_BUDGET_BYTES)
+        codes.check_budget("a job", numth.JOB_BUDGET_BYTES)
         with pytest.raises(ResourceLimitError, match="^a job needs about 1.0 GiB, over the 1 GiB budget$"):
-            codes.check_budget("a job", codes.JOB_BUDGET_BYTES + 1)
+            codes.check_budget("a job", numth.JOB_BUDGET_BYTES + 1)
 
     def test_oversized_transform_refused_before_any_row(self):
         wd = codes.three_weight_distribution(2, 20)
@@ -560,9 +560,9 @@ class TestMacWilliamsBudget:
     def test_budget_admits_every_length_to_4095(self):
         for q, k in [(2, 12), (4, 6), (8, 4), (16, 3), (64, 2)]:
             n = q**k - 1
-            assert codes.macwilliams_size_bytes(n, q) <= codes.JOB_BUDGET_BYTES
-        assert codes.macwilliams_size_bytes(2**20 - 1, 2) > codes.JOB_BUDGET_BYTES
-        assert codes.macwilliams_size_bytes(2**20 - 1, 1024) > codes.JOB_BUDGET_BYTES
+            assert codes.macwilliams_size_bytes(n, q) <= numth.JOB_BUDGET_BYTES
+        assert codes.macwilliams_size_bytes(2**20 - 1, 2) > numth.JOB_BUDGET_BYTES
+        assert codes.macwilliams_size_bytes(2**20 - 1, 1024) > numth.JOB_BUDGET_BYTES
 
 
 # Every (q, k) with k >= 2 and q^k - 1 <= 4095, q a prime power.

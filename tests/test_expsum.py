@@ -6,9 +6,8 @@ import numpy as np
 import pytest
 
 from cyclochar import expsum, gf, verify
-from cyclochar.codes import code_spec
 from cyclochar.errors import ConsistencyError, InvalidArgumentError
-from cyclochar.expsum import CyclotomicCount
+from cyclochar.expsum import CyclotomicCount, code_spec
 from cyclochar.gf import ZERO
 from cyclochar.numth import gcd_conditions, rem
 from test_gf import additive_char_exponent

@@ -13,7 +13,7 @@ from contextlib import redirect_stderr, redirect_stdout
 
 import pytest
 
-from cyclochar import cli, codes, numth, polyring, verify
+from cyclochar import cli, expsum, numth, polyring, verify
 
 GOLDEN = [
     ("build --q 4 --k 3 --e1 2 --e2 5 --format json", 0,
@@ -114,7 +114,7 @@ def test_a_bezout_pair_is_solved_only_by_the_substitution_sweep(command, exit_co
         finally:
             inside.pop()
 
-    for owner in (numth, codes):
+    for owner in (numth, expsum):
         def guarded(e2, q, k, real=owner.bezout_pair):
             if not inside:
                 raise AssertionError("a Bezout pair was solved outside the substitution sweep")

@@ -472,3 +472,14 @@ class TestFactorization:
         assert numth.multiplicative_order(3, 80) == 4
         with pytest.raises(InvalidArgumentError):
             numth.multiplicative_order(2, 8)
+
+    def test_is_prime_agrees_with_a_sieve(self):
+        limit = 10**5
+        sieve = bytearray([1]) * limit
+        sieve[:2] = bytes(2)
+        for d in range(2, math.isqrt(limit - 1) + 1):
+            if sieve[d]:
+                sieve[d * d :: d] = bytes(len(range(d * d, limit, d)))
+        primes = [n for n in range(limit) if sieve[n]]
+        assert [n for n in range(-100, limit) if numth.is_prime(n)] == primes
+        assert len(primes) == 9592

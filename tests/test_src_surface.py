@@ -13,6 +13,11 @@ that shares a name with a used one.  A module-level function counts as
 referenced by a bare name or an attribute (`polyring.poly_mod`), a method
 only by an attribute (`ctx.add`).  A definition that code outside src/
 calls, or that is looked up by a string, needs an exemption.
+
+Every name a src/ module imports must also be read in the scope that
+imports it (a function-local import in that function, a module-level one
+anywhere in the module), unless the module lists it in __all__: a module
+is no re-export hub for names it does not use.
 """
 
 import ast
@@ -104,3 +109,46 @@ def test_every_src_function_is_reached_from_src():
 def test_every_exemption_names_a_definition():
     defs, _ = scan()
     assert sorted(set(EXEMPT) - set(defs)) == []
+
+
+def _imports(scope):
+    """The import statements of scope, not those of the functions inside it."""
+    stack = list(ast.iter_child_nodes(scope))
+    while stack:
+        node = stack.pop()
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            yield node
+        elif not _is_def(node):
+            stack.extend(ast.iter_child_nodes(node))
+
+
+def _exported(tree):
+    for item in tree.body:
+        if isinstance(item, ast.Assign) and any(
+            isinstance(t, ast.Name) and t.id == "__all__" for t in item.targets
+        ):
+            return set(ast.literal_eval(item.value))
+    return set()
+
+
+def unused_imports(src=SRC):
+    """module.name for every imported name its scope never reads, bar __all__."""
+    unused = []
+    for path in sorted(src.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+        exported = _exported(tree)
+        for scope in [tree, *(node for node in ast.walk(tree) if _is_def(node))]:
+            read = {node.id for node in ast.walk(scope) if isinstance(node, ast.Name)}
+            for stmt in _imports(scope):
+                if isinstance(stmt, ast.ImportFrom) and stmt.module == "__future__":
+                    continue
+                for alias in stmt.names:
+                    name = alias.asname or alias.name.split(".")[0]
+                    if name not in read and name not in exported:
+                        unused.append(f"{path.stem}.{name}")
+    return sorted(unused)
+
+
+def test_every_imported_name_is_read():
+    unused = unused_imports()
+    assert not unused, f"imported but never read: {unused}: delete the imports"

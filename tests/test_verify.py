@@ -110,7 +110,7 @@ def reference_substitution(q, k):
     n = q**k - 1
     checked = 0
     for e2 in verify.valid_e2_values(q, k):
-        spec = verify.code_spec(q, k, 0, e2)
+        spec = expsum.code_spec(q, k, 0, e2)
         seen = bytearray(n * (q - 1))
         for i in range(n):
             for j in range(q - 1):
@@ -478,7 +478,7 @@ def test_a_foreign_distribution_on_one_orbit_fails_the_duality_sweep(q, k, monke
 @pytest.mark.parametrize("q,k", PAIRS_63)
 def test_an_off_by_one_bezout_pair_gives_the_same_outcome(q, k, field, monkeypatch):
     ctx = gf.field_for(q, k)
-    real = codes.bezout_pair
+    real = expsum.bezout_pair
 
     def off_by_one(e2, q_, k_):
         pair = real(e2, q_, k_)
@@ -486,7 +486,7 @@ def test_an_off_by_one_bezout_pair_gives_the_same_outcome(q, k, field, monkeypat
             return numth.BezoutPair((pair.alpha + 1) % (q_**k_ - 1), pair.beta)
         return numth.BezoutPair(pair.alpha, (pair.beta + 1) % (q_ - 1))
 
-    monkeypatch.setattr(codes, "bezout_pair", off_by_one)
+    monkeypatch.setattr(expsum, "bezout_pair", off_by_one)
     got = outcome(verify.verify_substitution, q, k)
     assert got == outcome(reference_substitution, q, k)
     if field == "alpha" and q == 2:
@@ -500,15 +500,44 @@ def test_an_off_by_one_bezout_pair_gives_the_same_outcome(q, k, field, monkeypat
 
 def test_an_error_after_a_failed_round_trip_is_not_reported(monkeypatch):
     # alpha + 1 breaks the division at (1, 0), after a round trip at (0, 1)
-    real = codes.bezout_pair
-    monkeypatch.setattr(codes, "bezout_pair",
+    real = expsum.bezout_pair
+    monkeypatch.setattr(expsum, "bezout_pair",
                         lambda e2, q, k: numth.BezoutPair(real(e2, q, k).alpha + 1, 0))
-    spec = codes.code_spec(4, 3, 0, 1)
+    spec = expsum.code_spec(4, 3, 0, 1)
     with pytest.raises(ConsistencyError, match=r"does not divide i - alpha\*v = -1$"):
         expsum.substitution(spec, [0, 0, 0, 1, 1], [0, 1, 2, 0, 1])
     result = verify.verify_substitution(4, 3)
     assert not result.ok
     assert (result.checked, result.counterexample["i"], result.counterexample["j"]) == (1, 0, 1)
+
+
+@pytest.mark.parametrize("q,k", [(q, k) for q, k in PAIRS_63 if q > 2])
+def test_a_many_to_one_forward_map_is_caught_by_its_round_trips(q, k, monkeypatch):
+    # w forced to 0 sends q - 1 points onto each image: no collision check
+    # is needed, as a round trip fails at or before a repeated (v, w)
+    real_map, real_scalar = verify.substitution, scalar_substitution
+    monkeypatch.setattr(verify, "substitution", lambda spec, i, j: (real_map(spec, i, j)[0], 0 * i))
+    monkeypatch.setitem(globals(), "scalar_substitution",
+                        lambda spec, i, j: (real_scalar(spec, i, j)[0], 0))
+    got = outcome(verify.verify_substitution, q, k)
+    assert got == outcome(reference_substitution, q, k)
+    assert got[0] is False and "back" in got[2]
+
+
+def test_the_substitution_sweep_stays_inside_its_per_point_budget(monkeypatch):
+    # (32, 3) has 1,015,777 grid points; from the second e2 on, arrays the
+    # previous e2 left alive would stack on the new ones
+    real = verify.valid_e2_values
+    monkeypatch.setattr(verify, "valid_e2_values", lambda q, k: islice(real(q, k), 3))
+    points = (32**3 - 1) * 31
+    tracemalloc.start()
+    try:
+        result = verify.verify_substitution(32, 3)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert result.ok and result.checked == 3 * points
+    assert peak <= verify._SUBSTITUTION_BYTES_PER_POINT * points
 
 
 # -- the multiplier fact and the independence of the two routes --------------

@@ -42,6 +42,7 @@ from .gf import ZERO, FieldCtx
 from .numth import (
     coset_representatives,
     cyclotomic_coset,
+    failed_conditions,
     gcd_conditions,
     multiplicative_order,
     qualifying_codes,
@@ -82,10 +83,7 @@ def build_code(ctx: FieldCtx, q: int, k: int, e1: int, e2: int) -> CodeReport:
     meeting every claim of dual_claim_failure.
     """
     _check_ctx(ctx, q, k)
-    g1, g2 = gcd_conditions(q, k, e1, e2)
-    failures = [
-        f"{name}={g}" for name, g in (("gcd(q-1,k*e1-e2)", g1), ("gcd(Delta,e2)", g2)) if g != 1
-    ]
+    failures = failed_conditions(q, k, e1, e2)
     if failures:
         raise ConditionFailedError("; ".join(failures), failed=failures)
     h1 = polyring.minimal_polynomial(ctx, rem(ctx.delta * e1, ctx.m))

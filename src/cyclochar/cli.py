@@ -19,14 +19,9 @@ from itertools import islice
 from math import log10
 from typing import TYPE_CHECKING
 
-from .errors import (
-    ConditionFailedError,
-    InvalidArgumentError,
-    ResourceLimitError,
-    TheoremViolationError,
-)
+from .errors import InvalidArgumentError, ResourceLimitError, TheoremViolationError
 from .numth import DEFAULT_BRUTE_CAP, DEFAULT_FIELD_CAP, check_budget, check_field, gcd_conditions
-from .numth import qualifying_codes
+from .numth import failed_conditions, qualifying_codes
 
 # The numpy-bound modules, and json, are imported by the subcommands that use
 # them, so parsing and `enumerate` start without them; `build` writes its
@@ -91,19 +86,21 @@ def report_text(report: CodeReport, ctx: FieldCtx) -> str:
 
 
 def cmd_build(args) -> int:
-    from .characterize import build_code
-
-    ctx = _field(args)
-    try:
-        report = build_code(ctx, args.q, args.k, args.e1, args.e2)
-    except ConditionFailedError as exc:
+    # a bad field or a failed condition is refused before numpy or a field is loaded
+    check_field(args.q, args.k, args.field_cap)
+    failed = failed_conditions(args.q, args.k, args.e1, args.e2)
+    if failed:
         if args.format == "json":
             import json
 
-            print(json.dumps({"error": "conditions_failed", "failed": list(exc.failed)}))
+            print(json.dumps({"error": "conditions_failed", "failed": failed}))
         else:
-            print(f"conditions failed: {'; '.join(exc.failed)}")
+            print(f"conditions failed: {'; '.join(failed)}")
         return EXIT_PRECONDITION
+    from .characterize import build_code
+
+    ctx = _field(args)
+    report = build_code(ctx, args.q, args.k, args.e1, args.e2)
     if args.format == "json":
         sys.stdout.write(report_line(report))
     else:
@@ -259,15 +256,18 @@ def _exponent(e: int | None, m: int) -> int:
 
 
 def cmd_charsum(args) -> int:
+    # a bad field or gcd(Delta, e2) != 1 is refused before numpy or a field is loaded
+    check_field(args.q, args.k, args.field_cap)
+    d, g = gcd_conditions(args.q, args.k, args.e1, args.e2)
+    if g != 1:
+        delta = (args.q**args.k - 1) // (args.q - 1)
+        raise InvalidArgumentError(f"gcd(Delta, e2) = gcd({delta}, {args.e2}) = {g} != 1")
     import json
 
     from .expsum import char_sum
     from .gf import ZERO
 
     ctx = _field(args)
-    d, g = gcd_conditions(args.q, args.k, args.e1, args.e2)
-    if g != 1:
-        raise InvalidArgumentError(f"gcd(Delta, e2) = gcd({ctx.delta}, {args.e2}) = {g} != 1")
     a, b = (_exponent(e, ctx.m) for _, e in (args.a, args.b))
     value = char_sum(ctx, args.e1, args.e2, a, b)
     tr_zero = a == ZERO or ctx.trace_to(a, "Fq") == ZERO

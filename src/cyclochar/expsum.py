@@ -173,17 +173,14 @@ def _inner_values(
     return y
 
 
-def predict_char_sum(
-    q: int, k: int, trace_a_zero: bool, a_zero: bool, b_zero: bool
-) -> int:
+def predict_char_sum(q: int, k: int, trace_a_zero: bool, b_zero: bool) -> int:
     """Closed-form value of the sum by (a, b) class, under both gcd conditions.
 
     The published four-case table covers a = 0 for the b = 0 row; the
     value (q-1)(q^k-1) extends to every a with zero trace by linearity
-    of the trace, and that extension is what this returns.
+    of the trace, and that extension is what this returns.  a = 0 is a
+    zero-trace a, so the value never asks whether a itself is zero.
     """
-    if a_zero and not trace_a_zero:
-        raise InvalidArgumentError("a = 0 forces Tr(a) = 0; inconsistent flags")
     n = q**k - 1
     if b_zero:
         return (q - 1) * n if trace_a_zero else -n

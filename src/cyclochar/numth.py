@@ -114,6 +114,14 @@ def gcd_conditions(q: int, k: int, e1: int, e2: int) -> tuple[int, int]:
     return gcd(q - 1, k * e1 - e2), gcd(delta, e2)
 
 
+def failed_conditions(q: int, k: int, e1: int, e2: int) -> list[str]:
+    """Each gcd condition (e1, e2) fails, as "gcd(q-1,k*e1-e2)=g" or
+    "gcd(Delta,e2)=g"; empty when both hold."""
+    g1, g2 = gcd_conditions(q, k, e1, e2)
+    named = (("gcd(q-1,k*e1-e2)", g1), ("gcd(Delta,e2)", g2))
+    return [f"{name}={g}" for name, g in named if g != 1]
+
+
 def factorize(n: int) -> dict[int, int]:
     """Prime factorization by trial division, as {prime: multiplicity}."""
     if n < 1:

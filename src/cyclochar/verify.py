@@ -1,11 +1,15 @@
 """Exhaustive property sweeps behind the verify command and the test suite.
 
 Each sweep checks one exact identity over a whole (q, k) block and
-reports a machine-readable result with the first counterexample, if
-any.  run_block is the one error boundary: a disproved identity or any
-other package error comes back as a failing result so a runner can
-report every property it touched, and a refused job (ResourceLimitError)
-stops the run with every finished result kept.
+returns the pair (checked, counterexample): how many cases it checked
+and the first counterexample as a dict, None when the identity held on
+all of them.  run_block is the one place a PropertyResult is made: it
+names the result by its property, and a result is ok exactly when it
+carries no counterexample.  run_block is also the one error boundary: a
+package error inside a sweep becomes the counterexample {"error":
+message} so a runner can report every property it touched, and a
+refused job (ResourceLimitError) stops the run with every finished
+result kept.
 """
 
 from __future__ import annotations
@@ -45,9 +49,12 @@ class PropertyResult(NamedTuple):
     prop: str
     q: int
     k: int
-    ok: bool
     checked: int
     counterexample: dict | None = None
+
+    @property
+    def ok(self) -> bool:
+        return self.counterexample is None
 
     def to_json(self) -> dict:
         out = {
@@ -98,7 +105,7 @@ def all_pairs(q: int, k: int) -> Iterator[tuple[int, int]]:
 _SUBSTITUTION_BYTES_PER_POINT = 64
 
 
-def verify_substitution(q: int, k: int) -> PropertyResult:
+def verify_substitution(q: int, k: int) -> tuple[int, dict | None]:
     """Forward/inverse reindexing is a two-sided bijection on the whole grid.
 
     The map depends on (q, k, e2) only, so e1 contributes nothing new.
@@ -108,7 +115,9 @@ def verify_substitution(q: int, k: int) -> PropertyResult:
     map sends V into V through its two mods, and round trips that hold on
     all of V make it injective, so it is a bijection of the finite set V
     and the inverse is two-sided.  On the error path the same holds for
-    the prefix scanned before the first inexact division.
+    the prefix scanned before the first inexact division.  Returns
+    (points checked, None), or the points before the first failing round
+    trip and that point with its image and round trip.
     """
     n = q**k - 1
     r = q - 1
@@ -129,29 +138,18 @@ def verify_substitution(q: int, k: int) -> PropertyResult:
         trips = np.flatnonzero((back_i != i) | (back_j != j))
         if len(trips):
             p = int(trips[0])
-            return PropertyResult(
-                "substitution_bijection",
-                q,
-                k,
-                False,
-                checked + p,
-                {
-                    "e2": e2,
-                    "i": int(i[p]),
-                    "j": int(j[p]),
-                    "v": int(v[p]),
-                    "w": int(w[p]),
-                    "back": [int(back_i[p]), int(back_j[p])],
-                },
-            )
+            return checked + p, {
+                "e2": e2, "i": int(i[p]), "j": int(j[p]), "v": int(v[p]), "w": int(w[p]),
+                "back": [int(back_i[p]), int(back_j[p])],
+            }
         if error is not None:
             raise error
         checked += len(i)
         del v, w, back_i, back_j  # so the next e2's four arrays do not stack on these
-    return PropertyResult("substitution_bijection", q, k, True, checked)
+    return checked, None
 
 
-def verify_char_sum_cases(q: int, k: int, ctx: FieldCtx) -> PropertyResult:
+def verify_char_sum_cases(q: int, k: int, ctx: FieldCtx) -> tuple[int, dict | None]:
     """Under both conditions the sum takes the predicted value in every class.
 
     The sum T is constant on a multiplier orbit of (e1, e2) (see
@@ -161,9 +159,10 @@ def verify_char_sum_cases(q: int, k: int, ctx: FieldCtx) -> PropertyResult:
     class (tau, b) only on whether tau and b are zero, which the symmetry
     of codes.trace_weight_grid preserves: the representative classes
     reach the verdict of all q*q^k classes.  The count-vector path is
-    evaluated directly on one (a, b) per case as well.  checked counts
-    the classes and cases of every pair an orbit stands for, those of
-    the orbits finished before a failure included.  A counterexample
+    evaluated directly on one (a, b) per case as well.  Returns
+    (checked, counterexample): checked counts the classes and cases of
+    every pair an orbit stands for, those of the orbits finished before a
+    failure included; the counterexample, None if every value matched,
     names the representative pair and its first failing representative
     class (tau, b_col), b_col <= g, itself a class of the full grid, or
     its failing case.
@@ -175,20 +174,20 @@ def verify_char_sum_cases(q: int, k: int, ctx: FieldCtx) -> PropertyResult:
     # predict_char_sum's four cases as regions of a grid, each later one written
     # over the earlier: row 0 holds the classes with Tr(a) = 0, column 0 those with b = 0
     regions = [
-        (np.s_[:, :], predict_char_sum(q, k, False, False, False)),
-        (np.s_[0, :], predict_char_sum(q, k, True, False, False)),
-        (np.s_[:, 0], predict_char_sum(q, k, False, False, True)),
-        (np.s_[0, 0], predict_char_sum(q, k, True, False, True)),
+        (np.s_[:, :], predict_char_sum(q, k, False, False)),
+        (np.s_[0, :], predict_char_sum(q, k, True, False)),
+        (np.s_[:, 0], predict_char_sum(q, k, False, True)),
+        (np.s_[0, 0], predict_char_sum(q, k, True, True)),
     ]
     cases = [
-        (ZERO, ZERO, True, True, True),
-        (ZERO, 0, True, True, False),
-        (a_nz, ZERO, False, False, True),
-        (a_nz, 0, False, False, False),
+        (ZERO, ZERO, True, True),
+        (ZERO, 0, True, False),
+        (a_nz, ZERO, False, True),
+        (a_nz, 0, False, False),
     ]
     if a_z is not None:
-        cases.append((a_z, ZERO, True, False, True))
-        cases.append((a_z, 0, True, False, False))
+        cases.append((a_z, ZERO, True, True))
+        cases.append((a_z, 0, True, False))
     for e1, e2, size in valid_orbits(q, k):
         if gcd_conditions(q, k, e1, e2) != (1, 1):
             continue
@@ -198,47 +197,30 @@ def verify_char_sum_cases(q: int, k: int, ctx: FieldCtx) -> PropertyResult:
             expected[region] = value
         if not np.array_equal(grid, expected):
             tau, b = np.argwhere(grid != expected)[0]
-            return PropertyResult(
-                "char_sum_cases",
-                q,
-                k,
-                False,
-                checked,
-                {
-                    "e1": e1,
-                    "e2": e2,
-                    "tau": int(tau),
-                    "b_col": int(b),
-                    "got": int(grid[tau, b]),
-                    "want": int(expected[tau, b]),
-                },
-            )
+            return checked, {
+                "e1": e1, "e2": e2, "tau": int(tau), "b_col": int(b),
+                "got": int(grid[tau, b]), "want": int(expected[tau, b]),
+            }
         # direct count-vector evaluations, one per class
-        for a, b, tz, az, bz in cases:
+        for a, b, tz, bz in cases:
             got = char_sum(ctx, e1, e2, a, b).as_integer()
-            want = predict_char_sum(q, k, tz, az, bz)
+            want = predict_char_sum(q, k, tz, bz)
             if got != want:
-                return PropertyResult(
-                    "char_sum_cases",
-                    q,
-                    k,
-                    False,
-                    checked,
-                    {"e1": e1, "e2": e2, "a": a, "b": b, "got": got, "want": want},
-                )
+                return checked, {"e1": e1, "e2": e2, "a": a, "b": b, "got": got, "want": want}
         checked += size * (q * ctx.order + len(cases))
-    return PropertyResult("char_sum_cases", q, k, True, checked)
+    return checked, None
 
 
-def verify_char_sum_unit_iff(q: int, k: int, ctx: FieldCtx) -> PropertyResult:
+def verify_char_sum_unit_iff(q: int, k: int, ctx: FieldCtx) -> tuple[int, dict | None]:
     """T = 1 on the Tr(a) != 0, b != 0 classes iff gcd(q-1, k*e1 - e2) = 1.
 
     When the gcd is d > 1 every such value must be a nonunit multiple
     of d.  As in verify_char_sum_cases, one representative per orbit of
     numth.valid_orbits and the representative classes of
     codes.trace_weight_grid decide all (q - 1)(q^k - 1) classes of every
-    pair, checked counts all of them for every orbit finished, and a
-    counterexample is a representative class of a representative pair.
+    pair.  Returns (checked, counterexample): checked counts all of them
+    for every orbit finished, and the counterexample, None if every value
+    met the claim, is a representative class of a representative pair.
     """
     checked = 0
     for e1, e2, size in valid_orbits(q, k):
@@ -250,23 +232,12 @@ def verify_char_sum_unit_iff(q: int, k: int, ctx: FieldCtx) -> PropertyResult:
             bad = np.argwhere((block == 1) | (block % d != 0))
         if len(bad):
             tau, b = bad[0]
-            return PropertyResult(
-                "char_sum_unit_iff",
-                q,
-                k,
-                False,
-                checked,
-                {
-                    "e1": e1,
-                    "e2": e2,
-                    "d": d,
-                    "tau": int(tau) + 1,
-                    "b_col": int(b) + 1,
-                    "value": int(block[tau, b]),
-                },
-            )
+            return checked, {
+                "e1": e1, "e2": e2, "d": d, "tau": int(tau) + 1, "b_col": int(b) + 1,
+                "value": int(block[tau, b]),
+            }
         checked += size * (q - 1) * ctx.m
-    return PropertyResult("char_sum_unit_iff", q, k, True, checked)
+    return checked, None
 
 
 class BruteForceMemo:
@@ -301,13 +272,15 @@ def verify_three_weight_iff(
     ctx: FieldCtx,
     brute_cap: int = DEFAULT_BRUTE_CAP,
     memo: BruteForceMemo | None = None,
-) -> PropertyResult:
+) -> tuple[int, dict | None]:
     """Brute-forced distribution equals the three-weight table iff both gcds hold.
 
     Scans every (e1, e2) in [0, q-1) x [0, q^k - 1), including pairs
     violating the standing assumption, and checks the conditions of each;
     the brute force runs once per multiplier orbit (memo, fresh if not
-    given) and never consults the trace representation.
+    given) and never consults the trace representation.  Returns (pairs
+    checked, None), or the pairs before the first pair where table match
+    and conditions disagree, and that pair.
     """
     n = q**k - 1
     table = three_weight_distribution(q, k)
@@ -318,16 +291,9 @@ def verify_three_weight_iff(
             match = memo.distribution(e1, e2) == table
             conds = gcd_conditions(q, k, e1, e2) == (1, 1)
             if match != conds:
-                return PropertyResult(
-                    "three_weight_iff_conditions",
-                    q,
-                    k,
-                    False,
-                    checked,
-                    {"e1": e1, "e2": e2, "table_match": match, "conditions": conds},
-                )
+                return checked, {"e1": e1, "e2": e2, "table_match": match, "conditions": conds}
             checked += 1
-    return PropertyResult("three_weight_iff_conditions", q, k, True, checked)
+    return checked, None
 
 
 def verify_oracle_equivalence(
@@ -336,11 +302,13 @@ def verify_oracle_equivalence(
     ctx: FieldCtx,
     brute_cap: int = DEFAULT_BRUTE_CAP,
     memo: BruteForceMemo | None = None,
-) -> PropertyResult:
+) -> tuple[int, dict | None]:
     """Trace-path distribution equals brute force for every pair of all_pairs.
 
     The trace path runs per pair; the brute force runs once per
-    multiplier orbit (memo, fresh if not given).
+    multiplier orbit (memo, fresh if not given).  Returns (pairs checked,
+    None), or the pairs before the first disagreement, and that pair with
+    both distributions.
     """
     memo = BruteForceMemo(ctx, brute_cap) if memo is None else memo
     checked = 0
@@ -348,19 +316,12 @@ def verify_oracle_equivalence(
         wd = weight_distribution_trace(ctx, e1, e2)
         brute = memo.distribution(e1, e2).entries
         if wd.entries != brute:
-            return PropertyResult(
-                "oracle_equivalence",
-                q,
-                k,
-                False,
-                checked,
-                {"e1": e1, "e2": e2, "trace": wd.entries, "brute": brute},
-            )
+            return checked, {"e1": e1, "e2": e2, "trace": wd.entries, "brute": brute}
         checked += 1
-    return PropertyResult("oracle_equivalence", q, k, True, checked)
+    return checked, None
 
 
-def verify_duality(q: int, k: int, ctx: FieldCtx) -> PropertyResult:
+def verify_duality(q: int, k: int, ctx: FieldCtx) -> tuple[int, dict | None]:
     """MacWilliams involution and the claims of codes.dual_claim_failure.
 
     Runs over the qualifying orbits of numth.valid_orbits: the pairs of
@@ -368,8 +329,9 @@ def verify_duality(q: int, k: int, ctx: FieldCtx) -> PropertyResult:
     codes, size/k an orbit (a q-cyclotomic coset of e2 has k members).
     The transform and its inverse run once per distinct distribution;
     the transform itself checks the Pless moments, a failure there
-    raises, and run_block reports it as an error.  A counterexample names
-    the representative pair.
+    raises, and run_block reports it as an error.  Returns (checked,
+    counterexample), the counterexample None if every code passed, else
+    the representative pair and the claim it fails.
     """
     checked = 0
     n = ctx.m
@@ -388,33 +350,32 @@ def verify_duality(q: int, k: int, ctx: FieldCtx) -> PropertyResult:
                 claim = dual_claim_failure(dual, q, k)
                 failures[key] = claim[0] if claim else None
         if failures[key]:
-            return PropertyResult(
-                "duality_suite",
-                q,
-                k,
-                False,
-                checked,
-                {"e1": e1, "e2": e2, "failure": failures[key]},
-            )
+            return checked, {"e1": e1, "e2": e2, "failure": failures[key]}
         checked += size // k
-    return PropertyResult("duality_suite", q, k, True, checked)
+    return checked, None
 
 
-def verify_enumeration(q: int, k: int, ctx: FieldCtx) -> PropertyResult:
-    """Enumeration agrees with the closed-form count and every entry verifies."""
+def verify_enumeration(q: int, k: int, ctx: FieldCtx) -> tuple[int, dict | None]:
+    """Enumeration agrees with the closed-form count and every entry verifies.
+
+    Returns (codes built, None): a failure raises, and run_block reports it.
+    """
     checked = 0
     for e1, e2 in enumerate_codes(q, k):
         build_code(ctx, q, k, e1, e2)
         checked += 1
-    return PropertyResult("enumeration_count", q, k, True, checked)
+    return checked, None
 
 
 def verify_two_weight_gaps(
     q: int, k: int, ctx: FieldCtx, brute_cap: int = DEFAULT_BRUTE_CAP
-) -> PropertyResult:
-    """No two-weight irreducible code has adjacent weights; systems solve."""
+) -> tuple[int, dict | None]:
+    """No two-weight irreducible code has adjacent weights; systems solve.
+
+    Returns (codes scanned, None): a failure raises, and run_block reports it.
+    """
     entries = two_weight_gap_scan(ctx, q, k, brute_cap)
-    return PropertyResult("two_weight_gaps", q, k, True, len(entries))
+    return len(entries), None
 
 
 # property -> runner(q, k, ctx, brute_cap, memo), memo the block's
@@ -454,10 +415,11 @@ def run_block(
     budget refuses costs no field.  The two brute-force sweeps share one
     BruteForceMemo.
 
-    This is the sweeps' one error boundary.  A package error inside a
-    sweep becomes a failing result {"error": message}, except a
-    ResourceLimitError: that stops the run, and every result finished
-    before it is already in results.
+    This is the one place a PropertyResult is made, named by its key in
+    _RUNNERS from the sweep's (checked, counterexample), and the sweeps'
+    one error boundary: a package error inside a sweep becomes (0,
+    {"error": message}), except a ResourceLimitError: that stops the run,
+    and every result finished before it is already in results.
     """
     results = [] if results is None else results
     check_field(q, k, field_cap)
@@ -467,10 +429,10 @@ def run_block(
             ctx = field_for(q, k, cap=field_cap)
             memo = BruteForceMemo(ctx, brute_cap)
         try:
-            result = _RUNNERS[prop](q, k, ctx, brute_cap, memo)
+            checked, counterexample = _RUNNERS[prop](q, k, ctx, brute_cap, memo)
         except ResourceLimitError:
             raise
         except CyclocharError as exc:
-            result = PropertyResult(prop, q, k, False, 0, {"error": str(exc)})
-        results.append(result)
+            checked, counterexample = 0, {"error": str(exc)}
+        results.append(PropertyResult(prop, q, k, checked, counterexample))
     return results

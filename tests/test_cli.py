@@ -587,6 +587,19 @@ class TestDualAndMinpoly:
         assert f"error: {path}:2: non-integer token" in err
 
 
+def test_a_failed_condition_is_refused_before_numpy_is_imported():
+    # check_field and the gcd conditions come before the imports, the
+    # --primitive-table file and the field: at q^k = 2^20 that field is most
+    # of half a second
+    runs = [
+        ["charsum", "--q", "1024", "--k", "2", "--e1", "0", "--e2", "0", "--a", "0", "--b", "0"],
+        ["build", "--q", "1024", "--k", "2", "--e1", "0", "--e2", "0"],
+        ["build", "--q", "1024", "--k", "2", "--e1", "0", "--e2", "0", "--format", "json"],
+        ["build", "--q", "4", "--k", "2", "--e1", "2", "--e2", "1", "--format", "json"],
+    ]
+    assert fresh_interpreter_modules(runs, {"numpy"}) == "[2, 2, 2, 2] []"
+
+
 def test_the_other_subcommands_load_no_dataclasses():
     # every record they make is a NamedTuple or a plain class
     commands = [
@@ -666,7 +679,7 @@ class TestVerify:
 
         def stub(q, k, ctx):
             calls.append((q, k, ctx.q, ctx.k))
-            return verify.PropertyResult("enumeration_count", q, k, True, -1)
+            return -1, None
 
         monkeypatch.setattr(verify, "verify_enumeration", stub)
         results = verify.run_block(2, 3, 1 << 20, ("enumeration_count",))

@@ -518,10 +518,10 @@ class TestMacWilliamsMemo:
         real = verify.macwilliams_dual
         monkeypatch.setattr(verify, "macwilliams_dual",
                             lambda wd, n, q, dim: dims.append(dim) or real(wd, n, q, dim))
-        result = verify.verify_duality(4, 3, gf.field_for(4, 3))
-        assert result.ok
+        checked, counterexample = verify.verify_duality(4, 3, gf.field_for(4, 3))
+        assert counterexample is None
         # one per qualifying code: phi(63) * (q - 1) / k
-        assert result.checked == 36
+        assert checked == 36
         # every code has the same distribution: one transform each way
         assert dims == [4, 59]
 
@@ -535,7 +535,7 @@ class TestMacWilliamsMemo:
 
         monkeypatch.setattr(codes, "pless_moment_check", counted)
         codes._dual_entries.cache_clear()
-        assert verify.verify_duality(4, 3, gf.field_for(4, 3)).ok
+        assert verify.verify_duality(4, 3, gf.field_for(4, 3))[1] is None
         assert dims == [4, 59]
 
     def test_pless_failure_is_a_sweep_error(self, monkeypatch):
@@ -726,8 +726,8 @@ class TestDualClaims:
         ctx = gf.field_for(4, 3)
         with pytest.raises(TheoremViolationError, match=r"^dual B_3=3843 != closed form 3844$"):
             characterize.build_code(ctx, 4, 3, 2, 5)
-        result = verify.verify_duality(4, 3, ctx)
-        assert not result.ok and result.counterexample["failure"] == "B3_mismatch"
+        _, counterexample = verify.verify_duality(4, 3, ctx)
+        assert counterexample is not None and counterexample["failure"] == "B3_mismatch"
 
 
 class TestDualB3:

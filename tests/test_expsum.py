@@ -380,14 +380,10 @@ class TestCharSum:
 
 class TestPredictions:
     def test_first_case_q2(self):
-        assert expsum.predict_char_sum(2, 3, True, True, True) == 7
+        assert expsum.predict_char_sum(2, 3, True, True) == 7
 
     def test_b_nonzero_trace_zero(self):
-        assert expsum.predict_char_sum(4, 3, True, True, False) == -3
-
-    def test_inconsistent_flags(self):
-        with pytest.raises(InvalidArgumentError):
-            expsum.predict_char_sum(4, 3, False, True, True)
+        assert expsum.predict_char_sum(4, 3, True, False) == -3
 
     @pytest.mark.parametrize("q,k,e1,e2", [(3, 2, 0, 1), (2, 3, 0, 1), (4, 2, 0, 1)])
     def test_matches_char_sum_on_every_pair(self, q, k, e1, e2):
@@ -397,7 +393,7 @@ class TestPredictions:
         for a in elems:
             tz = a == ZERO or ctx.trace_to(a, "Fq") == ZERO
             for b in elems:
-                want = expsum.predict_char_sum(q, k, tz, a == ZERO, b == ZERO)
+                want = expsum.predict_char_sum(q, k, tz, b == ZERO)
                 assert expsum.char_sum(ctx, e1, e2, a, b).as_integer() == want
 
 

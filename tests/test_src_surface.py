@@ -18,6 +18,10 @@ Every name a src/ module imports must also be read in the scope that
 imports it (a function-local import in that function, a module-level one
 anywhere in the module), unless the module lists it in __all__: a module
 is no re-export hub for names it does not use.
+
+A verify sweep returns (checked, counterexample) and never names its
+property: verify.run_block alone makes a PropertyResult, named by the
+sweep's key in verify._RUNNERS.
 """
 
 import ast
@@ -152,3 +156,45 @@ def unused_imports(src=SRC):
 def test_every_imported_name_is_read():
     unused = unused_imports()
     assert not unused, f"imported but never read: {unused}: delete the imports"
+
+
+def _calls(tree, module):
+    """(owner, call) for every call in tree: the owner is module.function for
+    a call under a module-level function, the module for any other."""
+    for item in tree.body:
+        owner = f"{module}.{item.name}" if _is_def(item) else module
+        for node in ast.walk(item):
+            if isinstance(node, ast.Call):
+                yield owner, node
+
+
+def test_only_run_block_makes_a_property_result():
+    makers = set()
+    for path in sorted(SRC.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+        for owner, call in _calls(tree, path.stem):
+            func = call.func
+            name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+            if name == "PropertyResult":
+                makers.add(owner)
+    assert makers == {"verify.run_block"}
+
+
+def test_no_sweep_names_its_property():
+    # each _RUNNERS value is a lambda calling its sweep by module-global name
+    tree = ast.parse((SRC / "verify.py").read_text(encoding="utf-8"))
+    (table,) = [
+        item.value for item in tree.body
+        if isinstance(item, ast.Assign) and any(
+            isinstance(t, ast.Name) and t.id == "_RUNNERS" for t in item.targets
+        )
+    ]
+    props = {key.value for key in table.keys}
+    sweeps = {runner.body.func.id for runner in table.values}
+    defs = [item for item in tree.body if _is_def(item) and item.name in sweeps]
+    assert len(defs) == len(sweeps) == len(props)
+    named = sorted(
+        f"{sweep.name}: {node.value}" for sweep in defs for node in ast.walk(sweep)
+        if isinstance(node, ast.Constant) and node.value in props
+    )
+    assert not named, f"sweeps that name their property: {named}"

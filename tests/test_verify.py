@@ -7,10 +7,11 @@ the trace grid.  The references below are the loops they replaced: the
 per-pair three-weight scan and the oracle scan, each sharing a brute force
 only between pairs with the same parity check, the point-by-point
 substitution scan over scalar copies of the two maps, and the
-character-sum sweeps over the full (q, q^k) grid.  A sweep and its
-reference must agree on ok, checked and the counterexample (or raise the
-same error), on clean runs and under injected faults; a character-sum
-sweep may name a different failing class, as long as it fails in the
+character-sum sweeps over the full (q, q^k) grid.  Each returns
+(checked, counterexample), the counterexample None when the identity
+held.  A sweep and its reference must agree on both (or raise the same
+error), on clean runs and under injected faults; a character-sum sweep
+may name a different failing class, as long as it fails in the
 reference grid too.
 
 The two character-sum sweeps and the duality sweep walk one
@@ -60,12 +61,9 @@ def reference_three_weight_iff(q, k, ctx, brute_cap=numth.DEFAULT_BRUTE_CAP):
             match = reference_brute(ctx, e1, e2, brute_cap, cache) == table
             conds = verify.gcd_conditions(q, k, e1, e2) == (1, 1)
             if match != conds:
-                return verify.PropertyResult(
-                    "three_weight_iff_conditions", q, k, False, checked,
-                    {"e1": e1, "e2": e2, "table_match": match, "conditions": conds},
-                )
+                return checked, {"e1": e1, "e2": e2, "table_match": match, "conditions": conds}
             checked += 1
-    return verify.PropertyResult("three_weight_iff_conditions", q, k, True, checked)
+    return checked, None
 
 
 def reference_oracle_equivalence(q, k, ctx, brute_cap=numth.DEFAULT_BRUTE_CAP):
@@ -75,12 +73,9 @@ def reference_oracle_equivalence(q, k, ctx, brute_cap=numth.DEFAULT_BRUTE_CAP):
         wd = verify.weight_distribution_trace(ctx, e1, e2)
         brute = reference_brute(ctx, e1, e2, brute_cap, cache).entries
         if wd.entries != brute:
-            return verify.PropertyResult(
-                "oracle_equivalence", q, k, False, checked,
-                {"e1": e1, "e2": e2, "trace": wd.entries, "brute": brute},
-            )
+            return checked, {"e1": e1, "e2": e2, "trace": wd.entries, "brute": brute}
         checked += 1
-    return verify.PropertyResult("oracle_equivalence", q, k, True, checked)
+    return checked, None
 
 
 def _check_point(spec, first, second, m):
@@ -117,19 +112,13 @@ def reference_substitution(q, k):
                 v, w = scalar_substitution(spec, i, j)
                 back = scalar_substitution_inverse(spec, v, w)
                 if back != (i, j):
-                    return verify.PropertyResult(
-                        "substitution_bijection", q, k, False, checked,
-                        {"e2": e2, "i": i, "j": j, "v": v, "w": w, "back": list(back)},
-                    )
+                    return checked, {"e2": e2, "i": i, "j": j, "v": v, "w": w, "back": list(back)}
                 flat = v * (q - 1) + w
                 if seen[flat]:
-                    return verify.PropertyResult(
-                        "substitution_bijection", q, k, False, checked,
-                        {"e2": e2, "collision_at": [v, w]},
-                    )
+                    return checked, {"e2": e2, "collision_at": [v, w]}
                 seen[flat] = 1
                 checked += 1
-    return verify.PropertyResult("substitution_bijection", q, k, True, checked)
+    return checked, None
 
 
 def full_char_sum_grid(ctx, e1, e2):
@@ -163,26 +152,20 @@ def reference_char_sum_cases(q, k, ctx):
         expected = expected_case_table(q, n, grid.shape)
         if not np.array_equal(grid, expected):
             tau, b = np.argwhere(grid != expected)[0]
-            return verify.PropertyResult(
-                "char_sum_cases", q, k, False, checked,
-                {"e1": e1, "e2": e2, "tau": int(tau), "b_col": int(b),
-                 "got": int(grid[tau, b]), "want": int(expected[tau, b])},
-            )
+            return checked, {"e1": e1, "e2": e2, "tau": int(tau), "b_col": int(b),
+                             "got": int(grid[tau, b]), "want": int(expected[tau, b])}
         checked += grid.size
-        cases = [(ZERO, ZERO, True, True, True), (ZERO, 0, True, True, False),
-                 (a_nz, ZERO, False, False, True), (a_nz, 0, False, False, False)]
+        cases = [(ZERO, ZERO, True, True), (ZERO, 0, True, False),
+                 (a_nz, ZERO, False, True), (a_nz, 0, False, False)]
         if a_z is not None:
-            cases += [(a_z, ZERO, True, False, True), (a_z, 0, True, False, False)]
-        for a, b, tz, az, bz in cases:
+            cases += [(a_z, ZERO, True, True), (a_z, 0, True, False)]
+        for a, b, tz, bz in cases:
             got = verify.char_sum(ctx, e1, e2, a, b).as_integer()
-            want = verify.predict_char_sum(q, k, tz, az, bz)
+            want = verify.predict_char_sum(q, k, tz, bz)
             if got != want:
-                return verify.PropertyResult(
-                    "char_sum_cases", q, k, False, checked,
-                    {"e1": e1, "e2": e2, "a": a, "b": b, "got": got, "want": want},
-                )
+                return checked, {"e1": e1, "e2": e2, "a": a, "b": b, "got": got, "want": want}
             checked += 1
-    return verify.PropertyResult("char_sum_cases", q, k, True, checked)
+    return checked, None
 
 
 def reference_char_sum_unit_iff(q, k, ctx):
@@ -194,13 +177,10 @@ def reference_char_sum_unit_iff(q, k, ctx):
         bad = np.argwhere(unit_failures(block, d))
         if len(bad):
             tau, b = bad[0]
-            return verify.PropertyResult(
-                "char_sum_unit_iff", q, k, False, checked,
-                {"e1": e1, "e2": e2, "d": d, "tau": int(tau) + 1, "b_col": int(b) + 1,
-                 "value": int(block[tau, b])},
-            )
+            return checked, {"e1": e1, "e2": e2, "d": d, "tau": int(tau) + 1,
+                             "b_col": int(b) + 1, "value": int(block[tau, b])}
         checked += block.size
-    return verify.PropertyResult("char_sum_unit_iff", q, k, True, checked)
+    return checked, None
 
 
 def checked_before(q, k, rep, per_pair, qualifying):
@@ -218,9 +198,9 @@ def checked_before(q, k, rep, per_pair, qualifying):
 def assert_char_sum_sweeps_match(q, k, ctx):
     """Both character-sum sweeps against their full-grid references.
 
-    Same ok, and the same checked on success.  On failure the sweep names
-    the representative of the orbit of the reference's pair, and checked
-    counts the orbits walked before it.  A failing class the sweep names
+    Both pass or both fail, with the same checked on success.  On failure
+    the sweep names the representative of the orbit of the reference's
+    pair, and checked counts the orbits walked before it.  A failing class the sweep names
     must fail, with the same value, in the reference grid of its pair,
     and a failing direct case must be the reference's own.  Returns both
     outcomes.
@@ -232,17 +212,17 @@ def assert_char_sum_sweeps_match(q, k, ctx):
     ]:
         got = outcome(sweep, q, k, ctx)
         want = outcome(reference, q, k, ctx)
-        assert got[0] == want[0]
-        cex = got[2]
-        if got[0] is True or "e1" not in (cex or {}):
+        assert (got[1] is None) == (want[1] is None)
+        cex = got[1]
+        if cex is None or "e1" not in cex:
             assert got == want
             outcomes.append(got)
             continue
         rep = (cex["e1"], cex["e2"])
-        assert numth.orbit_representative(q, k, want[2]["e1"], want[2]["e2"]) == rep
-        assert got[1] == checked_before(q, k, rep, per_pair, qualifying)
+        assert numth.orbit_representative(q, k, want[1]["e1"], want[1]["e2"]) == rep
+        assert got[0] == checked_before(q, k, rep, per_pair, qualifying)
         if "tau" not in cex:
-            assert cex == {**want[2], "e1": rep[0], "e2": rep[1]}
+            assert cex == {**want[1], "e1": rep[0], "e2": rep[1]}
         else:
             assert cex["b_col"] <= math.gcd(cex["e2"], ctx.delta)
             grid = full_char_sum_grid(ctx, cex["e1"], cex["e2"])
@@ -273,12 +253,11 @@ def perturb_kernel(monkeypatch, q, k, target, classes):
 
 
 def outcome(sweep, *args):
-    """(ok, checked, counterexample) of a sweep, or the error it raised."""
+    """(checked, counterexample) of a sweep, or (name, message) of the error it raised."""
     try:
-        result = sweep(*args)
+        return sweep(*args)
     except CyclocharError as exc:
         return type(exc).__name__, str(exc)
-    return result.ok, result.checked, result.counterexample
 
 
 def mid_qualifying_rep(q, k):
@@ -300,7 +279,7 @@ def test_three_weight_sweep_equals_the_per_pair_loop(q, k):
     ctx = gf.field_for(q, k)
     got = outcome(verify.verify_three_weight_iff, q, k, ctx)
     assert got == outcome(reference_three_weight_iff, q, k, ctx)
-    assert got[:2] == (True, (q - 1) * (q**k - 1))
+    assert got == ((q - 1) * (q**k - 1), None)
 
 
 @pytest.mark.parametrize("q,k", PAIRS_255)
@@ -308,23 +287,23 @@ def test_oracle_sweep_equals_the_per_parity_check_loop(q, k):
     ctx = gf.field_for(q, k)
     got = outcome(verify.verify_oracle_equivalence, q, k, ctx)
     assert got == outcome(reference_oracle_equivalence, q, k, ctx)
-    assert got[0] is True
+    assert got[1] is None
 
 
 @pytest.mark.parametrize("q,k", PAIRS_255)
 def test_substitution_sweep_equals_the_scalar_loop(q, k):
     got = outcome(verify.verify_substitution, q, k)
     assert got == outcome(reference_substitution, q, k)
-    assert got[0] is True
+    assert got[1] is None
 
 
 @pytest.mark.parametrize("q,k", PAIRS_255)
 def test_char_sum_sweeps_equal_the_full_grid_loops(q, k):
     ctx = gf.field_for(q, k)
     cases, unit = assert_char_sum_sweeps_match(q, k, ctx)
-    assert cases[0] is True and unit[0] is True
+    assert cases[1] is None and unit[1] is None
     pairs = sum(1 for _ in verify.all_pairs(q, k))
-    assert unit[1] == pairs * (q - 1) * ctx.m
+    assert unit[0] == pairs * (q - 1) * ctx.m
 
 
 @pytest.mark.parametrize("q,k", PAIRS_255)
@@ -381,7 +360,7 @@ def test_a_flipped_condition_is_caught_at_the_same_pair(q, k, monkeypatch):
     monkeypatch.setattr(verify, "gcd_conditions", flipped)
     got = outcome(verify.verify_three_weight_iff, q, k, ctx)
     assert got == outcome(reference_three_weight_iff, q, k, ctx)
-    assert (got[2]["e1"], got[2]["e2"]) == target
+    assert (got[1]["e1"], got[1]["e2"]) == target
 
 
 @pytest.mark.parametrize("q,k", PAIRS_63)
@@ -404,7 +383,7 @@ def test_a_corrupted_distribution_is_caught_at_the_same_pair(q, k, monkeypatch):
     ]:
         got = outcome(sweep, q, k, ctx)
         assert got == outcome(reference, q, k, ctx)
-        assert (got[2]["e1"], got[2]["e2"]) == target
+        assert (got[1]["e1"], got[1]["e2"]) == target
 
 
 @pytest.mark.parametrize("classes", [((0, 0), (-1, 1)), ((0, 1), (-1, 0))])
@@ -417,11 +396,11 @@ def test_perturbed_trace_classes_are_caught_by_both_char_sum_sweeps(q, k, classe
     rep = numth.orbit_representative(q, k, *target)
     perturb_kernel(monkeypatch, q, k, target, classes)
     cases, unit = assert_char_sum_sweeps_match(q, k, ctx)
-    assert cases[0] is False and (cases[2]["e1"], cases[2]["e2"]) == rep
+    assert isinstance(cases[1], dict) and (cases[1]["e1"], cases[1]["e2"]) == rep
     if (-1, 1) in classes:  # only the Tr(a) != 0, b != 0 classes bear on the unit claim
-        assert unit[0] is False and (unit[2]["e1"], unit[2]["e2"]) == rep
+        assert isinstance(unit[1], dict) and (unit[1]["e1"], unit[1]["e2"]) == rep
     else:
-        assert unit[0] is True
+        assert unit[1] is None
 
 
 @pytest.mark.parametrize("q,k", PAIRS_255)
@@ -439,8 +418,8 @@ def test_a_wrong_direct_char_sum_is_caught_at_the_same_case(q, k, monkeypatch):
 
     monkeypatch.setattr(verify, "char_sum", wrong)
     cases, _ = assert_char_sum_sweeps_match(q, k, ctx)
-    assert cases[0] is False and "a" in cases[2]
-    assert (cases[2]["e1"], cases[2]["e2"]) == numth.orbit_representative(q, k, *target)
+    assert isinstance(cases[1], dict) and "a" in cases[1]
+    assert (cases[1]["e1"], cases[1]["e2"]) == numth.orbit_representative(q, k, *target)
 
 
 @pytest.mark.parametrize("q,k", PAIRS_255)
@@ -449,8 +428,8 @@ def test_duality_sweep_counts_every_code_with_one_transform_each_way(q, k, monke
     real = verify.macwilliams_dual
     monkeypatch.setattr(verify, "macwilliams_dual",
                         lambda wd, n, q_, dim: dims.append(dim) or real(wd, n, q_, dim))
-    result = verify.verify_duality(q, k, gf.field_for(q, k))
-    assert result.ok and result.checked == numth.code_count(q, k)
+    checked, counterexample = verify.verify_duality(q, k, gf.field_for(q, k))
+    assert counterexample is None and checked == numth.code_count(q, k)
     assert dims == [k + 1, q**k - 1 - (k + 1)]
 
 
@@ -466,12 +445,12 @@ def test_a_foreign_distribution_on_one_orbit_fails_the_duality_sweep(q, k, monke
     real = verify.weight_distribution_trace
     monkeypatch.setattr(verify, "weight_distribution_trace",
                         lambda ctx_, e1, e2: real(ctx_, *(foreign if (e1, e2) in orbit else (e1, e2))))
-    result = verify.verify_duality(q, k, ctx)
+    checked, counterexample = verify.verify_duality(q, k, ctx)
     rep = numth.orbit_representative(q, k, *target)
-    assert not result.ok
-    assert result.counterexample == {"e1": rep[0], "e2": rep[1], "failure": "B1_B2_nonzero"}
+    assert counterexample is not None
+    assert counterexample == {"e1": rep[0], "e2": rep[1], "failure": "B1_B2_nonzero"}
     # the codes of the qualifying orbits walked before it
-    assert result.checked * k == checked_before(q, k, rep, 1, True)
+    assert checked * k == checked_before(q, k, rep, 1, True)
 
 
 @pytest.mark.parametrize("field", ["alpha", "beta"])
@@ -492,7 +471,7 @@ def test_an_off_by_one_bezout_pair_gives_the_same_outcome(q, k, field, monkeypat
     if field == "alpha" and q == 2:
         assert got[0] == "ConsistencyError"
     elif (field, q) != ("beta", 2):
-        assert got[0] is False and "back" in got[2]
+        assert isinstance(got[1], dict) and "back" in got[1]
     assert outcome(verify.verify_oracle_equivalence, q, k, ctx) == outcome(
         reference_oracle_equivalence, q, k, ctx
     )
@@ -506,9 +485,9 @@ def test_an_error_after_a_failed_round_trip_is_not_reported(monkeypatch):
     spec = expsum.code_spec(4, 3, 0, 1)
     with pytest.raises(ConsistencyError, match=r"does not divide i - alpha\*v = -1$"):
         expsum.substitution(spec, [0, 0, 0, 1, 1], [0, 1, 2, 0, 1])
-    result = verify.verify_substitution(4, 3)
-    assert not result.ok
-    assert (result.checked, result.counterexample["i"], result.counterexample["j"]) == (1, 0, 1)
+    checked, counterexample = verify.verify_substitution(4, 3)
+    assert counterexample is not None
+    assert (checked, counterexample["i"], counterexample["j"]) == (1, 0, 1)
 
 
 @pytest.mark.parametrize("q,k", [(q, k) for q, k in PAIRS_63 if q > 2])
@@ -521,7 +500,7 @@ def test_a_many_to_one_forward_map_is_caught_by_its_round_trips(q, k, monkeypatc
                         lambda spec, i, j: (real_scalar(spec, i, j)[0], 0))
     got = outcome(verify.verify_substitution, q, k)
     assert got == outcome(reference_substitution, q, k)
-    assert got[0] is False and "back" in got[2]
+    assert isinstance(got[1], dict) and "back" in got[1]
 
 
 def test_the_substitution_sweep_stays_inside_its_per_point_budget(monkeypatch):
@@ -532,12 +511,43 @@ def test_the_substitution_sweep_stays_inside_its_per_point_budget(monkeypatch):
     points = (32**3 - 1) * 31
     tracemalloc.start()
     try:
-        result = verify.verify_substitution(32, 3)
+        checked, counterexample = verify.verify_substitution(32, 3)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert result.ok and result.checked == 3 * points
+    assert counterexample is None and checked == 3 * points
     assert peak <= verify._SUBSTITUTION_BYTES_PER_POINT * points
+
+
+# -- run_block names every result ---------------------------------------------
+
+
+SWEEPS = {
+    "substitution_bijection": "verify_substitution",
+    "char_sum_cases": "verify_char_sum_cases",
+    "char_sum_unit_iff": "verify_char_sum_unit_iff",
+    "three_weight_iff_conditions": "verify_three_weight_iff",
+    "oracle_equivalence": "verify_oracle_equivalence",
+    "duality_suite": "verify_duality",
+    "enumeration_count": "verify_enumeration",
+    "two_weight_gaps": "verify_two_weight_gaps",
+}
+
+
+@pytest.mark.parametrize("prop", verify.PROPERTIES)
+def test_run_block_names_the_pair_each_sweep_returns(prop, monkeypatch, capsys):
+    # a sweep returns (checked, counterexample); the result takes its name
+    # from run_block, and it is ok exactly when there is no counterexample
+    for counterexample in ({"x": 1}, None):
+        monkeypatch.setattr(verify, SWEEPS[prop], lambda *args, cex=counterexample: (7, cex))
+        (result,) = verify.run_block(2, 3, 1 << 20, (prop,))
+        assert result == verify.PropertyResult(prop, 2, 3, 7, counterexample)
+        assert result.ok is (counterexample is None)
+    monkeypatch.setattr(verify, SWEEPS[prop], lambda *args: (7, {"x": 1}))
+    code = cli.main(["verify", "--q", "2", "--k", "3", "--props", prop, "--format", "text"])
+    out, _ = capsys.readouterr()
+    assert code == 3
+    assert out == f'FAIL {prop} q=2 k=3 checked=7 counterexample={{"x": 1}}\n'
 
 
 # -- the multiplier fact and the independence of the two routes --------------
@@ -586,8 +596,8 @@ def test_the_brute_force_route_never_reads_the_trace_route(q, k, monkeypatch):
     ctx = gf.field_for(q, k)
     memo = verify.BruteForceMemo(ctx)
     assert memo.distribution(0, 1) == codes.three_weight_distribution(q, k)
-    result = verify.verify_three_weight_iff(q, k, ctx)
-    assert result.ok and result.checked == (q - 1) * (q**k - 1)
+    checked, counterexample = verify.verify_three_weight_iff(q, k, ctx)
+    assert counterexample is None and checked == (q - 1) * (q**k - 1)
 
 
 # -- the character-sum sweeps: lazy pairs and no full grid --------------------
@@ -638,17 +648,17 @@ def test_the_unit_sweep_forms_no_full_grid_at_257_2(monkeypatch):
     monkeypatch.setattr(verify, "valid_orbits", lambda q, k: islice(real(q, k), 20))
     tracemalloc.start()
     try:
-        result = verify.verify_char_sum_unit_iff(257, 2, ctx)
+        checked, counterexample = verify.verify_char_sum_unit_iff(257, 2, ctx)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
     pairs = sum(size for *_, size in islice(real(257, 2), 20))
-    assert result.ok and result.checked == pairs * 256 * ctx.m
+    assert counterexample is None and checked == pairs * 256 * ctx.m
     assert peak < 16 << 20
 
 
 def test_the_unit_sweep_covers_all_of_257_2():
     # 5,505,024 pairs in 256 orbits, one grid each
     ctx = gf.field_for(257, 2)
-    result = verify.verify_char_sum_unit_iff(257, 2, ctx)
-    assert result.ok and result.checked == 5_505_024 * 256 * 66_048
+    checked, counterexample = verify.verify_char_sum_unit_iff(257, 2, ctx)
+    assert counterexample is None and checked == 5_505_024 * 256 * 66_048

@@ -44,9 +44,7 @@ from .numth import (
     cyclotomic_coset,
     failed_conditions,
     gcd_conditions,
-    multiplicative_order,
     qualifying_codes,
-    rem,
     schmidt_white_theta,
 )
 
@@ -86,8 +84,8 @@ def build_code(ctx: FieldCtx, q: int, k: int, e1: int, e2: int) -> CodeReport:
     failures = failed_conditions(q, k, e1, e2)
     if failures:
         raise ConditionFailedError("; ".join(failures), failed=failures)
-    h1 = polyring.minimal_polynomial(ctx, rem(ctx.delta * e1, ctx.m))
-    h2 = polyring.minimal_polynomial(ctx, rem(e2, ctx.m))
+    h1 = polyring.minimal_polynomial(ctx, ctx.delta * e1 % ctx.m)
+    h2 = polyring.minimal_polynomial(ctx, e2 % ctx.m)
     if polyring.degree(h1) != 1:
         raise TheoremViolationError(f"deg h_(Delta*e1) = {polyring.degree(h1)} != 1")
     if polyring.degree(h2) != k:
@@ -172,7 +170,7 @@ def characterize_code(
     _check_ctx(ctx, q, k)
     if not h or not polyring.is_monic(h):
         raise InvalidArgumentError("parity check must be monic and nonzero")
-    if polyring.poly_mod(ctx, polyring.x_pow_n_minus_1(ctx, ctx.m), h):
+    if polyring.poly_divmod(ctx, polyring.x_pow_n_minus_1(ctx, ctx.m), h)[1]:
         raise InvalidArgumentError(f"polynomial does not divide x^{ctx.m} - 1")
     if polyring.degree(h) != k + 1:
         return None
@@ -187,7 +185,7 @@ def characterize_code(
     c = ctx.neg(ctx.element_of_symbol(lin[0]))
     if c == ZERO:
         raise ConsistencyError("degree-one factor of x^n - 1 has root zero")
-    delta_e1 = rem(-c, ctx.m)
+    delta_e1 = -c % ctx.m
     if delta_e1 % ctx.delta != 0 or delta_e1 != rep1:
         raise ConsistencyError("degree-one factor root is not in the subfield orbit")
     e1 = delta_e1 // ctx.delta
@@ -212,7 +210,7 @@ def one_weight_check(
     """
     if ctx.q != q:
         raise InvalidArgumentError(f"field context is for q={ctx.q}, not {q}")
-    a = rem(a, ctx.m)
+    a %= ctx.m
     size = len(cyclotomic_coset(a, q, ctx.m))
     if size != kprime:
         raise InvalidArgumentError(f"deg h_a = {size}, not kprime = {kprime}")
@@ -270,7 +268,7 @@ def full_weight_divisor(
     first, second = (ctx.element_of_symbol(symbol.index(v)) for v in lines[0][:2].tolist())
     m2 = ctx.mul(second, ctx.inv(first))
     divisor = (ctx.symbol_of(ctx.neg(ctx.inv(m2))), 1)
-    if polyring.poly_mod(ctx, code.parity_check, divisor):
+    if polyring.poly_divmod(ctx, code.parity_check, divisor)[1]:
         raise ConsistencyError("recovered linear factor does not divide the parity check")
     return divisor
 
@@ -348,7 +346,7 @@ def _solve_two_weight_system(
         raise TheoremViolationError(
             f"two-weight irreducible code at e={e} with u=1 contradicts the one-weight criterion"
         )
-    f = multiplicative_order(p, u)
+    f = len(cyclotomic_coset(1, p, u))  # ord_u(p): the powers of p mod u
     s, r0 = divmod(k * t, f)
     if r0 != 0:
         raise ConsistencyError("ord_u(p) does not divide k*t")

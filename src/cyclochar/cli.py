@@ -244,31 +244,25 @@ def _parse_element(text: str) -> tuple[str, int | None]:
         ) from None
 
 
-def _exponent(e: int | None, m: int) -> int:
-    """The exponent form of a parsed element of F_{q^k}, m = q^k - 1."""
-    from .gf import ZERO
-
-    if e is None:
-        return ZERO
-    if not 0 <= e < m:
-        raise InvalidArgumentError(f"element exponent out of range: {e} is not in [0, {m})")
-    return e
-
-
 def cmd_charsum(args) -> int:
-    # a bad field or gcd(Delta, e2) != 1 is refused before numpy or a field is loaded
+    # a bad field, gcd(Delta, e2) != 1 or an element exponent outside [0, q^k - 1)
+    # is refused before numpy or a field is loaded
     check_field(args.q, args.k, args.field_cap)
     d, g = gcd_conditions(args.q, args.k, args.e1, args.e2)
+    m = args.q**args.k - 1
     if g != 1:
-        delta = (args.q**args.k - 1) // (args.q - 1)
+        delta = m // (args.q - 1)
         raise InvalidArgumentError(f"gcd(Delta, e2) = gcd({delta}, {args.e2}) = {g} != 1")
+    for _, e in (args.a, args.b):  # e is None for the zero element
+        if e is not None and not 0 <= e < m:
+            raise InvalidArgumentError(f"element exponent out of range: {e} is not in [0, {m})")
     import json
 
     from .expsum import char_sum
     from .gf import ZERO
 
     ctx = _field(args)
-    a, b = (_exponent(e, ctx.m) for _, e in (args.a, args.b))
+    a, b = (ZERO if e is None else e for _, e in (args.a, args.b))
     value = char_sum(ctx, args.e1, args.e2, a, b)
     tr_zero = a == ZERO or ctx.trace_to(a, "Fq") == ZERO
     case = f"Tr(a){'=' if tr_zero else '!='}0, b{'=' if b == ZERO else '!='}0"
@@ -311,7 +305,8 @@ def cmd_dual(args) -> int:
     # refuse an oversized field, transform or output before any table is built
     q, n = args.q, args.q**args.k - 1
     check_field(q, args.k, args.field_cap)
-    check_macwilliams_budget(n, q)
+    # every code has at least two weights; macwilliams_dual checks its real count
+    check_macwilliams_budget(n, q, 2)
     # at most n + 1 frequencies, each below q^n, written with its weight
     check_budget(
         f"writing the dual distribution at n = {n}, q = {q}",

@@ -26,11 +26,7 @@ import numpy as np
 from . import polyring
 from .errors import ConsistencyError, InvalidArgumentError, ResourceLimitError
 from .gf import FieldCtx
-from .numth import (
-    DEFAULT_BRUTE_CAP,
-    check_budget,
-    rem,
-)
+from .numth import DEFAULT_BRUTE_CAP, check_budget
 
 _BLOCK = 1 << 12
 _BLOCK_ENTRIES = 1 << 20
@@ -104,8 +100,8 @@ def parity_check_from_exponents(ctx: FieldCtx, e1: int, e2: int) -> polyring.Pol
     have a square factor; the code the trace representation generates is
     the one with the squarefree parity check, so duplicates collapse.
     """
-    h1 = polyring.minimal_polynomial(ctx, rem(ctx.delta * e1, ctx.m))
-    h2 = polyring.minimal_polynomial(ctx, rem(e2, ctx.m))
+    h1 = polyring.minimal_polynomial(ctx, ctx.delta * e1 % ctx.m)
+    h2 = polyring.minimal_polynomial(ctx, e2 % ctx.m)
     if h1 == h2:
         return h1
     return polyring.poly_mul(ctx, h1, h2)
@@ -145,12 +141,12 @@ def trace_weight_grid(ctx: FieldCtx, e1: int, e2: int) -> tuple[int, np.ndarray]
     whole column are one bincount over its n positions.
     """
     m, q = ctx.m, ctx.q
-    e2r = rem(e2, m)
+    e2r = e2 % m
     g = gcd(e2r, ctx.delta)
     idx = np.arange(m, dtype=np.int64)
     _, sym_mul, sym_neg, _ = ctx.symbol_tables()
     # symbol of -omega^(-e1*i); symbol s >= 1 stands for omega^(s-1)
-    neg_inv = sym_neg[1 + rem(-e1, q - 1) * idx % (q - 1)]
+    neg_inv = sym_neg[1 + (-e1 % (q - 1)) * idx % (q - 1)]
     trq = ctx.trace_q_symbols()
     weights = np.empty((q, 1 + g), dtype=np.int64)
     weights[:, 0] = m
@@ -349,24 +345,41 @@ def krawtchouk_sums(n: int, q: int, entries: tuple[tuple[int, int], ...]):
         prev, cur = cur, nxt
 
 
-def macwilliams_size_bytes(n: int, q: int) -> float:
-    """Estimated size of one exact transform: n + 1 entries of about n*log2(q) bits.
+# Container bytes of one exact transform, calibrated under tracemalloc
+# (tests/test_codes.py): per dual entry its (j, B_j) tuple, the int j and its
+# slots in the list, tuple and dict that hold it; per input weight its (w, A_w)
+# tuple and its slots in five lists and a dict; and the call's frames.
+_MW_ENTRY_BYTES = 136
+_MW_WEIGHT_BYTES = 144
+_MW_CALL_BYTES = 2048
 
-    The dual distribution holds n + 1 integers as large as q^n, and so
-    do the Krawtchouk values of a back transform.
+
+def macwilliams_size_bytes(n: int, q: int, weights: int) -> float:
+    """Estimated peak of one exact transform of a distribution with `weights` weights.
+
+    The transform holds the n + 1 dual values, and krawtchouk_sums keeps
+    two Krawtchouk values per input weight.  Each is an int of up to about
+    n*log2(q) bits, which CPython stores in 28 + bits/7.5 bytes (4 bytes
+    per 30-bit digit); the containers of each entry come on top.
     """
-    return (n + 1) * n * log2(q) / 8
+    value = 28 + n * log2(q) / 7.5
+    return (
+        _MW_CALL_BYTES
+        + (n + 1) * (value + _MW_ENTRY_BYTES)
+        + weights * (2 * value + _MW_WEIGHT_BYTES)
+    )
 
 
-def check_macwilliams_budget(n: int, q: int) -> float:
-    """The size of one exact transform, after check_budget accepts it.
+def check_macwilliams_budget(n: int, q: int, weights: int) -> None:
+    """Refuse a transform whose macwilliams_size_bytes exceeds the job budget.
 
-    Needs only n and q, so callers can refuse an oversized job before
-    they build a field or a code.
+    Needs only n, q and the input's weight count (or a bound on it), so
+    callers can refuse an oversized job before they build a field or a code.
     """
-    size = macwilliams_size_bytes(n, q)
-    check_budget(f"the MacWilliams transform at n = {n}, q = {q}", size)
-    return size
+    check_budget(
+        f"the MacWilliams transform at n = {n}, q = {q}",
+        macwilliams_size_bytes(n, q, weights),
+    )
 
 
 def macwilliams_dual(
@@ -382,7 +395,7 @@ def macwilliams_dual(
         raise InvalidArgumentError(
             f"distribution sums to {wd.total()}, expected q^dim = {q**dim}"
         )
-    check_macwilliams_budget(n, q)
+    check_macwilliams_budget(n, q, len(wd.entries))
     entries = _dual_entries.__wrapped__(n, q, dim, tuple(sorted(wd.entries.items())), True)
     return WeightDistribution(n=n, entries=dict(entries))
 

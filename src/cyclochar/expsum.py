@@ -24,7 +24,7 @@ import numpy as np
 
 from .errors import ConsistencyError, InvalidArgumentError, ResourceLimitError
 from .gf import ZERO, FieldCtx
-from .numth import BezoutPair, bezout_pair, rem
+from .numth import BezoutPair, bezout_pair
 
 
 class CyclotomicCount(NamedTuple):
@@ -144,7 +144,7 @@ def char_sum(ctx: FieldCtx, e1: int, e2: int, a: int, b: int) -> CyclotomicCount
     m, p, delta = ctx.m, ctx.p, ctx.delta
     # before the length-m arrays below, so that the table's build does not stack on them
     chars = ctx.char_exponents().reshape(ctx.q - 1, delta)
-    s = _inner_values(ctx, a, rem(delta * e1, m), b, rem(e2, m), np.arange(m, dtype=np.int64))
+    s = _inner_values(ctx, a, delta * e1 % m, b, e2 % m, np.arange(m, dtype=np.int64))
     s = s[s != ZERO]
     rows = np.bincount(s % delta, minlength=delta)
     table = np.bincount((chars + p * np.arange(delta)).ravel(), minlength=delta * p)

@@ -1,12 +1,12 @@
 """Integer-side machinery.
 
-Canonical remainders, Bezout pairs for the exponent congruence
-e2*alpha + Delta*beta == 1 (mod q^k - 1), the two gcd conditions, Euler
-phi, cyclotomic cosets, multiplier orbits by their representatives,
-base-p digit sums, the closed-form count of qualifying codes and the
-checked listing of those codes.  Also the size gates every job passes
-before it allocates: the field cap, the brute-force cap default and the
-job budget.
+Bezout pairs for the exponent congruence e2*alpha + Delta*beta == 1
+(mod q^k - 1), the two gcd conditions, Euler phi, cyclotomic cosets
+(and through the coset of 1, multiplicative orders), multiplier orbits
+by their representatives, base-p digit sums, the closed-form count of
+qualifying codes and the checked listing of those codes.  Also the size
+gates every job passes before it allocates: the field cap, the
+brute-force cap default and the job budget.
 
 Everything here is exact integer arithmetic on desk-scale inputs;
 factorization is plain trial division.  Nothing here imports numpy, so
@@ -38,11 +38,13 @@ DEFAULT_FIELD_CAP = 1 << 20
 DEFAULT_BRUTE_CAP = 1 << 22
 
 # The most memory (or, for a listing or a dual distribution, output) one job
-# may claim, by the estimates its callers pass to check_budget.  Every
-# MacWilliams transform of length up to 65535 over F_2 and F_4 passes (0.5 GiB
-# at (2,16)), while (2,20) would need 128 GiB; its decimal output passes up to
-# n = 32767 over F_2; a listing passes up to about 18 million records at
-# q^k <= 2^20, while (1024, 2) would write 13.7 GiB.
+# may claim, by the estimates its callers pass to check_budget.  The MacWilliams
+# transform of a three-weight code passes up to length 65535 over F_2 (0.54 GiB
+# at (2,16)) but not over F_4 (1.08 GiB at (4,8)), and (2,20) would need
+# 137 GiB; its inverse, over about n/2 weights, passes at (2,15) but not at
+# (2,16); the decimal output of a dual passes up to n = 32767 over F_2; a
+# listing passes up to about 18 million records at q^k <= 2^20, while
+# (1024, 2) would write 13.7 GiB.
 JOB_BUDGET_BYTES = 1 << 30
 
 
@@ -53,17 +55,6 @@ def check_budget(what: str, needed_bytes: float) -> None:
             f"{what} needs about {needed_bytes / 2**30:,.1f} GiB, over the "
             f"{JOB_BUDGET_BYTES / 2**30:g} GiB budget"
         )
-
-
-def rem(a: int, b: int) -> int:
-    """Canonical remainder: the unique r with 0 <= r < b and r == a (mod b).
-
-    Defined for any integer a and positive modulus b, independent of the
-    host language's signed-division convention.
-    """
-    if b <= 0:
-        raise InvalidArgumentError(f"modulus must be positive, got {b}")
-    return a % b
 
 
 class BezoutPair(NamedTuple):
@@ -96,8 +87,8 @@ def bezout_pair(e2: int, q: int, k: int) -> BezoutPair:
     if 2 * s > delta:
         s -= delta
     t = (1 - e2 * s) // delta
-    pair = BezoutPair(alpha=rem(s, n), beta=rem(t, q - 1) if q > 2 else 0)
-    if rem(e2 * pair.alpha + delta * pair.beta, n) != 1:
+    pair = BezoutPair(alpha=s % n, beta=t % (q - 1) if q > 2 else 0)
+    if (e2 * pair.alpha + delta * pair.beta) % n != 1:
         raise ConsistencyError("Bezout pair failed its defining congruence")
     return pair
 
@@ -201,13 +192,14 @@ def code_count(q: int, k: int) -> int:
 def cyclotomic_coset(a: int, q: int, n: int) -> tuple[int, ...]:
     """The q-cyclotomic coset of a mod n, its members ascending; requires gcd(q, n) == 1.
 
-    Its first member is the coset's minimal representative.
+    Its first member is the coset's minimal representative.  The coset of
+    1 is the subgroup q generates, so its size is the order of q mod n.
     """
     if n <= 0:
         raise InvalidArgumentError(f"modulus must be positive, got {n}")
     if gcd(q, n) != 1:
         raise InvalidArgumentError(f"gcd(q, n) = gcd({q}, {n}) != 1")
-    a = rem(a, n)
+    a %= n
     members = {a}
     x = a * q % n
     while x != a:
@@ -451,17 +443,3 @@ def schmidt_white_theta(u: int, p: int, f: int) -> Fraction:
     step = m // u
     best = min(digit_sum(j * step, p) for j in range(1, u))
     return Fraction(best, p - 1)
-
-
-def multiplicative_order(a: int, n: int) -> int:
-    """Order of a in (Z/n)^*; requires gcd(a, n) == 1."""
-    if gcd(a, n) != 1:
-        raise InvalidArgumentError(f"gcd({a}, {n}) != 1; no multiplicative order")
-    if n == 1:
-        return 1
-    order = 1
-    x = a % n
-    while x != 1:
-        x = x * a % n
-        order += 1
-    return order

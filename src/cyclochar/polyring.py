@@ -15,7 +15,7 @@ from __future__ import annotations
 
 from .errors import ConsistencyError, InvalidArgumentError
 from .gf import ZERO, FieldCtx
-from .numth import cyclotomic_coset, rem
+from .numth import cyclotomic_coset
 
 Poly = tuple[int, ...]
 
@@ -82,10 +82,6 @@ def poly_divmod(ctx: FieldCtx, a: Poly, b: Poly) -> tuple[Poly, Poly]:
     return normalize(quot), normalize(r[:db])
 
 
-def poly_mod(ctx: FieldCtx, a: Poly, b: Poly) -> Poly:
-    return poly_divmod(ctx, a, b)[1]
-
-
 def x_pow_n_minus_1(ctx: FieldCtx, n: int) -> Poly:
     coeffs = [0] * (n + 1)
     coeffs[0] = ctx.symbol_table_lists().neg[1]
@@ -100,9 +96,7 @@ def minimal_polynomial(ctx: FieldCtx, a: int) -> Poly:
     coset of -a; every coefficient must land in the embedded F_q, which
     doubles as a correctness check.
     """
-    m = ctx.m
-    a = rem(a, m) if m > 0 else 0
-    coset = cyclotomic_coset(-a, ctx.q, m)
+    coset = cyclotomic_coset(-a, ctx.q, ctx.m)
     # product over roots, tracked as field elements low-degree first
     poly_elems = [0]  # the constant polynomial 1 (exponent of gamma^0)
     for s in coset:

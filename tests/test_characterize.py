@@ -11,7 +11,6 @@ from cyclochar.numth import (
     cyclotomic_coset,
     factorize,
     gcd_conditions,
-    rem,
 )
 
 # Every (q, k) with k >= 2 and q^k - 1 <= 4095, q a prime power.
@@ -35,7 +34,7 @@ def reference_enumeration(q, k):
     out = []
     for e1 in range(q - 1):
         for rep in e2_reps:
-            if gcd(q - 1, rem(k * e1 - rep, q - 1)) == 1:
+            if gcd(q - 1, (k * e1 - rep) % (q - 1)) == 1:
                 out.append((e1, rep))
     return out
 
@@ -158,7 +157,7 @@ class TestCharacterizeCode:
             got = ch.characterize_code(ctx, h, q, k)
             assert got is not None
             e1, e2 = got
-            assert rem(e1, q - 1) == rem(pair[0], q - 1)
+            assert e1 % (q - 1) == pair[0] % (q - 1)
             assert e2 == pair[1]
 
     @pytest.mark.parametrize("q,k", [(3, 2), (2, 4), (4, 2)])
@@ -223,7 +222,7 @@ class TestFullWeightDivisor:
         ctx = gf.field_for(4, 2)
         code = codes.code_from_exponents(ctx, 1, 1)
         got = ch.full_weight_divisor(ctx, code)
-        assert got == pr.minimal_polynomial(ctx, rem(ctx.delta * 1, ctx.m))
+        assert got == pr.minimal_polynomial(ctx, ctx.delta * 1 % ctx.m)
 
     def test_repetition_code(self):
         ctx = gf.field_for(2, 3)

@@ -17,7 +17,7 @@ from unittest import mock
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from cyclochar import cli, gf, numth, verify
+from cyclochar import cli, codes, gf, numth, verify
 from cyclochar.characterize import build_code, enumerate_codes
 from cyclochar.gf import field_for
 from cyclochar.numth import code_count, factorize, listing_record_bytes
@@ -588,16 +588,18 @@ class TestDualAndMinpoly:
 
 
 def test_a_failed_condition_is_refused_before_numpy_is_imported():
-    # check_field and the gcd conditions come before the imports, the
-    # --primitive-table file and the field: at q^k = 2^20 that field is most
-    # of half a second
+    # check_field, the gcd conditions and charsum's element range come before
+    # the imports, the --primitive-table file and the field: at q^k = 2^20
+    # that field is most of half a second
     runs = [
         ["charsum", "--q", "1024", "--k", "2", "--e1", "0", "--e2", "0", "--a", "0", "--b", "0"],
+        ["charsum", "--q", "1024", "--k", "2", "--e1", "0", "--e2", "1", "--a", "g1048575",
+         "--b", "0"],
         ["build", "--q", "1024", "--k", "2", "--e1", "0", "--e2", "0"],
         ["build", "--q", "1024", "--k", "2", "--e1", "0", "--e2", "0", "--format", "json"],
         ["build", "--q", "4", "--k", "2", "--e1", "2", "--e2", "1", "--format", "json"],
     ]
-    assert fresh_interpreter_modules(runs, {"numpy"}) == "[2, 2, 2, 2] []"
+    assert fresh_interpreter_modules(runs, {"numpy"}) == "[2, 2, 2, 2, 2] []"
 
 
 def test_the_other_subcommands_load_no_dataclasses():
@@ -927,7 +929,7 @@ class TestInternalErrors:
         monkeypatch.setattr(gf, "field_for", no_field)
         code, _, err = run(capsys, "dual", "--q", "2", "--k", "20", "--e1", "0", "--e2", "1")
         assert code == 2
-        assert "needs about 128.0 GiB" in err
+        assert "the MacWilliams transform at n = 1048575, q = 2 needs about 136.7 GiB" in err
 
     def test_dual_output_over_the_budget_refused_before_any_field(self, capsys, monkeypatch):
         # (2, 16): the transform fits the budget, its 1.2 GiB of decimal output does not
@@ -940,11 +942,22 @@ class TestInternalErrors:
         assert "writing the dual distribution at n = 65535, q = 2 needs about 1.2 GiB" in err
 
     def test_oversized_dual_exits_2(self, capsys, monkeypatch):
-        # the real case, dual --q 2 --k 20, needs a 128 GiB transform
+        # the real case, dual --q 2 --k 20, needs a 137 GiB transform
         monkeypatch.setattr(numth, "JOB_BUDGET_BYTES", 1 << 9)
         code, _, err = run(capsys, "dual", "--q", "4", "--k", "3", "--e1", "2", "--e2", "5")
         assert code == 2
         assert "MacWilliams transform" in err and "budget" in err
+
+    def test_dual_is_budgeted_on_its_real_weight_count(self, capsys, monkeypatch):
+        # e2 = 0 gives gcd(e2, Delta) = Delta, a trace grid of more than n + 1
+        # cells, but the code has two weights: 55 kB of transform at (3, 5),
+        # against 128 kB for n + 1 weights
+        argv = ("dual", "--q", "3", "--k", "5", "--e1", "0", "--e2", "0")
+        want = run(capsys, *argv)
+        assert want[0] == 0
+        monkeypatch.setattr(numth, "JOB_BUDGET_BYTES", 100_000)
+        assert codes.macwilliams_size_bytes(242, 3, 243) > numth.JOB_BUDGET_BYTES
+        assert run(capsys, *argv) == want
 
 
 class TestUsage:

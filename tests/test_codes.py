@@ -22,7 +22,7 @@ from cyclochar.errors import (
     ResourceLimitError,
 )
 from cyclochar.gf import ZERO
-from cyclochar.numth import coset_representatives, gcd_conditions, rem, valid_orbits
+from cyclochar.numth import coset_representatives, gcd_conditions, valid_orbits
 from cyclochar.verify import default_pairs
 from test_numth import ext_gcd
 
@@ -35,8 +35,8 @@ def trace_codeword(ctx, e1, e2, a, b):
     """Codeword (Tr(a*gamma^(Delta*e1*i) + b*gamma^(e2*i)))_i as F_q symbols."""
     m = ctx.m
     trq = ctx.trace_q_symbol_list()
-    s1 = rem(ctx.delta * e1, m)
-    s2 = rem(e2, m)
+    s1 = ctx.delta * e1 % m
+    s2 = e2 % m
     out = []
     ea, eb = a, b
     for _ in range(m):
@@ -178,8 +178,8 @@ def direct_weight_grid(ctx, e1, e2):
     trq = ctx.trace_q_symbols()
     sym_add, sym_mul, _, _ = ctx.symbol_tables()
     idx = np.arange(m, dtype=np.int64)
-    sym1 = 1 + (rem(delta * e1, m) * idx % m) // delta
-    e2r = rem(e2, m)
+    sym1 = 1 + (delta * e1 % m * idx % m) // delta
+    e2r = e2 % m
     weights = np.zeros((q, q**ctx.k), dtype=np.int64)
     exps = (idx[:, None] + e2r * idx[None, :]) % m
     tb = trq[exps]
@@ -199,10 +199,10 @@ def expand_orbit_columns(ctx, e1, e2, reps):
     omega^(-r*(e1*u + v))*tau; row 0 and column 0 are fixed.
     """
     m, q = ctx.m, ctx.q
-    g, u, v = ext_gcd(rem(e2, m), ctx.delta)
+    g, u, v = ext_gcd(e2 % m, ctx.delta)
     assert reps.shape == (q, 1 + g)
     r, e0 = np.divmod(np.arange(m, dtype=np.int64), g)
-    mu = r * rem(e1 * u + v, q - 1) % (q - 1)
+    mu = r * ((e1 * u + v) % (q - 1)) % (q - 1)
     sym = np.arange(1, q, dtype=np.int64)[:, None]
     grid = np.empty((q, q**ctx.k), dtype=reps.dtype)
     grid[:, 0] = reps[:, 0]
@@ -558,11 +558,32 @@ class TestMacWilliamsBudget:
             codes.macwilliams_dual(wd, 2**20 - 1, 2, 21)
 
     def test_budget_admits_every_length_to_4095(self):
+        # even a transform of n + 1 weights, the most a distribution has
         for q, k in [(2, 12), (4, 6), (8, 4), (16, 3), (64, 2)]:
             n = q**k - 1
-            assert codes.macwilliams_size_bytes(n, q) <= numth.JOB_BUDGET_BYTES
-        assert codes.macwilliams_size_bytes(2**20 - 1, 2) > numth.JOB_BUDGET_BYTES
-        assert codes.macwilliams_size_bytes(2**20 - 1, 1024) > numth.JOB_BUDGET_BYTES
+            assert codes.macwilliams_size_bytes(n, q, n + 1) <= numth.JOB_BUDGET_BYTES
+        # even a forward transform of a three-weight code's four weights
+        assert codes.macwilliams_size_bytes(2**20 - 1, 2, 4) > numth.JOB_BUDGET_BYTES
+        assert codes.macwilliams_size_bytes(2**20 - 1, 1024, 4) > numth.JOB_BUDGET_BYTES
+
+    @pytest.mark.parametrize("q,k", [(3, 5), (2, 8), (4, 5), (2, 10)])
+    def test_estimate_covers_the_traced_peak_both_ways(self, q, k):
+        # the forward transform `dual` runs and the inverse verify_duality runs
+        ctx = gf.field_for(q, k)
+        n, dim = ctx.m, k + 1
+
+        def transform(wd, d):
+            tracemalloc.start()
+            try:
+                out = codes.macwilliams_dual(wd, n, q, d)
+                _, peak = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+            assert peak <= codes.macwilliams_size_bytes(n, q, len(wd.entries))
+            return out
+
+        wd = codes.weight_distribution_trace(ctx, 0, 1)
+        assert transform(transform(wd, dim), n - dim) == wd
 
 
 # Every (q, k) with k >= 2 and q^k - 1 <= 4095, q a prime power.

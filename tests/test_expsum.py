@@ -9,7 +9,7 @@ from cyclochar import expsum, gf, verify
 from cyclochar.errors import ConsistencyError, InvalidArgumentError
 from cyclochar.expsum import CyclotomicCount, code_spec
 from cyclochar.gf import ZERO
-from cyclochar.numth import gcd_conditions, rem
+from cyclochar.numth import gcd_conditions
 from test_gf import additive_char_exponent
 
 
@@ -67,8 +67,8 @@ def chunked_char_sum(ctx, e1, e2, a, b, entries=1 << 20):
     """
     m, q = ctx.m, ctx.q
     chars = ctx.char_exponents()
-    s1 = rem(ctx.delta * e1, m)
-    s2 = rem(e2, m)
+    s1 = ctx.delta * e1 % m
+    s2 = e2 % m
     steps = ctx.delta * np.arange(q - 1, dtype=np.int64)
     counts = np.zeros(ctx.p, dtype=np.int64)
     zeros = 0

@@ -1,4 +1,4 @@
-"""Integer machinery: canonical remainders, Bezout pairs, phi, cosets."""
+"""Integer machinery: Bezout pairs, phi, cosets."""
 
 import math
 
@@ -31,28 +31,6 @@ def ext_gcd(a, b):
 
 
 PAIRS_255 = verify.default_pairs(255)
-
-class TestRem:
-    def test_positive(self):
-        assert numth.rem(9, 7) == 2
-
-    def test_negative(self):
-        assert numth.rem(-9, 7) == 5
-
-    def test_zero(self):
-        assert numth.rem(0, 5) == 0
-
-    @pytest.mark.parametrize("bad", [0, -3])
-    def test_bad_modulus(self, bad):
-        with pytest.raises(InvalidArgumentError):
-            numth.rem(1, bad)
-
-    @given(st.integers(min_value=-(10**30), max_value=10**30),
-           st.integers(min_value=1, max_value=10**15))
-    def test_canonical(self, a, b):
-        r = numth.rem(a, b)
-        assert 0 <= r < b
-        assert (r - a) % b == 0
 
 
 class TestBezout:
@@ -98,7 +76,7 @@ class TestBezout:
             g, s, t = ext_gcd(e2, delta)
             if g != 1:
                 continue
-            expected = numth.BezoutPair(numth.rem(s, n), numth.rem(t, q - 1) if q > 2 else 0)
+            expected = numth.BezoutPair(s % n, t % (q - 1) if q > 2 else 0)
             assert numth.bezout_pair(e2, q, k) == expected
 
 
@@ -150,9 +128,11 @@ class TestCodeCount:
 
 
 class TestCyclotomicCoset:
-    def test_doubling_mod_7(self):
-        coset = numth.cyclotomic_coset(1, 2, 7)
-        assert coset == (1, 2, 4)
+    # the coset of 1 is the group q generates: 2 has order 3 mod 7, 3 order 4 mod 80
+    @pytest.mark.parametrize("q,n,expected", [(2, 7, (1, 2, 4)), (3, 80, (1, 3, 9, 27))])
+    def test_coset_of_one(self, q, n, expected):
+        coset = numth.cyclotomic_coset(1, q, n)
+        assert coset == expected
         assert coset[0] == 1
 
     def test_zero_fixed_point(self):
@@ -176,6 +156,19 @@ class TestCyclotomicCoset:
     def test_gcd_requirement(self):
         with pytest.raises(InvalidArgumentError):
             numth.cyclotomic_coset(1, 2, 8)
+
+    @given(st.integers(min_value=-(10**4), max_value=10**4),
+           st.integers(min_value=1, max_value=10**4))
+    def test_coset_of_one_has_the_multiplicative_order(self, a, n):
+        # the least t >= 1 with a^t == 1 mod n, by the direct loop
+        if math.gcd(a, n) != 1:
+            with pytest.raises(InvalidArgumentError):
+                numth.cyclotomic_coset(1, a, n)
+            return
+        t = 1
+        while pow(a, t, n) != 1 % n:
+            t += 1
+        assert len(numth.cyclotomic_coset(1, a, n)) == t
 
 
 def multiplier_orbit(q, k, e1, e2):
@@ -466,12 +459,6 @@ class TestFactorization:
     def test_non_prime_power(self, q):
         with pytest.raises(InvalidArgumentError):
             numth.prime_power_split(q)
-
-    def test_multiplicative_order(self):
-        assert numth.multiplicative_order(2, 7) == 3
-        assert numth.multiplicative_order(3, 80) == 4
-        with pytest.raises(InvalidArgumentError):
-            numth.multiplicative_order(2, 8)
 
     def test_is_prime_agrees_with_a_sieve(self):
         limit = 10**5

@@ -10,7 +10,7 @@ the test modules that read them.
 
 References are matched by name, so the check can miss an unused function
 that shares a name with a used one.  A module-level function counts as
-referenced by a bare name or an attribute (`polyring.poly_mod`), a method
+referenced by a bare name or an attribute (`polyring.poly_divmod`), a method
 only by an attribute (`ctx.add`).  A definition that code outside src/
 calls, or that is looked up by a string, needs an exemption.
 

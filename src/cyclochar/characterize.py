@@ -302,35 +302,26 @@ def two_weight_gap_scan(
             ctx, cyclic_code(ctx, polyring.minimal_polynomial(ctx, e)), cap
         )
         nonzero = tuple(sorted(w for w in wd.entries if w))
-        if len(nonzero) != 2:
-            out.append(
-                GapScanEntry(
-                    exponent=e,
-                    kprime=kprime,
-                    weights=nonzero,
-                    two_weight=False,
-                    solution=None,
-                )
-            )
-            continue
-        w1, w2 = nonzero
-        if abs(w1 - w2) == 1:
-            raise TheoremViolationError(
-                f"two-weight code at e={e} has adjacent weights {nonzero}"
-            )
+        two_weight = len(nonzero) == 2
         solution = None
-        if kprime == k:
-            solution = _solve_two_weight_system(ctx, e, nonzero)
-            if solution is None:
+        if two_weight:
+            w1, w2 = nonzero
+            if abs(w1 - w2) == 1:
                 raise TheoremViolationError(
-                    f"no (r, epsilon, theta) solution at e={e}, weights {nonzero}"
+                    f"two-weight code at e={e} has adjacent weights {nonzero}"
                 )
+            if kprime == k:
+                solution = _solve_two_weight_system(ctx, e, nonzero)
+                if solution is None:
+                    raise TheoremViolationError(
+                        f"no (r, epsilon, theta) solution at e={e}, weights {nonzero}"
+                    )
         out.append(
             GapScanEntry(
                 exponent=e,
                 kprime=kprime,
                 weights=nonzero,
-                two_weight=True,
+                two_weight=two_weight,
                 solution=solution,
             )
         )

@@ -185,7 +185,9 @@ def cmd_verify(args) -> int:
             (q, k) for q, k in default_pairs(args.max_length) if args.q is None or q in args.q
         )
     else:
-        qs = args.q if args.q is not None else sorted({q for q, _ in default_pairs(args.max_length)})
+        qs = args.q if args.q is not None else (
+            q for q, k in default_pairs(args.max_length) if k == 2
+        )
         blocks = ((q, k) for q in qs for k in args.k)
     pairs = []
     for q, k in blocks:  # refuse a bad block as it comes, before any sweep runs

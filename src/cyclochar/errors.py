@@ -27,14 +27,7 @@ class ResourceLimitError(CyclocharError, RuntimeError):
 
 
 class ConsistencyError(CyclocharError, RuntimeError):
-    """An internal exactness invariant broke; indicates a bug, not bad input.
-
-    position, when given, is where in its input the check first failed.
-    """
-
-    def __init__(self, message, position=None):
-        super().__init__(message)
-        self.position = position
+    """An internal exactness invariant broke; indicates a bug, not bad input."""
 
 
 class TheoremViolationError(CyclocharError, RuntimeError):

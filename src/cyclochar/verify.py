@@ -32,7 +32,7 @@ from .codes import (
     weight_distribution_bruteforce,
     weight_distribution_trace,
 )
-from .errors import ConsistencyError, CyclocharError, ResourceLimitError
+from .errors import CyclocharError, ResourceLimitError
 from .expsum import char_sum, code_spec, predict_char_sum, substitution, substitution_inverse
 from .gf import ZERO, FieldCtx, field_for
 from .numth import (
@@ -69,12 +69,12 @@ class PropertyResult(NamedTuple):
         return out
 
 
-def default_pairs(length_limit: int = 127) -> list[tuple[int, int]]:
-    """All (q, k) with q a prime power, k >= 2 and q^k - 1 <= length_limit.
+def default_pairs(length_limit: int = 127) -> Iterator[tuple[int, int]]:
+    """All (q, k) with q a prime power, k >= 2 and q^k - 1 <= length_limit, lazily.
 
-    As k >= 2, only q <= isqrt(length_limit + 1) can qualify.
+    Ordered by (q, k).  As k >= 2, only q <= isqrt(length_limit + 1) can
+    qualify.
     """
-    out = []
     for q in range(2, isqrt(max(length_limit, 0) + 1) + 1):
         try:
             prime_power_split(q)
@@ -82,9 +82,8 @@ def default_pairs(length_limit: int = 127) -> list[tuple[int, int]]:
             continue
         k = 2
         while q**k - 1 <= length_limit:
-            out.append((q, k))
+            yield q, k
             k += 1
-    return sorted(out)
 
 
 def valid_e2_values(q: int, k: int) -> Iterator[int]:
@@ -114,10 +113,10 @@ def verify_substitution(q: int, k: int) -> tuple[int, dict | None]:
     trip fails.  The round trips alone decide the bijection: the forward
     map sends V into V through its two mods, and round trips that hold on
     all of V make it injective, so it is a bijection of the finite set V
-    and the inverse is two-sided.  On the error path the same holds for
-    the prefix scanned before the first inexact division.  Returns
-    (points checked, None), or the points before the first failing round
-    trip and that point with its image and round trip.
+    and the inverse is two-sided.  A Bezout pair that leaves the division
+    inexact fails the round trip at that point (see expsum.substitution).
+    Returns (points checked, None), or the points before the first
+    failing round trip and that point with its image and round trip.
     """
     n = q**k - 1
     r = q - 1
@@ -127,24 +126,16 @@ def verify_substitution(q: int, k: int) -> tuple[int, dict | None]:
     checked = 0
     for e2 in valid_e2_values(q, k):
         spec = code_spec(q, k, 0, e2)
-        i, j, error = grid_i, grid_j, None
-        try:
-            v, w = substitution(spec, i, j)
-        except ConsistencyError as exc:
-            # the points before the first inexact division are still scanned
-            i, j, error = i[:exc.position], j[:exc.position], exc
-            v, w = substitution(spec, i, j)
+        v, w = substitution(spec, grid_i, grid_j)
         back_i, back_j = substitution_inverse(spec, v, w)
-        trips = np.flatnonzero((back_i != i) | (back_j != j))
+        trips = np.flatnonzero((back_i != grid_i) | (back_j != grid_j))
         if len(trips):
             p = int(trips[0])
             return checked + p, {
-                "e2": e2, "i": int(i[p]), "j": int(j[p]), "v": int(v[p]), "w": int(w[p]),
-                "back": [int(back_i[p]), int(back_j[p])],
+                "e2": e2, "i": int(grid_i[p]), "j": int(grid_j[p]), "v": int(v[p]),
+                "w": int(w[p]), "back": [int(back_i[p]), int(back_j[p])],
             }
-        if error is not None:
-            raise error
-        checked += len(i)
+        checked += len(grid_i)
         del v, w, back_i, back_j  # so the next e2's four arrays do not stack on these
     return checked, None
 

@@ -13,8 +13,8 @@ from cyclochar.expsum import char_sum
 from cyclochar.gf import ZERO
 from cyclochar.numth import code_count, gcd_conditions, prime_power_split
 
-PAIRS_255 = verify.default_pairs(255)
-PAIRS_511 = verify.default_pairs(511)
+PAIRS_255 = list(verify.default_pairs(255))
+PAIRS_511 = list(verify.default_pairs(511))
 
 
 def _report(num, desc, elapsed):

@@ -716,6 +716,28 @@ class TestVerify:
         assert code == 2
         assert "no (q, k) block was selected" in err
 
+    @pytest.mark.parametrize("argv,refused", [
+        ((), "field order 2^21 exceeds"), (("--k", "2"), "field order 1031^2 exceeds"),
+    ])
+    def test_a_block_past_the_cap_is_refused_before_the_pair_walk_ends(
+        self, capsys, monkeypatch, argv, refused
+    ):
+        # the whole walk to isqrt(10^14 + 1) would split 10^7 candidate q;
+        # reaching 1031 takes 1030
+        real, calls = verify.prime_power_split, []
+
+        def bounded(q):
+            calls.append(q)
+            if len(calls) > 2000:
+                raise AssertionError("the pair walk ran past the first refused block")
+            return real(q)
+
+        monkeypatch.setattr(verify, "prime_power_split", bounded)
+        code, out, err = run(capsys, "verify", "--max-length", "100000000000000", *argv)
+        assert code == 2
+        assert out == ""
+        assert refused in err
+
     @pytest.mark.parametrize("limit", [127, 4095, 65535])
     def test_default_pairs_scan_only_up_to_the_root(self, limit):
         # the scan over every q <= limit + 1 it replaces
@@ -726,7 +748,7 @@ class TestVerify:
                 while q**k - 1 <= limit:
                     every_q.append((q, k))
                     k += 1
-        assert verify.default_pairs(limit) == sorted(every_q)
+        assert list(verify.default_pairs(limit)) == sorted(every_q)
 
     def test_bad_block_refused_before_any_sweep(self, capsys, monkeypatch):
         def no_sweep(*args):

@@ -587,7 +587,7 @@ class TestMacWilliamsBudget:
 
 
 # Every (q, k) with k >= 2 and q^k - 1 <= 4095, q a prime power.
-PAIRS_4095 = default_pairs(4095)
+PAIRS_4095 = list(default_pairs(4095))
 
 
 def direct_macwilliams(wd, n, q, dim):
@@ -624,7 +624,7 @@ class TestKernelAgainstDirect:
             ), (q, k)
 
     def test_back_on_every_block_to_255(self):
-        pairs = default_pairs(255)
+        pairs = list(default_pairs(255))
         assert len(pairs) == 22
         for q, k in pairs:
             n = q**k - 1

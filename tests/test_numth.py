@@ -30,7 +30,7 @@ def ext_gcd(a, b):
     return a, s0, t0
 
 
-PAIRS_255 = verify.default_pairs(255)
+PAIRS_255 = list(verify.default_pairs(255))
 
 
 class TestBezout:

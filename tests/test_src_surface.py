@@ -14,10 +14,11 @@ referenced by a bare name or an attribute (`polyring.poly_divmod`), a method
 only by an attribute (`ctx.add`).  A definition that code outside src/
 calls, or that is looked up by a string, needs an exemption.
 
-Every name a src/ module imports must also be read in the scope that
-imports it (a function-local import in that function, a module-level one
-anywhere in the module), unless the module lists it in __all__: a module
-is no re-export hub for names it does not use.
+Every name a module under src/, scripts/ or tests/ imports must also be
+read in the scope that imports it (a function-local import in that
+function, a module-level one anywhere in the module), unless the module
+lists it in __all__: a module is no re-export hub for names it does not
+use.
 
 A verify sweep returns (checked, counterexample) and never names its
 property: verify.run_block alone makes a PropertyResult, named by the
@@ -27,7 +28,8 @@ sweep's key in verify._RUNNERS.
 import ast
 from pathlib import Path
 
-SRC = Path(__file__).resolve().parents[1] / "src" / "cyclochar"
+ROOT = Path(__file__).resolve().parents[1]
+SRC = ROOT / "src" / "cyclochar"
 
 # Definitions that stay without a caller in src/, each with its reason.
 EXEMPT = {
@@ -136,7 +138,7 @@ def _exported(tree):
 
 
 def unused_imports(src=SRC):
-    """module.name for every imported name its scope never reads, bar __all__."""
+    """dir.module.name for every imported name its scope never reads, bar __all__."""
     unused = []
     for path in sorted(src.glob("*.py")):
         tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
@@ -149,12 +151,12 @@ def unused_imports(src=SRC):
                 for alias in stmt.names:
                     name = alias.asname or alias.name.split(".")[0]
                     if name not in read and name not in exported:
-                        unused.append(f"{path.stem}.{name}")
+                        unused.append(f"{src.name}.{path.stem}.{name}")
     return sorted(unused)
 
 
 def test_every_imported_name_is_read():
-    unused = unused_imports()
+    unused = [name for d in (SRC, ROOT / "scripts", ROOT / "tests") for name in unused_imports(d)]
     assert not unused, f"imported but never read: {unused}: delete the imports"
 
 

@@ -181,9 +181,7 @@ def cmd_verify(args) -> int:
     from .verify import PROPERTIES, default_pairs, run_block
 
     if args.k is None:  # each q takes its k values from the default pair set
-        blocks = (
-            (q, k) for q, k in default_pairs(args.max_length) if args.q is None or q in args.q
-        )
+        blocks = default_pairs(args.max_length, args.q)
     else:
         qs = args.q if args.q is not None else (
             q for q, k in default_pairs(args.max_length) if k == 2
@@ -204,30 +202,29 @@ def cmd_verify(args) -> int:
         raise InvalidArgumentError(
             f"unknown properties: {unknown}; valid: {','.join(PROPERTIES)}"
         )
-    results, refused = [], None
+    # each result is written as it finishes and flushed, as a pipe is block
+    # buffered; the JSON array is closed however the run ends
+    first_failure, sep = None, "["
     try:
         for q, k in pairs:
-            run_block(q, k, args.field_cap, props, args.bruteforce_cap, results)
-    except ResourceLimitError as exc:  # print what finished, then exit 2
-        refused = exc
-    failures = [r for r in results if not r.ok]
-    if args.format == "json":
-        print(json.dumps([r.to_json() for r in results]))
-    else:
-        for r in results:
-            status = "PASS" if r.ok else "FAIL"
-            line = f"{status} {r.prop} q={r.q} k={r.k} checked={r.checked}"
-            if not r.ok:
-                line += f" counterexample={json.dumps(r.counterexample)}"
-            print(line)
-    if refused is not None:
-        raise refused
-    if failures:
-        first = failures[0]
-        print(
-            f"counterexample: {json.dumps(first.to_json())}",
-            file=sys.stderr,
-        )
+            for r in run_block(q, k, args.field_cap, props, args.bruteforce_cap):
+                if args.format == "json":
+                    sys.stdout.write(sep + json.dumps(r.to_json()))
+                    sep = ", "
+                else:
+                    status = "PASS" if r.ok else "FAIL"
+                    line = f"{status} {r.prop} q={r.q} k={r.k} checked={r.checked}"
+                    if not r.ok:
+                        line += f" counterexample={json.dumps(r.counterexample)}"
+                    print(line)
+                sys.stdout.flush()
+                if first_failure is None and not r.ok:
+                    first_failure = r
+    finally:
+        if args.format == "json":
+            sys.stdout.write("[]\n" if sep == "[" else "]\n")
+    if first_failure is not None:
+        print(f"counterexample: {json.dumps(first_failure.to_json())}", file=sys.stderr)
         return EXIT_VIOLATION
     return EXIT_OK
 

@@ -7,9 +7,9 @@ all of them.  run_block is the one place a PropertyResult is made: it
 names the result by its property, and a result is ok exactly when it
 carries no counterexample.  run_block is also the one error boundary: a
 package error inside a sweep becomes the counterexample {"error":
-message} so a runner can report every property it touched, and a
-refused job (ResourceLimitError) stops the run with every finished
-result kept.
+message} so a runner can report every property it touched.  It yields
+each result as its sweep returns, and a refused job
+(ResourceLimitError) stops it after every finished result.
 """
 
 from __future__ import annotations
@@ -69,13 +69,15 @@ class PropertyResult(NamedTuple):
         return out
 
 
-def default_pairs(length_limit: int = 127) -> Iterator[tuple[int, int]]:
+def default_pairs(length_limit: int = 127, qs: range | None = None) -> Iterator[tuple[int, int]]:
     """All (q, k) with q a prime power, k >= 2 and q^k - 1 <= length_limit, lazily.
 
-    Ordered by (q, k).  As k >= 2, only q <= isqrt(length_limit + 1) can
-    qualify.
+    Ordered by (q, k), and only q in qs, a step-1 range, when given.  As
+    k >= 2, only q <= isqrt(length_limit + 1) can qualify, and no other q
+    is looked at.
     """
-    for q in range(2, isqrt(max(length_limit, 0) + 1) + 1):
+    top = isqrt(max(length_limit, 0) + 1) + 1
+    for q in range(2, top) if qs is None else range(max(qs.start, 2), min(qs.stop, top)):
         try:
             prime_power_split(q)
         except CyclocharError:
@@ -392,27 +394,21 @@ _FIELDLESS = frozenset({"substitution_bijection"})
 
 
 def run_block(
-    q: int,
-    k: int,
-    field_cap: int,
-    props=PROPERTIES,
-    brute_cap: int = DEFAULT_BRUTE_CAP,
-    results: list[PropertyResult] | None = None,
-) -> list[PropertyResult]:
-    """Run the selected sweeps for one (q, k) block, appending to results.
+    q: int, k: int, field_cap: int, props=PROPERTIES, brute_cap: int = DEFAULT_BRUTE_CAP
+) -> Iterator[PropertyResult]:
+    """Run the selected sweeps for one (q, k) block, yielding each result as it finishes.
 
-    The block's field is built, after check_field accepts (q, k), just
-    before the first sweep that reads it, so a fieldless sweep the job
-    budget refuses costs no field.  The two brute-force sweeps share one
-    BruteForceMemo.
+    check_field accepts (q, k) when iteration starts.  The block's field
+    is built just before the first sweep that reads it, so a fieldless
+    sweep the job budget refuses costs no field.  The two brute-force
+    sweeps share one BruteForceMemo.
 
     This is the one place a PropertyResult is made, named by its key in
     _RUNNERS from the sweep's (checked, counterexample), and the sweeps'
     one error boundary: a package error inside a sweep becomes (0,
-    {"error": message}), except a ResourceLimitError: that stops the run,
-    and every result finished before it is already in results.
+    {"error": message}), except a ResourceLimitError: that stops the
+    generator after every earlier result has been yielded.
     """
-    results = [] if results is None else results
     check_field(q, k, field_cap)
     ctx = memo = None
     for prop in props:
@@ -425,5 +421,4 @@ def run_block(
             raise
         except CyclocharError as exc:
             checked, counterexample = 0, {"error": str(exc)}
-        results.append(PropertyResult(prop, q, k, checked, counterexample))
-    return results
+        yield PropertyResult(prop, q, k, checked, counterexample)

@@ -2,6 +2,7 @@
 
 import hashlib
 import importlib.util
+import inspect
 import io
 import json
 import os
@@ -147,6 +148,15 @@ def run_counted(*argv):
     with redirect_stdout(sink), redirect_stderr(io.StringIO()):
         code = cli.main(list(argv))
     return code, sink
+
+
+class _FlushLog(io.StringIO):
+    """A stdout that keeps what it held at its last flush."""
+
+    flushed = ""
+
+    def flush(self):
+        self.flushed = self.getvalue()
 
 
 def run(capsys, *argv):
@@ -684,7 +694,7 @@ class TestVerify:
             return -1, None
 
         monkeypatch.setattr(verify, "verify_enumeration", stub)
-        results = verify.run_block(2, 3, 1 << 20, ("enumeration_count",))
+        results = list(verify.run_block(2, 3, 1 << 20, ("enumeration_count",)))
         assert calls == [(2, 3, 2, 3)]
         assert [r.checked for r in results] == [-1]
 
@@ -737,6 +747,70 @@ class TestVerify:
         assert code == 2
         assert out == ""
         assert refused in err
+
+    @pytest.mark.parametrize("argv,split,exit_code", [
+        (("--q", "6", "--max-length", str(10**12)), [6], 2),
+        (("--q", f"2..{10**9}"), list(range(2, 12)), 0),
+        (("--q", "1000000..1000003", "--max-length", str(10**12)), [10**6], 2),
+    ])
+    def test_a_q_range_walks_only_its_own_q_under_the_root(self, capsys, monkeypatch, argv,
+                                                             split, exit_code):
+        # q <= isqrt(--max-length + 1) bounds every block; no other q is split
+        real, calls = verify.prime_power_split, []
+        monkeypatch.setattr(verify, "prime_power_split", lambda q: calls.append(q) or real(q))
+        code, _, _ = run(capsys, "verify", *argv, "--props", "substitution_bijection")
+        assert calls == split
+        assert code == exit_code
+
+    @pytest.mark.parametrize("limit", [0, 3, 127, 4095, 10**6])
+    def test_a_q_range_selects_what_the_filtered_walk_did(self, limit):
+        for lo, hi in [(2, 2), (0, 5), (-3, 1), (5, 4), (3, 40), (7, 10**9), (1024, 1024)]:
+            qs = range(lo, hi + 1)
+            every = [(q, k) for q, k in verify.default_pairs(limit) if q in qs]
+            assert list(verify.default_pairs(limit, qs)) == every
+
+    def test_run_block_is_a_generator(self):
+        assert inspect.isgeneratorfunction(verify.run_block)
+
+    @pytest.mark.parametrize("fmt,first", [
+        ("json", '[{"property": "substitution_bijection", "q": 2, "k": 3, "ok": true, '
+                 '"checked": 42}'),
+        ("text", "PASS substitution_bijection q=2 k=3 checked=42\n"),
+    ])
+    def test_a_result_is_flushed_before_the_next_sweep_starts(self, monkeypatch, fmt, first):
+        out, seen = _FlushLog(), []
+
+        def second(q, k, ctx):
+            seen.append(out.flushed)
+            return 1, None
+
+        monkeypatch.setattr(verify, "verify_char_sum_unit_iff", second)
+        with redirect_stdout(out), redirect_stderr(io.StringIO()):
+            code = cli.main(["verify", "--q", "2", "--k", "3", "--format", fmt,
+                             "--props", "substitution_bijection,char_sum_unit_iff"])
+        assert code == 0
+        assert seen == [first]
+
+    @pytest.mark.parametrize("exc,code", [(KeyboardInterrupt, None), (RuntimeError, 1)])
+    def test_an_aborted_run_leaves_the_finished_results(self, monkeypatch, exc, code):
+        # an interrupt propagates out of main, any other error exits 1; both
+        # leave a JSON array of what finished
+        def raising(q, k, ctx):
+            raise exc("stop")
+
+        monkeypatch.setattr(verify, "verify_char_sum_unit_iff", raising)
+        out, err = io.StringIO(), io.StringIO()
+        argv = ["verify", "--q", "2", "--k", "2", "--format", "json",
+                "--props", "substitution_bijection,char_sum_unit_iff"]
+        with redirect_stdout(out), redirect_stderr(err):
+            if code is None:
+                with pytest.raises(KeyboardInterrupt):
+                    cli.main(argv)
+            else:
+                assert cli.main(argv) == code
+        assert json.loads(out.getvalue()) == [{"property": "substitution_bijection", "q": 2,
+                                               "k": 2, "ok": True, "checked": 6}]
+        assert out.getvalue().endswith("]\n")
 
     @pytest.mark.parametrize("limit", [127, 4095, 65535])
     def test_default_pairs_scan_only_up_to_the_root(self, limit):

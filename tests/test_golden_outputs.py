@@ -80,6 +80,23 @@ GOLDEN = [
      "76f44a32a96e69e33b1279172675e16f42951a1f6de81a8cc2704e90a95c6415"),
     ("enumerate --q 2 --k 18 --format text", 0,
      "9d0d4c031cda288569b319ada3cfd93b5ac8eaee29180436c7e30cc5428cdc31"),
+    # the eight blocks of the benchmark's verify workload
+    ("verify --q 2 --k 6 --format json", 0,
+     "349379e359a81254c992050d55d76b70957075c743e6519abb7de9caa33e348c"),
+    ("verify --q 2 --k 7 --format json", 0,
+     "b7baa22ebf939da527702e006b79603a2eebbc59f8a919bccc09f49527ca9334"),
+    ("verify --q 3 --k 4 --format json", 0,
+     "ac086c1217d8177e0b1d72a3e70923ef9dbc1550c06cce3ab718eb880c939027"),
+    ("verify --q 4 --k 3 --format json", 0,
+     "6ef528954482068e16a7cd736577349d0fe53688f483aeb1d85b28035e82b0a5"),
+    ("verify --q 5 --k 3 --format json", 0,
+     "4eb2c7ff7fb9a402d7afc2099913efc125e6f1b9eb220de508e021285f800a9a"),
+    ("verify --q 8 --k 2 --format json", 0,
+     "bdb2b222c3e6adb6a65e45c1dc153ebe09b2644d7cef3715106bf9c6b9ce414f"),
+    ("verify --q 9 --k 2 --format json", 0,
+     "2273228161dbbbdf11a9d5ee1ced8ba4726c4b8ce648a9d0cc5b0bbbf4df1ae2"),
+    ("verify --q 11 --k 2 --format json", 0,
+     "c08b51d5e80b5425654b11a188b95c3c86229134334f0162a8f3f964fb58d240"),
 ]
 
 

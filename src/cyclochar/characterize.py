@@ -71,7 +71,7 @@ class CodeReport(NamedTuple):
     dual_min_weight: int
 
 
-def build_code(ctx: FieldCtx, q: int, k: int, e1: int, e2: int) -> CodeReport:
+def build_code(ctx: FieldCtx, e1: int, e2: int) -> CodeReport:
     """Construct the code for (e1, e2) and verify every promised property.
 
     Requires both gcd conditions; raises ConditionFailedError naming the
@@ -80,7 +80,7 @@ def build_code(ctx: FieldCtx, q: int, k: int, e1: int, e2: int) -> CodeReport:
     Griesmer bound, and the dual up to its minimum distance (dual_prefix)
     meeting every claim of dual_claim_failure.
     """
-    _check_ctx(ctx, q, k)
+    q, k = ctx.q, ctx.k
     failures = failed_conditions(q, k, e1, e2)
     if failures:
         raise ConditionFailedError("; ".join(failures), failed=failures)
@@ -102,7 +102,7 @@ def build_code(ctx: FieldCtx, q: int, k: int, e1: int, e2: int) -> CodeReport:
     optimal = is_griesmer_optimal(q, n, dim, d)
     if not optimal:
         raise TheoremViolationError(f"[{n},{dim},{d}] misses the Griesmer bound")
-    dual = dual_prefix(wd, n, q, dim)
+    dual = dual_prefix(wd, q, dim)
     claim = dual_claim_failure(dual, q, k)
     if claim:
         raise TheoremViolationError(claim[1])
@@ -122,13 +122,6 @@ def build_code(ctx: FieldCtx, q: int, k: int, e1: int, e2: int) -> CodeReport:
         dual_b3=dual.entries.get(3, 0),
         dual_min_weight=dual.min_nonzero_weight(),
     )
-
-
-def _check_ctx(ctx: FieldCtx, q: int, k: int) -> None:
-    if ctx.q != q or ctx.k != k:
-        raise InvalidArgumentError(
-            f"field context is for (q={ctx.q}, k={ctx.k}), not (q={q}, k={k})"
-        )
 
 
 def factor_into_cosets(
@@ -156,9 +149,7 @@ def factor_into_cosets(
     return out
 
 
-def characterize_code(
-    ctx: FieldCtx, h: polyring.Poly, q: int, k: int
-) -> tuple[int, int] | None:
+def characterize_code(ctx: FieldCtx, h: polyring.Poly) -> tuple[int, int] | None:
     """Decide from a parity-check polynomial whether the code is one of ours.
 
     Accepts exactly when deg h = k + 1, h factors into one degree-one
@@ -167,7 +158,7 @@ def characterize_code(
     hold.  Returns the canonical exponents (e1 in [0, q-1), e2 the
     minimal coset representative) on acceptance, None on rejection.
     """
-    _check_ctx(ctx, q, k)
+    q, k = ctx.q, ctx.k
     if not h or not polyring.is_monic(h):
         raise InvalidArgumentError("parity check must be monic and nonzero")
     if polyring.poly_divmod(ctx, polyring.x_pow_n_minus_1(ctx, ctx.m), h)[1]:
@@ -197,9 +188,7 @@ def characterize_code(
     return None
 
 
-def one_weight_check(
-    ctx: FieldCtx, a: int, q: int, kprime: int, n: int
-) -> int | None:
+def one_weight_check(ctx: FieldCtx, a: int, kprime: int, n: int) -> int | None:
     """One-weight criterion for the irreducible code with parity h_a.
 
     With u = gcd((q^kprime - 1)/(q - 1), a), the [n, kprime] code is
@@ -208,8 +197,7 @@ def one_weight_check(
     None when u > 1.  Verified against brute-force enumeration whenever
     the code is small enough to enumerate.
     """
-    if ctx.q != q:
-        raise InvalidArgumentError(f"field context is for q={ctx.q}, not {q}")
+    q = ctx.q
     a %= ctx.m
     size = len(cyclotomic_coset(a, q, ctx.m))
     if size != kprime:
@@ -283,9 +271,7 @@ class GapScanEntry(NamedTuple):
     solution: tuple[int, int, Fraction] | None  # (r, epsilon, theta)
 
 
-def two_weight_gap_scan(
-    ctx: FieldCtx, q: int, k: int, cap: int = DEFAULT_BRUTE_CAP
-) -> list[GapScanEntry]:
+def two_weight_gap_scan(ctx: FieldCtx, cap: int = DEFAULT_BRUTE_CAP) -> list[GapScanEntry]:
     """Check every irreducible cyclic code of length q^k - 1 for weight gaps.
 
     For each cyclotomic coset representative e, the code with parity
@@ -294,10 +280,21 @@ def two_weight_gap_scan(
     (r | u-1, r*p^(s*theta) = +-1 mod u, r(u-r) = (u-1)p^(s(f-2theta)))
     must admit a solution consistent with the observed weights.
     A violation raises TheoremViolationError.
+
+    A unit u mod n maps the code of h_e onto that of h_(u*e), and the u*e
+    are the e' with gcd(e', n) = gcd(e, n); so the cosets of one class
+    share every field of the entry but the exponent.  Only the least
+    member of each class, the first met, is brute-forced and solved: the
+    brute force of the other cosets no longer runs.
     """
-    _check_ctx(ctx, q, k)
+    q, k, n = ctx.q, ctx.k, ctx.m
     out = []
-    for e, kprime in coset_representatives(q, ctx.m).items():
+    by_class: dict[int, GapScanEntry] = {}
+    for e, kprime in coset_representatives(q, n).items():
+        g = gcd(e, n)
+        if g in by_class:
+            out.append(by_class[g]._replace(exponent=e))
+            continue
         wd = weight_distribution_bruteforce(
             ctx, cyclic_code(ctx, polyring.minimal_polynomial(ctx, e)), cap
         )
@@ -316,15 +313,8 @@ def two_weight_gap_scan(
                     raise TheoremViolationError(
                         f"no (r, epsilon, theta) solution at e={e}, weights {nonzero}"
                     )
-        out.append(
-            GapScanEntry(
-                exponent=e,
-                kprime=kprime,
-                weights=nonzero,
-                two_weight=two_weight,
-                solution=solution,
-            )
-        )
+        by_class[g] = GapScanEntry(e, kprime, nonzero, two_weight, solution)
+        out.append(by_class[g])
     return out
 
 

@@ -3,7 +3,7 @@
 Subcommands: build, enumerate, verify, charsum, dual, minpoly.  Output
 is JSON (--format json) or human-readable text; exit codes are stable:
 0 success, 1 internal error, 2 unmet precondition, 3 disproved
-identity, 64 usage.
+identity, 64 usage, 141 stdout closed by its reader.
 """
 
 from __future__ import annotations
@@ -100,7 +100,7 @@ def cmd_build(args) -> int:
     from .characterize import build_code
 
     ctx = _field(args)
-    report = build_code(ctx, args.q, args.k, args.e1, args.e2)
+    report = build_code(ctx, args.e1, args.e2)
     if args.format == "json":
         sys.stdout.write(report_line(report))
     else:
@@ -316,7 +316,7 @@ def cmd_dual(args) -> int:
     ctx = _field(args)
     wd = weight_distribution_trace(ctx, args.e1, args.e2)
     dim = polyring.degree(parity_check_from_exponents(ctx, args.e1, args.e2))
-    dual = macwilliams_dual(wd, n, q, dim)
+    dual = macwilliams_dual(wd, q, dim)
     d_dual = dual.min_nonzero_weight()
     # the frequencies are streamed one at a time, so the output is never held whole
     out = _BatchedStdout()
@@ -451,6 +451,13 @@ def main(argv=None) -> int:
     except (InvalidArgumentError, ResourceLimitError) as exc:
         print(f"error: {_describe(exc)}", file=sys.stderr)
         return EXIT_PRECONDITION
+    except BrokenPipeError:
+        # the reader closed stdout: the exit-time flush goes to /dev/null, and
+        # the status is the one a shell shows for a SIGPIPE kill (128 + 13)
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return 141
     except Exception as exc:  # noqa: BLE001
         print(f"internal error: {_describe(exc)}", file=sys.stderr)
         return EXIT_INTERNAL

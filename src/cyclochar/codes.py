@@ -88,9 +88,8 @@ class CyclicCode(NamedTuple):
 
 def cyclic_code(ctx: FieldCtx, parity_check: polyring.Poly) -> CyclicCode:
     """Code of length q^k - 1 with the given parity-check polynomial."""
-    n = ctx.m
-    gen = polyring.generator_from_parity_check(ctx, parity_check, n)
-    return CyclicCode(n=n, parity_check=parity_check, generator=gen)
+    gen = polyring.generator_from_parity_check(ctx, parity_check)
+    return CyclicCode(n=ctx.m, parity_check=parity_check, generator=gen)
 
 
 def parity_check_from_exponents(ctx: FieldCtx, e1: int, e2: int) -> polyring.Poly:
@@ -382,15 +381,14 @@ def check_macwilliams_budget(n: int, q: int, weights: int) -> None:
     )
 
 
-def macwilliams_dual(
-    wd: WeightDistribution, n: int, q: int, dim: int
-) -> WeightDistribution:
+def macwilliams_dual(wd: WeightDistribution, q: int, dim: int) -> WeightDistribution:
     """Exact dual distribution B_j = q^-dim * sum_w A_w K_j(w), j = 0..n.
 
     Transforms over the job budget are refused before any B_j is
     computed.  Not memoized: the `dual` subcommand transforms once, and
     verify_duality once per distinct distribution of its sweep.
     """
+    n = wd.n
     if wd.total() != q**dim:
         raise InvalidArgumentError(
             f"distribution sums to {wd.total()}, expected q^dim = {q**dim}"
@@ -400,9 +398,7 @@ def macwilliams_dual(
     return WeightDistribution(n=n, entries=dict(entries))
 
 
-def dual_prefix(
-    wd: WeightDistribution, n: int, q: int, dim: int
-) -> WeightDistribution:
+def dual_prefix(wd: WeightDistribution, q: int, dim: int) -> WeightDistribution:
     """The nonzero B_j of the dual for j <= max(d, 3), d its minimum distance.
 
     The transform of macwilliams_dual, stopped at the first nonzero B_j
@@ -412,8 +408,8 @@ def dual_prefix(
     transform's, so min_nonzero_weight() is d.  Memoized on
     (n, q, dim, entries); every call returns a fresh object.
     """
-    entries = _dual_entries(n, q, dim, tuple(sorted(wd.entries.items())), False)
-    return WeightDistribution(n=n, entries=dict(entries))
+    entries = _dual_entries(wd.n, q, dim, tuple(sorted(wd.entries.items())), False)
+    return WeightDistribution(n=wd.n, entries=dict(entries))
 
 
 @lru_cache(maxsize=64)
@@ -445,7 +441,7 @@ def _dual_entries(
     if full and sum(bj for _, bj in dual) != q ** (n - dim):
         raise ConsistencyError("dual frequencies do not sum to q^(n-dim)")
     code = WeightDistribution(n=n, entries=dict(entries))
-    if not pless_moment_check(code, WeightDistribution(n=n, entries=dict(dual)), n, q, dim):
+    if not pless_moment_check(code, WeightDistribution(n=n, entries=dict(dual)), q, dim):
         raise ConsistencyError("Pless power moments 0-3 fail on the dual")
     return tuple(dual)
 
@@ -495,7 +491,7 @@ _STIRLING2 = {
 
 
 def pless_moments(
-    wd: WeightDistribution, dual_wd: WeightDistribution, n: int, q: int, dim: int
+    wd: WeightDistribution, dual_wd: WeightDistribution, q: int, dim: int
 ) -> list[tuple[int, int]]:
     """(lhs, rhs) of the first four power moments, both times q^r, exact.
 
@@ -503,6 +499,7 @@ def pless_moments(
     terms carry q^(dim - i) with i <= r, so the factor q^r makes both
     sides integers without changing whether they are equal.
     """
+    n = wd.n
     out = []
     for r in range(4):
         lhs = q**r * sum(w**r * freq for w, freq in wd.entries.items())
@@ -525,7 +522,7 @@ def pless_moments(
 
 
 def pless_moment_check(
-    wd: WeightDistribution, dual_wd: WeightDistribution, n: int, q: int, dim: int
+    wd: WeightDistribution, dual_wd: WeightDistribution, q: int, dim: int
 ) -> bool:
     """True iff the first four power moments hold exactly."""
-    return all(lhs == rhs for lhs, rhs in pless_moments(wd, dual_wd, n, q, dim))
+    return all(lhs == rhs for lhs, rhs in pless_moments(wd, dual_wd, q, dim))

@@ -112,12 +112,12 @@ def minimal_polynomial(ctx: FieldCtx, a: int) -> Poly:
     return out
 
 
-def generator_from_parity_check(ctx: FieldCtx, h: Poly, n: int) -> Poly:
-    """The generator g with g*h = x^n - 1; h must divide x^n - 1."""
-    g, r = poly_divmod(ctx, x_pow_n_minus_1(ctx, n), h)
+def generator_from_parity_check(ctx: FieldCtx, h: Poly) -> Poly:
+    """The generator g with g*h = x^n - 1, n = q^k - 1; h must divide x^n - 1."""
+    g, r = poly_divmod(ctx, x_pow_n_minus_1(ctx, ctx.m), h)
     if r:
         raise InvalidArgumentError(
-            f"polynomial of degree {degree(h)} does not divide x^{n} - 1"
+            f"polynomial of degree {degree(h)} does not divide x^{ctx.m} - 1"
         )
     return g
 

@@ -142,7 +142,7 @@ def verify_substitution(q: int, k: int) -> tuple[int, dict | None]:
     return checked, None
 
 
-def verify_char_sum_cases(q: int, k: int, ctx: FieldCtx) -> tuple[int, dict | None]:
+def verify_char_sum_cases(ctx: FieldCtx) -> tuple[int, dict | None]:
     """Under both conditions the sum takes the predicted value in every class.
 
     The sum T is constant on a multiplier orbit of (e1, e2) (see
@@ -160,6 +160,7 @@ def verify_char_sum_cases(q: int, k: int, ctx: FieldCtx) -> tuple[int, dict | No
     class (tau, b_col), b_col <= g, itself a class of the full grid, or
     its failing case.
     """
+    q, k = ctx.q, ctx.k
     checked = 0
     reps = ctx.trace_class_reps()
     a_nz = int(reps[1:].min())  # the smallest a with Tr(a) != 0
@@ -204,7 +205,7 @@ def verify_char_sum_cases(q: int, k: int, ctx: FieldCtx) -> tuple[int, dict | No
     return checked, None
 
 
-def verify_char_sum_unit_iff(q: int, k: int, ctx: FieldCtx) -> tuple[int, dict | None]:
+def verify_char_sum_unit_iff(ctx: FieldCtx) -> tuple[int, dict | None]:
     """T = 1 on the Tr(a) != 0, b != 0 classes iff gcd(q-1, k*e1 - e2) = 1.
 
     When the gcd is d > 1 every such value must be a nonunit multiple
@@ -215,6 +216,7 @@ def verify_char_sum_unit_iff(q: int, k: int, ctx: FieldCtx) -> tuple[int, dict |
     for every orbit finished, and the counterexample, None if every value
     met the claim, is a representative class of a representative pair.
     """
+    q, k = ctx.q, ctx.k
     checked = 0
     for e1, e2, size in valid_orbits(q, k):
         d = gcd_conditions(q, k, e1, e2)[0]
@@ -260,11 +262,7 @@ class BruteForceMemo:
 
 
 def verify_three_weight_iff(
-    q: int,
-    k: int,
-    ctx: FieldCtx,
-    brute_cap: int = DEFAULT_BRUTE_CAP,
-    memo: BruteForceMemo | None = None,
+    ctx: FieldCtx, brute_cap: int = DEFAULT_BRUTE_CAP, memo: BruteForceMemo | None = None
 ) -> tuple[int, dict | None]:
     """Brute-forced distribution equals the three-weight table iff both gcds hold.
 
@@ -275,7 +273,7 @@ def verify_three_weight_iff(
     checked, None), or the pairs before the first pair where table match
     and conditions disagree, and that pair.
     """
-    n = q**k - 1
+    q, k, n = ctx.q, ctx.k, ctx.m
     table = three_weight_distribution(q, k)
     memo = BruteForceMemo(ctx, brute_cap) if memo is None else memo
     checked = 0
@@ -290,11 +288,7 @@ def verify_three_weight_iff(
 
 
 def verify_oracle_equivalence(
-    q: int,
-    k: int,
-    ctx: FieldCtx,
-    brute_cap: int = DEFAULT_BRUTE_CAP,
-    memo: BruteForceMemo | None = None,
+    ctx: FieldCtx, brute_cap: int = DEFAULT_BRUTE_CAP, memo: BruteForceMemo | None = None
 ) -> tuple[int, dict | None]:
     """Trace-path distribution equals brute force for every pair of all_pairs.
 
@@ -305,7 +299,7 @@ def verify_oracle_equivalence(
     """
     memo = BruteForceMemo(ctx, brute_cap) if memo is None else memo
     checked = 0
-    for e1, e2 in all_pairs(q, k):
+    for e1, e2 in all_pairs(ctx.q, ctx.k):
         wd = weight_distribution_trace(ctx, e1, e2)
         brute = memo.distribution(e1, e2).entries
         if wd.entries != brute:
@@ -314,7 +308,7 @@ def verify_oracle_equivalence(
     return checked, None
 
 
-def verify_duality(q: int, k: int, ctx: FieldCtx) -> tuple[int, dict | None]:
+def verify_duality(ctx: FieldCtx) -> tuple[int, dict | None]:
     """MacWilliams involution and the claims of codes.dual_claim_failure.
 
     Runs over the qualifying orbits of numth.valid_orbits: the pairs of
@@ -326,8 +320,8 @@ def verify_duality(q: int, k: int, ctx: FieldCtx) -> tuple[int, dict | None]:
     counterexample), the counterexample None if every code passed, else
     the representative pair and the claim it fails.
     """
+    q, k, n = ctx.q, ctx.k, ctx.m
     checked = 0
-    n = ctx.m
     dim = k + 1
     failures: dict[tuple[tuple[int, int], ...], str | None] = {}
     for e1, e2, size in valid_orbits(q, k):
@@ -336,8 +330,8 @@ def verify_duality(q: int, k: int, ctx: FieldCtx) -> tuple[int, dict | None]:
         wd = weight_distribution_trace(ctx, e1, e2)
         key = tuple(sorted(wd.entries.items()))
         if key not in failures:
-            dual = macwilliams_dual(wd, n, q, dim)
-            if macwilliams_dual(dual, n, q, n - dim) != wd:
+            dual = macwilliams_dual(wd, q, dim)
+            if macwilliams_dual(dual, q, n - dim) != wd:
                 failures[key] = "involution"
             else:
                 claim = dual_claim_failure(dual, q, k)
@@ -348,26 +342,26 @@ def verify_duality(q: int, k: int, ctx: FieldCtx) -> tuple[int, dict | None]:
     return checked, None
 
 
-def verify_enumeration(q: int, k: int, ctx: FieldCtx) -> tuple[int, dict | None]:
+def verify_enumeration(ctx: FieldCtx) -> tuple[int, dict | None]:
     """Enumeration agrees with the closed-form count and every entry verifies.
 
     Returns (codes built, None): a failure raises, and run_block reports it.
     """
     checked = 0
-    for e1, e2 in enumerate_codes(q, k):
-        build_code(ctx, q, k, e1, e2)
+    for e1, e2 in enumerate_codes(ctx.q, ctx.k):
+        build_code(ctx, e1, e2)
         checked += 1
     return checked, None
 
 
 def verify_two_weight_gaps(
-    q: int, k: int, ctx: FieldCtx, brute_cap: int = DEFAULT_BRUTE_CAP
+    ctx: FieldCtx, brute_cap: int = DEFAULT_BRUTE_CAP
 ) -> tuple[int, dict | None]:
     """No two-weight irreducible code has adjacent weights; systems solve.
 
     Returns (codes scanned, None): a failure raises, and run_block reports it.
     """
-    entries = two_weight_gap_scan(ctx, q, k, brute_cap)
+    entries = two_weight_gap_scan(ctx, brute_cap)
     return len(entries), None
 
 
@@ -377,15 +371,14 @@ def verify_two_weight_gaps(
 # effect without rebuilding the table.
 _RUNNERS = {
     "substitution_bijection": lambda q, k, ctx, cap, memo: verify_substitution(q, k),
-    "char_sum_cases": lambda q, k, ctx, cap, memo: verify_char_sum_cases(q, k, ctx),
-    "char_sum_unit_iff": lambda q, k, ctx, cap, memo: verify_char_sum_unit_iff(q, k, ctx),
+    "char_sum_cases": lambda q, k, ctx, cap, memo: verify_char_sum_cases(ctx),
+    "char_sum_unit_iff": lambda q, k, ctx, cap, memo: verify_char_sum_unit_iff(ctx),
     "three_weight_iff_conditions":
-        lambda q, k, ctx, cap, memo: verify_three_weight_iff(q, k, ctx, cap, memo),
-    "oracle_equivalence":
-        lambda q, k, ctx, cap, memo: verify_oracle_equivalence(q, k, ctx, cap, memo),
-    "duality_suite": lambda q, k, ctx, cap, memo: verify_duality(q, k, ctx),
-    "enumeration_count": lambda q, k, ctx, cap, memo: verify_enumeration(q, k, ctx),
-    "two_weight_gaps": lambda q, k, ctx, cap, memo: verify_two_weight_gaps(q, k, ctx, cap),
+        lambda q, k, ctx, cap, memo: verify_three_weight_iff(ctx, cap, memo),
+    "oracle_equivalence": lambda q, k, ctx, cap, memo: verify_oracle_equivalence(ctx, cap, memo),
+    "duality_suite": lambda q, k, ctx, cap, memo: verify_duality(ctx),
+    "enumeration_count": lambda q, k, ctx, cap, memo: verify_enumeration(ctx),
+    "two_weight_gaps": lambda q, k, ctx, cap, memo: verify_two_weight_gaps(ctx, cap),
 }
 PROPERTIES = tuple(_RUNNERS)
 # Sweeps that read no field: run_block builds the block's field only once

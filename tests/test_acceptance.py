@@ -24,7 +24,7 @@ def _report(num, desc, elapsed):
 def test_criterion_01_example1_reproduction():
     start = time.perf_counter()
     ctx = gf.field_for(4, 3)
-    rep = ch.build_code(ctx, 4, 3, 2, 5)
+    rep = ch.build_code(ctx, 2, 5)
     assert rep.distribution.enumerator() == "1 + 189z^47 + 63z^48 + 3z^63"
     assert (rep.n, rep.dim, rep.min_distance) == (63, 4, 47)
     assert rep.griesmer_optimal
@@ -57,7 +57,7 @@ def test_criterion_03_table_biconditional():
     total = 0
     for q, k in PAIRS_511:
         ctx = gf.field_for(q, k)
-        checked, counterexample = verify.verify_three_weight_iff(q, k, ctx)
+        checked, counterexample = verify.verify_three_weight_iff(ctx)
         assert counterexample is None, counterexample
         total += checked
     elapsed = time.perf_counter() - start
@@ -86,7 +86,7 @@ def test_criterion_04_oracle_equivalence():
     total = 0
     for q, k in PAIRS_255:
         ctx = gf.field_for(q, k)
-        checked, counterexample = verify.verify_oracle_equivalence(q, k, ctx)
+        checked, counterexample = verify.verify_oracle_equivalence(ctx)
         assert counterexample is None, counterexample
         total += checked
     # beyond length 255 the sweep thins to one canonical spec per (q, k)
@@ -105,7 +105,7 @@ def test_criterion_05_char_sum_case_table():
     total = 0
     for q, k in PAIRS_255:
         ctx = gf.field_for(q, k)
-        checked, counterexample = verify.verify_char_sum_cases(q, k, ctx)
+        checked, counterexample = verify.verify_char_sum_cases(ctx)
         assert counterexample is None, counterexample
         total += checked
     elapsed = time.perf_counter() - start
@@ -118,7 +118,7 @@ def test_criterion_06_unit_sum_converse():
     gap_specs = 0
     for q, k in PAIRS_255:
         ctx = gf.field_for(q, k)
-        checked, counterexample = verify.verify_char_sum_unit_iff(q, k, ctx)
+        checked, counterexample = verify.verify_char_sum_unit_iff(ctx)
         assert counterexample is None, counterexample
         total += checked
         # direct count-vector evaluation on one d > 1 pair per block
@@ -162,7 +162,7 @@ def test_criterion_09_two_weight_gap_scan():
     scanned = 0
     for q, k in PAIRS_255:
         ctx = gf.field_for(q, k)
-        entries = ch.two_weight_gap_scan(ctx, q, k)  # raises on a +-1 gap
+        entries = ch.two_weight_gap_scan(ctx)  # raises on a +-1 gap
         scanned += len(entries)
         for e in entries:
             if e.two_weight:
@@ -181,7 +181,7 @@ def test_criterion_10_duality_suite():
     total = 0
     for q, k in PAIRS_255:
         ctx = gf.field_for(q, k)
-        checked, counterexample = verify.verify_duality(q, k, ctx)
+        checked, counterexample = verify.verify_duality(ctx)
         assert counterexample is None, counterexample
         total += checked
     elapsed = time.perf_counter() - start

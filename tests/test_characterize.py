@@ -5,7 +5,12 @@ from math import gcd
 import pytest
 
 from cyclochar import characterize as ch, codes, gf, numth, polyring as pr
-from cyclochar.errors import ConditionFailedError, InvalidArgumentError, ResourceLimitError
+from cyclochar.errors import (
+    ConditionFailedError,
+    InvalidArgumentError,
+    ResourceLimitError,
+    TheoremViolationError,
+)
 from cyclochar.numth import (
     coset_representatives,
     cyclotomic_coset,
@@ -39,6 +44,44 @@ def reference_enumeration(q, k):
     return out
 
 
+def reference_gap_scan(ctx, cap=numth.DEFAULT_BRUTE_CAP):
+    """The gap scan as it ran before one brute force per gcd class: the code
+    of every coset is brute-forced and, at full degree, solved."""
+    out = []
+    for e, kprime in coset_representatives(ctx.q, ctx.m).items():
+        wd = ch.weight_distribution_bruteforce(
+            ctx, codes.cyclic_code(ctx, pr.minimal_polynomial(ctx, e)), cap
+        )
+        nonzero = tuple(sorted(w for w in wd.entries if w))
+        two_weight = len(nonzero) == 2
+        solution = None
+        if two_weight:
+            if abs(nonzero[0] - nonzero[1]) == 1:
+                raise TheoremViolationError(
+                    f"two-weight code at e={e} has adjacent weights {nonzero}"
+                )
+            if kprime == ctx.k:
+                solution = ch._solve_two_weight_system(ctx, e, nonzero)
+                if solution is None:
+                    raise TheoremViolationError(
+                        f"no (r, epsilon, theta) solution at e={e}, weights {nonzero}"
+                    )
+        out.append(ch.GapScanEntry(e, kprime, nonzero, two_weight, solution))
+    return out
+
+
+def gap_scan_outcome(scan, ctx):
+    """The entries of a gap scan, or (name, message) of the error it raised."""
+    try:
+        return scan(ctx)
+    except TheoremViolationError as exc:
+        return type(exc).__name__, str(exc)
+
+
+# Every (q, k) with k >= 2 and q^k - 1 <= 255, q a prime power.
+PAIRS_255 = [(q, k) for q, k in SMALL_PAIRS if q**k - 1 <= 255]
+
+
 class TestCheckConditions:
     def test_example1(self):
         assert gcd_conditions(4, 3, 2, 5) == (1, 1)
@@ -60,7 +103,7 @@ class TestCheckConditions:
 class TestBuildCode:
     def test_example1_report(self):
         ctx = gf.field_for(4, 3)
-        rep = ch.build_code(ctx, 4, 3, 2, 5)
+        rep = ch.build_code(ctx, 2, 5)
         assert (rep.n, rep.dim, rep.min_distance) == (63, 4, 47)
         assert rep.distribution.entries == {0: 1, 47: 189, 48: 63, 63: 3}
         assert rep.three_weight_match and rep.griesmer_optimal
@@ -69,39 +112,41 @@ class TestBuildCode:
 
     def test_q2_k3(self):
         ctx = gf.field_for(2, 3)
-        rep = ch.build_code(ctx, 2, 3, 0, 1)
+        rep = ch.build_code(ctx, 0, 1)
         assert (rep.n, rep.dim, rep.min_distance) == (7, 4, 3)
         assert sorted(rep.distribution.entries) == [0, 3, 4, 7]
 
     def test_example2_single_code(self):
         ctx = gf.field_for(3, 4)
-        rep = ch.build_code(ctx, 3, 4, 0, 1)
+        rep = ch.build_code(ctx, 0, 1)
         assert (rep.n, rep.dim, rep.min_distance) == (80, 5, 53)
         assert rep.distribution.enumerator() == "1 + 160z^53 + 80z^54 + 2z^80"
 
     def test_condition_failure_names_gcd(self):
         ctx = gf.field_for(3, 2)
         with pytest.raises(ConditionFailedError) as exc:
-            ch.build_code(ctx, 3, 2, 0, 2)
+            ch.build_code(ctx, 0, 2)
         assert "gcd(Delta,e2)=2" in exc.value.failed
 
-    def test_wrong_context_rejected(self):
-        ctx = gf.field_for(2, 3)
-        with pytest.raises(InvalidArgumentError):
-            ch.build_code(ctx, 4, 3, 2, 5)
+    def test_field_is_the_one_source_of_q_and_k(self):
+        # (e1, e2) = (0, 1) qualifies over both fields; only ctx tells them apart
+        small = ch.build_code(gf.field_for(2, 3), 0, 1)
+        assert (small.q, small.k, small.n) == (2, 3, 7)
+        large = ch.build_code(gf.field_for(3, 4), 0, 1)
+        assert (large.q, large.k, large.n) == (3, 4, 80)
 
     @pytest.mark.parametrize("q,k,e1,e2", [(4, 3, 2, 5), (3, 4, 0, 1), (16, 3, 1, 11)])
     def test_multiplies_no_polynomials(self, monkeypatch, q, k, e1, e2):
         # dim = 1 + k follows from the two checked factor degrees
         cached = gf.field_for(q, k)
-        want = ch.build_code(cached, q, k, e1, e2)
+        want = ch.build_code(cached, e1, e2)
 
         def refuse(*_):
             raise AssertionError("build_code multiplied polynomials")
 
         monkeypatch.setattr(pr, "poly_mul", refuse)
         ctx = gf.FieldCtx(cached.p, cached.t, cached.k, cached.modulus)
-        assert ch.build_code(ctx, q, k, e1, e2) == want
+        assert ch.build_code(ctx, e1, e2) == want
         assert ctx._sym_table_lists is None  # no scalar symbol tables either
 
 
@@ -111,7 +156,7 @@ class TestCharacterizeCode:
         h = pr.poly_mul(
             ctx, pr.minimal_polynomial(ctx, 42), pr.minimal_polynomial(ctx, 5)
         )
-        assert ch.characterize_code(ctx, h, 4, 3) == (2, 5)
+        assert ch.characterize_code(ctx, h) == (2, 5)
 
     def test_reject_condition_violation(self):
         # q=3, k=2: e2=2 shares a factor with Delta=4; oracle must also fail
@@ -119,14 +164,14 @@ class TestCharacterizeCode:
         h = pr.poly_mul(
             ctx, pr.minimal_polynomial(ctx, 0), pr.minimal_polynomial(ctx, 2)
         )
-        assert ch.characterize_code(ctx, h, 3, 2) is None
+        assert ch.characterize_code(ctx, h) is None
         code = codes.cyclic_code(ctx, h)
         wd = codes.weight_distribution_bruteforce(ctx, code)
         assert wd != codes.three_weight_distribution(3, 2)
 
     def test_reject_wrong_dimension(self):
         ctx = gf.field_for(4, 3)
-        assert ch.characterize_code(ctx, pr.minimal_polynomial(ctx, 5), 4, 3) is None
+        assert ch.characterize_code(ctx, pr.minimal_polynomial(ctx, 5)) is None
 
     def test_reject_multiple_linear_factors(self):
         # q=4, k=2: three degree-one factors, total degree k+1
@@ -135,26 +180,26 @@ class TestCharacterizeCode:
         for a in (0, 5, 10):
             h = pr.poly_mul(ctx, h, pr.minimal_polynomial(ctx, a))
         assert pr.degree(h) == 3
-        assert ch.characterize_code(ctx, h, 4, 2) is None
+        assert ch.characterize_code(ctx, h) is None
 
     def test_reject_two_full_degree_factors(self):
         ctx = gf.field_for(2, 5)
         h = pr.poly_mul(
             ctx, pr.minimal_polynomial(ctx, 1), pr.minimal_polynomial(ctx, 3)
         )
-        assert ch.characterize_code(ctx, h, 2, 5) is None
+        assert ch.characterize_code(ctx, h) is None
 
     def test_invalid_divisor_rejected(self):
         ctx = gf.field_for(2, 3)
         with pytest.raises(InvalidArgumentError):
-            ch.characterize_code(ctx, (1, 1, 1), 2, 3)  # x^2+x+1 does not divide x^7-1
+            ch.characterize_code(ctx, (1, 1, 1))  # x^2+x+1 does not divide x^7-1
 
     @pytest.mark.parametrize("q,k", [(2, 3), (3, 2), (4, 2), (2, 4), (3, 3)])
     def test_roundtrip_every_qualifying_code(self, q, k):
         ctx = gf.field_for(q, k)
         for pair in ch.enumerate_codes(q, k):
             h = codes.parity_check_from_exponents(ctx, *pair)
-            got = ch.characterize_code(ctx, h, q, k)
+            got = ch.characterize_code(ctx, h)
             assert got is not None
             e1, e2 = got
             assert e1 % (q - 1) == pair[0] % (q - 1)
@@ -180,7 +225,7 @@ class TestCharacterizeCode:
                 h = pr.ONE
                 for r in combo:
                     h = pr.poly_mul(ctx, h, polys[r])
-                accepted = ch.characterize_code(ctx, h, q, k) is not None
+                accepted = ch.characterize_code(ctx, h) is not None
                 wd = codes.weight_distribution_bruteforce(
                     ctx, codes.cyclic_code(ctx, h)
                 )
@@ -190,25 +235,25 @@ class TestCharacterizeCode:
 class TestOneWeight:
     def test_linear_factor_weight(self):
         ctx = gf.field_for(4, 3)
-        assert ch.one_weight_check(ctx, 42, 4, 1, 63) == 63
+        assert ch.one_weight_check(ctx, 42, 1, 63) == 63
 
     def test_full_degree_weight(self):
         ctx = gf.field_for(4, 3)
-        assert ch.one_weight_check(ctx, 5, 4, 3, 63) == 48
+        assert ch.one_weight_check(ctx, 5, 3, 63) == 48
 
     def test_blocked_by_u(self):
         ctx = gf.field_for(4, 3)
-        assert ch.one_weight_check(ctx, 3, 4, 3, 63) is None
+        assert ch.one_weight_check(ctx, 3, 3, 63) is None
 
     def test_wrong_kprime(self):
         ctx = gf.field_for(4, 3)
         with pytest.raises(InvalidArgumentError):
-            ch.one_weight_check(ctx, 5, 4, 2, 63)
+            ch.one_weight_check(ctx, 5, 2, 63)
 
     def test_divisibility_precondition(self):
         ctx = gf.field_for(4, 3)
         with pytest.raises(InvalidArgumentError):
-            ch.one_weight_check(ctx, 5, 4, 3, 62)
+            ch.one_weight_check(ctx, 5, 3, 62)
 
 
 class TestFullWeightDivisor:
@@ -239,7 +284,7 @@ class TestFullWeightDivisor:
 class TestTwoWeightGapScan:
     def test_q2_k4_has_a_solved_two_weight_code(self):
         ctx = gf.field_for(2, 4)
-        entries = ch.two_weight_gap_scan(ctx, 2, 4)
+        entries = ch.two_weight_gap_scan(ctx)
         solved = [e for e in entries if e.two_weight and e.kprime == 4]
         assert solved, "expected a full-degree two-weight code at (2, 4)"
         for e in solved:
@@ -249,17 +294,62 @@ class TestTwoWeightGapScan:
     @pytest.mark.parametrize("q,k", [(4, 2), (3, 3), (5, 2), (2, 6)])
     def test_scan_completes_without_violations(self, q, k):
         ctx = gf.field_for(q, k)
-        entries = ch.two_weight_gap_scan(ctx, q, k)
+        entries = ch.two_weight_gap_scan(ctx)
         for e in entries:
             if e.two_weight:
                 assert abs(e.weights[0] - e.weights[1]) != 1
 
     def test_one_weight_codes_flagged_not_two_weight(self):
         ctx = gf.field_for(2, 3)
-        entries = ch.two_weight_gap_scan(ctx, 2, 3)
+        entries = ch.two_weight_gap_scan(ctx)
         by_exp = {e.exponent: e for e in entries}
         assert not by_exp[0].two_weight  # repetition code
         assert not by_exp[1].two_weight  # simplex
+
+    @pytest.mark.parametrize("q,k", PAIRS_255)
+    def test_equals_the_per_coset_loop(self, q, k, monkeypatch):
+        ctx = gf.field_for(q, k)
+        calls = []
+        real = ch.weight_distribution_bruteforce
+        monkeypatch.setattr(ch, "weight_distribution_bruteforce",
+                            lambda ctx_, code, cap: calls.append(code) or real(ctx_, code, cap))
+        entries = ch.two_weight_gap_scan(ctx)
+        # one brute force per class gcd(e, n), one entry per coset
+        classes = {gcd(e, ctx.m) for e in coset_representatives(q, ctx.m)}
+        assert len(calls) == len(classes)
+        assert entries == reference_gap_scan(ctx)
+
+    @pytest.mark.parametrize("fault", ["adjacent", "unsolved"])
+    @pytest.mark.parametrize("q,k", [(2, 4), (2, 6), (4, 3), (2, 8), (4, 4), (11, 2)])
+    def test_a_fault_on_a_class_is_named_at_its_least_member(self, q, k, fault, monkeypatch):
+        ctx = gf.field_for(q, k)
+        n = ctx.m
+        entries = ch.two_weight_gap_scan(ctx)
+        if fault == "adjacent":  # the class with the most cosets
+            counts = {}
+            for entry in entries:
+                g = gcd(entry.exponent, n)
+                counts[g] = counts.get(g, 0) + 1
+            target = max(counts, key=lambda g: (counts[g], -g))
+            members = {pr.minimal_polynomial(ctx, e.exponent) for e in entries
+                       if gcd(e.exponent, n) == target}
+            real = ch.weight_distribution_bruteforce
+
+            def adjacent(ctx_, code, cap):
+                if code.parity_check in members:
+                    return codes.WeightDistribution(n, {0: 1, 5: 1, 6: 1})
+                return real(ctx_, code, cap)
+
+            monkeypatch.setattr(ch, "weight_distribution_bruteforce", adjacent)
+        else:  # the first class with a solved full-degree two-weight code
+            target = next(gcd(e.exponent, n) for e in entries if e.solution is not None)
+            real_solve = ch._solve_two_weight_system
+            monkeypatch.setattr(ch, "_solve_two_weight_system", lambda ctx_, e, weights: (
+                None if gcd(e, n) == target else real_solve(ctx_, e, weights)))
+        got = gap_scan_outcome(ch.two_weight_gap_scan, ctx)
+        assert got == gap_scan_outcome(reference_gap_scan, ctx)
+        least = min(e.exponent for e in entries if gcd(e.exponent, n) == target)
+        assert got[0] == "TheoremViolationError" and f"at e={least}" in got[1]
 
 
 class TestEnumerateCodes:
@@ -281,7 +371,7 @@ class TestEnumerateCodes:
     def test_every_enumerated_code_builds(self, q, k):
         ctx = gf.field_for(q, k)
         for e1, e2 in ch.enumerate_codes(q, k):
-            rep = ch.build_code(ctx, q, k, e1, e2)
+            rep = ch.build_code(ctx, e1, e2)
             assert rep.three_weight_match
 
     @pytest.mark.parametrize("q,k", SMALL_PAIRS)

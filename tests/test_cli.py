@@ -174,7 +174,7 @@ class TestBuild:
         assert code == 0
         parsed = json.loads(out)
         ctx = field_for(4, 3)
-        assert parsed == report_json(build_code(ctx, 4, 3, 2, 5))
+        assert parsed == report_json(build_code(ctx, 2, 5))
         assert parsed["weights"] == [[0, 1], [47, 189], [48, 63], [63, 3]]
         assert parsed["dual"] == {"min_weight": 3, "B1": 0, "B2": 0, "B3": 3843}
         assert list(parsed) == ["q", "k", "e1", "e2", "n", "dim", "weights",
@@ -245,7 +245,7 @@ class TestBuild:
         for q, k, stride in blocks:
             ctx = field_for(q, k)
             for i, (e1, e2) in enumerate(islice(enumerate_codes(q, k), 0, None, stride)):
-                report = build_code(ctx, q, k, e1, e2)
+                report = build_code(ctx, e1, e2)
                 expected = json.dumps(report_json(report)) + "\n"
                 assert cli.report_line(report) == expected, (q, k, e1, e2)
                 reports += 1
@@ -530,7 +530,7 @@ class TestDualAndMinpoly:
                 assert sys.get_int_max_str_digits() == 640
         finally:
             sys.set_int_max_str_digits(limit)
-        want = macwilliams_dual(weight_distribution_trace(field_for(2, 12), 0, 1), 4095, 2, 13)
+        want = macwilliams_dual(weight_distribution_trace(field_for(2, 12), 0, 1), 2, 13)
         assert json.loads(outs["json"])["dual_weights"] == want.pairs()
         assert outs["text"].splitlines()[1] == f"dual enumerator: {want.enumerator()}"
 
@@ -689,13 +689,13 @@ class TestVerify:
         # function run_block calls
         calls = []
 
-        def stub(q, k, ctx):
-            calls.append((q, k, ctx.q, ctx.k))
+        def stub(ctx):
+            calls.append((ctx.q, ctx.k))
             return -1, None
 
         monkeypatch.setattr(verify, "verify_enumeration", stub)
         results = list(verify.run_block(2, 3, 1 << 20, ("enumeration_count",)))
-        assert calls == [(2, 3, 2, 3)]
+        assert calls == [(2, 3)]
         assert [r.checked for r in results] == [-1]
 
     def test_refused_fieldless_sweep_builds_no_field(self, capsys, monkeypatch):
@@ -780,7 +780,7 @@ class TestVerify:
     def test_a_result_is_flushed_before_the_next_sweep_starts(self, monkeypatch, fmt, first):
         out, seen = _FlushLog(), []
 
-        def second(q, k, ctx):
+        def second(ctx):
             seen.append(out.flushed)
             return 1, None
 
@@ -795,7 +795,7 @@ class TestVerify:
     def test_an_aborted_run_leaves_the_finished_results(self, monkeypatch, exc, code):
         # an interrupt propagates out of main, any other error exits 1; both
         # leave a JSON array of what finished
-        def raising(q, k, ctx):
+        def raising(ctx):
             raise exc("stop")
 
         monkeypatch.setattr(verify, "verify_char_sum_unit_iff", raising)
@@ -1054,6 +1054,31 @@ class TestInternalErrors:
         monkeypatch.setattr(numth, "JOB_BUDGET_BYTES", 100_000)
         assert codes.macwilliams_size_bytes(242, 3, 243) > numth.JOB_BUDGET_BYTES
         assert run(capsys, *argv) == want
+
+
+class TestClosedStdout:
+    # a reader that stops early is no program fault: exit 141, as a SIGPIPE
+    # kill shows in a shell, and write nothing to stderr
+    @pytest.mark.parametrize("argv", [
+        ["enumerate", "--q", "2", "--k", "18"],
+        ["verify", "--q", "2..1000000000", "--format", "json"],
+    ])
+    def test_a_closed_pipe_exits_141_quietly(self, argv):
+        root = Path(__file__).resolve().parents[1]
+        path = os.pathsep.join([str(root / "src"), os.environ.get("PYTHONPATH", "")])
+        proc = subprocess.Popen([sys.executable, "-m", "cyclochar.cli", *argv],
+                                env={**os.environ, "PYTHONPATH": path},
+                                stdout=subprocess.PIPE, stderr=subprocess.PIPE)
+        try:
+            head = proc.stdout.read(10)
+            proc.stdout.close()
+            err = proc.stderr.read()
+            code = proc.wait(timeout=300)
+        finally:
+            proc.kill()
+            proc.wait()
+        assert len(head) == 10
+        assert (code, err) == (141, b"")
 
 
 class TestUsage:

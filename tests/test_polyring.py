@@ -216,23 +216,23 @@ class TestGeneratorFromParityCheck:
     def test_hamming_parity(self):
         ctx = gf.field_for(2, 3)
         h = pr.poly_mul(ctx, (1, 1), (1, 1, 0, 1))
-        g = pr.generator_from_parity_check(ctx, h, 7)
+        g = pr.generator_from_parity_check(ctx, h)
         assert pr.degree(g) == 3
         assert pr.poly_mul(ctx, g, h) == pr.x_pow_n_minus_1(ctx, 7)
 
     def test_full_parity_gives_unit(self):
         ctx = gf.field_for(2, 3)
-        assert pr.generator_from_parity_check(ctx, pr.x_pow_n_minus_1(ctx, 7), 7) == (1,)
+        assert pr.generator_from_parity_check(ctx, pr.x_pow_n_minus_1(ctx, 7)) == (1,)
 
     def test_unit_parity_gives_whole(self):
         ctx = gf.field_for(2, 3)
-        g = pr.generator_from_parity_check(ctx, (1,), 7)
+        g = pr.generator_from_parity_check(ctx, (1,))
         assert g == pr.x_pow_n_minus_1(ctx, 7)
 
     def test_non_divisor_rejected(self):
         ctx = gf.field_for(2, 3)
         with pytest.raises(InvalidArgumentError):
-            pr.generator_from_parity_check(ctx, (1, 1, 1), 7)  # x^2+x+1 does not divide x^7-1
+            pr.generator_from_parity_check(ctx, (1, 1, 1))  # x^2+x+1 does not divide x^7-1
 
 
 class TestTextFormat:

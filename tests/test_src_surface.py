@@ -23,6 +23,10 @@ use.
 A verify sweep returns (checked, counterexample) and never names its
 property: verify.run_block alone makes a PropertyResult, named by the
 sweep's key in verify._RUNNERS.
+
+A FieldCtx carries q and k, and a WeightDistribution its length n: no
+function under src/ takes one of them together with a parameter that
+restates it, so the two can never disagree.
 """
 
 import ast
@@ -200,3 +204,32 @@ def test_no_sweep_names_its_property():
         if isinstance(node, ast.Constant) and node.value in props
     )
     assert not named, f"sweeps that name their property: {named}"
+
+
+# annotation -> the parameter names an argument so annotated already carries
+RESTATED = {"FieldCtx": {"q", "k"}, "WeightDistribution": {"n"}}
+
+
+def restated_parameters(src=SRC):
+    """module.function: annotation (names) for every function under src that
+    takes an argument annotated with a RESTATED type and one it restates."""
+    found = []
+    for path in sorted(src.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+        for node in ast.walk(tree):
+            if not _is_def(node):
+                continue
+            args = node.args
+            params = [*args.posonlyargs, *args.args, *args.kwonlyargs]
+            names = {a.arg for a in params}
+            for a in params:
+                kind = ast.unparse(a.annotation) if a.annotation else None
+                clash = sorted(RESTATED.get(kind, set()) & names)
+                if clash:
+                    found.append(f"{path.stem}.{node.name}: {kind} ({', '.join(clash)})")
+    return sorted(set(found))
+
+
+def test_no_parameter_restates_a_field_or_a_distribution():
+    found = restated_parameters()
+    assert not found, f"read these from the FieldCtx or WeightDistribution: {found}"

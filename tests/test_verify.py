@@ -51,8 +51,8 @@ def reference_brute(ctx, e1, e2, cap, cache):
     return cache[h]
 
 
-def reference_three_weight_iff(q, k, ctx, brute_cap=numth.DEFAULT_BRUTE_CAP):
-    n = q**k - 1
+def reference_three_weight_iff(ctx, brute_cap=numth.DEFAULT_BRUTE_CAP):
+    q, k, n = ctx.q, ctx.k, ctx.m
     table = codes.three_weight_distribution(q, k)
     cache = {}
     checked = 0
@@ -66,10 +66,10 @@ def reference_three_weight_iff(q, k, ctx, brute_cap=numth.DEFAULT_BRUTE_CAP):
     return checked, None
 
 
-def reference_oracle_equivalence(q, k, ctx, brute_cap=numth.DEFAULT_BRUTE_CAP):
+def reference_oracle_equivalence(ctx, brute_cap=numth.DEFAULT_BRUTE_CAP):
     cache = {}
     checked = 0
-    for e1, e2 in verify.all_pairs(q, k):
+    for e1, e2 in verify.all_pairs(ctx.q, ctx.k):
         wd = verify.weight_distribution_trace(ctx, e1, e2)
         brute = reference_brute(ctx, e1, e2, brute_cap, cache).entries
         if wd.entries != brute:
@@ -126,8 +126,9 @@ def unit_failures(block, d):
     return block != 1 if d == 1 else (block == 1) | (block % d != 0)
 
 
-def reference_char_sum_cases(q, k, ctx):
+def reference_char_sum_cases(ctx):
     """The case sweep over the full grid of every qualifying pair."""
+    q, k = ctx.q, ctx.k
     checked = 0
     reps = ctx.trace_class_reps()
     a_nz = int(reps[1:].min())
@@ -156,8 +157,9 @@ def reference_char_sum_cases(q, k, ctx):
     return checked, None
 
 
-def reference_char_sum_unit_iff(q, k, ctx):
+def reference_char_sum_unit_iff(ctx):
     """The unit sweep over the full grid of every pair."""
+    q, k = ctx.q, ctx.k
     checked = 0
     for e1, e2 in verify.all_pairs(q, k):
         d = verify.gcd_conditions(q, k, e1, e2)[0]
@@ -198,8 +200,8 @@ def assert_char_sum_sweeps_match(q, k, ctx):
         (verify.verify_char_sum_cases, reference_char_sum_cases, q * q**k + 6, True),
         (verify.verify_char_sum_unit_iff, reference_char_sum_unit_iff, (q - 1) * ctx.m, False),
     ]:
-        got = outcome(sweep, q, k, ctx)
-        want = outcome(reference, q, k, ctx)
+        got = outcome(sweep, ctx)
+        want = outcome(reference, ctx)
         assert (got[1] is None) == (want[1] is None)
         cex = got[1]
         if cex is None or "e1" not in cex:
@@ -265,16 +267,16 @@ def mid_qualifying_rep(q, k):
 @pytest.mark.parametrize("q,k", PAIRS_255)
 def test_three_weight_sweep_equals_the_per_pair_loop(q, k):
     ctx = gf.field_for(q, k)
-    got = outcome(verify.verify_three_weight_iff, q, k, ctx)
-    assert got == outcome(reference_three_weight_iff, q, k, ctx)
+    got = outcome(verify.verify_three_weight_iff, ctx)
+    assert got == outcome(reference_three_weight_iff, ctx)
     assert got == ((q - 1) * (q**k - 1), None)
 
 
 @pytest.mark.parametrize("q,k", PAIRS_255)
 def test_oracle_sweep_equals_the_per_parity_check_loop(q, k):
     ctx = gf.field_for(q, k)
-    got = outcome(verify.verify_oracle_equivalence, q, k, ctx)
-    assert got == outcome(reference_oracle_equivalence, q, k, ctx)
+    got = outcome(verify.verify_oracle_equivalence, ctx)
+    assert got == outcome(reference_oracle_equivalence, ctx)
     assert got[1] is None
 
 
@@ -326,7 +328,7 @@ def test_cap_refusal_comes_at_the_same_pair(q, k, monkeypatch):
                 real = getattr(verify, name)
                 monkeypatch.setattr(verify, name,
                                     lambda *a, real=real: met.append(a[-2:]) or real(*a))
-            outcomes.append((outcome(fn, q, k, ctx, q**k), met))
+            outcomes.append((outcome(fn, ctx, q**k), met))
             monkeypatch.undo()
         assert outcomes[0] == outcomes[1]
         assert "exceed the brute-force cap" in outcomes[0][0][1]
@@ -346,8 +348,8 @@ def test_a_flipped_condition_is_caught_at_the_same_pair(q, k, monkeypatch):
         return ((1, 1) if conds != (1, 1) else (2, 1)) if (e1, e2) == target else conds
 
     monkeypatch.setattr(verify, "gcd_conditions", flipped)
-    got = outcome(verify.verify_three_weight_iff, q, k, ctx)
-    assert got == outcome(reference_three_weight_iff, q, k, ctx)
+    got = outcome(verify.verify_three_weight_iff, ctx)
+    assert got == outcome(reference_three_weight_iff, ctx)
     assert (got[1]["e1"], got[1]["e2"]) == target
 
 
@@ -369,8 +371,8 @@ def test_a_corrupted_distribution_is_caught_at_the_same_pair(q, k, monkeypatch):
         (verify.verify_three_weight_iff, reference_three_weight_iff),
         (verify.verify_oracle_equivalence, reference_oracle_equivalence),
     ]:
-        got = outcome(sweep, q, k, ctx)
-        assert got == outcome(reference, q, k, ctx)
+        got = outcome(sweep, ctx)
+        assert got == outcome(reference, ctx)
         assert (got[1]["e1"], got[1]["e2"]) == target
 
 
@@ -415,8 +417,8 @@ def test_duality_sweep_counts_every_code_with_one_transform_each_way(q, k, monke
     dims = []
     real = verify.macwilliams_dual
     monkeypatch.setattr(verify, "macwilliams_dual",
-                        lambda wd, n, q_, dim: dims.append(dim) or real(wd, n, q_, dim))
-    checked, counterexample = verify.verify_duality(q, k, gf.field_for(q, k))
+                        lambda wd, q_, dim: dims.append(dim) or real(wd, q_, dim))
+    checked, counterexample = verify.verify_duality(gf.field_for(q, k))
     assert counterexample is None and checked == numth.code_count(q, k)
     assert dims == [k + 1, q**k - 1 - (k + 1)]
 
@@ -433,7 +435,7 @@ def test_a_foreign_distribution_on_one_orbit_fails_the_duality_sweep(q, k, monke
     real = verify.weight_distribution_trace
     monkeypatch.setattr(verify, "weight_distribution_trace",
                         lambda ctx_, e1, e2: real(ctx_, *(foreign if (e1, e2) in orbit else (e1, e2))))
-    checked, counterexample = verify.verify_duality(q, k, ctx)
+    checked, counterexample = verify.verify_duality(ctx)
     rep = numth.orbit_representative(q, k, *target)
     assert counterexample is not None
     assert counterexample == {"e1": rep[0], "e2": rep[1], "failure": "B1_B2_nonzero"}
@@ -458,8 +460,8 @@ def test_an_off_by_one_bezout_pair_gives_the_same_outcome(q, k, field, monkeypat
     assert got == outcome(reference_substitution, q, k)
     if (field, q) != ("beta", 2):
         assert isinstance(got[1], dict) and "back" in got[1]
-    assert outcome(verify.verify_oracle_equivalence, q, k, ctx) == outcome(
-        reference_oracle_equivalence, q, k, ctx
+    assert outcome(verify.verify_oracle_equivalence, ctx) == outcome(
+        reference_oracle_equivalence, ctx
     )
 
 
@@ -601,7 +603,7 @@ def test_the_brute_force_route_never_reads_the_trace_route(q, k, monkeypatch):
     ctx = gf.field_for(q, k)
     memo = verify.BruteForceMemo(ctx)
     assert memo.distribution(0, 1) == codes.three_weight_distribution(q, k)
-    checked, counterexample = verify.verify_three_weight_iff(q, k, ctx)
+    checked, counterexample = verify.verify_three_weight_iff(ctx)
     assert counterexample is None and checked == (q - 1) * (q**k - 1)
 
 
@@ -621,7 +623,7 @@ def test_the_unit_sweep_reaches_its_first_grid_in_a_few_mib(monkeypatch):
     tracemalloc.start()
     try:
         with pytest.raises(FirstGrid):
-            verify.verify_char_sum_unit_iff(31, 3, ctx)
+            verify.verify_char_sum_unit_iff(ctx)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
@@ -653,7 +655,7 @@ def test_the_unit_sweep_forms_no_full_grid_at_257_2(monkeypatch):
     monkeypatch.setattr(verify, "valid_orbits", lambda q, k: islice(real(q, k), 20))
     tracemalloc.start()
     try:
-        checked, counterexample = verify.verify_char_sum_unit_iff(257, 2, ctx)
+        checked, counterexample = verify.verify_char_sum_unit_iff(ctx)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
@@ -665,5 +667,5 @@ def test_the_unit_sweep_forms_no_full_grid_at_257_2(monkeypatch):
 def test_the_unit_sweep_covers_all_of_257_2():
     # 5,505,024 pairs in 256 orbits, one grid each
     ctx = gf.field_for(257, 2)
-    checked, counterexample = verify.verify_char_sum_unit_iff(257, 2, ctx)
+    checked, counterexample = verify.verify_char_sum_unit_iff(ctx)
     assert counterexample is None and checked == 5_505_024 * 256 * 66_048

@@ -53,7 +53,11 @@ if TYPE_CHECKING:
 
 
 class CodeReport(NamedTuple):
-    """Everything build_code establishes about the code of (e1, e2)."""
+    """Everything build_code establishes about the code of (e1, e2).
+
+    Only a code that matches the three-weight table and meets the Griesmer
+    bound gets one.
+    """
 
     q: int
     k: int
@@ -63,8 +67,6 @@ class CodeReport(NamedTuple):
     dim: int
     min_distance: int
     distribution: WeightDistribution
-    three_weight_match: bool
-    griesmer_optimal: bool
     dual_b1: int
     dual_b2: int
     dual_b3: int
@@ -91,16 +93,14 @@ def build_code(ctx: FieldCtx, e1: int, e2: int) -> CodeReport:
     if polyring.degree(h2) != k:
         raise TheoremViolationError(f"deg h_(e2) = {polyring.degree(h2)} != {k}")
     wd = weight_distribution_trace(ctx, e1, e2)
-    match = wd == three_weight_distribution(q, k)
-    if not match:
+    if wd != three_weight_distribution(q, k):
         raise TheoremViolationError(
             f"conditions hold but distribution is {wd.entries}"
         )
     n = ctx.m
     dim = 1 + k  # deg h = deg h1 + deg h2, both checked above
     d = wd.min_nonzero_weight()
-    optimal = is_griesmer_optimal(q, n, dim, d)
-    if not optimal:
+    if not is_griesmer_optimal(q, n, dim, d):
         raise TheoremViolationError(f"[{n},{dim},{d}] misses the Griesmer bound")
     dual = dual_prefix(wd, q, dim)
     claim = dual_claim_failure(dual, q, k)
@@ -115,8 +115,6 @@ def build_code(ctx: FieldCtx, e1: int, e2: int) -> CodeReport:
         dim=dim,
         min_distance=d,
         distribution=wd,
-        three_weight_match=match,
-        griesmer_optimal=optimal,
         dual_b1=dual.entries.get(1, 0),
         dual_b2=dual.entries.get(2, 0),
         dual_b3=dual.entries.get(3, 0),
@@ -161,7 +159,7 @@ def characterize_code(ctx: FieldCtx, h: polyring.Poly) -> tuple[int, int] | None
     q, k = ctx.q, ctx.k
     if not h or not polyring.is_monic(h):
         raise InvalidArgumentError("parity check must be monic and nonzero")
-    if polyring.poly_divmod(ctx, polyring.x_pow_n_minus_1(ctx, ctx.m), h)[1]:
+    if polyring.poly_divmod(ctx, polyring.x_pow_n_minus_1(ctx), h)[1]:
         raise InvalidArgumentError(f"polynomial does not divide x^{ctx.m} - 1")
     if polyring.degree(h) != k + 1:
         return None
@@ -241,7 +239,7 @@ def full_weight_divisor(
     Any such word is geometric, m_i = m_2^(i-1) after scaling, and the
     divisor is x - m_2^(-1).
     """
-    n = code.n
+    n = ctx.m
     lines = [
         word
         for words in codeword_lines(ctx, code, cap)
@@ -267,7 +265,6 @@ class GapScanEntry(NamedTuple):
     exponent: int
     kprime: int
     weights: tuple[int, ...]
-    two_weight: bool
     solution: tuple[int, int, Fraction] | None  # (r, epsilon, theta)
 
 
@@ -299,9 +296,8 @@ def two_weight_gap_scan(ctx: FieldCtx, cap: int = DEFAULT_BRUTE_CAP) -> list[Gap
             ctx, cyclic_code(ctx, polyring.minimal_polynomial(ctx, e)), cap
         )
         nonzero = tuple(sorted(w for w in wd.entries if w))
-        two_weight = len(nonzero) == 2
         solution = None
-        if two_weight:
+        if len(nonzero) == 2:
             w1, w2 = nonzero
             if abs(w1 - w2) == 1:
                 raise TheoremViolationError(
@@ -313,7 +309,7 @@ def two_weight_gap_scan(ctx: FieldCtx, cap: int = DEFAULT_BRUTE_CAP) -> list[Gap
                     raise TheoremViolationError(
                         f"no (r, epsilon, theta) solution at e={e}, weights {nonzero}"
                     )
-        by_class[g] = GapScanEntry(e, kprime, nonzero, two_weight, solution)
+        by_class[g] = GapScanEntry(e, kprime, nonzero, solution)
         out.append(by_class[g])
     return out
 

@@ -75,9 +75,8 @@ class WeightDistribution:
 
 
 class CyclicCode(NamedTuple):
-    """A cyclic code fixed by its parity-check/generator factorization."""
+    """A cyclic code of length q^k - 1 fixed by its parity-check/generator factorization."""
 
-    n: int
     parity_check: polyring.Poly
     generator: polyring.Poly
 
@@ -89,7 +88,7 @@ class CyclicCode(NamedTuple):
 def cyclic_code(ctx: FieldCtx, parity_check: polyring.Poly) -> CyclicCode:
     """Code of length q^k - 1 with the given parity-check polynomial."""
     gen = polyring.generator_from_parity_check(ctx, parity_check)
-    return CyclicCode(n=ctx.m, parity_check=parity_check, generator=gen)
+    return CyclicCode(parity_check=parity_check, generator=gen)
 
 
 def parity_check_from_exponents(ctx: FieldCtx, e1: int, e2: int) -> polyring.Poly:
@@ -228,7 +227,7 @@ def codeword_lines(ctx: FieldCtx, code: CyclicCode, cap: int = DEFAULT_BRUTE_CAP
     below it; the remaining rows are walked combination by combination,
     each added to the whole block.  The last row is never expanded.
     """
-    q, n, dim = ctx.q, code.n, code.dimension
+    q, n, dim = ctx.q, ctx.m, code.dimension
     if dim < 0:
         raise InvalidArgumentError("code has no parity check")
     if q**dim > cap:
@@ -282,7 +281,7 @@ def weight_distribution_bruteforce(
     codewords, and the zero word is added once.  The total must come to
     q^dim, the number of information words.
     """
-    q, n = ctx.q, code.n
+    q, n = ctx.q, ctx.m
     hist = np.zeros(n + 1, dtype=np.int64)
     for words in codeword_lines(ctx, code, cap):
         hist += np.bincount(np.count_nonzero(words, axis=1), minlength=n + 1)

@@ -28,14 +28,13 @@ from .numth import BezoutPair, bezout_pair
 
 
 class CyclotomicCount(NamedTuple):
-    """A sum of p-th roots of unity, stored as per-exponent term counts."""
+    """A sum of p-th roots of unity: counts[c] terms zeta_p^c, so p = len(counts) >= 2."""
 
-    p: int
     counts: tuple[int, ...]
 
     def is_integral(self) -> bool:
         tail = self.counts[1:]
-        return all(c == tail[0] for c in tail) if tail else True
+        return all(c == tail[0] for c in tail)
 
     def as_integer(self) -> int:
         """Collapse to a rational integer via sum of all p-th roots = 0."""
@@ -43,7 +42,7 @@ class CyclotomicCount(NamedTuple):
             raise ConsistencyError(
                 f"count vector {self.counts} is not a rational integer"
             )
-        return self.counts[0] - (self.counts[1] if self.p > 1 else 0)
+        return self.counts[0] - self.counts[1]
 
 
 class CodeSpec(NamedTuple):
@@ -51,12 +50,12 @@ class CodeSpec(NamedTuple):
 
     The input of substitution and substitution_inverse, the one place the
     Bezout pair is read; everywhere else a code is its pair (e1, e2).
-    Only requires gcd(Delta, e2) = 1, so the Bezout pair exists.
+    Only requires gcd(Delta, e2) = 1, so the Bezout pair exists; n and
+    Delta are read off (q, k).
     """
 
     q: int
     k: int
-    delta: int
     e1: int
     e2: int
     bezout: BezoutPair
@@ -65,13 +64,16 @@ class CodeSpec(NamedTuple):
     def n(self) -> int:
         return self.q**self.k - 1
 
+    @property
+    def delta(self) -> int:
+        return self.n // (self.q - 1)
+
 
 def code_spec(q: int, k: int, e1: int, e2: int) -> CodeSpec:
     """Build a CodeSpec, solving the Bezout congruence for (alpha, beta)."""
     if k < 2:
         raise InvalidArgumentError(f"requires k >= 2, got {k}")
-    delta = (q**k - 1) // (q - 1)
-    return CodeSpec(q=q, k=k, delta=delta, e1=e1, e2=e2, bezout=bezout_pair(e2, q, k))
+    return CodeSpec(q=q, k=k, e1=e1, e2=e2, bezout=bezout_pair(e2, q, k))
 
 
 def substitution(spec: CodeSpec, i, j):
@@ -118,7 +120,7 @@ def char_sum(ctx: FieldCtx, e1: int, e2: int, a: int, b: int) -> CyclotomicCount
     table = np.bincount((chars + p * np.arange(delta)).ravel(), minlength=delta * p)
     counts = rows @ table.reshape(delta, p)
     counts[0] += (ctx.q - 1) * (m - len(s))
-    return CyclotomicCount(p=p, counts=tuple(int(c) for c in counts))
+    return CyclotomicCount(counts=tuple(int(c) for c in counts))
 
 
 def _inner_values(

@@ -202,7 +202,6 @@ class FieldCtx:
         m: order - 1, the exponent modulus.
         delta: (q^k - 1) // (q - 1), the exponent stride of F_q.
         modulus: monic primitive polynomial, coefficients low-degree first.
-        gamma: the primitive element (the residue class of x) as an exponent.
     """
 
     def __init__(self, p: int, t: int, k: int, modulus: tuple[int, ...]):
@@ -215,7 +214,6 @@ class FieldCtx:
         self.m = self.order - 1
         self.delta = self.m // (self.q - 1)
         self.modulus = modulus
-        self.gamma = 1 % self.m if self.m > 1 else 0
 
         self.antilog = _power_table(list(modulus), p, max(self.m, 1))
         exponents = np.arange(max(self.m, 1), dtype=np.int64)

@@ -82,10 +82,10 @@ def poly_divmod(ctx: FieldCtx, a: Poly, b: Poly) -> tuple[Poly, Poly]:
     return normalize(quot), normalize(r[:db])
 
 
-def x_pow_n_minus_1(ctx: FieldCtx, n: int) -> Poly:
-    coeffs = [0] * (n + 1)
+def x_pow_n_minus_1(ctx: FieldCtx) -> Poly:
+    """x^n - 1 for the code length n = q^k - 1, the field's m."""
+    coeffs = [0] * ctx.m + [1]
     coeffs[0] = ctx.symbol_table_lists().neg[1]
-    coeffs[n] = 1
     return tuple(coeffs)
 
 
@@ -114,7 +114,7 @@ def minimal_polynomial(ctx: FieldCtx, a: int) -> Poly:
 
 def generator_from_parity_check(ctx: FieldCtx, h: Poly) -> Poly:
     """The generator g with g*h = x^n - 1, n = q^k - 1; h must divide x^n - 1."""
-    g, r = poly_divmod(ctx, x_pow_n_minus_1(ctx, ctx.m), h)
+    g, r = poly_divmod(ctx, x_pow_n_minus_1(ctx), h)
     if r:
         raise InvalidArgumentError(
             f"polynomial of degree {degree(h)} does not divide x^{ctx.m} - 1"

@@ -25,6 +25,7 @@ from .codes import (
     DEFAULT_BRUTE_CAP,
     WeightDistribution,
     char_sum_grid,
+    check_macwilliams_budget,
     code_from_exponents,
     dual_claim_failure,
     macwilliams_dual,
@@ -261,21 +262,19 @@ class BruteForceMemo:
         return wd
 
 
-def verify_three_weight_iff(
-    ctx: FieldCtx, brute_cap: int = DEFAULT_BRUTE_CAP, memo: BruteForceMemo | None = None
-) -> tuple[int, dict | None]:
+def verify_three_weight_iff(memo: BruteForceMemo) -> tuple[int, dict | None]:
     """Brute-forced distribution equals the three-weight table iff both gcds hold.
 
-    Scans every (e1, e2) in [0, q-1) x [0, q^k - 1), including pairs
-    violating the standing assumption, and checks the conditions of each;
-    the brute force runs once per multiplier orbit (memo, fresh if not
-    given) and never consults the trace representation.  Returns (pairs
+    Scans every (e1, e2) in [0, q-1) x [0, q^k - 1) of memo's block,
+    including pairs violating the standing assumption, and checks the
+    conditions of each; the brute force runs once per multiplier orbit
+    (memo) and never consults the trace representation.  Returns (pairs
     checked, None), or the pairs before the first pair where table match
     and conditions disagree, and that pair.
     """
+    ctx = memo.ctx
     q, k, n = ctx.q, ctx.k, ctx.m
     table = three_weight_distribution(q, k)
-    memo = BruteForceMemo(ctx, brute_cap) if memo is None else memo
     checked = 0
     for e1 in range(q - 1):
         for e2 in range(n):
@@ -287,17 +286,15 @@ def verify_three_weight_iff(
     return checked, None
 
 
-def verify_oracle_equivalence(
-    ctx: FieldCtx, brute_cap: int = DEFAULT_BRUTE_CAP, memo: BruteForceMemo | None = None
-) -> tuple[int, dict | None]:
+def verify_oracle_equivalence(memo: BruteForceMemo) -> tuple[int, dict | None]:
     """Trace-path distribution equals brute force for every pair of all_pairs.
 
-    The trace path runs per pair; the brute force runs once per
-    multiplier orbit (memo, fresh if not given).  Returns (pairs checked,
-    None), or the pairs before the first disagreement, and that pair with
-    both distributions.
+    The trace path runs per pair of memo's block; the brute force runs
+    once per multiplier orbit (memo).  Returns (pairs checked, None), or
+    the pairs before the first disagreement, and that pair with both
+    distributions.
     """
-    memo = BruteForceMemo(ctx, brute_cap) if memo is None else memo
+    ctx = memo.ctx
     checked = 0
     for e1, e2 in all_pairs(ctx.q, ctx.k):
         wd = weight_distribution_trace(ctx, e1, e2)
@@ -316,11 +313,14 @@ def verify_duality(ctx: FieldCtx) -> tuple[int, dict | None]:
     codes, size/k an orbit (a q-cyclotomic coset of e2 has k members).
     The transform and its inverse run once per distinct distribution;
     the transform itself checks the Pless moments, a failure there
-    raises, and run_block reports it as an error.  Returns (checked,
-    counterexample), the counterexample None if every code passed, else
-    the representative pair and the claim it fails.
+    raises, and run_block reports it as an error.  The inverse's input,
+    the dual, has at most n + 1 weights, so a block whose inverse the
+    job budget would refuse is refused before any trace work.  Returns
+    (checked, counterexample), the counterexample None if every code
+    passed, else the representative pair and the claim it fails.
     """
     q, k, n = ctx.q, ctx.k, ctx.m
+    check_macwilliams_budget(n, q, n + 1)
     checked = 0
     dim = k + 1
     failures: dict[tuple[tuple[int, int], ...], str | None] = {}
@@ -373,9 +373,8 @@ _RUNNERS = {
     "substitution_bijection": lambda q, k, ctx, cap, memo: verify_substitution(q, k),
     "char_sum_cases": lambda q, k, ctx, cap, memo: verify_char_sum_cases(ctx),
     "char_sum_unit_iff": lambda q, k, ctx, cap, memo: verify_char_sum_unit_iff(ctx),
-    "three_weight_iff_conditions":
-        lambda q, k, ctx, cap, memo: verify_three_weight_iff(ctx, cap, memo),
-    "oracle_equivalence": lambda q, k, ctx, cap, memo: verify_oracle_equivalence(ctx, cap, memo),
+    "three_weight_iff_conditions": lambda q, k, ctx, cap, memo: verify_three_weight_iff(memo),
+    "oracle_equivalence": lambda q, k, ctx, cap, memo: verify_oracle_equivalence(memo),
     "duality_suite": lambda q, k, ctx, cap, memo: verify_duality(ctx),
     "enumeration_count": lambda q, k, ctx, cap, memo: verify_enumeration(ctx),
     "two_weight_gaps": lambda q, k, ctx, cap, memo: verify_two_weight_gaps(ctx, cap),

@@ -4,7 +4,7 @@ from math import gcd
 
 import pytest
 
-from cyclochar import characterize as ch, codes, gf, numth, polyring as pr
+from cyclochar import characterize as ch, cli, codes, gf, numth, polyring as pr
 from cyclochar.errors import (
     ConditionFailedError,
     InvalidArgumentError,
@@ -53,9 +53,8 @@ def reference_gap_scan(ctx, cap=numth.DEFAULT_BRUTE_CAP):
             ctx, codes.cyclic_code(ctx, pr.minimal_polynomial(ctx, e)), cap
         )
         nonzero = tuple(sorted(w for w in wd.entries if w))
-        two_weight = len(nonzero) == 2
         solution = None
-        if two_weight:
+        if len(nonzero) == 2:
             if abs(nonzero[0] - nonzero[1]) == 1:
                 raise TheoremViolationError(
                     f"two-weight code at e={e} has adjacent weights {nonzero}"
@@ -66,7 +65,7 @@ def reference_gap_scan(ctx, cap=numth.DEFAULT_BRUTE_CAP):
                     raise TheoremViolationError(
                         f"no (r, epsilon, theta) solution at e={e}, weights {nonzero}"
                     )
-        out.append(ch.GapScanEntry(e, kprime, nonzero, two_weight, solution))
+        out.append(ch.GapScanEntry(e, kprime, nonzero, solution))
     return out
 
 
@@ -106,7 +105,8 @@ class TestBuildCode:
         rep = ch.build_code(ctx, 2, 5)
         assert (rep.n, rep.dim, rep.min_distance) == (63, 4, 47)
         assert rep.distribution.entries == {0: 1, 47: 189, 48: 63, 63: 3}
-        assert rep.three_weight_match and rep.griesmer_optimal
+        assert rep.distribution == codes.three_weight_distribution(4, 3)
+        assert codes.is_griesmer_optimal(4, rep.n, rep.dim, rep.min_distance)
         assert (rep.dual_b1, rep.dual_b2, rep.dual_b3) == (0, 0, 3843)
         assert rep.dual_min_weight == 3
 
@@ -148,6 +148,26 @@ class TestBuildCode:
         ctx = gf.FieldCtx(cached.p, cached.t, cached.k, cached.modulus)
         assert ch.build_code(ctx, e1, e2) == want
         assert ctx._sym_table_lists is None  # no scalar symbol tables either
+
+    @pytest.mark.parametrize("fault", ["distribution", "griesmer"])
+    def test_a_code_that_misses_either_claim_gets_no_report(self, fault, monkeypatch, capsys):
+        # a report holds neither claim, and build writes both as true,
+        # because build_code raises before it reports a code that misses one
+        if fault == "distribution":  # one weight-47 word moved to weight 46
+            faulty = codes.WeightDistribution(63, {0: 1, 46: 1, 47: 188, 48: 63, 63: 3})
+            message = "conditions hold but distribution is"
+        else:  # d = 46 needs only 46 + 12 + 3 + 1 = 62 < 63 positions
+            faulty = codes.WeightDistribution(63, {0: 1, 46: 189, 48: 63, 63: 3})
+            monkeypatch.setattr(ch, "three_weight_distribution", lambda q, k: faulty)
+            message = "[63,4,46] misses the Griesmer bound"
+        monkeypatch.setattr(ch, "weight_distribution_trace", lambda ctx, e1, e2: faulty)
+        with pytest.raises(TheoremViolationError) as exc:
+            ch.build_code(gf.field_for(4, 3), 2, 5)
+        assert message in str(exc.value)
+        for fmt in ("json", "text"):
+            args = ["build", "--q", "4", "--k", "3", "--e1", "2", "--e2", "5", "--format", fmt]
+            code = cli.main(args)
+            assert (code, capsys.readouterr().out) == (cli.EXIT_VIOLATION, "")
 
 
 class TestCharacterizeCode:
@@ -285,7 +305,7 @@ class TestTwoWeightGapScan:
     def test_q2_k4_has_a_solved_two_weight_code(self):
         ctx = gf.field_for(2, 4)
         entries = ch.two_weight_gap_scan(ctx)
-        solved = [e for e in entries if e.two_weight and e.kprime == 4]
+        solved = [e for e in entries if len(e.weights) == 2 and e.kprime == 4]
         assert solved, "expected a full-degree two-weight code at (2, 4)"
         for e in solved:
             assert abs(e.weights[0] - e.weights[1]) != 1
@@ -296,15 +316,15 @@ class TestTwoWeightGapScan:
         ctx = gf.field_for(q, k)
         entries = ch.two_weight_gap_scan(ctx)
         for e in entries:
-            if e.two_weight:
+            if len(e.weights) == 2:
                 assert abs(e.weights[0] - e.weights[1]) != 1
 
     def test_one_weight_codes_flagged_not_two_weight(self):
         ctx = gf.field_for(2, 3)
         entries = ch.two_weight_gap_scan(ctx)
         by_exp = {e.exponent: e for e in entries}
-        assert not by_exp[0].two_weight  # repetition code
-        assert not by_exp[1].two_weight  # simplex
+        assert len(by_exp[0].weights) != 2  # repetition code
+        assert len(by_exp[1].weights) != 2  # simplex
 
     @pytest.mark.parametrize("q,k", PAIRS_255)
     def test_equals_the_per_coset_loop(self, q, k, monkeypatch):
@@ -372,7 +392,7 @@ class TestEnumerateCodes:
         ctx = gf.field_for(q, k)
         for e1, e2 in ch.enumerate_codes(q, k):
             rep = ch.build_code(ctx, e1, e2)
-            assert rep.three_weight_match
+            assert rep.distribution == codes.three_weight_distribution(q, k)
 
     @pytest.mark.parametrize("q,k", SMALL_PAIRS)
     def test_matches_per_pair_reference(self, q, k):

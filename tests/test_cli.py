@@ -92,7 +92,9 @@ def report_json(report):
         "n": report.n,
         "dim": report.dim,
         "weights": report.distribution.pairs(),
-        "griesmer_optimal": report.griesmer_optimal,
+        "griesmer_optimal": codes.is_griesmer_optimal(
+            report.q, report.n, report.dim, report.min_distance
+        ),
         "dual": {
             "min_weight": report.dual_min_weight,
             "B1": report.dual_b1,

@@ -284,7 +284,7 @@ def direct_weight_distribution(ctx, code):
     """Test oracle: all q^dim information words against the generator,
     with no use of scaling; the lower rows expand into one block and the
     upper rows are walked combination by combination."""
-    q, n, dim = ctx.q, code.n, code.dimension
+    q, n, dim = ctx.q, ctx.m, code.dimension
     if dim == 0:
         return codes.WeightDistribution(n=n, entries={0: 1})
     sym_add, sym_mul, _, _ = ctx.symbol_tables()
@@ -343,7 +343,7 @@ class TestProjectiveOracle:
         sym_mul = ctx.symbol_tables().mul
         for code in distinct_codes(ctx):
             batches = list(codes.codeword_lines(ctx, code))
-            words = symbol[np.concatenate(batches)] if batches else np.zeros((0, code.n), dtype=np.int64)
+            words = symbol[np.concatenate(batches)] if batches else np.zeros((0, ctx.m), dtype=np.int64)
             assert len(words) == (q**code.dimension - 1) // (q - 1)
             multiples = {sym_mul[c, w].tobytes() for w in words for c in range(1, q)}
             assert len(multiples) == q**code.dimension - 1

@@ -31,7 +31,7 @@ def char_sum_reindexed(ctx, spec, a, b, use_delta_form=False):
             t2 = ZERO if b == ZERO else (b + v) % m
             val = ctx.add(t1, t2)
             counts[0 if val == ZERO else additive_char_exponent(ctx, val)] += 1
-    return CyclotomicCount(p=ctx.p, counts=tuple(counts))
+    return CyclotomicCount(counts=tuple(counts))
 
 
 def direct_char_sum(ctx, e1, e2, a, b):
@@ -54,7 +54,7 @@ def direct_char_sum(ctx, e1, e2, a, b):
             ea = (ea + s1) % m
         if eb != ZERO:
             eb = (eb + s2) % m
-    return CyclotomicCount(p=ctx.p, counts=tuple(counts))
+    return CyclotomicCount(counts=tuple(counts))
 
 
 def chunked_char_sum(ctx, e1, e2, a, b, entries=1 << 20):
@@ -81,7 +81,7 @@ def chunked_char_sum(ctx, e1, e2, a, b, entries=1 << 20):
         terms = chars[(s[:, None] + steps[None, :]) % m]
         counts += np.bincount(terms.ravel(), minlength=ctx.p)
     counts[0] += (q - 1) * zeros
-    return CyclotomicCount(p=ctx.p, counts=tuple(int(c) for c in counts))
+    return CyclotomicCount(counts=tuple(int(c) for c in counts))
 
 
 # The paper's level-set argument for the necessity of gcd(q-1, k*e1 - e2) = 1.
@@ -232,16 +232,16 @@ class TestCharSumAgainstChunked:
 
 class TestCyclotomicCount:
     def test_integral_collapse(self):
-        assert CyclotomicCount(p=3, counts=(5, 2, 2)).as_integer() == 3
+        assert CyclotomicCount(counts=(5, 2, 2)).as_integer() == 3
 
     def test_non_integral_raises(self):
-        c = CyclotomicCount(p=3, counts=(5, 2, 3))
+        c = CyclotomicCount(counts=(5, 2, 3))
         assert not c.is_integral()
         with pytest.raises(ConsistencyError):
             c.as_integer()
 
     def test_char2_always_integral(self):
-        assert CyclotomicCount(p=2, counts=(4, 9)).as_integer() == -5
+        assert CyclotomicCount(counts=(4, 9)).as_integer() == -5
 
 
 class TestSubstitution:

@@ -24,8 +24,9 @@ A verify sweep returns (checked, counterexample) and never names its
 property: verify.run_block alone makes a PropertyResult, named by the
 sweep's key in verify._RUNNERS.
 
-A FieldCtx carries q and k, and a WeightDistribution its length n: no
-function under src/ takes one of them together with a parameter that
+A FieldCtx carries q and k, a WeightDistribution its length n, and a
+BruteForceMemo its field and brute-force cap: no function under src/
+takes one of them, or an optional one, together with a parameter that
 restates it, so the two can never disagree.
 """
 
@@ -36,14 +37,15 @@ ROOT = Path(__file__).resolve().parents[1]
 SRC = ROOT / "src" / "cyclochar"
 
 # Definitions that stay without a caller in src/, each with its reason.
+TRACED_REASON = "perfbench/traced_item.py wraps it by name"
 EXEMPT = {
     "cli.main": "the console-script entry point, called from outside the package",
     "cli._Parser.error": "argparse calls it: the override of ArgumentParser.error",
-    "gf.FieldCtx.trace_q_symbol_list": "perfbench/traced_item.py wraps it by name",
-    "gf.FieldCtx.char_exponent_list": "perfbench/traced_item.py wraps it by name",
-    "characterize.characterize_code": "perfbench/traced_item.py wraps it by name",
-    "characterize.one_weight_check": "perfbench/traced_item.py wraps it by name",
-    "characterize.full_weight_divisor": "perfbench/traced_item.py wraps it by name",
+    "gf.FieldCtx.trace_q_symbol_list": TRACED_REASON,
+    "gf.FieldCtx.char_exponent_list": TRACED_REASON,
+    "characterize.characterize_code": TRACED_REASON,
+    "characterize.one_weight_check": TRACED_REASON,
+    "characterize.full_weight_divisor": TRACED_REASON,
 }
 
 
@@ -121,6 +123,33 @@ def test_every_exemption_names_a_definition():
     assert sorted(set(EXEMPT) - set(defs)) == []
 
 
+def _assigned(tree, name):
+    """The value of the module-level assignment to name in tree."""
+    (value,) = [
+        item.value for item in tree.body
+        if isinstance(item, ast.Assign) and any(
+            isinstance(t, ast.Name) and t.id == name for t in item.targets
+        )
+    ]
+    return value
+
+
+def traced_names(path=ROOT / "perfbench" / "traced_item.py"):
+    """module.function or module.Class.method of every TRACED entry, read
+    from the source: the benchmark's file is neither imported nor edited."""
+    table = _assigned(ast.parse(path.read_text(encoding="utf-8")), "TRACED")
+    return {f"{ast.unparse(owner)}.{attr.value}" for owner, attr, _ in (e.elts for e in table.elts)}
+
+
+def test_every_perfbench_exemption_names_a_traced_function():
+    # a benchmark change that stops tracing one of these leaves it no caller
+    stale = sorted(
+        name for name, reason in EXEMPT.items()
+        if reason == TRACED_REASON and name not in traced_names()
+    )
+    assert not stale, f"perfbench/traced_item.py no longer wraps {stale}"
+
+
 def _imports(scope):
     """The import statements of scope, not those of the functions inside it."""
     stack = list(ast.iter_child_nodes(scope))
@@ -189,12 +218,7 @@ def test_only_run_block_makes_a_property_result():
 def test_no_sweep_names_its_property():
     # each _RUNNERS value is a lambda calling its sweep by module-global name
     tree = ast.parse((SRC / "verify.py").read_text(encoding="utf-8"))
-    (table,) = [
-        item.value for item in tree.body
-        if isinstance(item, ast.Assign) and any(
-            isinstance(t, ast.Name) and t.id == "_RUNNERS" for t in item.targets
-        )
-    ]
+    table = _assigned(tree, "_RUNNERS")
     props = {key.value for key in table.keys}
     sweeps = {runner.body.func.id for runner in table.values}
     defs = [item for item in tree.body if _is_def(item) and item.name in sweeps]
@@ -207,12 +231,29 @@ def test_no_sweep_names_its_property():
 
 
 # annotation -> the parameter names an argument so annotated already carries
-RESTATED = {"FieldCtx": {"q", "k"}, "WeightDistribution": {"n"}}
+RESTATED = {
+    "FieldCtx": {"q", "k"},
+    "WeightDistribution": {"n"},
+    "BruteForceMemo": {"ctx", "brute_cap"},
+}
+
+
+def _annotated_type(annotation):
+    """The type an annotation names, an optional `X | None` read as X."""
+    if isinstance(annotation, ast.BinOp) and isinstance(annotation.op, ast.BitOr):
+        sides = [
+            side for side in (annotation.left, annotation.right)
+            if not (isinstance(side, ast.Constant) and side.value is None)
+        ]
+        if len(sides) == 1:
+            annotation = sides[0]
+    return ast.unparse(annotation) if annotation else None
 
 
 def restated_parameters(src=SRC):
     """module.function: annotation (names) for every function under src that
-    takes an argument annotated with a RESTATED type and one it restates."""
+    takes an argument annotated with a RESTATED type, or that type or None,
+    and one it restates."""
     found = []
     for path in sorted(src.glob("*.py")):
         tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
@@ -223,7 +264,7 @@ def restated_parameters(src=SRC):
             params = [*args.posonlyargs, *args.args, *args.kwonlyargs]
             names = {a.arg for a in params}
             for a in params:
-                kind = ast.unparse(a.annotation) if a.annotation else None
+                kind = _annotated_type(a.annotation)
                 clash = sorted(RESTATED.get(kind, set()) & names)
                 if clash:
                     found.append(f"{path.stem}.{node.name}: {kind} ({', '.join(clash)})")

@@ -30,7 +30,7 @@ import numpy as np
 import pytest
 
 from cyclochar import cli, codes, expsum, gf, numth, verify
-from cyclochar.errors import CyclocharError
+from cyclochar.errors import CyclocharError, ResourceLimitError
 from cyclochar.gf import ZERO
 from test_codes import expand_orbit_columns
 from test_numth import multiplier_orbit
@@ -267,7 +267,7 @@ def mid_qualifying_rep(q, k):
 @pytest.mark.parametrize("q,k", PAIRS_255)
 def test_three_weight_sweep_equals_the_per_pair_loop(q, k):
     ctx = gf.field_for(q, k)
-    got = outcome(verify.verify_three_weight_iff, ctx)
+    got = outcome(verify.verify_three_weight_iff, verify.BruteForceMemo(ctx))
     assert got == outcome(reference_three_weight_iff, ctx)
     assert got == ((q - 1) * (q**k - 1), None)
 
@@ -275,7 +275,7 @@ def test_three_weight_sweep_equals_the_per_pair_loop(q, k):
 @pytest.mark.parametrize("q,k", PAIRS_255)
 def test_oracle_sweep_equals_the_per_parity_check_loop(q, k):
     ctx = gf.field_for(q, k)
-    got = outcome(verify.verify_oracle_equivalence, ctx)
+    got = outcome(verify.verify_oracle_equivalence, verify.BruteForceMemo(ctx))
     assert got == outcome(reference_oracle_equivalence, ctx)
     assert got[1] is None
 
@@ -322,13 +322,13 @@ def test_cap_refusal_comes_at_the_same_pair(q, k, monkeypatch):
         (verify.verify_oracle_equivalence, reference_oracle_equivalence),
     ]:
         outcomes = []
-        for fn in (sweep, reference):
+        for fn, args in [(sweep, (verify.BruteForceMemo(ctx, q**k),)), (reference, (ctx, q**k))]:
             met = []
             for name in ("gcd_conditions", "weight_distribution_trace"):
                 real = getattr(verify, name)
                 monkeypatch.setattr(verify, name,
                                     lambda *a, real=real: met.append(a[-2:]) or real(*a))
-            outcomes.append((outcome(fn, ctx, q**k), met))
+            outcomes.append((outcome(fn, *args), met))
             monkeypatch.undo()
         assert outcomes[0] == outcomes[1]
         assert "exceed the brute-force cap" in outcomes[0][0][1]
@@ -348,7 +348,7 @@ def test_a_flipped_condition_is_caught_at_the_same_pair(q, k, monkeypatch):
         return ((1, 1) if conds != (1, 1) else (2, 1)) if (e1, e2) == target else conds
 
     monkeypatch.setattr(verify, "gcd_conditions", flipped)
-    got = outcome(verify.verify_three_weight_iff, ctx)
+    got = outcome(verify.verify_three_weight_iff, verify.BruteForceMemo(ctx))
     assert got == outcome(reference_three_weight_iff, ctx)
     assert (got[1]["e1"], got[1]["e2"]) == target
 
@@ -371,7 +371,7 @@ def test_a_corrupted_distribution_is_caught_at_the_same_pair(q, k, monkeypatch):
         (verify.verify_three_weight_iff, reference_three_weight_iff),
         (verify.verify_oracle_equivalence, reference_oracle_equivalence),
     ]:
-        got = outcome(sweep, ctx)
+        got = outcome(sweep, verify.BruteForceMemo(ctx))
         assert got == outcome(reference, ctx)
         assert (got[1]["e1"], got[1]["e2"]) == target
 
@@ -403,13 +403,25 @@ def test_a_wrong_direct_char_sum_is_caught_at_the_same_case(q, k, monkeypatch):
     def wrong(ctx_, e1, e2, a, b):
         value = real(ctx_, e1, e2, a, b)
         if (e1, e2) in orbit and b == 0:
-            return expsum.CyclotomicCount(value.p, (value.counts[0] + 1, *value.counts[1:]))
+            return expsum.CyclotomicCount((value.counts[0] + 1, *value.counts[1:]))
         return value
 
     monkeypatch.setattr(verify, "char_sum", wrong)
     cases, _ = assert_char_sum_sweeps_match(q, k, ctx)
     assert isinstance(cases[1], dict) and "a" in cases[1]
     assert (cases[1]["e1"], cases[1]["e2"]) == numth.orbit_representative(q, k, *target)
+
+
+def test_a_duality_block_over_the_budget_is_refused_before_any_trace_work(monkeypatch):
+    # at (149, 2) the forward transform of the four weights fits the job
+    # budget, but an inverse over the dual's n + 1 weights at most does not
+    def forbidden(*args):
+        raise AssertionError("the trace route ran")
+
+    codes.check_macwilliams_budget(149**2 - 1, 149, 4)
+    monkeypatch.setattr(verify, "weight_distribution_trace", forbidden)
+    with pytest.raises(ResourceLimitError):
+        list(verify.run_block(149, 2, numth.DEFAULT_FIELD_CAP, ("duality_suite",)))
 
 
 @pytest.mark.parametrize("q,k", PAIRS_255)
@@ -460,7 +472,7 @@ def test_an_off_by_one_bezout_pair_gives_the_same_outcome(q, k, field, monkeypat
     assert got == outcome(reference_substitution, q, k)
     if (field, q) != ("beta", 2):
         assert isinstance(got[1], dict) and "back" in got[1]
-    assert outcome(verify.verify_oracle_equivalence, ctx) == outcome(
+    assert outcome(verify.verify_oracle_equivalence, verify.BruteForceMemo(ctx)) == outcome(
         reference_oracle_equivalence, ctx
     )
 
@@ -603,7 +615,7 @@ def test_the_brute_force_route_never_reads_the_trace_route(q, k, monkeypatch):
     ctx = gf.field_for(q, k)
     memo = verify.BruteForceMemo(ctx)
     assert memo.distribution(0, 1) == codes.three_weight_distribution(q, k)
-    checked, counterexample = verify.verify_three_weight_iff(ctx)
+    checked, counterexample = verify.verify_three_weight_iff(verify.BruteForceMemo(ctx))
     assert counterexample is None and checked == (q - 1) * (q**k - 1)
 
 

@@ -353,11 +353,11 @@ def _solve_two_weight_system(
     return None
 
 
-def enumerate_codes(q: int, k: int) -> Iterator[tuple[int, int]]:
+def enumerate_codes(q: int, k: int, cap: int) -> Iterator[tuple[int, int]]:
     """All distinct qualifying codes for (q, k), as exponent pairs (e1, e2).
 
-    The records of numth.qualifying_codes under the default field cap, as
+    The records of numth.qualifying_codes under the field cap given, as
     integers and produced lazily: every check of the listing, the
     closed-form count included, has run when this returns.
     """
-    return qualifying_codes(q, k).pairs()
+    return qualifying_codes(q, k, cap).pairs()

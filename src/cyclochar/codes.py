@@ -16,7 +16,6 @@ precision.
 
 from __future__ import annotations
 
-from functools import lru_cache
 from itertools import product
 from math import comb, factorial, gcd, log2
 from typing import NamedTuple
@@ -319,15 +318,15 @@ def is_griesmer_optimal(q: int, n: int, dim: int, d: int) -> bool:
 # -- MacWilliams duality ------------------------------------------------------
 
 
-def krawtchouk_sums(n: int, q: int, entries: tuple[tuple[int, int], ...]):
-    """Yield sum_w A_w K_j(w) for j = 0, 1, ..., n, with (w, A_w) in entries.
+def krawtchouk_sums(wd: WeightDistribution, q: int):
+    """Yield sum_w A_w K_j(w) for j = 0, 1, ..., n, with A_w the frequencies of wd.
 
     Every K_j(w) advances in lockstep by the exact three-term recurrence
     (j + 1) K_(j+1) = ((q-1)(n-j) + j - q w) K_j - (q-1)(n-j+1) K_(j-1),
     from K_(-1) = 0 and K_0 = 1, so two values per weight are held.
     """
-    weights = [w for w, _ in entries]
-    freqs = [freq for _, freq in entries]
+    n = wd.n
+    weights, freqs = list(wd.entries), list(wd.entries.values())
     prev, cur = [0] * len(weights), [1] * len(weights)
     for j in range(n + 1):
         yield sum(freq * kj for freq, kj in zip(freqs, cur))
@@ -343,10 +342,10 @@ def krawtchouk_sums(n: int, q: int, entries: tuple[tuple[int, int], ...]):
         prev, cur = cur, nxt
 
 
-# Container bytes of one exact transform, calibrated under tracemalloc
-# (tests/test_codes.py): per dual entry its (j, B_j) tuple, the int j and its
-# slots in the list, tuple and dict that hold it; per input weight its (w, A_w)
-# tuple and its slots in five lists and a dict; and the call's frames.
+# Container bytes of one exact transform, an upper bound under tracemalloc
+# (tests/test_codes.py): per dual entry the int j and its dict slot; per input
+# weight its slots in the five lists of krawtchouk_sums; and the call's frames.
+# Fitted when the transform also held (j, B_j) and (w, A_w) tuples, and kept.
 _MW_ENTRY_BYTES = 136
 _MW_WEIGHT_BYTES = 144
 _MW_CALL_BYTES = 2048
@@ -384,17 +383,14 @@ def macwilliams_dual(wd: WeightDistribution, q: int, dim: int) -> WeightDistribu
     """Exact dual distribution B_j = q^-dim * sum_w A_w K_j(w), j = 0..n.
 
     Transforms over the job budget are refused before any B_j is
-    computed.  Not memoized: the `dual` subcommand transforms once, and
-    verify_duality once per distinct distribution of its sweep.
+    computed.
     """
-    n = wd.n
     if wd.total() != q**dim:
         raise InvalidArgumentError(
             f"distribution sums to {wd.total()}, expected q^dim = {q**dim}"
         )
-    check_macwilliams_budget(n, q, len(wd.entries))
-    entries = _dual_entries.__wrapped__(n, q, dim, tuple(sorted(wd.entries.items())), True)
-    return WeightDistribution(n=n, entries=dict(entries))
+    check_macwilliams_budget(wd.n, q, len(wd.entries))
+    return _dual(wd, q, dim, True)
 
 
 def dual_prefix(wd: WeightDistribution, q: int, dim: int) -> WeightDistribution:
@@ -404,45 +400,37 @@ def dual_prefix(wd: WeightDistribution, q: int, dim: int) -> WeightDistribution:
     with j >= 1 (and at least at j = 3), or at j = n when the dual is the
     zero code: O(d) big-int terms per weight of the code instead of the
     n^2 bits of the full transform.  The entries equal the full
-    transform's, so min_nonzero_weight() is d.  Memoized on
-    (n, q, dim, entries); every call returns a fresh object.
+    transform's, so min_nonzero_weight() is d.
     """
-    entries = _dual_entries(wd.n, q, dim, tuple(sorted(wd.entries.items())), False)
-    return WeightDistribution(n=wd.n, entries=dict(entries))
+    return _dual(wd, q, dim, False)
 
 
-@lru_cache(maxsize=64)
-def _dual_entries(
-    n: int, q: int, dim: int, entries: tuple[tuple[int, int], ...], full: bool
-) -> tuple[tuple[int, int], ...]:
-    """(j, B_j) pairs of the nonzero dual frequencies, to j = n when full,
-    else as far as dual_prefix reads.
+def _dual(wd: WeightDistribution, q: int, dim: int, full: bool) -> WeightDistribution:
+    """Nonzero B_j of wd's dual, to j = n when full, else as far as dual_prefix reads.
 
     B_0 must be 1, every B_j a non-negative integer, a full transform
     must sum to q^(n-dim), and the Pless power moments 0-3, which read
     only B_0..B_3, must hold.
     """
-    size = q**dim
-    total = sum(freq for _, freq in entries)
-    if total != size:  # K_0 = 1, so B_0 = total / q^dim
-        raise ConsistencyError(f"dual frequency B_0 = {total}/{size} is not 1")
-    dual = []
-    for j, s in enumerate(krawtchouk_sums(n, q, entries)):
+    n, size = wd.n, q**dim
+    if wd.total() != size:  # K_0 = 1, so B_0 = total / q^dim
+        raise ConsistencyError(f"dual frequency B_0 = {wd.total()}/{size} is not 1")
+    dual = WeightDistribution(n)
+    for j, s in enumerate(krawtchouk_sums(wd, q)):
         bj, r = divmod(s, size)
         if r != 0 or bj < 0:
             raise ConsistencyError(
                 f"dual frequency B_{j} = {s}/{size} is not a non-negative integer"
             )
         if bj:
-            dual.append((j, bj))
-        if not full and j >= 3 and len(dual) > 1:
+            dual.entries[j] = bj
+        if not full and j >= 3 and len(dual.entries) > 1:
             break
-    if full and sum(bj for _, bj in dual) != q ** (n - dim):
+    if full and dual.total() != q ** (n - dim):
         raise ConsistencyError("dual frequencies do not sum to q^(n-dim)")
-    code = WeightDistribution(n=n, entries=dict(entries))
-    if not pless_moment_check(code, WeightDistribution(n=n, entries=dict(dual)), q, dim):
+    if not pless_moment_check(wd, dual, q, dim):
         raise ConsistencyError("Pless power moments 0-3 fail on the dual")
-    return tuple(dual)
+    return dual
 
 
 def dual_b3(q: int, k: int) -> int:

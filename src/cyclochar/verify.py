@@ -33,7 +33,7 @@ from .codes import (
     weight_distribution_bruteforce,
     weight_distribution_trace,
 )
-from .errors import CyclocharError, ResourceLimitError
+from .errors import ConsistencyError, CyclocharError, ResourceLimitError
 from .expsum import char_sum, code_spec, predict_char_sum, substitution, substitution_inverse
 from .gf import ZERO, FieldCtx, field_for
 from .numth import (
@@ -345,39 +345,50 @@ def verify_duality(ctx: FieldCtx) -> tuple[int, dict | None]:
 def verify_enumeration(ctx: FieldCtx) -> tuple[int, dict | None]:
     """Enumeration agrees with the closed-form count and every entry verifies.
 
-    Returns (codes built, None): a failure raises, and run_block reports it.
+    A unit multiplier maps the code of (e1, e2) onto that of every pair
+    in its orbit (numth.orbit_representative): build_code runs once per
+    qualifying orbit of numth.valid_orbits, and a listed pair only has
+    its representative looked up, with no minimal polynomial, trace
+    kernel or dual prefix of its own.  Returns (codes listed, None): a
+    failure raises, and run_block reports it.
     """
+    q, k = ctx.q, ctx.k
+    listing = enumerate_codes(q, k, ctx.order)  # every listing check has run
+    built = set()
+    for e1, e2, _ in valid_orbits(q, k):
+        if gcd_conditions(q, k, e1, e2) == (1, 1):
+            build_code(ctx, e1, e2)
+            built.add((e1, e2))
     checked = 0
-    for e1, e2 in enumerate_codes(ctx.q, ctx.k):
-        build_code(ctx, e1, e2)
+    for e1, e2 in listing:
+        if orbit_representative(q, k, e1, e2) not in built:
+            raise ConsistencyError(f"listed pair ({e1}, {e2}) lies in no qualifying orbit")
         checked += 1
     return checked, None
 
 
-def verify_two_weight_gaps(
-    ctx: FieldCtx, brute_cap: int = DEFAULT_BRUTE_CAP
-) -> tuple[int, dict | None]:
+def verify_two_weight_gaps(memo: BruteForceMemo) -> tuple[int, dict | None]:
     """No two-weight irreducible code has adjacent weights; systems solve.
 
     Returns (codes scanned, None): a failure raises, and run_block reports it.
     """
-    entries = two_weight_gap_scan(ctx, brute_cap)
+    entries = two_weight_gap_scan(memo.ctx, memo.brute_cap)
     return len(entries), None
 
 
-# property -> runner(q, k, ctx, brute_cap, memo), memo the block's
-# BruteForceMemo.  Each runner looks its sweep up by module-global name
-# when it is called, so a rebound name (a wrapper, a test double) takes
-# effect without rebuilding the table.
+# property -> runner(q, k, ctx, memo), memo the block's BruteForceMemo.
+# Each runner looks its sweep up by module-global name when it is called, so
+# a rebound name (a wrapper, a test double) takes effect without rebuilding
+# the table.
 _RUNNERS = {
-    "substitution_bijection": lambda q, k, ctx, cap, memo: verify_substitution(q, k),
-    "char_sum_cases": lambda q, k, ctx, cap, memo: verify_char_sum_cases(ctx),
-    "char_sum_unit_iff": lambda q, k, ctx, cap, memo: verify_char_sum_unit_iff(ctx),
-    "three_weight_iff_conditions": lambda q, k, ctx, cap, memo: verify_three_weight_iff(memo),
-    "oracle_equivalence": lambda q, k, ctx, cap, memo: verify_oracle_equivalence(memo),
-    "duality_suite": lambda q, k, ctx, cap, memo: verify_duality(ctx),
-    "enumeration_count": lambda q, k, ctx, cap, memo: verify_enumeration(ctx),
-    "two_weight_gaps": lambda q, k, ctx, cap, memo: verify_two_weight_gaps(ctx, cap),
+    "substitution_bijection": lambda q, k, ctx, memo: verify_substitution(q, k),
+    "char_sum_cases": lambda q, k, ctx, memo: verify_char_sum_cases(ctx),
+    "char_sum_unit_iff": lambda q, k, ctx, memo: verify_char_sum_unit_iff(ctx),
+    "three_weight_iff_conditions": lambda q, k, ctx, memo: verify_three_weight_iff(memo),
+    "oracle_equivalence": lambda q, k, ctx, memo: verify_oracle_equivalence(memo),
+    "duality_suite": lambda q, k, ctx, memo: verify_duality(ctx),
+    "enumeration_count": lambda q, k, ctx, memo: verify_enumeration(ctx),
+    "two_weight_gaps": lambda q, k, ctx, memo: verify_two_weight_gaps(memo),
 }
 PROPERTIES = tuple(_RUNNERS)
 # Sweeps that read no field: run_block builds the block's field only once
@@ -408,7 +419,7 @@ def run_block(
             ctx = field_for(q, k, cap=field_cap)
             memo = BruteForceMemo(ctx, brute_cap)
         try:
-            checked, counterexample = _RUNNERS[prop](q, k, ctx, brute_cap, memo)
+            checked, counterexample = _RUNNERS[prop](q, k, ctx, memo)
         except ResourceLimitError:
             raise
         except CyclocharError as exc:

@@ -11,7 +11,7 @@ from cyclochar import characterize as ch, codes, gf, verify
 from cyclochar.errors import CyclocharError
 from cyclochar.expsum import char_sum
 from cyclochar.gf import ZERO
-from cyclochar.numth import code_count, gcd_conditions, prime_power_split
+from cyclochar.numth import DEFAULT_FIELD_CAP, code_count, gcd_conditions, prime_power_split
 
 PAIRS_255 = list(verify.default_pairs(255))
 PAIRS_511 = list(verify.default_pairs(511))
@@ -38,7 +38,7 @@ def test_criterion_01_example1_reproduction():
 def test_criterion_02_example2_reproduction():
     start = time.perf_counter()
     ctx = gf.field_for(3, 4)
-    pairs = list(ch.enumerate_codes(3, 4))
+    pairs = list(ch.enumerate_codes(3, 4, ctx.order))
     assert len(pairs) == 16
     listing = {(ctx.delta * e1 % ctx.m, e2) for e1, e2 in pairs}
     assert listing == {
@@ -150,7 +150,7 @@ def test_criterion_07_substitution_bijection():
 def test_criterion_08_enumeration_count():
     start = time.perf_counter()
     for q, k in PAIRS_255:
-        pairs = list(ch.enumerate_codes(q, k))  # raises on formula mismatch
+        pairs = list(ch.enumerate_codes(q, k, DEFAULT_FIELD_CAP))  # raises on formula mismatch
         assert len(pairs) == code_count(q, k)
     elapsed = time.perf_counter() - start
     _report(8, f"enumeration cardinality = phi(q^k-1)(q-1)/k on {len(PAIRS_255)} blocks", elapsed)

@@ -217,7 +217,7 @@ class TestCharacterizeCode:
     @pytest.mark.parametrize("q,k", [(2, 3), (3, 2), (4, 2), (2, 4), (3, 3)])
     def test_roundtrip_every_qualifying_code(self, q, k):
         ctx = gf.field_for(q, k)
-        for pair in ch.enumerate_codes(q, k):
+        for pair in ch.enumerate_codes(q, k, numth.DEFAULT_FIELD_CAP):
             h = codes.parity_check_from_exponents(ctx, *pair)
             got = ch.characterize_code(ctx, h)
             assert got is not None
@@ -374,7 +374,7 @@ class TestTwoWeightGapScan:
 
 class TestEnumerateCodes:
     def test_example2_full_listing(self):
-        pairs = list(ch.enumerate_codes(3, 4))
+        pairs = list(ch.enumerate_codes(3, 4, numth.DEFAULT_FIELD_CAP))
         assert len(pairs) == 16
         listing = {(40 * e1 % 80, e2) for e1, e2 in pairs}
         assert listing == {
@@ -384,24 +384,24 @@ class TestEnumerateCodes:
         }
 
     def test_q2_k3_reps(self):
-        pairs = list(ch.enumerate_codes(2, 3))
+        pairs = list(ch.enumerate_codes(2, 3, numth.DEFAULT_FIELD_CAP))
         assert pairs == [(0, 1), (0, 3)]
 
     @pytest.mark.parametrize("q,k", [(2, 4), (3, 3), (4, 2), (5, 2)])
     def test_every_enumerated_code_builds(self, q, k):
         ctx = gf.field_for(q, k)
-        for e1, e2 in ch.enumerate_codes(q, k):
+        for e1, e2 in ch.enumerate_codes(q, k, numth.DEFAULT_FIELD_CAP):
             rep = ch.build_code(ctx, e1, e2)
             assert rep.distribution == codes.three_weight_distribution(q, k)
 
     @pytest.mark.parametrize("q,k", SMALL_PAIRS)
     def test_matches_per_pair_reference(self, q, k):
-        assert list(ch.enumerate_codes(q, k)) == reference_enumeration(q, k)
+        assert list(ch.enumerate_codes(q, k, numth.DEFAULT_FIELD_CAP)) == reference_enumeration(q, k)
 
     @pytest.mark.parametrize("q,k", [(6, 2), (2, 1), (1, 3)])
     def test_invalid_inputs(self, q, k):
         with pytest.raises(InvalidArgumentError):
-            ch.enumerate_codes(q, k)
+            ch.enumerate_codes(q, k, numth.DEFAULT_FIELD_CAP)
 
     def test_budget_refuses_before_the_walk(self, monkeypatch):
         def no_walk(*args):
@@ -410,7 +410,7 @@ class TestEnumerateCodes:
         monkeypatch.setattr(numth, "coset_representatives", no_walk)
         monkeypatch.setattr(numth, "JOB_BUDGET_BYTES", 16 * numth.listing_record_bytes(80) - 1)
         with pytest.raises(ResourceLimitError, match="16 codes for q = 3, k = 4"):
-            ch.enumerate_codes(3, 4)
+            ch.enumerate_codes(3, 4, numth.DEFAULT_FIELD_CAP)
 
     def test_largest_benchmark_block_far_inside_the_budget(self):
         from cyclochar.numth import code_count

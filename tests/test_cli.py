@@ -246,7 +246,7 @@ class TestBuild:
         reports = 0
         for q, k, stride in blocks:
             ctx = field_for(q, k)
-            for i, (e1, e2) in enumerate(islice(enumerate_codes(q, k), 0, None, stride)):
+            for i, (e1, e2) in enumerate(islice(enumerate_codes(q, k, ctx.order), 0, None, stride)):
                 report = build_code(ctx, e1, e2)
                 expected = json.dumps(report_json(report)) + "\n"
                 assert cli.report_line(report) == expected, (q, k, e1, e2)
@@ -890,7 +890,7 @@ class TestVerify:
     def test_sweep_error_becomes_a_failing_result(self, capsys, monkeypatch):
         from cyclochar.errors import ConsistencyError
 
-        def broken(q, k):
+        def broken(q, k, cap):
             raise ConsistencyError("listing broke")
 
         monkeypatch.setattr(verify, "enumerate_codes", broken)

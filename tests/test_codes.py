@@ -430,7 +430,7 @@ class TestKrawtchouk:
     )
     def test_recurrence_matches_direct(self, n, q, data):
         w = data.draw(st.integers(min_value=0, max_value=n))
-        row = list(codes.krawtchouk_sums(n, q, ((w, 1),)))
+        row = list(codes.krawtchouk_sums(codes.WeightDistribution(n, {w: 1}), q))
         for j in range(n + 1):
             assert row[j] == krawtchouk_direct(n, q, j, w)
 
@@ -482,7 +482,7 @@ class TestMacWilliams:
             codes.macwilliams_dual(wd, 2, 4)
 
 
-class TestMacWilliamsMemo:
+class TestMacWilliamsResults:
     def test_equal_inputs_give_equal_fresh_results(self):
         wd = codes.three_weight_distribution(4, 3)
         first = codes.macwilliams_dual(wd, 4, 4)
@@ -502,13 +502,13 @@ class TestMacWilliamsMemo:
         b = codes.WeightDistribution(n=7, entries={7: 1, 4: 7, 3: 7, 0: 1})
         assert codes.macwilliams_dual(a, 2, 4) == codes.macwilliams_dual(b, 2, 4)
 
-    def test_failures_are_not_cached(self):
+    def test_failures_repeat_on_every_call(self):
         # total 2^4 passes the input check; the transform is non-integral
         wd = codes.WeightDistribution(n=7, entries={0: 1, 1: 15})
         for _ in range(2):
             with pytest.raises(ConsistencyError):
                 codes.macwilliams_dual(wd, 2, 4)
-        # the input-total check runs on every call, cached key or not
+        # the input-total check runs on every call, after a good one too
         codes.macwilliams_dual(codes.three_weight_distribution(2, 3), 2, 4)
         with pytest.raises(InvalidArgumentError):
             codes.macwilliams_dual(codes.three_weight_distribution(2, 3), 2, 3)
@@ -534,13 +534,11 @@ class TestMacWilliamsMemo:
             return check(wd, dual_wd, q, dim)
 
         monkeypatch.setattr(codes, "pless_moment_check", counted)
-        codes._dual_entries.cache_clear()
         assert verify.verify_duality(gf.field_for(4, 3))[1] is None
         assert dims == [4, 59]
 
     def test_pless_failure_is_a_sweep_error(self, monkeypatch):
         monkeypatch.setattr(codes, "pless_moment_check", lambda *args: False)
-        codes._dual_entries.cache_clear()  # a failed call is not memoized
         (result,) = verify.run_block(4, 3, 1 << 20, ["duality_suite"])
         assert not result.ok
         assert "Pless" in result.counterexample["error"]
@@ -662,7 +660,6 @@ class TestDualPrefix:
             raise AssertionError("the prefix built a field")
 
         monkeypatch.setattr(gf.FieldCtx, "__init__", no_field)
-        codes._dual_entries.cache_clear()
         n = q**k - 1
         start = time.perf_counter()
         prefix = codes.dual_prefix(codes.three_weight_distribution(q, k), q, k + 1)
@@ -691,12 +688,11 @@ class TestDualPrefix:
         # an integral but wrong B_3 (one too many) only the moments can see
         sums = codes.krawtchouk_sums
 
-        def off_by_one(n, q, entries):
-            for j, s in enumerate(sums(n, q, entries)):
+        def off_by_one(wd, q):
+            for j, s in enumerate(sums(wd, q)):
                 yield s + (q**4 if j == 3 else 0)
 
         monkeypatch.setattr(codes, "krawtchouk_sums", off_by_one)
-        codes._dual_entries.cache_clear()  # a failed call is not memoized
         with pytest.raises(ConsistencyError, match="Pless"):
             codes.dual_prefix(codes.three_weight_distribution(4, 3), 4, 4)
 
@@ -842,7 +838,7 @@ class TestPlessAsIntegers:
     def test_the_2_2_build(self):
         # C = F_2^3, whose dual is the zero code
         ctx = gf.field_for(2, 2)
-        (e1, e2), *_ = characterize.enumerate_codes(2, 2)
+        (e1, e2), *_ = characterize.enumerate_codes(2, 2, ctx.order)
         report = characterize.build_code(ctx, e1, e2)
         dual = codes.dual_prefix(report.distribution, 2, 3)
         assert dual.entries == {0: 1}
@@ -859,7 +855,6 @@ class TestPlessAsIntegers:
             return check(*args)
 
         monkeypatch.setattr(codes, "pless_moment_check", recorded)
-        codes._dual_entries.cache_clear()
         for q, k in default_pairs(255):
             ctx, n = gf.field_for(q, k), q**k - 1
             seen = set()

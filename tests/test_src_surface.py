@@ -24,6 +24,10 @@ A verify sweep returns (checked, counterexample) and never names its
 property: verify.run_block alone makes a PropertyResult, named by the
 sweep's key in verify._RUNNERS.
 
+No function under src/ carries a functools.lru_cache or functools.cache
+decorator: a sweep that needs a result twice keeps it for the one block
+it runs on, so the package holds no state that outlives a call.
+
 A FieldCtx carries q and k, a WeightDistribution its length n, and a
 BruteForceMemo its field and brute-force cap: no function under src/
 takes one of them, or an optional one, together with a parameter that
@@ -274,3 +278,42 @@ def restated_parameters(src=SRC):
 def test_no_parameter_restates_a_field_or_a_distribution():
     found = restated_parameters()
     assert not found, f"read these from the FieldCtx or WeightDistribution: {found}"
+
+
+_CACHES = {"lru_cache", "cache"}
+
+
+def cached_functions(src=SRC):
+    """module.function for every function under src decorated with a
+    functools cache, bare or called, by bare name or as functools.<name>."""
+    found = []
+    for path in sorted(src.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+        for node in ast.walk(tree):
+            if not _is_def(node):
+                continue
+            for decorator in node.decorator_list:
+                target = decorator.func if isinstance(decorator, ast.Call) else decorator
+                name = target.id if isinstance(target, ast.Name) else getattr(target, "attr", None)
+                if name in _CACHES:
+                    found.append(f"{path.stem}.{node.name}")
+    return sorted(found)
+
+
+def test_no_function_keeps_a_process_wide_cache():
+    found = cached_functions()
+    assert not found, f"process-wide caches on {found}: keep results per block instead"
+
+
+def test_the_cache_guard_sees_every_decorator_form(tmp_path):
+    (tmp_path / "mod.py").write_text(
+        "import functools\n"
+        "from functools import cache, lru_cache\n"
+        "@lru_cache(maxsize=64)\ndef a(): pass\n"
+        "@functools.lru_cache\ndef b(): pass\n"
+        "@cache\ndef c(): pass\n"
+        "class K:\n    @functools.cache\n    def d(self): pass\n"
+        "def e(): pass\n",
+        encoding="utf-8",
+    )
+    assert cached_functions(tmp_path) == ["mod.a", "mod.b", "mod.c", "mod.d"]

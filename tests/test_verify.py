@@ -1,13 +1,14 @@
 """The verify sweeps against the loops they replaced, kept here as references.
 
 verify_three_weight_iff and verify_oracle_equivalence brute-force one code
-per multiplier orbit, verify_substitution maps each whole grid at once,
-and the two character-sum sweeps read only the orbit representatives of
-the trace grid.  The references below are the loops they replaced: the
-per-pair three-weight scan and the oracle scan, each sharing a brute force
-only between pairs with the same parity check, the point-by-point
-substitution scan over scalar copies of the two maps, and the
-character-sum sweeps over the full (q, q^k) grid.  Each returns
+per multiplier orbit, verify_enumeration builds one code per qualifying
+orbit, verify_substitution maps each whole grid at once, and the two
+character-sum sweeps read only the orbit representatives of the trace
+grid.  The references below are the loops they replaced: the per-pair
+three-weight scan and the oracle scan, each sharing a brute force only
+between pairs with the same parity check, build_code on every listed code,
+the point-by-point substitution scan over scalar copies of the two maps,
+and the character-sum sweeps over the full (q, q^k) grid.  Each returns
 (checked, counterexample), the counterexample None when the identity
 held.  A sweep and its reference must agree on both (or raise the same
 error), on clean runs and under injected faults; a character-sum sweep
@@ -24,12 +25,12 @@ sweep names the representative of the orbit where its reference fails.
 import json
 import math
 import tracemalloc
-from itertools import islice
+from itertools import chain, islice
 
 import numpy as np
 import pytest
 
-from cyclochar import cli, codes, expsum, gf, numth, verify
+from cyclochar import characterize, cli, codes, expsum, gf, numth, verify
 from cyclochar.errors import CyclocharError, ResourceLimitError
 from cyclochar.gf import ZERO
 from test_codes import expand_orbit_columns
@@ -74,6 +75,15 @@ def reference_oracle_equivalence(ctx, brute_cap=numth.DEFAULT_BRUTE_CAP):
         brute = reference_brute(ctx, e1, e2, brute_cap, cache).entries
         if wd.entries != brute:
             return checked, {"e1": e1, "e2": e2, "trace": wd.entries, "brute": brute}
+        checked += 1
+    return checked, None
+
+
+def reference_enumeration(ctx):
+    """build_code on every listed code, one at a time."""
+    checked = 0
+    for e1, e2 in verify.enumerate_codes(ctx.q, ctx.k, ctx.order):
+        verify.build_code(ctx, e1, e2)
         checked += 1
     return checked, None
 
@@ -453,6 +463,61 @@ def test_a_foreign_distribution_on_one_orbit_fails_the_duality_sweep(q, k, monke
     assert counterexample == {"e1": rep[0], "e2": rep[1], "failure": "B1_B2_nonzero"}
     # the codes of the qualifying orbits walked before it
     assert checked * k == checked_before(q, k, rep, 1, True)
+
+
+@pytest.mark.parametrize("q,k", PAIRS_255)
+def test_enumeration_sweep_equals_the_per_code_loop(q, k):
+    ctx = gf.field_for(q, k)
+    got = outcome(verify.verify_enumeration, ctx)
+    assert got == outcome(reference_enumeration, ctx)
+    assert got == (numth.code_count(q, k), None)
+
+
+@pytest.mark.parametrize("q,k", PAIRS_63)
+def test_a_corrupted_orbit_fails_both_enumeration_routes_alike(q, k, monkeypatch):
+    # every code of one qualifying orbit gets a distribution off the table
+    ctx = gf.field_for(q, k)
+    orbit = multiplier_orbit(q, k, *mid_qualifying_rep(q, k))
+    real = characterize.weight_distribution_trace
+
+    def corrupted(ctx_, e1, e2):
+        wd = real(ctx_, e1, e2)
+        if (e1, e2) in orbit:
+            wd = codes.WeightDistribution(wd.n, {**wd.entries, 0: 2})
+        return wd
+
+    monkeypatch.setattr(characterize, "weight_distribution_trace", corrupted)
+    got = outcome(verify.verify_enumeration, ctx)
+    assert got == outcome(reference_enumeration, ctx)
+    assert got[0] == "TheoremViolationError"
+
+
+@pytest.mark.parametrize("q,k", PAIRS_63)
+def test_a_listed_non_qualifying_pair_fails_both_enumeration_routes(q, k, monkeypatch):
+    ctx = gf.field_for(q, k)
+    bad = [(e1, e2) for e1 in range(q - 1) for e2 in range(ctx.m)
+           if numth.gcd_conditions(q, k, e1, e2) != (1, 1)]
+    extra = bad[len(bad) // 2]
+    real = verify.enumerate_codes
+    monkeypatch.setattr(verify, "enumerate_codes",
+                        lambda q_, k_, cap: chain(real(q_, k_, cap), [extra]))
+    assert outcome(verify.verify_enumeration, ctx)[0] == "ConsistencyError"
+    assert outcome(reference_enumeration, ctx)[0] == "ConditionFailedError"
+
+
+def test_enumeration_builds_one_code_per_qualifying_orbit(monkeypatch):
+    calls = []
+    real = verify.build_code
+    monkeypatch.setattr(verify, "build_code",
+                        lambda ctx, e1, e2: calls.append((e1, e2)) or real(ctx, e1, e2))
+    assert verify.verify_enumeration(gf.field_for(64, 2)) == (54_432, None)
+    assert len(set(calls)) == len(calls) == 63
+
+
+def test_enumeration_reads_the_raised_field_cap():
+    # the listing takes the block's field cap, not the default 2^20
+    (result,) = verify.run_block(2, 21, 1 << 21, ("enumeration_count",))
+    assert result == verify.PropertyResult("enumeration_count", 2, 21, 84_672)
 
 
 @pytest.mark.parametrize("field", ["alpha", "beta"])

@@ -53,24 +53,18 @@ if TYPE_CHECKING:
 
 
 class CodeReport(NamedTuple):
-    """Everything build_code establishes about the code of (e1, e2).
+    """What build_code computed for the code of (e1, e2): its field, its
+    pair, its weight distribution and its dual's dual_prefix.
 
-    Only a code that matches the three-weight table and meets the Griesmer
-    bound gets one.
+    Only a code that passed every check of build_code gets one; n, the
+    dimension k + 1 and every dual parameter are read off these fields.
     """
 
-    q: int
-    k: int
+    ctx: FieldCtx
     e1: int
     e2: int
-    n: int
-    dim: int
-    min_distance: int
     distribution: WeightDistribution
-    dual_b1: int
-    dual_b2: int
-    dual_b3: int
-    dual_min_weight: int
+    dual: WeightDistribution
 
 
 def build_code(ctx: FieldCtx, e1: int, e2: int) -> CodeReport:
@@ -106,20 +100,7 @@ def build_code(ctx: FieldCtx, e1: int, e2: int) -> CodeReport:
     claim = dual_claim_failure(dual, q, k)
     if claim:
         raise TheoremViolationError(claim[1])
-    return CodeReport(
-        q=q,
-        k=k,
-        e1=e1,
-        e2=e2,
-        n=n,
-        dim=dim,
-        min_distance=d,
-        distribution=wd,
-        dual_b1=dual.entries.get(1, 0),
-        dual_b2=dual.entries.get(2, 0),
-        dual_b3=dual.entries.get(3, 0),
-        dual_min_weight=dual.min_nonzero_weight(),
-    )
+    return CodeReport(ctx, e1, e2, wd, dual)
 
 
 def factor_into_cosets(

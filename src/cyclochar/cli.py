@@ -3,7 +3,8 @@
 Subcommands: build, enumerate, verify, charsum, dual, minpoly.  Output
 is JSON (--format json) or human-readable text; exit codes are stable:
 0 success, 1 internal error, 2 unmet precondition, 3 disproved
-identity, 64 usage, 141 stdout closed by its reader.
+identity, 64 usage, 141 stdout closed by its reader, 143 `verify`
+stopped by SIGTERM (its JSON array still closed).
 """
 
 from __future__ import annotations
@@ -44,6 +45,14 @@ LISTING_BATCH = 4096
 FLUSH_CHARS = 1 << 16
 
 
+class _Terminated(Exception):
+    """SIGTERM, raised inside `verify` so that its output is closed before exit."""
+
+
+def _terminate(signum, frame):
+    raise _Terminated
+
+
 class _Parser(argparse.ArgumentParser):
     def error(self, message):
         self.print_usage(sys.stderr)
@@ -60,26 +69,31 @@ def _field(args) -> FieldCtx:
 
 def report_line(report: CodeReport) -> str:
     """The report object as JSON, with its newline; key order is part of the format."""
+    ctx, dual = report.ctx, report.dual
     weights = ", ".join(f"[{w}, {freq}]" for w, freq in report.distribution.pairs())
-    # build_code returns only codes that meet the Griesmer bound
+    b1, b2, b3 = (dual.entries.get(j, 0) for j in (1, 2, 3))
+    # build_code returns only codes of dimension k + 1 that meet the Griesmer bound
     return (
-        f'{{"q": {report.q}, "k": {report.k}, "e1": {report.e1}, "e2": {report.e2}, '
-        f'"n": {report.n}, "dim": {report.dim}, "weights": [{weights}], '
-        f'"griesmer_optimal": true, "dual": {{"min_weight": {report.dual_min_weight}, '
-        f'"B1": {report.dual_b1}, "B2": {report.dual_b2}, "B3": {report.dual_b3}}}}}\n'
+        f'{{"q": {ctx.q}, "k": {ctx.k}, "e1": {report.e1}, "e2": {report.e2}, '
+        f'"n": {ctx.m}, "dim": {ctx.k + 1}, "weights": [{weights}], '
+        f'"griesmer_optimal": true, "dual": {{"min_weight": {dual.min_nonzero_weight()}, '
+        f'"B1": {b1}, "B2": {b2}, "B3": {b3}}}}}\n'
     )
 
 
-def report_text(report: CodeReport, ctx: FieldCtx) -> str:
-    reps = {s: e for s, e in enumerate(ctx.trace_class_reps().tolist()) if s and e < ctx.m}
+def report_text(report: CodeReport) -> str:
+    ctx, dual = report.ctx, report.dual
+    n, dim = ctx.m, ctx.k + 1  # build_code checked the dimension
+    b1, b2, b3 = (dual.entries.get(j, 0) for j in (1, 2, 3))
+    # for k >= 2 the trace onto F_q is onto, so every symbol has a representative
+    reps = {s: e for s, e in enumerate(ctx.trace_class_reps().tolist()) if s}
     lines = [
-        f"code C_(Delta*e1={ctx.delta * report.e1 % ctx.m}, e2={report.e2}) over F_{report.q}:"
-        f" [{report.n},{report.dim},{report.min_distance}] cyclic code",
+        f"code C_(Delta*e1={ctx.delta * report.e1 % n}, e2={report.e2}) over F_{ctx.q}:"
+        f" [{n},{dim},{report.distribution.min_nonzero_weight()}] cyclic code",
         f"weight enumerator: {report.distribution.enumerator()}",
         "three-weight table match: True",  # build_code checked both
         "griesmer optimal: True",
-        f"dual: [{report.n},{report.n - report.dim},{report.dual_min_weight}]"
-        f" with B1={report.dual_b1} B2={report.dual_b2} B3={report.dual_b3}",
+        f"dual: [{n},{n - dim},{dual.min_nonzero_weight()}] with B1={b1} B2={b2} B3={b3}",
         f"trace class representatives (symbol: gamma exponent): {reps}",
     ]
     return "\n".join(lines)
@@ -99,12 +113,11 @@ def cmd_build(args) -> int:
         return EXIT_PRECONDITION
     from .characterize import build_code
 
-    ctx = _field(args)
-    report = build_code(ctx, args.e1, args.e2)
+    report = build_code(_field(args), args.e1, args.e2)
     if args.format == "json":
         sys.stdout.write(report_line(report))
     else:
-        print(report_text(report, ctx))
+        print(report_text(report))
     return EXIT_OK
 
 
@@ -177,6 +190,7 @@ def _parse_range(text: str) -> range:
 
 def cmd_verify(args) -> int:
     import json
+    import signal
 
     from .verify import PROPERTIES, default_pairs, run_block
 
@@ -203,8 +217,9 @@ def cmd_verify(args) -> int:
             f"unknown properties: {unknown}; valid: {','.join(PROPERTIES)}"
         )
     # each result is written as it finishes and flushed, as a pipe is block
-    # buffered; the JSON array is closed however the run ends
+    # buffered; the JSON array is closed however the run ends, SIGTERM included
     first_failure, sep = None, "["
+    previous = signal.signal(signal.SIGTERM, _terminate)
     try:
         for q, k in pairs:
             for r in run_block(q, k, args.field_cap, props, args.bruteforce_cap):
@@ -223,6 +238,7 @@ def cmd_verify(args) -> int:
     finally:
         if args.format == "json":
             sys.stdout.write("[]\n" if sep == "[" else "]\n")
+        signal.signal(signal.SIGTERM, previous)
     if first_failure is not None:
         print(f"counterexample: {json.dumps(first_failure.to_json())}", file=sys.stderr)
         return EXIT_VIOLATION
@@ -458,6 +474,8 @@ def main(argv=None) -> int:
         os.dup2(devnull, sys.stdout.fileno())
         os.close(devnull)
         return 141
+    except _Terminated:
+        return 143  # the status a shell shows for a SIGTERM kill (128 + 15)
     except Exception as exc:  # noqa: BLE001
         print(f"internal error: {_describe(exc)}", file=sys.stderr)
         return EXIT_INTERNAL

@@ -70,7 +70,7 @@ class PropertyResult(NamedTuple):
         return out
 
 
-def default_pairs(length_limit: int = 127, qs: range | None = None) -> Iterator[tuple[int, int]]:
+def default_pairs(length_limit: int, qs: range | None = None) -> Iterator[tuple[int, int]]:
     """All (q, k) with q a prime power, k >= 2 and q^k - 1 <= length_limit, lazily.
 
     Ordered by (q, k), and only q in qs, a step-1 range, when given.  As
@@ -118,17 +118,34 @@ def verify_substitution(q: int, k: int) -> tuple[int, dict | None]:
     all of V make it injective, so it is a bijection of the finite set V
     and the inverse is two-sided.  A Bezout pair that leaves the division
     inexact fails the round trip at that point (see expsum.substitution).
-    Returns (points checked, None), or the points before the first
-    failing round trip and that point with its image and round trip.
+
+    One grid per class of e2 mod Delta is mapped.  As e2 ascends, e2 =
+    c + t*Delta comes after its class representative c < Delta, whose
+    grid passed with the pair (alpha, beta).  As Delta*(q - 1) = q^k - 1
+    and Delta = k (mod q - 1), the pair (alpha, beta - t*alpha mod q - 1)
+    for e2 makes its forward map c's composed with the shear S(i, j) =
+    (i, j + t*i mod q - 1), and its inverse S^-1 composed with c's.  Its
+    round trips are then c's conjugated by the bijection S of V and hold
+    on all of V, with no validity of the pair needed: such an e2 adds |V|
+    to checked, and substitution does not run for it; any other e2 maps
+    its grid.  Returns (points checked, None), or the points before the
+    first failing round trip and that point with its image and round trip.
     """
     n = q**k - 1
     r = q - 1
+    delta = n // r
     check_budget("the substitution grid", _SUBSTITUTION_BYTES_PER_POINT * n * r)
     grid_i = np.repeat(np.arange(n, dtype=np.int64), r)
     grid_j = np.tile(np.arange(r, dtype=np.int64), n)
     checked = 0
+    passed = {}  # class representative c < Delta whose grid passed -> its Bezout pair
     for e2 in valid_e2_values(q, k):
         spec = code_spec(q, k, 0, e2)
+        t, c = divmod(e2, delta)
+        pair = passed.get(c)
+        if pair is not None and spec.bezout == (pair.alpha, (pair.beta - t * pair.alpha) % r):
+            checked += len(grid_i)
+            continue
         v, w = substitution(spec, grid_i, grid_j)
         back_i, back_j = substitution_inverse(spec, v, w)
         trips = np.flatnonzero((back_i != grid_i) | (back_j != grid_j))
@@ -139,6 +156,8 @@ def verify_substitution(q: int, k: int) -> tuple[int, dict | None]:
                 "w": int(w[p]), "back": [int(back_i[p]), int(back_j[p])],
             }
         checked += len(grid_i)
+        if not t:
+            passed[c] = spec.bezout
         del v, w, back_i, back_j  # so the next e2's four arrays do not stack on these
     return checked, None
 
@@ -165,7 +184,7 @@ def verify_char_sum_cases(ctx: FieldCtx) -> tuple[int, dict | None]:
     checked = 0
     reps = ctx.trace_class_reps()
     a_nz = int(reps[1:].min())  # the smallest a with Tr(a) != 0
-    a_z = int(reps[0]) if reps[0] < ctx.m else None  # the smallest a != 0 with Tr(a) = 0
+    a_z = int(reps[0])  # the smallest a != 0 with Tr(a) = 0: k >= 2 (check_field)
     # predict_char_sum's four cases as regions of a grid, each later one written
     # over the earlier: row 0 holds the classes with Tr(a) = 0, column 0 those with b = 0
     regions = [
@@ -179,10 +198,9 @@ def verify_char_sum_cases(ctx: FieldCtx) -> tuple[int, dict | None]:
         (ZERO, 0, True, False),
         (a_nz, ZERO, False, True),
         (a_nz, 0, False, False),
+        (a_z, ZERO, True, True),
+        (a_z, 0, True, False),
     ]
-    if a_z is not None:
-        cases.append((a_z, ZERO, True, True))
-        cases.append((a_z, 0, True, False))
     for e1, e2, size in valid_orbits(q, k):
         if gcd_conditions(q, k, e1, e2) != (1, 1):
             continue

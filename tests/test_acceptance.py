@@ -26,10 +26,11 @@ def test_criterion_01_example1_reproduction():
     ctx = gf.field_for(4, 3)
     rep = ch.build_code(ctx, 2, 5)
     assert rep.distribution.enumerator() == "1 + 189z^47 + 63z^48 + 3z^63"
-    assert (rep.n, rep.dim, rep.min_distance) == (63, 4, 47)
-    assert codes.is_griesmer_optimal(4, rep.n, rep.dim, rep.min_distance)
-    assert (rep.dual_b1, rep.dual_b2, rep.dual_b3) == (0, 0, 3843)
-    assert (rep.n, rep.n - rep.dim, rep.dual_min_weight) == (63, 59, 3)
+    n, dim, d = rep.ctx.m, rep.ctx.k + 1, rep.distribution.min_nonzero_weight()
+    assert (n, dim, d) == (63, 4, 47)
+    assert codes.is_griesmer_optimal(4, n, dim, d)
+    assert tuple(rep.dual.entries.get(j, 0) for j in (1, 2, 3)) == (0, 0, 3843)
+    assert (n, n - dim, rep.dual.min_nonzero_weight()) == (63, 59, 3)
     elapsed = time.perf_counter() - start
     assert elapsed < 1.0
     _report(1, "q=4 k=3 e1=2 e2=5 gives the exact [63,4,47] report", elapsed)

@@ -99,27 +99,32 @@ class TestCheckConditions:
         assert gcd_conditions(4, 3, 2 + 3 * 10**9, 5 - 63 * 10**9) == (1, 1)
 
 
+def code_parameters(rep):
+    """[n, dim, d] of a build_code report, read off its field and distribution."""
+    return rep.ctx.m, rep.ctx.k + 1, rep.distribution.min_nonzero_weight()
+
+
 class TestBuildCode:
     def test_example1_report(self):
         ctx = gf.field_for(4, 3)
         rep = ch.build_code(ctx, 2, 5)
-        assert (rep.n, rep.dim, rep.min_distance) == (63, 4, 47)
+        assert code_parameters(rep) == (63, 4, 47)
         assert rep.distribution.entries == {0: 1, 47: 189, 48: 63, 63: 3}
         assert rep.distribution == codes.three_weight_distribution(4, 3)
-        assert codes.is_griesmer_optimal(4, rep.n, rep.dim, rep.min_distance)
-        assert (rep.dual_b1, rep.dual_b2, rep.dual_b3) == (0, 0, 3843)
-        assert rep.dual_min_weight == 3
+        assert codes.is_griesmer_optimal(4, *code_parameters(rep))
+        assert tuple(rep.dual.entries.get(j, 0) for j in (1, 2, 3)) == (0, 0, 3843)
+        assert rep.dual.min_nonzero_weight() == 3
 
     def test_q2_k3(self):
         ctx = gf.field_for(2, 3)
         rep = ch.build_code(ctx, 0, 1)
-        assert (rep.n, rep.dim, rep.min_distance) == (7, 4, 3)
+        assert code_parameters(rep) == (7, 4, 3)
         assert sorted(rep.distribution.entries) == [0, 3, 4, 7]
 
     def test_example2_single_code(self):
         ctx = gf.field_for(3, 4)
         rep = ch.build_code(ctx, 0, 1)
-        assert (rep.n, rep.dim, rep.min_distance) == (80, 5, 53)
+        assert code_parameters(rep) == (80, 5, 53)
         assert rep.distribution.enumerator() == "1 + 160z^53 + 80z^54 + 2z^80"
 
     def test_condition_failure_names_gcd(self):
@@ -131,9 +136,12 @@ class TestBuildCode:
     def test_field_is_the_one_source_of_q_and_k(self):
         # (e1, e2) = (0, 1) qualifies over both fields; only ctx tells them apart
         small = ch.build_code(gf.field_for(2, 3), 0, 1)
-        assert (small.q, small.k, small.n) == (2, 3, 7)
+        assert (small.ctx.q, small.ctx.k, small.ctx.m) == (2, 3, 7)
         large = ch.build_code(gf.field_for(3, 4), 0, 1)
-        assert (large.q, large.k, large.n) == (3, 4, 80)
+        assert (large.ctx.q, large.ctx.k, large.ctx.m) == (3, 4, 80)
+
+    def test_report_keeps_only_what_build_code_computed(self):
+        assert ch.CodeReport._fields == ("ctx", "e1", "e2", "distribution", "dual")
 
     @pytest.mark.parametrize("q,k,e1,e2", [(4, 3, 2, 5), (3, 4, 0, 1), (16, 3, 1, 11)])
     def test_multiplies_no_polynomials(self, monkeypatch, q, k, e1, e2):
@@ -146,7 +154,7 @@ class TestBuildCode:
 
         monkeypatch.setattr(pr, "poly_mul", refuse)
         ctx = gf.FieldCtx(cached.p, cached.t, cached.k, cached.modulus)
-        assert ch.build_code(ctx, e1, e2) == want
+        assert ch.build_code(ctx, e1, e2)[1:] == want[1:]  # all but the field object
         assert ctx._sym_table_lists is None  # no scalar symbol tables either
 
     @pytest.mark.parametrize("fault", ["distribution", "griesmer"])

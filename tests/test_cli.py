@@ -6,6 +6,7 @@ import inspect
 import io
 import json
 import os
+import signal
 import subprocess
 import sys
 import time
@@ -84,22 +85,23 @@ def old_enumerate_output(q, k, fmt):
 def report_json(report):
     """The fixed-order report object `build --format json` prints; key order
     is part of the format."""
+    ctx, dual = report.ctx, report.dual
     return {
-        "q": report.q,
-        "k": report.k,
+        "q": ctx.q,
+        "k": ctx.k,
         "e1": report.e1,
         "e2": report.e2,
-        "n": report.n,
-        "dim": report.dim,
+        "n": ctx.m,
+        "dim": ctx.k + 1,
         "weights": report.distribution.pairs(),
         "griesmer_optimal": codes.is_griesmer_optimal(
-            report.q, report.n, report.dim, report.min_distance
+            ctx.q, ctx.m, ctx.k + 1, report.distribution.min_nonzero_weight()
         ),
         "dual": {
-            "min_weight": report.dual_min_weight,
-            "B1": report.dual_b1,
-            "B2": report.dual_b2,
-            "B3": report.dual_b3,
+            "min_weight": dual.min_nonzero_weight(),
+            "B1": dual.entries.get(1, 0),
+            "B2": dual.entries.get(2, 0),
+            "B3": dual.entries.get(3, 0),
         },
     }
 
@@ -1081,6 +1083,29 @@ class TestClosedStdout:
             proc.wait()
         assert len(head) == 10
         assert (code, err) == (141, b"")
+
+
+class TestTerminated:
+    def test_sigterm_closes_the_json_array_and_exits_143(self):
+        # SIGTERM once the first result is out, seconds before the last:
+        # stdout is one JSON array of the results finished by then
+        root = Path(__file__).resolve().parents[1]
+        path = os.pathsep.join([str(root / "src"), os.environ.get("PYTHONPATH", "")])
+        argv = ["verify", "--max-length", "255", "--format", "json"]
+        proc = subprocess.Popen([sys.executable, "-m", "cyclochar.cli", *argv],
+                                env={**os.environ, "PYTHONPATH": path},
+                                stdout=subprocess.PIPE, stderr=subprocess.PIPE)
+        try:
+            head = os.read(proc.stdout.fileno(), 1)  # leaves the rest to communicate
+            proc.send_signal(signal.SIGTERM)
+            out, err = proc.communicate(timeout=300)
+        finally:
+            proc.kill()
+            proc.wait()
+        results = json.loads(head + out)
+        assert (proc.returncode, err) == (143, b"")
+        assert 1 <= len(results) < len(verify.PROPERTIES) * len(list(verify.default_pairs(255)))
+        assert all(r["ok"] and r["checked"] > 0 for r in results)
 
 
 class TestUsage:

@@ -24,6 +24,15 @@ GOLDEN = [
      "2afa00a3e9eb7076c81d4cf4e2d411b9e355ec9a10bb1dcfd438c7724d8c45ad"),
     ("build --q 16 --k 3 --e1 1 --e2 11 --format text", 0,
      "837f9c90a42ee6542053ae69f58017e5eddce2aa886dc3fe107f5ac9b667683a"),
+    # q = 2: the zero dual of (2,2), and d-perp = 4 at (2,6)
+    ("build --q 2 --k 2 --e1 0 --e2 1 --format json", 0,
+     "946beb15a6b1d049e99daefacdfdc21c78a35e2a7dde29c0a69f04b295ed9f9e"),
+    ("build --q 2 --k 2 --e1 0 --e2 1 --format text", 0,
+     "62fbfe104c44599eac172ba7f286555909f7f7fa2c53b5e0213f21c7e84e6013"),
+    ("build --q 2 --k 6 --e1 0 --e2 1 --format json", 0,
+     "7cf78e48502544b6a78b72d6dd7da86221d782fa6ceae5e4a5c59bf09198fbe2"),
+    ("build --q 2 --k 6 --e1 0 --e2 1 --format text", 0,
+     "293254e6407963fbf55f7f5050dda7add4862b0eff94f9a6a667091f541b937b"),
     ("build --q 4 --k 3 --e1 0 --e2 3 --format json", 2,
      "e20851d2c0a23360c9a335c052d951b5390cf8d6cb15b0df066b5212f19df593"),
     ("build --q 4 --k 3 --e1 0 --e2 3 --format text", 2,

@@ -2,18 +2,18 @@
 
 verify_three_weight_iff and verify_oracle_equivalence brute-force one code
 per multiplier orbit, verify_enumeration builds one code per qualifying
-orbit, verify_substitution maps each whole grid at once, and the two
-character-sum sweeps read only the orbit representatives of the trace
-grid.  The references below are the loops they replaced: the per-pair
-three-weight scan and the oracle scan, each sharing a brute force only
-between pairs with the same parity check, build_code on every listed code,
-the point-by-point substitution scan over scalar copies of the two maps,
-and the character-sum sweeps over the full (q, q^k) grid.  Each returns
-(checked, counterexample), the counterexample None when the identity
-held.  A sweep and its reference must agree on both (or raise the same
-error), on clean runs and under injected faults; a character-sum sweep
-may name a different failing class, as long as it fails in the
-reference grid too.
+orbit, verify_substitution maps one whole grid at once per class of e2 mod
+Delta, and the two character-sum sweeps read only the orbit
+representatives of the trace grid.  The references below are the loops
+they replaced: the per-pair three-weight scan and the oracle scan, each
+sharing a brute force only between pairs with the same parity check,
+build_code on every listed code, the point-by-point substitution scan
+over scalar copies of the two maps, and the character-sum sweeps over the
+full (q, q^k) grid.  Each returns (checked, counterexample), the
+counterexample None when the identity held.  A sweep and its reference
+must agree on both (or raise the same error), on clean runs and under
+injected faults; a character-sum sweep may name a different failing
+class, as long as it fails in the reference grid too.
 
 The two character-sum sweeps and the duality sweep walk one
 representative per multiplier orbit, so a fault injected here covers a
@@ -540,6 +540,41 @@ def test_an_off_by_one_bezout_pair_gives_the_same_outcome(q, k, field, monkeypat
     assert outcome(verify.verify_oracle_equivalence, verify.BruteForceMemo(ctx)) == outcome(
         reference_oracle_equivalence, ctx
     )
+
+
+@pytest.mark.parametrize("fault", ["alpha_from_delta", "beta_at_delta_plus_1"])
+@pytest.mark.parametrize("q,k", PAIRS_255)
+def test_a_faulty_bezout_pair_past_the_class_representatives_is_caught(q, k, fault, monkeypatch):
+    # an e2 >= Delta is skipped only when its pair is the sheared pair of its
+    # class representative; a fault that spares the representatives is caught
+    # by mapping that e2's own grid, at the same point as the reference
+    n, delta = q**k - 1, (q**k - 1) // (q - 1)
+    real = expsum.bezout_pair
+
+    def faulty(e2, q_, k_):
+        alpha, beta = real(e2, q_, k_)
+        if fault == "alpha_from_delta" and e2 >= delta:
+            alpha = (alpha + 1) % n
+        if fault == "beta_at_delta_plus_1" and e2 == delta + 1:
+            beta = (beta + 1) % (q - 1)
+        return numth.BezoutPair(alpha, beta)
+
+    monkeypatch.setattr(expsum, "bezout_pair", faulty)
+    got = outcome(verify.verify_substitution, q, k)
+    assert got == outcome(reference_substitution, q, k)
+    if q > 2:  # for q = 2, Delta = n: no e2 lies past its class representative
+        assert isinstance(got[1], dict) and "back" in got[1] and got[1]["e2"] > delta
+
+
+def test_substitution_maps_one_grid_per_class_of_e2_mod_delta(monkeypatch):
+    # (64, 2): Delta = 65, so 48 grids stand for all 3024 unit e2
+    calls = []
+    real = verify.substitution
+    monkeypatch.setattr(verify, "substitution",
+                        lambda spec, i, j: calls.append(spec.e2) or real(spec, i, j))
+    assert verify.verify_substitution(64, 2) == (3024 * 4095 * 63, None)
+    assert calls == [e2 for e2 in range(65) if math.gcd(e2, 65) == 1]
+    assert len(calls) == 48
 
 
 def test_an_error_after_a_failed_round_trip_is_not_reported(monkeypatch):

@@ -10,11 +10,14 @@ timed, each in its own fresh interpreter that imports cyclochar.gf from DIR
 `smallest_primitive_polynomial(p, d)`, then `_power_table` and `FieldCtx`
 (which builds its own power table) on the modulus the search returned.
 What one layer leaves on the heap thus never speeds or slows the next.
+Each layer's peak RSS is its interpreter's, read from os.wait4 (start-up
+and the numpy import included), so it bounds what the layer allocates.
 The fields are the seven of perfbench's `build` workload, the two at the
 2^20 cap, (3,12) and (997,2).  One more interpreter per repeat runs the
 search on all 242 (p, d) with d >= 2 and p^d <= 2^20.  Every time is the
-median of REPEATS (5) runs; the output holds them in milliseconds, with
-the fields' moduli, the machine and Python.
+median of REPEATS (5) runs and every peak RSS the largest; the output
+holds them in milliseconds (`<layer>_ms`) and MiB (`<layer>_peak_rss_mib`),
+with the fields' moduli, the machine and Python.
 """
 
 from __future__ import annotations
@@ -78,10 +81,17 @@ def capped_fields() -> list[tuple[int, int]]:
 
 
 def child(src: Path, code: str, *args: str):
+    """Run code in a fresh interpreter: (its JSON output, its peak RSS in MiB)."""
     env = {**os.environ, "PYTHONPATH": str(src)}
-    proc = subprocess.run([sys.executable, "-c", code, *args], env=env,
-                          capture_output=True, text=True, check=True)
-    return json.loads(proc.stdout)
+    proc = subprocess.Popen([sys.executable, "-c", code, *args], env=env,
+                            stdout=subprocess.PIPE, text=True)
+    with proc.stdout:
+        out = proc.stdout.read()
+    _, status, usage = os.wait4(proc.pid, 0)
+    proc.returncode = os.waitstatus_to_exitcode(status)
+    if proc.returncode:
+        raise subprocess.CalledProcessError(proc.returncode, proc.args)
+    return json.loads(out), usage.ru_maxrss / 1024  # ru_maxrss is in KiB on Linux
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -93,18 +103,22 @@ def main(argv: list[str] | None = None) -> int:
     fields = {}
     for q, k in FIELDS:
         p, t = prime_power(q)
-        modulus, times = None, {layer: [] for layer in LAYERS}
+        modulus = None
+        times = {layer: [] for layer in LAYERS}
+        rss = {layer: [] for layer in LAYERS}
         for _ in range(REPEATS):
             for layer in LAYERS:
-                ms, modulus = child(src, ONE_LAYER, layer, str(p), str(t), str(k),
-                                    json.dumps(modulus))
+                (ms, modulus), mib = child(src, ONE_LAYER, layer, str(p), str(t), str(k),
+                                           json.dumps(modulus))
                 times[layer].append(ms)
+                rss[layer].append(mib)
         fields[f"{q},{k}"] = {
             "p": p, "d": t * k, "modulus": modulus,
             **{f"{layer}_ms": round(statistics.median(ms), 3) for layer, ms in times.items()},
+            **{f"{layer}_peak_rss_mib": round(max(mib), 1) for layer, mib in rss.items()},
         }
     everything = capped_fields()
-    totals = [child(src, ALL_FIELDS, json.dumps(everything))["search_all_ms"]
+    totals = [child(src, ALL_FIELDS, json.dumps(everything))[0]["search_all_ms"]
               for _ in range(REPEATS)]
     print(json.dumps({
         "src": str(src),

@@ -113,7 +113,7 @@ def factor_into_cosets(
     """
     remaining = h
     out = []
-    for rep in coset_representatives(ctx.q, ctx.m):
+    for rep in coset_representatives(ctx.q, ctx.k):
         if polyring.degree(remaining) <= 0:
             break
         factor = polyring.minimal_polynomial(ctx, rep)
@@ -268,7 +268,7 @@ def two_weight_gap_scan(ctx: FieldCtx, cap: int = DEFAULT_BRUTE_CAP) -> list[Gap
     q, k, n = ctx.q, ctx.k, ctx.m
     out = []
     by_class: dict[int, GapScanEntry] = {}
-    for e, kprime in coset_representatives(q, n).items():
+    for e, kprime in coset_representatives(q, k).items():
         g = gcd(e, n)
         if g in by_class:
             out.append(by_class[g]._replace(exponent=e))

@@ -21,8 +21,8 @@ from math import log10
 from typing import TYPE_CHECKING
 
 from .errors import InvalidArgumentError, ResourceLimitError, TheoremViolationError
-from .numth import DEFAULT_BRUTE_CAP, DEFAULT_FIELD_CAP, check_budget, check_field, gcd_conditions
-from .numth import failed_conditions, qualifying_codes
+from .numth import DEFAULT_BRUTE_CAP, DEFAULT_FIELD_CAP, check_budget, check_field, code_count
+from .numth import failed_conditions, gcd_conditions, qualifying_codes
 
 # The numpy-bound modules, and json, are imported by the subcommands that use
 # them, so parsing and `enumerate` start without them; `build` writes its
@@ -146,12 +146,25 @@ class _BatchedStdout:
             self.pending, self.size = [], 0
 
 
+def listing_record_bytes(n: int) -> int:
+    """Most bytes one record of `enumerate` takes, as JSON or as text.
+
+    A record is 32 bytes of fixed text (separator included) plus at most
+    four integers below n: e1, Delta*e1 and e2 (twice in text).
+    """
+    return 32 + 4 * len(str(n))
+
+
 def cmd_enumerate(args) -> int:
     q, k = args.q, args.k
-    # every check of the listing, the closed-form count included, runs here,
-    # before the first byte is written
+    # the output is budgeted before the coset walk, and every check of the
+    # listing, the closed-form count included, runs before the first byte
+    check_field(q, k, args.field_cap)
+    n = q**k - 1
+    count = code_count(q, k)
+    check_budget(f"writing the {count:,} codes for q = {q}, k = {k}",
+                 count * listing_record_bytes(n))
     listing = qualifying_codes(q, k, args.field_cap)
-    count, n = listing.count, q**k - 1
     delta = n // (q - 1)
     write = sys.stdout.write
     # each class's decimal is rendered once, in place of the integer, which

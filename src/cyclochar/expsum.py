@@ -46,17 +46,15 @@ class CyclotomicCount(NamedTuple):
 
 
 class CodeSpec(NamedTuple):
-    """Exponent data (q, k, e1, e2) plus the reduced Bezout pair of e2.
+    """Exponent data (q, k, e2) plus the reduced Bezout pair of e2.
 
     The input of substitution and substitution_inverse, the one place the
-    Bezout pair is read; everywhere else a code is its pair (e1, e2).
-    Only requires gcd(Delta, e2) = 1, so the Bezout pair exists; n and
-    Delta are read off (q, k).
+    Bezout pair is read; neither reads e1, and elsewhere a code is its pair
+    (e1, e2).  Only requires gcd(Delta, e2) = 1, so the Bezout pair exists.
     """
 
     q: int
     k: int
-    e1: int
     e2: int
     bezout: BezoutPair
 
@@ -69,11 +67,11 @@ class CodeSpec(NamedTuple):
         return self.n // (self.q - 1)
 
 
-def code_spec(q: int, k: int, e1: int, e2: int) -> CodeSpec:
+def code_spec(q: int, k: int, e2: int) -> CodeSpec:
     """Build a CodeSpec, solving the Bezout congruence for (alpha, beta)."""
     if k < 2:
         raise InvalidArgumentError(f"requires k >= 2, got {k}")
-    return CodeSpec(q=q, k=k, e1=e1, e2=e2, bezout=bezout_pair(e2, q, k))
+    return CodeSpec(q=q, k=k, e2=e2, bezout=bezout_pair(e2, q, k))
 
 
 def substitution(spec: CodeSpec, i, j):

@@ -4,9 +4,9 @@ Bezout pairs for the exponent congruence e2*alpha + Delta*beta == 1
 (mod q^k - 1), the two gcd conditions, Euler phi, cyclotomic cosets
 (and through the coset of 1, multiplicative orders), multiplier orbits
 by their representatives, base-p digit sums, the closed-form count of
-qualifying codes and the checked listing of those codes.  Also the size
-gates every job passes before it allocates: the field cap, the
-brute-force cap default and the job budget.
+qualifying codes and the checked listing of those codes, whose writer
+budgets its output.  Also the size gates every job passes before it
+allocates: the field cap, the brute-force cap default and the job budget.
 
 Everything here is exact integer arithmetic on desk-scale inputs;
 factorization is plain trial division.  Nothing here imports numpy, so
@@ -37,14 +37,14 @@ DEFAULT_FIELD_CAP = 1 << 20
 
 DEFAULT_BRUTE_CAP = 1 << 22
 
-# The most memory (or, for a listing or a dual distribution, output) one job
-# may claim, by the estimates its callers pass to check_budget.  The MacWilliams
-# transform of a three-weight code passes up to length 65535 over F_2 (0.54 GiB
-# at (2,16)) but not over F_4 (1.08 GiB at (4,8)), and (2,20) would need
-# 137 GiB; its inverse, over about n/2 weights, passes at (2,15) but not at
-# (2,16); the decimal output of a dual passes up to n = 32767 over F_2; a
-# listing passes up to about 18 million records at q^k <= 2^20, while
-# (1024, 2) would write 13.7 GiB.
+# The most memory (or, for a written listing or dual distribution, output) one
+# job may claim, by the estimates its callers pass to check_budget.  The
+# MacWilliams transform of a three-weight code passes up to length 65535 over
+# F_2 (0.54 GiB at (2,16)) but not over F_4 (1.08 GiB at (4,8)), and (2,20)
+# would need 137 GiB; its inverse, over about n/2 weights, passes at (2,15) but
+# not at (2,16); the decimal output of a dual passes up to n = 32767 over F_2;
+# `enumerate`, a listing's writer, passes up to about 18 million records at
+# q^k <= 2^20, while (1024, 2) would write 13.7 GiB.
 JOB_BUDGET_BYTES = 1 << 30
 
 
@@ -283,9 +283,10 @@ def valid_orbits(q: int, k: int) -> Iterator[tuple[int, int, int]]:
                 yield e1, g, e2_count * euler_phi(rr) // euler_phi(gcd(c, rr))
 
 
-def coset_representatives(q: int, n: int, coprime_to: int = 1) -> dict[int, int]:
+def coset_representatives(q: int, k: int, coprime_to: int = 1) -> dict[int, int]:
     """Minimal representative -> size of every q-cyclotomic coset mod n = q^k - 1
     whose members are coprime to coprime_to, a divisor of n (1: every coset).
+    Requires q >= 2 and k >= 1.
 
     Multiplying by q mod q^k - 1 rotates the k base-q digits of x < n, so
     the least member of a coset is a necklace and the coset's size is the
@@ -299,11 +300,9 @@ def coset_representatives(q: int, n: int, coprime_to: int = 1) -> dict[int, int]
     the gcd with any divisor of n, so a coset is coprime to coprime_to
     exactly when its representative is.
     """
-    k = 0
-    while q > 1 and q**k <= n:
-        k += 1
-    if k == 0 or q**k - 1 != n:
-        raise InvalidArgumentError(f"the modulus {n} is not {q}^k - 1 for any k >= 1")
+    if q < 2 or k < 1:
+        raise InvalidArgumentError(f"requires q >= 2 and k >= 1, got q = {q}, k = {k}")
+    n = q**k - 1
     if coprime_to < 1 or n % coprime_to:
         raise InvalidArgumentError(f"{coprime_to} is not a divisor of {n}")
     mask = [q**j - 1 for j in range(k + 1)]  # mask[i] = q^i - 1
@@ -330,22 +329,14 @@ def coset_representatives(q: int, n: int, coprime_to: int = 1) -> dict[int, int]
         x = p * top // mask[i]
 
 
-def listing_record_bytes(n: int) -> int:
-    """Most bytes one written listing record takes, as JSON or as text.
-
-    A record is 32 bytes of fixed text (separator included) plus at most
-    four integers below n: e1, Delta*e1 and e2 (twice in text).
-    """
-    return 32 + 4 * len(str(n))
-
-
 class CodeListing(NamedTuple):
     """The checked listing of the qualifying codes for (q, k); see qualifying_codes.
 
     Per e2 class it holds the class (classes, ascending) and its residue
     mod q - 1 (residues); units[e1][r] says whether gcd(q - 1, k*e1 - r) = 1.
     classes is an array of ints; a writer may swap in the classes' decimals,
-    rendered once, with _replace, so that the two are not held side by side.
+    rendered once, with _replace, so that the two are not held side by side,
+    and budgets its output itself: the listing holds classes, not records.
     """
 
     count: int
@@ -380,20 +371,16 @@ def qualifying_codes(q: int, k: int, cap: int = DEFAULT_FIELD_CAP) -> CodeListin
     listing keeps them and their residues mod q - 1 in arrays, not the
     walk's dict, so memory grows with the number of classes, not with the
     count.  Every check has run when this returns, before the first record
-    exists: the field gate, the job budget on the written records (before
-    the walk), gcd(Delta, e2) = 1 and deg h_e2 = k for every class, and the
-    count, tallied per (e1, e2 mod q-1), against the closed form.
+    exists: the field gate, gcd(Delta, e2) = 1 and deg h_e2 = k for every
+    class, and the count, tallied per (e1, e2 mod q-1), against the closed
+    form.  Writing the records is the caller's job, and so is its budget.
     """
     check_field(q, k, cap)
     count = code_count(q, k)
     n = q**k - 1
-    check_budget(
-        f"writing the {count:,} codes for q = {q}, k = {k}",
-        count * listing_record_bytes(n),
-    )
     r = q - 1
     delta = n // r
-    reps = coset_representatives(q, n, delta)
+    reps = coset_representatives(q, k, delta)
     # the checks run in C loops; a failing class is looked up only to name it
     if max(map(gcd, reps, repeat(delta)), default=1) != 1:
         rep = next(rep for rep in reps if gcd(delta, rep) != 1)

@@ -140,7 +140,7 @@ def verify_substitution(q: int, k: int) -> tuple[int, dict | None]:
     checked = 0
     passed = {}  # class representative c < Delta whose grid passed -> its Bezout pair
     for e2 in valid_e2_values(q, k):
-        spec = code_spec(q, k, 0, e2)
+        spec = code_spec(q, k, e2)
         t, c = divmod(e2, delta)
         pair = passed.get(c)
         if pair is not None and spec.bezout == (pair.alpha, (pair.beta - t * pair.alpha) % r):

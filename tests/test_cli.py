@@ -22,7 +22,8 @@ from hypothesis import given, settings, strategies as st
 from cyclochar import cli, codes, gf, numth, verify
 from cyclochar.characterize import build_code, enumerate_codes
 from cyclochar.gf import field_for
-from cyclochar.numth import code_count, factorize, listing_record_bytes
+from cyclochar.errors import ResourceLimitError
+from cyclochar.numth import code_count, factorize
 
 # `enumerate --q 3 --k 4 --format json` as printed when the listing still
 # built F_81 first; the field-free listing must keep every byte.
@@ -52,7 +53,7 @@ def reference_records(q, k):
     classes in arrays: one pass over the walk's dict per e1, each class's
     residue tested per record."""
     n = q**k - 1
-    reps = numth.coset_representatives(q, n, n // (q - 1))
+    reps = numth.coset_representatives(q, k, n // (q - 1))
     units = [[numth.gcd_conditions(q, k, e1, r)[0] == 1 for r in range(q - 1)]
              for e1 in range(q - 1)]
     for e1, row in enumerate(units):
@@ -161,6 +162,11 @@ class _FlushLog(io.StringIO):
 
     def flush(self):
         self.flushed = self.getvalue()
+
+
+def enumerate_args(q, k):
+    """The parsed arguments of `enumerate --q q --k k`, for cmd_enumerate."""
+    return cli._build_parser().parse_args(["enumerate", "--q", str(q), "--k", str(k)])
 
 
 def run(capsys, *argv):
@@ -317,14 +323,42 @@ class TestEnumerate:
         assert code == 2
         assert message in err
 
-    def test_oversized_listing_refused_before_the_coset_walk(self, capsys, monkeypatch):
+    @pytest.mark.parametrize("fmt", ["json", "text"])
+    @pytest.mark.parametrize("q,count,gib", [(1024, "245,520,000", "13.7"),
+                                             (512, "35,761,824", "1.9")])
+    def test_oversized_listing_refused_before_the_coset_walk(self, capsys, monkeypatch,
+                                                             q, count, gib, fmt):
+        # qualifying_codes(512, 2) lists its codes; only writing them is refused
         def no_walk(*args):
             raise AssertionError("the coset walk started")
 
         monkeypatch.setattr(numth, "coset_representatives", no_walk)
-        code, _, err = run(capsys, "enumerate", "--q", "1024", "--k", "2")
-        assert code == 2
-        assert "245,520,000 codes" in err and "budget" in err
+        code, out, err = run(capsys, "enumerate", "--q", str(q), "--k", "2", "--format", fmt)
+        assert (code, out) == (2, "")
+        assert err == (f"error: writing the {count} codes for q = {q}, k = 2 needs about"
+                       f" {gib} GiB, over the 1 GiB budget\n")
+
+    def test_budget_refuses_before_the_walk(self, monkeypatch):
+        def no_walk(*args):
+            raise AssertionError("the coset walk started")
+
+        monkeypatch.setattr(numth, "coset_representatives", no_walk)
+        monkeypatch.setattr(numth, "JOB_BUDGET_BYTES", 16 * cli.listing_record_bytes(80) - 1)
+        with pytest.raises(ResourceLimitError, match="16 codes for q = 3, k = 4"):
+            cli.cmd_enumerate(enumerate_args(3, 4))
+
+    def test_budget_bounds_the_written_bytes(self, capsys, monkeypatch):
+        needed = 16 * cli.listing_record_bytes(80)
+        monkeypatch.setattr(numth, "JOB_BUDGET_BYTES", needed)
+        assert cli.cmd_enumerate(enumerate_args(3, 4)) == 0
+        monkeypatch.setattr(numth, "JOB_BUDGET_BYTES", needed - 1)
+        with pytest.raises(ResourceLimitError, match="writing the 16 codes for q = 3, k = 4"):
+            cli.cmd_enumerate(enumerate_args(3, 4))
+
+    def test_largest_benchmark_block_far_inside_the_budget(self):
+        biggest = max(code_count(q, k) for q, k in [(2, 16), (4, 8), (2, 18), (16, 4),
+                                                    (2, 19), (8, 6), (2, 20), (4, 10)])
+        assert 8 * biggest * cli.listing_record_bytes(2**20 - 1) < numth.JOB_BUDGET_BYTES
 
     def test_starts_and_lists_without_the_modules_it_does_not_read(self):
         # numpy, and the start-up cost of dataclasses (inspect, ast, dis,
@@ -337,7 +371,7 @@ class TestEnumerate:
     @pytest.mark.parametrize("q,k", LISTING_BLOCKS)
     def test_streams_the_bytes_of_the_old_encoder(self, capsys, q, k):
         assert list(numth.qualifying_codes(q, k).pairs()) == list(reference_records(q, k))
-        bound = listing_record_bytes(q**k - 1)
+        bound = cli.listing_record_bytes(q**k - 1)
         for fmt in ("json", "text"):
             code, out, _ = run(capsys, "enumerate", "--q", str(q), "--k", str(k), "--format", fmt)
             assert code == 0
@@ -351,8 +385,8 @@ class TestEnumerate:
     def test_broken_class_tally_exits_3_before_any_record(self, capsys, monkeypatch):
         real = numth.coset_representatives
 
-        def one_class_short(*args):
-            reps = real(*args)
+        def one_class_short(q, k, coprime_to):
+            reps = real(q, k, coprime_to)
             reps.pop(max(reps))
             return reps
 

@@ -75,14 +75,14 @@ def krawtchouk_direct(n, q, j, w):
 
 class TestCodeSpec:
     def test_fields(self):
-        spec = expsum.code_spec(4, 3, 2, 5)
+        spec = expsum.code_spec(4, 3, 5)
         assert (spec.delta, spec.n) == (21, 63)
-        assert gcd_conditions(spec.q, spec.k, spec.e1, spec.e2)[0] == 1
+        assert gcd_conditions(spec.q, spec.k, 2, spec.e2)[0] == 1
         assert (5 * spec.bezout.alpha + 21 * spec.bezout.beta) % 63 == 1
 
     def test_invalid_e2(self):
         with pytest.raises(InvalidArgumentError):
-            expsum.code_spec(3, 2, 0, 2)
+            expsum.code_spec(3, 2, 2)
 
 
 class TestTraceCodeword:
@@ -319,7 +319,7 @@ def distinct_codes(ctx):
         for e1 in range(ctx.q - 1)
         for e2 in range(ctx.m)
     }
-    checks.update(pr.minimal_polynomial(ctx, rep) for rep in coset_representatives(ctx.q, ctx.m))
+    checks.update(pr.minimal_polynomial(ctx, rep) for rep in coset_representatives(ctx.q, ctx.k))
     return [codes.cyclic_code(ctx, h) for h in sorted(checks)]
 
 

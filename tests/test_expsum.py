@@ -13,7 +13,7 @@ from cyclochar.numth import gcd_conditions
 from test_gf import additive_char_exponent
 
 
-def char_sum_reindexed(ctx, spec, a, b, use_delta_form=False):
+def char_sum_reindexed(ctx, spec, e1, a, b, use_delta_form=False):
     """Independent oracle: evaluate the sum in the substituted coordinates.
 
     Sums chi'(a*gamma^(Delta*(e1*alpha+beta)*v + Delta*s*w) + b*gamma^v)
@@ -22,8 +22,8 @@ def char_sum_reindexed(ctx, spec, a, b, use_delta_form=False):
     """
     m = ctx.m
     counts = [0] * ctx.p
-    stride = spec.delta * (spec.e1 * spec.bezout.alpha + spec.bezout.beta)
-    s = (spec.delta if use_delta_form else spec.k) * spec.e1 - spec.e2
+    stride = spec.delta * (e1 * spec.bezout.alpha + spec.bezout.beta)
+    s = (spec.delta if use_delta_form else spec.k) * e1 - spec.e2
     wstep = spec.delta * s
     for v in range(m):
         for w in range(ctx.q - 1):
@@ -93,18 +93,18 @@ def chunked_char_sum(ctx, e1, e2, a, b, entries=1 << 20):
 # d > 1) on every (a, b) of a block instead.
 
 
-def spec_d(spec):
-    """d = gcd(q-1, k*e1 - e2) of the spec's exponent pair."""
-    return gcd_conditions(spec.q, spec.k, spec.e1, spec.e2)[0]
+def spec_d(spec, e1):
+    """d = gcd(q-1, k*e1 - e2) of the exponent pair (e1, spec.e2)."""
+    return gcd_conditions(spec.q, spec.k, e1, spec.e2)[0]
 
 
-def level_shift(spec, d):
+def level_shift(spec, e1, d):
     """The exact quotient (Delta*(e1*alpha + beta) - 1) / d.
 
     Integrality is guaranteed whenever d = gcd(q-1, k*e1 - e2); anything
     else means the Bezout data is inconsistent.
     """
-    num = spec.delta * (spec.e1 * spec.bezout.alpha + spec.bezout.beta) - 1
+    num = spec.delta * (e1 * spec.bezout.alpha + spec.bezout.beta) - 1
     if num % d != 0:
         raise ConsistencyError(
             f"{d} does not divide Delta*(e1*alpha+beta) - 1 = {num}"
@@ -112,26 +112,26 @@ def level_shift(spec, d):
     return num // d
 
 
-def partition_value(ctx, spec, a, b, d, v, w):
+def partition_value(ctx, spec, e1, a, b, d, v, w):
     """Value a*gamma^(Delta*(e1*alpha+beta)*v + Delta*d*w) + b*gamma^v.
 
     The level sets of this map over V are invariant under w -> w + (q-1)/d
     and shift predictably under v -> v + Delta, which forces every level
     count to be divisible by d.
     """
-    if d != spec_d(spec):
+    if d != spec_d(spec, e1):
         raise InvalidArgumentError(f"d = {d} is not gcd(q-1, k*e1 - e2)")
-    level_shift(spec, d)  # integrality check
+    level_shift(spec, e1, d)  # integrality check
     m = ctx.m
     if not (0 <= v < m and 0 <= w < spec.q - 1):
         raise InvalidArgumentError(f"point ({v}, {w}) outside V")
-    stride = spec.delta * (spec.e1 * spec.bezout.alpha + spec.bezout.beta)
+    stride = spec.delta * (e1 * spec.bezout.alpha + spec.bezout.beta)
     t1 = ZERO if a == ZERO else (a + stride * v + spec.delta * d * w) % m
     t2 = ZERO if b == ZERO else (b + v) % m
     return ctx.add(t1, t2)
 
 
-def partition_counts(ctx, spec, a, b, d):
+def partition_counts(ctx, spec, e1, a, b, d):
     """Level-set sizes of the shifted form over V, keyed by field element.
 
     Requires d = gcd(q-1, k*e1 - e2) > 1.  Checks that d divides every
@@ -139,13 +139,13 @@ def partition_counts(ctx, spec, a, b, d):
     """
     if d <= 1:
         raise InvalidArgumentError(f"partition requires d > 1, got {d}")
-    if d != spec_d(spec):
+    if d != spec_d(spec, e1):
         raise InvalidArgumentError(f"d = {d} is not gcd(q-1, k*e1 - e2)")
     m = ctx.m
     counts = {}
     for v in range(m):
         for w in range(ctx.q - 1):
-            val = partition_value(ctx, spec, a, b, d, v, w)
+            val = partition_value(ctx, spec, e1, a, b, d, v, w)
             counts[val] = counts.get(val, 0) + 1
     for val, c in counts.items():
         if c % d != 0:
@@ -246,22 +246,22 @@ class TestCyclotomicCount:
 
 class TestSubstitution:
     def test_worked_example_q3_k2(self):
-        spec = code_spec(3, 2, 0, 1)
+        spec = code_spec(3, 2, 1)
         assert (spec.bezout.alpha, spec.bezout.beta) == (1, 0)
         assert expsum.substitution(spec, 1, 1) == (5, 1)
 
     def test_zero_fixed(self):
-        spec = code_spec(3, 2, 0, 1)
+        spec = code_spec(3, 2, 1)
         assert expsum.substitution(spec, 0, 0) == (0, 0)
         assert expsum.substitution_inverse(spec, 0, 0) == (0, 0)
 
     def test_inverse_worked_example(self):
-        spec = code_spec(3, 2, 0, 1)
+        spec = code_spec(3, 2, 1)
         assert expsum.substitution_inverse(spec, 5, 1) == (1, 1)
 
     @pytest.mark.parametrize("q,k,e2", [(3, 2, 1), (2, 3, 3), (3, 2, 5), (5, 2, 7), (4, 2, 3)])
     def test_roundtrip_exhaustive(self, q, k, e2):
-        spec = code_spec(q, k, 0, e2)
+        spec = code_spec(q, k, e2)
         n = q**k - 1
         for i in range(n):
             for j in range(q - 1):
@@ -270,7 +270,7 @@ class TestSubstitution:
                 assert expsum.substitution_inverse(spec, v, w) == (i, j)
 
     def test_full_orbit_bijectivity_q4_k3(self):
-        spec = code_spec(4, 3, 1, 5)
+        spec = code_spec(4, 3, 5)
         hit = set()
         for i in range(63):
             for j in range(3):
@@ -281,32 +281,33 @@ class TestSubstitution:
 class TestPartitionValue:
     def test_zero_inputs_vanish(self):
         ctx = gf.field_for(4, 2)
-        spec = code_spec(4, 2, 2, 1)
-        d = spec_d(spec)
+        spec = code_spec(4, 2, 1)
+        d = spec_d(spec, 2)
         assert d == 3
         for v in range(ctx.m):
             for w in range(ctx.q - 1):
-                assert partition_value(ctx, spec, ZERO, ZERO, d, v, w) == ZERO
+                assert partition_value(ctx, spec, 2, ZERO, ZERO, d, v, w) == ZERO
 
     @pytest.mark.parametrize("q,k,e1,e2", [(4, 2, 2, 1), (5, 3, 1, 1)])
     def test_scaling_symmetry(self, q, k, e1, e2):
         # gamma^(r*Delta) * f(v, w) = f(v + r*Delta, w - r*rho), exhaustively
         ctx = gf.field_for(q, k)
-        spec = code_spec(q, k, e1, e2)
-        d = spec_d(spec)
+        spec = code_spec(q, k, e2)
+        d = spec_d(spec, e1)
         assert d > 1
-        rho = level_shift(spec, d)
+        rho = level_shift(spec, e1, d)
         a, b = 1, 2
         for r in range(q):
             for v in range(ctx.m):
                 for w in range(q - 1):
                     lhs = ctx.mul(
                         (r * ctx.delta) % ctx.m,
-                        partition_value(ctx, spec, a, b, d, v, w),
+                        partition_value(ctx, spec, e1, a, b, d, v, w),
                     )
                     rhs = partition_value(
                         ctx,
                         spec,
+                        e1,
                         a,
                         b,
                         d,
@@ -319,23 +320,23 @@ class TestPartitionValue:
     def test_level_shift_symmetry(self, q, k, e1, e2):
         # f(v, w) = f(v, w + (q-1)/d * t) for t = 0..d-1, exhaustively
         ctx = gf.field_for(q, k)
-        spec = code_spec(q, k, e1, e2)
-        d = spec_d(spec)
+        spec = code_spec(q, k, e2)
+        d = spec_d(spec, e1)
         step = (q - 1) // d
         a, b = 2, 0
         for v in range(ctx.m):
             for w in range(q - 1):
-                base = partition_value(ctx, spec, a, b, d, v, w)
+                base = partition_value(ctx, spec, e1, a, b, d, v, w)
                 for t in range(d):
                     assert base == partition_value(
-                        ctx, spec, a, b, d, v, (w + step * t) % (q - 1)
+                        ctx, spec, e1, a, b, d, v, (w + step * t) % (q - 1)
                     )
 
     def test_wrong_d_rejected(self):
         ctx = gf.field_for(4, 2)
-        spec = code_spec(4, 2, 2, 1)
+        spec = code_spec(4, 2, 1)
         with pytest.raises(InvalidArgumentError):
-            partition_value(ctx, spec, 0, 0, 2, 0, 0)
+            partition_value(ctx, spec, 2, 0, 0, 2, 0, 0)
 
 
 class TestCharSum:
@@ -361,11 +362,11 @@ class TestCharSum:
     def test_reindexed_evaluation_identical(self, q, k, e1, e2):
         # direct and substituted coordinates must give the same count vector
         ctx = gf.field_for(q, k)
-        spec = code_spec(q, k, e1, e2)
+        spec = code_spec(q, k, e2)
         for a, b in [(ZERO, ZERO), (0, ZERO), (ZERO, 0), (1, 2), (2, 1)]:
             direct = expsum.char_sum(ctx, e1, e2, a, b)
-            assert char_sum_reindexed(ctx, spec, a, b) == direct
-            assert char_sum_reindexed(ctx, spec, a, b, use_delta_form=True) == direct
+            assert char_sum_reindexed(ctx, spec, e1, a, b) == direct
+            assert char_sum_reindexed(ctx, spec, e1, a, b, use_delta_form=True) == direct
 
 
 class TestPredictions:
@@ -390,27 +391,27 @@ class TestPredictions:
 class TestPartitionCounts:
     def test_totals_and_divisibility(self):
         ctx = gf.field_for(4, 2)
-        spec = code_spec(4, 2, 2, 1)
-        d = spec_d(spec)
-        counts = partition_counts(ctx, spec, 1, 2, d)
+        spec = code_spec(4, 2, 1)
+        d = spec_d(spec, 2)
+        counts = partition_counts(ctx, spec, 2, 1, 2, d)
         assert sum(counts.values()) == ctx.m * (ctx.q - 1)
         assert all(c % d == 0 for c in counts.values())
 
     def test_delta_periodicity(self):
         ctx = gf.field_for(5, 3)
-        spec = code_spec(5, 3, 1, 1)
-        counts = partition_counts(ctx, spec, 3, 7, spec_d(spec))
+        spec = code_spec(5, 3, 1)
+        counts = partition_counts(ctx, spec, 1, 3, 7, spec_d(spec, 1))
         for e in range(ctx.m):
             assert counts.get(e, 0) == counts.get((e + ctx.delta) % ctx.m, 0)
 
     def test_requires_d_greater_than_one(self):
         ctx = gf.field_for(3, 2)
-        spec = code_spec(3, 2, 0, 1)
+        spec = code_spec(3, 2, 1)
         with pytest.raises(InvalidArgumentError):
-            partition_counts(ctx, spec, 1, 2, spec_d(spec))
+            partition_counts(ctx, spec, 0, 1, 2, spec_d(spec, 0))
 
     def test_gcd_checked(self):
         ctx = gf.field_for(4, 2)
-        spec = code_spec(4, 2, 2, 1)
+        spec = code_spec(4, 2, 1)
         with pytest.raises(InvalidArgumentError):
-            partition_counts(ctx, spec, 1, 2, 6)
+            partition_counts(ctx, spec, 2, 1, 2, 6)

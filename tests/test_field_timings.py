@@ -1,4 +1,4 @@
-"""scripts/field_timings.py: each field layer timed in its own fresh interpreter."""
+"""scripts/field_timings.py: each field layer timed, with its peak RSS, in a fresh interpreter."""
 
 import importlib.util
 import json
@@ -29,3 +29,6 @@ def test_one_small_field_and_the_search_over_every_capped_field(capsys, monkeypa
     assert out["search_all"]["fields"] == 242
     ms = list(times_ms(out))
     assert len(ms) == 4 and all(t > 0 for t in ms)
+    rss = {key: value for key, value in out["fields"]["2,3"].items() if key.endswith("_peak_rss_mib")}
+    assert set(rss) == {f"{layer}_peak_rss_mib" for layer in field_timings.LAYERS}
+    assert all(mib > 0 for mib in rss.values())

@@ -309,39 +309,58 @@ BLOCKS_2_14 = [
 ]
 
 
+# Every (q, k) with q a prime power and q^k <= 2^12, k = 1 included.
+BLOCKS_2_12 = [
+    (q, k)
+    for q in range(2, 2**12 + 1)
+    if len(numth.factorize(q)) == 1
+    for k in range(1, 13)
+    if q**k <= 2**12
+]
+
+
+def coset_reference(q, k, coprime_to):
+    """Least member -> size of each coset mod q^k - 1 coprime to coprime_to,
+    read off cyclotomic_coset, each coset once, ascending."""
+    n = q**k - 1
+    seen, out = set(), {}
+    for a in range(n):
+        if a not in seen and math.gcd(a, coprime_to) == 1:
+            coset = numth.cyclotomic_coset(a, q, n)
+            seen.update(coset)
+            out[coset[0]] = len(coset)
+    return out
+
+
 class TestCosetRepresentatives:
-    @pytest.mark.parametrize("q,k", [(2, 3), (2, 6), (3, 3), (4, 3), (5, 2), (2, 12), (7, 3)])
+    @pytest.mark.parametrize("q,k", BLOCKS_2_12)
     def test_sizes_match_each_coset(self, q, k):
         n = q**k - 1
-        expected = {}
-        for a in range(n):
-            coset = numth.cyclotomic_coset(a, q, n)
-            expected[coset[0]] = len(coset)
-        reps = numth.coset_representatives(q, n)
-        assert list(reps.items()) == sorted(expected.items())
-        assert sum(reps.values()) == n
+        for coprime_to in (1, n // (q - 1)):
+            got = numth.coset_representatives(q, k, coprime_to)
+            assert list(got.items()) == list(coset_reference(q, k, coprime_to).items())
+        assert sum(numth.coset_representatives(q, k).values()) == n
 
     def test_iterates_representatives_in_order(self):
-        assert list(numth.coset_representatives(2, 7)) == [0, 1, 3]
+        assert list(numth.coset_representatives(2, 3)) == [0, 1, 3]
 
-    @pytest.mark.parametrize("q,n", [(2, 8), (3, 0), (2, 9), (3, 7), (4, 7), (1, 3)])
-    def test_invalid_modulus(self, q, n):
-        # the necklace walk needs n = q^k - 1
-        with pytest.raises(InvalidArgumentError):
-            numth.coset_representatives(q, n)
+    @pytest.mark.parametrize("q,k", [(1, 3), (0, 2), (2, 0), (3, -1)])
+    def test_q_below_2_or_k_below_1_is_refused(self, q, k):
+        with pytest.raises(InvalidArgumentError, match="requires q >= 2 and k >= 1"):
+            numth.coset_representatives(q, k)
 
     @pytest.mark.parametrize("q,k", BLOCKS_2_14)
     def test_necklace_walk_equals_the_zn_walk(self, q, k):
         n = q**k - 1
         for coprime_to in (1, n // (q - 1)):
-            got = numth.coset_representatives(q, n, coprime_to)
+            got = numth.coset_representatives(q, k, coprime_to)
             assert list(got.items()) == list(zn_walk_representatives(q, n, coprime_to).items())
 
     @pytest.mark.parametrize("q,k", [(q, k) for q, k in BLOCKS_2_14 if q**k <= 4096])
     def test_necklace_walk_equals_the_zn_walk_for_every_divisor(self, q, k):
         n = q**k - 1
         for d in numth.divisors(n):
-            got = numth.coset_representatives(q, n, d)
+            got = numth.coset_representatives(q, k, d)
             assert list(got.items()) == list(zn_walk_representatives(q, n, d).items())
 
     @pytest.mark.parametrize("q,k,count", [(2, 19, 27_594), (2, 20, 24_000), (4, 10, 72_000),
@@ -351,7 +370,7 @@ class TestCosetRepresentatives:
         # so there are (q - 1) phi(Delta) / k of them
         n = q**k - 1
         delta = n // (q - 1)
-        reps = numth.coset_representatives(q, n, delta)
+        reps = numth.coset_representatives(q, k, delta)
         assert len(reps) == count == (q - 1) * numth.euler_phi(delta) // k
         assert set(reps.values()) == {k}
         assert list(reps) == sorted(reps)
@@ -359,14 +378,14 @@ class TestCosetRepresentatives:
     @pytest.mark.parametrize("q,k", [(2, 6), (3, 4), (4, 3), (5, 2), (2, 12), (16, 3)])
     def test_coprime_walk_keeps_exactly_the_coprime_cosets(self, q, k):
         n = q**k - 1
-        every = numth.coset_representatives(q, n)
+        every = numth.coset_representatives(q, k)
         for d in (x for x in range(1, n + 1) if n % x == 0):
             coprime = {a: size for a, size in every.items() if math.gcd(a, d) == 1}
-            assert numth.coset_representatives(q, n, d) == coprime
+            assert numth.coset_representatives(q, k, d) == coprime
 
     def test_coprime_to_must_divide_n(self):
         with pytest.raises(InvalidArgumentError, match="not a divisor"):
-            numth.coset_representatives(2, 63, 10)
+            numth.coset_representatives(2, 6, 10)
 
 
 class TestQualifyingCodes:
@@ -374,7 +393,7 @@ class TestQualifyingCodes:
     def test_records_are_the_gcd_rule_in_e1_major_order(self, q, k):
         n = q**k - 1
         delta = n // (q - 1)
-        reps = [a for a in numth.coset_representatives(q, n) if math.gcd(a, delta) == 1]
+        reps = [a for a in numth.coset_representatives(q, k) if math.gcd(a, delta) == 1]
         expected = [
             (e1, e2)
             for e1 in range(q - 1)
@@ -398,26 +417,25 @@ class TestQualifyingCodes:
         with pytest.raises(TheoremViolationError, match="enumerated 16 codes but the count formula gives 17"):
             numth.qualifying_codes(3, 4)
 
+    def test_a_listing_too_large_to_write_is_listed(self):
+        # writing these codes would take about 1.9 GiB, which `enumerate`
+        # budgets; the listing holds only its 82,782 e2 classes
+        listing = numth.qualifying_codes(512, 2)
+        assert listing.count == 35_761_824 == numth.code_count(512, 2)
+        assert len(listing.classes) == len(listing.residues) == 82_782
+
     def test_a_kept_class_sharing_a_factor_with_delta_raises(self, monkeypatch):
         real = numth.coset_representatives
         monkeypatch.setattr(numth, "coset_representatives",
-                            lambda q, n, d: {**real(q, n, d), 5: 4})  # 5 | Delta = 40
+                            lambda q, k, d: {**real(q, k, d), 5: 4})  # 5 | Delta = 40
         with pytest.raises(ConsistencyError, match="coset walk kept 5"):
             numth.qualifying_codes(3, 4)
 
     def test_a_class_of_the_wrong_size_raises(self, monkeypatch):
         real = numth.coset_representatives
         monkeypatch.setattr(numth, "coset_representatives",
-                            lambda q, n, d: {**real(q, n, d), 1: 2})
+                            lambda q, k, d: {**real(q, k, d), 1: 2})
         with pytest.raises(TheoremViolationError, match="deg h_1 != 4"):
-            numth.qualifying_codes(3, 4)
-
-    def test_budget_bounds_the_written_bytes(self, monkeypatch):
-        needed = 16 * numth.listing_record_bytes(80)
-        monkeypatch.setattr(numth, "JOB_BUDGET_BYTES", needed)
-        numth.qualifying_codes(3, 4)
-        monkeypatch.setattr(numth, "JOB_BUDGET_BYTES", needed - 1)
-        with pytest.raises(ResourceLimitError, match="writing the 16 codes for q = 3, k = 4"):
             numth.qualifying_codes(3, 4)
 
 

@@ -75,7 +75,7 @@ class TestMinimalPolynomial:
     def test_coset_product_reconstructs_xn_minus_1(self, q, k):
         ctx = gf.field_for(q, k)
         prod = pr.ONE
-        for rep in coset_representatives(q, ctx.m):
+        for rep in coset_representatives(q, k):
             prod = pr.poly_mul(ctx, prod, pr.minimal_polynomial(ctx, rep))
         assert prod == pr.x_pow_n_minus_1(ctx)
 

@@ -103,7 +103,7 @@ def reference_substitution(q, k):
     n = q**k - 1
     checked = 0
     for e2 in verify.valid_e2_values(q, k):
-        spec = expsum.code_spec(q, k, 0, e2)
+        spec = expsum.code_spec(q, k, e2)
         seen = bytearray(n * (q - 1))
         for i in range(n):
             for j in range(q - 1):

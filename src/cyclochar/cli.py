@@ -39,10 +39,8 @@ EXIT_PRECONDITION = 2
 EXIT_VIOLATION = 3
 EXIT_USAGE = 64
 
-# The listing is formatted and written this many records of one e1 row at a
-# time; `dual` writes its frequencies in calls of at least FLUSH_CHARS characters.
+# The listing is formatted and written this many records of one e1 row at a time.
 LISTING_BATCH = 4096
-FLUSH_CHARS = 1 << 16
 
 
 class _Terminated(Exception):
@@ -119,31 +117,6 @@ def cmd_build(args) -> int:
     else:
         print(report_text(report))
     return EXIT_OK
-
-
-class _BatchedStdout:
-    """`dual`'s output for stdout, written in calls of at least FLUSH_CHARS characters.
-
-    An unbuffered stdout (PYTHONUNBUFFERED) makes one write(2) per call, and
-    a frequency can run to thousands of digits, so pieces are gathered until
-    FLUSH_CHARS characters (bytes: the output is ASCII) are pending; no more
-    than that plus one piece is held.  flush() writes the rest.
-    """
-
-    def __init__(self) -> None:
-        self.pending: list[str] = []
-        self.size = 0
-
-    def write(self, text: str) -> None:
-        self.pending.append(text)
-        self.size += len(text)
-        if self.size >= FLUSH_CHARS:
-            self.flush()
-
-    def flush(self) -> None:
-        if self.pending:
-            sys.stdout.write("".join(self.pending))
-            self.pending, self.size = [], 0
 
 
 def listing_record_bytes(n: int) -> int:
@@ -230,8 +203,11 @@ def cmd_verify(args) -> int:
             f"unknown properties: {unknown}; valid: {','.join(PROPERTIES)}"
         )
     # each result is written as it finishes and flushed, as a pipe is block
-    # buffered; the JSON array is closed however the run ends, SIGTERM included
-    first_failure, sep = None, "["
+    # buffered; the JSON array is opened before SIGTERM is caught and closed
+    # however the run ends, SIGTERM included
+    first_failure, sep = None, ""
+    if args.format == "json":
+        sys.stdout.write("[")
     previous = signal.signal(signal.SIGTERM, _terminate)
     try:
         for q, k in pairs:
@@ -250,7 +226,7 @@ def cmd_verify(args) -> int:
                     first_failure = r
     finally:
         if args.format == "json":
-            sys.stdout.write("[]\n" if sep == "[" else "]\n")
+            sys.stdout.write("]\n")
         signal.signal(signal.SIGTERM, previous)
     if first_failure is not None:
         print(f"counterexample: {json.dumps(first_failure.to_json())}", file=sys.stderr)
@@ -347,9 +323,8 @@ def cmd_dual(args) -> int:
     dim = polyring.degree(parity_check_from_exponents(ctx, args.e1, args.e2))
     dual = macwilliams_dual(wd, q, dim)
     d_dual = dual.min_nonzero_weight()
-    # the frequencies are streamed one at a time, so the output is never held whole
-    out = _BatchedStdout()
-    write = out.write
+    # the frequencies are written one at a time, so the output is never held whole
+    write = sys.stdout.write
     if args.format == "json":
         # json.dumps of {"q", "k", "e1", "e2", "n", "dim", "dual_min_weight", "dual_weights"}
         write(f'{{"q": {q}, "k": {args.k}, "e1": {args.e1}, "e2": {args.e2}, "n": {n}, '
@@ -367,7 +342,6 @@ def cmd_dual(args) -> int:
             write(f"{sep}{term}")
             sep = " + "
         write("\n")
-    out.flush()
     return EXIT_OK
 
 

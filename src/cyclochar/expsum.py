@@ -8,8 +8,8 @@ exponents all occur equally often; no floating point is involved
 anywhere.
 
 Also here: the change-of-variables bijection on the index grid
-V = [0, q^k-1) x [0, q-1), with the CodeSpec that carries its Bezout
-pair, and the closed-form predictions for the sum in each (a, b)
+V = [0, q^k-1) x [0, q-1), which reads (q, k, e2) and the Bezout pair
+of e2, and the closed-form predictions for the sum in each (a, b)
 class.  The paper's level-set partition of V, which
 forces d = gcd(q-1, k*e1 - e2) to divide T(a, b), runs in no sweep and
 lives with its exhaustive checks in tests/test_expsum.py; the
@@ -22,9 +22,9 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import ConsistencyError, InvalidArgumentError
+from .errors import ConsistencyError
 from .gf import ZERO, FieldCtx
-from .numth import BezoutPair, bezout_pair
+from .numth import BezoutPair
 
 
 class CyclotomicCount(NamedTuple):
@@ -45,55 +45,31 @@ class CyclotomicCount(NamedTuple):
         return self.counts[0] - self.counts[1]
 
 
-class CodeSpec(NamedTuple):
-    """Exponent data (q, k, e2) plus the reduced Bezout pair of e2.
-
-    The input of substitution and substitution_inverse, the one place the
-    Bezout pair is read; neither reads e1, and elsewhere a code is its pair
-    (e1, e2).  Only requires gcd(Delta, e2) = 1, so the Bezout pair exists.
-    """
-
-    q: int
-    k: int
-    e2: int
-    bezout: BezoutPair
-
-    @property
-    def n(self) -> int:
-        return self.q**self.k - 1
-
-    @property
-    def delta(self) -> int:
-        return self.n // (self.q - 1)
-
-
-def code_spec(q: int, k: int, e2: int) -> CodeSpec:
-    """Build a CodeSpec, solving the Bezout congruence for (alpha, beta)."""
-    if k < 2:
-        raise InvalidArgumentError(f"requires k >= 2, got {k}")
-    return CodeSpec(q=q, k=k, e2=e2, bezout=bezout_pair(e2, q, k))
-
-
-def substitution(spec: CodeSpec, i, j):
+def substitution(q: int, k: int, e2: int, pair: BezoutPair, i, j):
     """Forward reindexing (i, j) -> (v, w) on V, pointwise on index arrays.
 
-    v = (e2*i + Delta*j) % (q^k - 1), and w = (i - alpha*v) // Delta
-    reduced mod q - 1.  The division is exact for a sound Bezout pair; an
-    inexact one leaves a remainder 0 < r < Delta that the inverse turns
-    into i - r, so the round trip fails at that very point.  Indices are
-    not checked: the caller passes points of V.  The substitution sweep's
-    budget admits at most 2^24 grid points, so q^k - 1 <= 2^24 and every
-    product of two int64 indices stays below 2^48.
+    pair is the Bezout pair (alpha, beta) of e2 (numth.bezout_pair); e1
+    plays no part.  v = (e2*i + Delta*j) % (q^k - 1), and
+    w = (i - alpha*v) // Delta reduced mod q - 1.  The division is exact
+    for a sound Bezout pair; an inexact one leaves a remainder 0 < r < Delta
+    that the inverse turns into i - r, so the round trip fails at that very
+    point.  Indices are not checked: the caller passes points of V.  The
+    substitution sweep's budget admits at most 2^24 grid points, so
+    q^k - 1 <= 2^24 and every product of two int64 indices stays below 2^48.
     """
-    v = (spec.e2 * i + spec.delta * j) % spec.n
-    w = (i - spec.bezout.alpha * v) // spec.delta % (spec.q - 1)
+    n = q**k - 1
+    delta = n // (q - 1)
+    v = (e2 * i + delta * j) % n
+    w = (i - pair.alpha * v) // delta % (q - 1)
     return v, w
 
 
-def substitution_inverse(spec: CodeSpec, v, w):
+def substitution_inverse(q: int, k: int, e2: int, pair: BezoutPair, v, w):
     """Inverse reindexing (v, w) -> (i, j); a two-sided inverse on V."""
-    i = (spec.bezout.alpha * v + spec.delta * w) % spec.n
-    j = (spec.bezout.beta * v - spec.e2 * w) % (spec.q - 1)
+    n = q**k - 1
+    delta = n // (q - 1)
+    i = (pair.alpha * v + delta * w) % n
+    j = (pair.beta * v - e2 * w) % (q - 1)
     return i, j
 
 

@@ -334,12 +334,13 @@ class CodeListing(NamedTuple):
 
     Per e2 class it holds the class (classes, ascending) and its residue
     mod q - 1 (residues); units[e1][r] says whether gcd(q - 1, k*e1 - r) = 1.
-    classes is an array of ints; a writer may swap in the classes' decimals,
-    rendered once, with _replace, so that the two are not held side by side,
-    and budgets its output itself: the listing holds classes, not records.
+    It holds no count: that is code_count(q, k), which qualifying_codes
+    checked the listing against.  classes is an array of ints; a writer may
+    swap in the classes' decimals, rendered once, with _replace, so that the
+    two are not held side by side, and budgets its output itself: the
+    listing holds classes, not records.
     """
 
-    count: int
     classes: array
     residues: array
     units: list[list[bool]]
@@ -398,7 +399,7 @@ def qualifying_codes(q: int, k: int, cap: int = DEFAULT_FIELD_CAP) -> CodeListin
         raise TheoremViolationError(
             f"enumerated {listed} codes but the count formula gives {count}"
         )
-    return CodeListing(count, classes, residues, units)
+    return CodeListing(classes, residues, units)
 
 
 def digit_sum(x: int, p: int) -> int:

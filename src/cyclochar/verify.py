@@ -34,9 +34,10 @@ from .codes import (
     weight_distribution_trace,
 )
 from .errors import ConsistencyError, CyclocharError, ResourceLimitError
-from .expsum import char_sum, code_spec, predict_char_sum, substitution, substitution_inverse
+from .expsum import char_sum, predict_char_sum, substitution, substitution_inverse
 from .gf import ZERO, FieldCtx, field_for
 from .numth import (
+    bezout_pair,
     check_budget,
     check_field,
     gcd_conditions,
@@ -140,14 +141,14 @@ def verify_substitution(q: int, k: int) -> tuple[int, dict | None]:
     checked = 0
     passed = {}  # class representative c < Delta whose grid passed -> its Bezout pair
     for e2 in valid_e2_values(q, k):
-        spec = code_spec(q, k, e2)
+        pair = bezout_pair(e2, q, k)
         t, c = divmod(e2, delta)
-        pair = passed.get(c)
-        if pair is not None and spec.bezout == (pair.alpha, (pair.beta - t * pair.alpha) % r):
+        base = passed.get(c)
+        if base is not None and pair == (base.alpha, (base.beta - t * base.alpha) % r):
             checked += len(grid_i)
             continue
-        v, w = substitution(spec, grid_i, grid_j)
-        back_i, back_j = substitution_inverse(spec, v, w)
+        v, w = substitution(q, k, e2, pair, grid_i, grid_j)
+        back_i, back_j = substitution_inverse(q, k, e2, pair, v, w)
         trips = np.flatnonzero((back_i != grid_i) | (back_j != grid_j))
         if len(trips):
             p = int(trips[0])
@@ -157,7 +158,7 @@ def verify_substitution(q: int, k: int) -> tuple[int, dict | None]:
             }
         checked += len(grid_i)
         if not t:
-            passed[c] = spec.bezout
+            passed[c] = pair
         del v, w, back_i, back_j  # so the next e2's four arrays do not stack on these
     return checked, None
 

@@ -24,6 +24,7 @@ from cyclochar.characterize import build_code, enumerate_codes
 from cyclochar.gf import field_for
 from cyclochar.errors import ResourceLimitError
 from cyclochar.numth import code_count, factorize
+from test_golden_outputs import GOLDEN
 
 # `enumerate --q 3 --k 4 --format json` as printed when the listing still
 # built F_81 first; the field-free listing must keep every byte.
@@ -433,36 +434,35 @@ class TestEnumerate:
 
 class TestBatchedWrites:
     # Under PYTHONUNBUFFERED every write call on stdout is one write(2): the
-    # listing once paid one per record (122,882 here), `dual` one per frequency.
+    # listing once paid one per record (122,882 here).  `dual` pays one per
+    # frequency, which measured no slower than gathering them into 64 KiB calls.
     GOLDEN_16_4_JSON = "b9193b247c22bea63349376e973a170b8e112952469219a7976a114da16a9d60"
 
     @pytest.mark.parametrize("fmt", ["json", "text"])
     def test_the_listing_writes_a_call_per_batch(self, fmt):
         code, sink = run_counted("enumerate", "--q", "16", "--k", "4", "--format", fmt)
         listing = numth.qualifying_codes(16, 4)
-        count, rows = listing.count, len({e1 for e1, _ in listing.pairs()})
+        count, rows = numth.code_count(16, 4), len({e1 for e1, _ in listing.pairs()})
         assert code == 0 and count == 122_880
         assert sink.writes <= -(-count // 4096) + rows + 2, sink.writes
         if fmt == "json":
             assert sink.digest.hexdigest() == self.GOLDEN_16_4_JSON
 
-    def test_the_dual_writes_a_call_per_64_kib(self):
-        code, sink = run_counted("dual", "--q", "2", "--k", "13", "--e1", "0", "--e2", "1",
-                                 "--format", "text")
-        assert code == 0 and sink.size > 7_000_000
-        assert sink.writes <= -(-sink.size // (64 << 10)) + 2, sink.writes
-
     def test_an_unbuffered_stdout_keeps_the_bytes(self):
+        # the listing written in batches, and the two golden `dual --q 2` rows a frequency a call
         root = Path(__file__).resolve().parents[1]
         path = os.pathsep.join([str(root / "src"), os.environ.get("PYTHONPATH", "")])
-        proc = subprocess.run(
-            [sys.executable, "-m", "cyclochar.cli", "enumerate", "--q", "16", "--k", "4",
-             "--format", "json"],
-            env={**os.environ, "PYTHONPATH": path, "PYTHONUNBUFFERED": "1"},
-            capture_output=True, timeout=120,
-        )
-        assert proc.returncode == 0, proc.stderr
-        assert hashlib.sha256(proc.stdout).hexdigest() == self.GOLDEN_16_4_JSON
+        runs = [("enumerate --q 16 --k 4 --format json", 0, self.GOLDEN_16_4_JSON)]
+        runs += [row for row in GOLDEN if row[0].startswith("dual --q 2 ")]
+        assert len(runs) == 3
+        for command, exit_code, digest in runs:
+            proc = subprocess.run(
+                [sys.executable, "-m", "cyclochar.cli", *command.split()],
+                env={**os.environ, "PYTHONPATH": path, "PYTHONUNBUFFERED": "1"},
+                capture_output=True, timeout=120,
+            )
+            assert proc.returncode == exit_code, (command, proc.stderr)
+            assert hashlib.sha256(proc.stdout).hexdigest() == digest, command
 
 
 class TestCharsum:
@@ -1130,7 +1130,11 @@ class TestTerminated:
                                 env={**os.environ, "PYTHONPATH": path},
                                 stdout=subprocess.PIPE, stderr=subprocess.PIPE)
         try:
-            head = os.read(proc.stdout.fileno(), 1)  # leaves the rest to communicate
+            head = b""
+            while b"}" not in head:  # "[" comes first: wait for a complete result
+                chunk = os.read(proc.stdout.fileno(), 1 << 16)  # the rest to communicate
+                assert chunk, proc.stderr.read()
+                head += chunk
             proc.send_signal(signal.SIGTERM)
             out, err = proc.communicate(timeout=300)
         finally:
@@ -1140,6 +1144,27 @@ class TestTerminated:
         assert (proc.returncode, err) == (143, b"")
         assert 1 <= len(results) < len(verify.PROPERTIES) * len(list(verify.default_pairs(255)))
         assert all(r["ok"] and r["checked"] > 0 for r in results)
+
+    def test_sigterm_as_a_result_is_written_still_closes_the_array(self):
+        # the signal lands while the first result's write returns, before the
+        # run goes on to the next sweep: the array holds that result, once closed
+        class KillingSink(io.StringIO):
+            killed = False
+
+            def write(self, text):
+                written = super().write(text)
+                if "}" in text and not self.killed:
+                    self.killed = True
+                    os.kill(os.getpid(), signal.SIGTERM)
+                return written
+
+        out = KillingSink()
+        with redirect_stdout(out), redirect_stderr(io.StringIO()):
+            code = cli.main(["verify", "--q", "2", "--k", "3", "--format", "json"])
+        assert code == 143
+        assert out.getvalue().endswith("}]\n"), out.getvalue()[-20:]
+        assert json.loads(out.getvalue()) == [{"property": "substitution_bijection", "q": 2,
+                                               "k": 3, "ok": True, "checked": 42}]
 
 
 class TestUsage:

@@ -22,7 +22,7 @@ from cyclochar.errors import (
     ResourceLimitError,
 )
 from cyclochar.gf import ZERO
-from cyclochar.numth import coset_representatives, gcd_conditions, valid_orbits
+from cyclochar.numth import coset_representatives, valid_orbits
 from cyclochar.verify import default_pairs
 from test_numth import ext_gcd
 
@@ -71,18 +71,6 @@ def krawtchouk_direct(n, q, j, w):
         (-1) ** i * (q - 1) ** (j - i) * comb(w, i) * comb(n - w, j - i)
         for i in range(j + 1)
     )
-
-
-class TestCodeSpec:
-    def test_fields(self):
-        spec = expsum.code_spec(4, 3, 5)
-        assert (spec.delta, spec.n) == (21, 63)
-        assert gcd_conditions(spec.q, spec.k, 2, spec.e2)[0] == 1
-        assert (5 * spec.bezout.alpha + 21 * spec.bezout.beta) % 63 == 1
-
-    def test_invalid_e2(self):
-        with pytest.raises(InvalidArgumentError):
-            expsum.code_spec(3, 2, 2)
 
 
 class TestTraceCodeword:

@@ -7,24 +7,26 @@ import pytest
 
 from cyclochar import expsum, gf, verify
 from cyclochar.errors import ConsistencyError, InvalidArgumentError
-from cyclochar.expsum import CyclotomicCount, code_spec
+from cyclochar.expsum import CyclotomicCount
 from cyclochar.gf import ZERO
-from cyclochar.numth import gcd_conditions
+from cyclochar.numth import bezout_pair, gcd_conditions
 from test_gf import additive_char_exponent
 
 
-def char_sum_reindexed(ctx, spec, e1, a, b, use_delta_form=False):
+def char_sum_reindexed(ctx, e1, e2, a, b, use_delta_form=False):
     """Independent oracle: evaluate the sum in the substituted coordinates.
 
     Sums chi'(a*gamma^(Delta*(e1*alpha+beta)*v + Delta*s*w) + b*gamma^v)
-    over the whole grid, with s = k*e1 - e2 (or Delta*e1 - e2, which is
-    congruent mod q - 1 and must give the identical term multiset).
+    over the whole grid, with (alpha, beta) the Bezout pair of e2 and
+    s = k*e1 - e2 (or Delta*e1 - e2, which is congruent mod q - 1 and must
+    give the identical term multiset).
     """
-    m = ctx.m
+    m, delta = ctx.m, ctx.delta
+    alpha, beta = bezout_pair(e2, ctx.q, ctx.k)
     counts = [0] * ctx.p
-    stride = spec.delta * (e1 * spec.bezout.alpha + spec.bezout.beta)
-    s = (spec.delta if use_delta_form else spec.k) * e1 - spec.e2
-    wstep = spec.delta * s
+    stride = delta * (e1 * alpha + beta)
+    s = (delta if use_delta_form else ctx.k) * e1 - e2
+    wstep = delta * s
     for v in range(m):
         for w in range(ctx.q - 1):
             t1 = ZERO if a == ZERO else (a + stride * v + wstep * w) % m
@@ -93,18 +95,19 @@ def chunked_char_sum(ctx, e1, e2, a, b, entries=1 << 20):
 # d > 1) on every (a, b) of a block instead.
 
 
-def spec_d(spec, e1):
-    """d = gcd(q-1, k*e1 - e2) of the exponent pair (e1, spec.e2)."""
-    return gcd_conditions(spec.q, spec.k, e1, spec.e2)[0]
+def pair_d(q, k, e1, e2):
+    """d = gcd(q-1, k*e1 - e2) of the exponent pair (e1, e2)."""
+    return gcd_conditions(q, k, e1, e2)[0]
 
 
-def level_shift(spec, e1, d):
-    """The exact quotient (Delta*(e1*alpha + beta) - 1) / d.
+def level_shift(q, k, e1, e2, d):
+    """The exact quotient (Delta*(e1*alpha + beta) - 1) / d, (alpha, beta) e2's Bezout pair.
 
     Integrality is guaranteed whenever d = gcd(q-1, k*e1 - e2); anything
     else means the Bezout data is inconsistent.
     """
-    num = spec.delta * (e1 * spec.bezout.alpha + spec.bezout.beta) - 1
+    alpha, beta = bezout_pair(e2, q, k)
+    num = (q**k - 1) // (q - 1) * (e1 * alpha + beta) - 1
     if num % d != 0:
         raise ConsistencyError(
             f"{d} does not divide Delta*(e1*alpha+beta) - 1 = {num}"
@@ -112,26 +115,27 @@ def level_shift(spec, e1, d):
     return num // d
 
 
-def partition_value(ctx, spec, e1, a, b, d, v, w):
+def partition_value(ctx, e1, e2, a, b, d, v, w):
     """Value a*gamma^(Delta*(e1*alpha+beta)*v + Delta*d*w) + b*gamma^v.
 
     The level sets of this map over V are invariant under w -> w + (q-1)/d
     and shift predictably under v -> v + Delta, which forces every level
     count to be divisible by d.
     """
-    if d != spec_d(spec, e1):
+    q, k, m, delta = ctx.q, ctx.k, ctx.m, ctx.delta
+    if d != pair_d(q, k, e1, e2):
         raise InvalidArgumentError(f"d = {d} is not gcd(q-1, k*e1 - e2)")
-    level_shift(spec, e1, d)  # integrality check
-    m = ctx.m
-    if not (0 <= v < m and 0 <= w < spec.q - 1):
+    level_shift(q, k, e1, e2, d)  # integrality check
+    if not (0 <= v < m and 0 <= w < q - 1):
         raise InvalidArgumentError(f"point ({v}, {w}) outside V")
-    stride = spec.delta * (e1 * spec.bezout.alpha + spec.bezout.beta)
-    t1 = ZERO if a == ZERO else (a + stride * v + spec.delta * d * w) % m
+    alpha, beta = bezout_pair(e2, q, k)
+    stride = delta * (e1 * alpha + beta)
+    t1 = ZERO if a == ZERO else (a + stride * v + delta * d * w) % m
     t2 = ZERO if b == ZERO else (b + v) % m
     return ctx.add(t1, t2)
 
 
-def partition_counts(ctx, spec, e1, a, b, d):
+def partition_counts(ctx, e1, e2, a, b, d):
     """Level-set sizes of the shifted form over V, keyed by field element.
 
     Requires d = gcd(q-1, k*e1 - e2) > 1.  Checks that d divides every
@@ -139,13 +143,13 @@ def partition_counts(ctx, spec, e1, a, b, d):
     """
     if d <= 1:
         raise InvalidArgumentError(f"partition requires d > 1, got {d}")
-    if d != spec_d(spec, e1):
+    if d != pair_d(ctx.q, ctx.k, e1, e2):
         raise InvalidArgumentError(f"d = {d} is not gcd(q-1, k*e1 - e2)")
     m = ctx.m
     counts = {}
     for v in range(m):
         for w in range(ctx.q - 1):
-            val = partition_value(ctx, spec, e1, a, b, d, v, w)
+            val = partition_value(ctx, e1, e2, a, b, d, v, w)
             counts[val] = counts.get(val, 0) + 1
     for val, c in counts.items():
         if c % d != 0:
@@ -246,68 +250,66 @@ class TestCyclotomicCount:
 
 class TestSubstitution:
     def test_worked_example_q3_k2(self):
-        spec = code_spec(3, 2, 1)
-        assert (spec.bezout.alpha, spec.bezout.beta) == (1, 0)
-        assert expsum.substitution(spec, 1, 1) == (5, 1)
+        pair = bezout_pair(1, 3, 2)
+        assert (pair.alpha, pair.beta) == (1, 0)
+        assert expsum.substitution(3, 2, 1, pair, 1, 1) == (5, 1)
 
     def test_zero_fixed(self):
-        spec = code_spec(3, 2, 1)
-        assert expsum.substitution(spec, 0, 0) == (0, 0)
-        assert expsum.substitution_inverse(spec, 0, 0) == (0, 0)
+        pair = bezout_pair(1, 3, 2)
+        assert expsum.substitution(3, 2, 1, pair, 0, 0) == (0, 0)
+        assert expsum.substitution_inverse(3, 2, 1, pair, 0, 0) == (0, 0)
 
     def test_inverse_worked_example(self):
-        spec = code_spec(3, 2, 1)
-        assert expsum.substitution_inverse(spec, 5, 1) == (1, 1)
+        pair = bezout_pair(1, 3, 2)
+        assert expsum.substitution_inverse(3, 2, 1, pair, 5, 1) == (1, 1)
 
     @pytest.mark.parametrize("q,k,e2", [(3, 2, 1), (2, 3, 3), (3, 2, 5), (5, 2, 7), (4, 2, 3)])
     def test_roundtrip_exhaustive(self, q, k, e2):
-        spec = code_spec(q, k, e2)
+        pair = bezout_pair(e2, q, k)
         n = q**k - 1
         for i in range(n):
             for j in range(q - 1):
-                v, w = expsum.substitution(spec, i, j)
+                v, w = expsum.substitution(q, k, e2, pair, i, j)
                 assert 0 <= v < n and 0 <= w < q - 1
-                assert expsum.substitution_inverse(spec, v, w) == (i, j)
+                assert expsum.substitution_inverse(q, k, e2, pair, v, w) == (i, j)
 
     def test_full_orbit_bijectivity_q4_k3(self):
-        spec = code_spec(4, 3, 5)
+        pair = bezout_pair(5, 4, 3)
         hit = set()
         for i in range(63):
             for j in range(3):
-                hit.add(expsum.substitution(spec, i, j))
+                hit.add(expsum.substitution(4, 3, 5, pair, i, j))
         assert len(hit) == 63 * 3
 
 
 class TestPartitionValue:
     def test_zero_inputs_vanish(self):
         ctx = gf.field_for(4, 2)
-        spec = code_spec(4, 2, 1)
-        d = spec_d(spec, 2)
+        d = pair_d(4, 2, 2, 1)
         assert d == 3
         for v in range(ctx.m):
             for w in range(ctx.q - 1):
-                assert partition_value(ctx, spec, 2, ZERO, ZERO, d, v, w) == ZERO
+                assert partition_value(ctx, 2, 1, ZERO, ZERO, d, v, w) == ZERO
 
     @pytest.mark.parametrize("q,k,e1,e2", [(4, 2, 2, 1), (5, 3, 1, 1)])
     def test_scaling_symmetry(self, q, k, e1, e2):
         # gamma^(r*Delta) * f(v, w) = f(v + r*Delta, w - r*rho), exhaustively
         ctx = gf.field_for(q, k)
-        spec = code_spec(q, k, e2)
-        d = spec_d(spec, e1)
+        d = pair_d(q, k, e1, e2)
         assert d > 1
-        rho = level_shift(spec, e1, d)
+        rho = level_shift(q, k, e1, e2, d)
         a, b = 1, 2
         for r in range(q):
             for v in range(ctx.m):
                 for w in range(q - 1):
                     lhs = ctx.mul(
                         (r * ctx.delta) % ctx.m,
-                        partition_value(ctx, spec, e1, a, b, d, v, w),
+                        partition_value(ctx, e1, e2, a, b, d, v, w),
                     )
                     rhs = partition_value(
                         ctx,
-                        spec,
                         e1,
+                        e2,
                         a,
                         b,
                         d,
@@ -320,23 +322,21 @@ class TestPartitionValue:
     def test_level_shift_symmetry(self, q, k, e1, e2):
         # f(v, w) = f(v, w + (q-1)/d * t) for t = 0..d-1, exhaustively
         ctx = gf.field_for(q, k)
-        spec = code_spec(q, k, e2)
-        d = spec_d(spec, e1)
+        d = pair_d(q, k, e1, e2)
         step = (q - 1) // d
         a, b = 2, 0
         for v in range(ctx.m):
             for w in range(q - 1):
-                base = partition_value(ctx, spec, e1, a, b, d, v, w)
+                base = partition_value(ctx, e1, e2, a, b, d, v, w)
                 for t in range(d):
                     assert base == partition_value(
-                        ctx, spec, e1, a, b, d, v, (w + step * t) % (q - 1)
+                        ctx, e1, e2, a, b, d, v, (w + step * t) % (q - 1)
                     )
 
     def test_wrong_d_rejected(self):
         ctx = gf.field_for(4, 2)
-        spec = code_spec(4, 2, 1)
         with pytest.raises(InvalidArgumentError):
-            partition_value(ctx, spec, 2, 0, 0, 2, 0, 0)
+            partition_value(ctx, 2, 1, 0, 0, 2, 0, 0)
 
 
 class TestCharSum:
@@ -362,11 +362,10 @@ class TestCharSum:
     def test_reindexed_evaluation_identical(self, q, k, e1, e2):
         # direct and substituted coordinates must give the same count vector
         ctx = gf.field_for(q, k)
-        spec = code_spec(q, k, e2)
         for a, b in [(ZERO, ZERO), (0, ZERO), (ZERO, 0), (1, 2), (2, 1)]:
             direct = expsum.char_sum(ctx, e1, e2, a, b)
-            assert char_sum_reindexed(ctx, spec, e1, a, b) == direct
-            assert char_sum_reindexed(ctx, spec, e1, a, b, use_delta_form=True) == direct
+            assert char_sum_reindexed(ctx, e1, e2, a, b) == direct
+            assert char_sum_reindexed(ctx, e1, e2, a, b, use_delta_form=True) == direct
 
 
 class TestPredictions:
@@ -391,27 +390,23 @@ class TestPredictions:
 class TestPartitionCounts:
     def test_totals_and_divisibility(self):
         ctx = gf.field_for(4, 2)
-        spec = code_spec(4, 2, 1)
-        d = spec_d(spec, 2)
-        counts = partition_counts(ctx, spec, 2, 1, 2, d)
+        d = pair_d(4, 2, 2, 1)
+        counts = partition_counts(ctx, 2, 1, 1, 2, d)
         assert sum(counts.values()) == ctx.m * (ctx.q - 1)
         assert all(c % d == 0 for c in counts.values())
 
     def test_delta_periodicity(self):
         ctx = gf.field_for(5, 3)
-        spec = code_spec(5, 3, 1)
-        counts = partition_counts(ctx, spec, 1, 3, 7, spec_d(spec, 1))
+        counts = partition_counts(ctx, 1, 1, 3, 7, pair_d(5, 3, 1, 1))
         for e in range(ctx.m):
             assert counts.get(e, 0) == counts.get((e + ctx.delta) % ctx.m, 0)
 
     def test_requires_d_greater_than_one(self):
         ctx = gf.field_for(3, 2)
-        spec = code_spec(3, 2, 1)
         with pytest.raises(InvalidArgumentError):
-            partition_counts(ctx, spec, 0, 1, 2, spec_d(spec, 0))
+            partition_counts(ctx, 0, 1, 1, 2, pair_d(3, 2, 0, 1))
 
     def test_gcd_checked(self):
         ctx = gf.field_for(4, 2)
-        spec = code_spec(4, 2, 1)
         with pytest.raises(InvalidArgumentError):
-            partition_counts(ctx, spec, 2, 1, 2, 6)
+            partition_counts(ctx, 2, 1, 1, 2, 6)

@@ -402,7 +402,7 @@ class TestQualifyingCodes:
         ]
         listing = numth.qualifying_codes(q, k)
         assert list(listing.pairs()) == expected
-        assert listing.count == len(expected) == numth.code_count(q, k)
+        assert len(expected) == numth.code_count(q, k)
 
     @pytest.mark.parametrize("q,k,error", [
         (6, 2, InvalidArgumentError), (2, 1, InvalidArgumentError), (2, 21, ResourceLimitError),
@@ -421,7 +421,7 @@ class TestQualifyingCodes:
         # writing these codes would take about 1.9 GiB, which `enumerate`
         # budgets; the listing holds only its 82,782 e2 classes
         listing = numth.qualifying_codes(512, 2)
-        assert listing.count == 35_761_824 == numth.code_count(512, 2)
+        assert numth.code_count(512, 2) == 35_761_824
         assert len(listing.classes) == len(listing.residues) == 82_782
 
     def test_a_kept_class_sharing_a_factor_with_delta_raises(self, monkeypatch):

@@ -88,27 +88,29 @@ def reference_enumeration(ctx):
     return checked, None
 
 
-def scalar_substitution(spec, i, j):
-    m = spec.q**spec.k - 1
-    v = (spec.e2 * i + spec.delta * j) % m
-    return v, (i - spec.bezout.alpha * v) // spec.delta % (spec.q - 1)
+def scalar_substitution(q, k, e2, pair, i, j):
+    m = q**k - 1
+    delta = m // (q - 1)
+    v = (e2 * i + delta * j) % m
+    return v, (i - pair.alpha * v) // delta % (q - 1)
 
 
-def scalar_substitution_inverse(spec, v, w):
-    m = spec.q**spec.k - 1
-    return (spec.bezout.alpha * v + spec.delta * w) % m, (spec.bezout.beta * v - spec.e2 * w) % (spec.q - 1)
+def scalar_substitution_inverse(q, k, e2, pair, v, w):
+    m = q**k - 1
+    delta = m // (q - 1)
+    return (pair.alpha * v + delta * w) % m, (pair.beta * v - e2 * w) % (q - 1)
 
 
 def reference_substitution(q, k):
     n = q**k - 1
     checked = 0
     for e2 in verify.valid_e2_values(q, k):
-        spec = expsum.code_spec(q, k, e2)
+        pair = numth.bezout_pair(e2, q, k)
         seen = bytearray(n * (q - 1))
         for i in range(n):
             for j in range(q - 1):
-                v, w = scalar_substitution(spec, i, j)
-                back = scalar_substitution_inverse(spec, v, w)
+                v, w = scalar_substitution(q, k, e2, pair, i, j)
+                back = scalar_substitution_inverse(q, k, e2, pair, v, w)
                 if back != (i, j):
                     return checked, {"e2": e2, "i": i, "j": j, "v": v, "w": w, "back": list(back)}
                 flat = v * (q - 1) + w
@@ -117,6 +119,13 @@ def reference_substitution(q, k):
                 seen[flat] = 1
                 checked += 1
     return checked, None
+
+
+def inject_bezout(monkeypatch, solve):
+    """Solve every Bezout pair with solve, in the substitution sweep and in
+    reference_substitution alike."""
+    monkeypatch.setattr(verify, "bezout_pair", solve)
+    monkeypatch.setattr(numth, "bezout_pair", solve)
 
 
 def full_char_sum_grid(ctx, e1, e2):
@@ -524,7 +533,7 @@ def test_enumeration_reads_the_raised_field_cap():
 @pytest.mark.parametrize("q,k", PAIRS_63)
 def test_an_off_by_one_bezout_pair_gives_the_same_outcome(q, k, field, monkeypatch):
     ctx = gf.field_for(q, k)
-    real = expsum.bezout_pair
+    real = numth.bezout_pair
 
     def off_by_one(e2, q_, k_):
         pair = real(e2, q_, k_)
@@ -532,7 +541,7 @@ def test_an_off_by_one_bezout_pair_gives_the_same_outcome(q, k, field, monkeypat
             return numth.BezoutPair((pair.alpha + 1) % (q_**k_ - 1), pair.beta)
         return numth.BezoutPair(pair.alpha, (pair.beta + 1) % (q_ - 1))
 
-    monkeypatch.setattr(expsum, "bezout_pair", off_by_one)
+    inject_bezout(monkeypatch, off_by_one)
     got = outcome(verify.verify_substitution, q, k)
     assert got == outcome(reference_substitution, q, k)
     if (field, q) != ("beta", 2):
@@ -549,7 +558,7 @@ def test_a_faulty_bezout_pair_past_the_class_representatives_is_caught(q, k, fau
     # class representative; a fault that spares the representatives is caught
     # by mapping that e2's own grid, at the same point as the reference
     n, delta = q**k - 1, (q**k - 1) // (q - 1)
-    real = expsum.bezout_pair
+    real = numth.bezout_pair
 
     def faulty(e2, q_, k_):
         alpha, beta = real(e2, q_, k_)
@@ -559,7 +568,7 @@ def test_a_faulty_bezout_pair_past_the_class_representatives_is_caught(q, k, fau
             beta = (beta + 1) % (q - 1)
         return numth.BezoutPair(alpha, beta)
 
-    monkeypatch.setattr(expsum, "bezout_pair", faulty)
+    inject_bezout(monkeypatch, faulty)
     got = outcome(verify.verify_substitution, q, k)
     assert got == outcome(reference_substitution, q, k)
     if q > 2:  # for q = 2, Delta = n: no e2 lies past its class representative
@@ -571,7 +580,7 @@ def test_substitution_maps_one_grid_per_class_of_e2_mod_delta(monkeypatch):
     calls = []
     real = verify.substitution
     monkeypatch.setattr(verify, "substitution",
-                        lambda spec, i, j: calls.append(spec.e2) or real(spec, i, j))
+                        lambda q, k, e2, pair, i, j: calls.append(e2) or real(q, k, e2, pair, i, j))
     assert verify.verify_substitution(64, 2) == (3024 * 4095 * 63, None)
     assert calls == [e2 for e2 in range(65) if math.gcd(e2, 65) == 1]
     assert len(calls) == 48
@@ -580,8 +589,8 @@ def test_substitution_maps_one_grid_per_class_of_e2_mod_delta(monkeypatch):
 def test_an_error_after_a_failed_round_trip_is_not_reported(monkeypatch):
     # alpha + 1 leaves the division inexact at (1, 0), after a round trip
     # fails at (0, 1): the sweep names the earlier point
-    real = expsum.bezout_pair
-    monkeypatch.setattr(expsum, "bezout_pair",
+    real = numth.bezout_pair
+    monkeypatch.setattr(verify, "bezout_pair",
                         lambda e2, q, k: numth.BezoutPair(real(e2, q, k).alpha + 1, 0))
     checked, counterexample = verify.verify_substitution(4, 3)
     assert counterexample is not None
@@ -596,12 +605,12 @@ def test_an_inexact_division_fails_its_round_trip_first(q, k, monkeypatch):
     n, delta = q**k - 1, (q**k - 1) // (q - 1)
     i = np.repeat(np.arange(n), q - 1)
     j = np.tile(np.arange(q - 1), n)
-    real = expsum.bezout_pair
+    real = numth.bezout_pair
     for e2 in islice(verify.valid_e2_values(q, k), 3):
         alpha = real(e2, q, k).alpha
         monkeypatch.setattr(verify, "valid_e2_values", lambda q_, k_: [e2])
         for t in range(1, 4):
-            monkeypatch.setattr(expsum, "bezout_pair", lambda e2_, q_, k_: numth.BezoutPair(
+            monkeypatch.setattr(verify, "bezout_pair", lambda e2_, q_, k_: numth.BezoutPair(
                 (alpha + t) % n, real(e2_, q_, k_).beta))
             inexact = np.flatnonzero((i - (alpha + t) % n * ((e2 * i + delta * j) % n)) % delta)
             checked, counterexample = verify.verify_substitution(q, k)
@@ -614,9 +623,10 @@ def test_a_many_to_one_forward_map_is_caught_by_its_round_trips(q, k, monkeypatc
     # w forced to 0 sends q - 1 points onto each image: no collision check
     # is needed, as a round trip fails at or before a repeated (v, w)
     real_map, real_scalar = verify.substitution, scalar_substitution
-    monkeypatch.setattr(verify, "substitution", lambda spec, i, j: (real_map(spec, i, j)[0], 0 * i))
-    monkeypatch.setitem(globals(), "scalar_substitution",
-                        lambda spec, i, j: (real_scalar(spec, i, j)[0], 0))
+    monkeypatch.setattr(verify, "substitution", lambda q_, k_, e2, pair, i, j: (
+        real_map(q_, k_, e2, pair, i, j)[0], 0 * i))
+    monkeypatch.setitem(globals(), "scalar_substitution", lambda q_, k_, e2, pair, i, j: (
+        real_scalar(q_, k_, e2, pair, i, j)[0], 0))
     got = outcome(verify.verify_substitution, q, k)
     assert got == outcome(reference_substitution, q, k)
     assert isinstance(got[1], dict) and "back" in got[1]

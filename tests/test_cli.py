@@ -1166,6 +1166,36 @@ class TestTerminated:
         assert json.loads(out.getvalue()) == [{"property": "substitution_bijection", "q": 2,
                                                "k": 3, "ok": True, "checked": 42}]
 
+    def test_sigterm_before_any_result_writes_an_empty_array(self, monkeypatch):
+        # "[" is out before the handler is caught, so even a run stopped in
+        # its first sweep leaves a JSON array
+        def stopped_block(*args):
+            os.kill(os.getpid(), signal.SIGTERM)
+            yield from ()
+
+        monkeypatch.setattr(verify, "run_block", stopped_block)
+        out = io.StringIO()
+        with redirect_stdout(out), redirect_stderr(io.StringIO()):
+            code = cli.main(["verify", "--q", "2", "--k", "3", "--format", "json"])
+        assert (code, out.getvalue()) == (143, "[]\n")
+
+    def test_sigterm_in_text_keeps_the_finished_lines(self):
+        # text has no array to close: the lines written by then stand alone
+        class KillingSink(io.StringIO):
+            killed = False
+
+            def write(self, text):
+                written = super().write(text)
+                if "\n" in text and not self.killed:
+                    self.killed = True
+                    os.kill(os.getpid(), signal.SIGTERM)
+                return written
+
+        out = KillingSink()
+        with redirect_stdout(out), redirect_stderr(io.StringIO()):
+            code = cli.main(["verify", "--q", "2", "--k", "3", "--format", "text"])
+        assert (code, out.getvalue()) == (143, "PASS substitution_bijection q=2 k=3 checked=42\n")
+
 
 class TestUsage:
     def test_missing_required_flag(self, capsys):

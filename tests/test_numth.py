@@ -424,6 +424,10 @@ class TestQualifyingCodes:
         assert numth.code_count(512, 2) == 35_761_824
         assert len(listing.classes) == len(listing.residues) == 82_782
 
+    def test_the_listing_holds_no_count(self):
+        # the count is code_count's; the listing keeps only what it lists by
+        assert numth.CodeListing._fields == ("classes", "residues", "units")
+
     def test_a_kept_class_sharing_a_factor_with_delta_raises(self, monkeypatch):
         real = numth.coset_representatives
         monkeypatch.setattr(numth, "coset_representatives",
